@@ -21,17 +21,13 @@ from .definetti import (
 from .linalg import (
     HermObservable,
     Spectrum,
-    char_coeffs,
-    combine,
     eig_hermitian,
     expectation,
     make_hermitian,
-    matmul,
 )
 from .numrange import (
     Boundary2D,
     Direction,
-    FaceOpts,
     Hyperrect,
     Mesh3D,
     SupportFace,
@@ -47,11 +43,11 @@ from .numrange import (
     hyperrect,
     membership,
     support,
+    sweep_directions,
 )
 from .spinops import (
     HalfInt,
     ObservableVec,
-    analytic_lambda_oracle,
     angular_momentum,
     anticomm_vec,
     coherent_ket,

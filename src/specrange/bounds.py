@@ -4,7 +4,7 @@ Each coordinate x with spectral interval [lo, hi] is mapped to the pair
 dot = (hi-x)/(hi-lo), ring = (x-lo)/(hi-lo); concave measures (entropy-like h,
 u_kappa for kappa < 1) are minimized over the boundary, convex ones
 (u_kappa for kappa > 1, u_max) maximized. Optima found on the sweep grid are
-refined by golden-section search in the angles.
+refined by golden-section coordinate descent in the angles.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import numpy as np
 from .errors import DegenerateRange, EmptyBoundary
 from .numrange import (
     Boundary2D,
-    FaceOpts,
     Hyperrect,
     Mesh3D,
     direction2,
     direction3,
     face,
+    hyperrect,
 )
 from .spinops import ObservableVec
 
@@ -39,6 +39,7 @@ RING_FLOOR = 5e-16
 VALUE_TOL = 1e-9
 ANGLE_TOL = 1e-7
 MAX_REFINE = 16
+REFINE_ROUNDS = 6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -181,22 +182,17 @@ def _golden_section(fn, a: float, b: float, sense: str, tol: float) -> tuple[flo
     return best
 
 
-def _local_optima_2d(values: list[float], sense: str) -> list[int]:
-    n = len(values)
-    cmp = (lambda u, v: u <= v) if sense == MIN else (lambda u, v: u >= v)
-    return [k for k in range(n) if cmp(values[k], values[k - 1]) and cmp(values[k], values[(k + 1) % n])]
-
-
-def _local_optima_3d(values: np.ndarray, sense: str) -> list[tuple[int, int]]:
+def _local_optima(values: np.ndarray, sense: str, poles: bool) -> list[tuple[int, int]]:
+    """Grid nodes no worse than their neighbours; columns wrap around, rows do not."""
     rows, cols = values.shape
     cmp = (lambda u, v: u <= v) if sense == MIN else (lambda u, v: u >= v)
     out = []
     for k in range(rows):
         for kp in range(cols):
-            if k in (0, rows - 1) and kp != 0:
+            if poles and k in (0, rows - 1) and kp != 0:
                 continue  # pole rows share one face; keep a single candidate
             v = values[k, kp]
-            neighbors = [values[k, (kp - 1) % cols], values[k, (kp + 1) % cols]]
+            neighbors = [values[k, kp - 1], values[k, (kp + 1) % cols]]
             if k > 0:
                 neighbors.append(values[k - 1, kp])
             if k < rows - 1:
@@ -204,6 +200,34 @@ def _local_optima_3d(values: np.ndarray, sense: str) -> list[tuple[int, int]]:
             if all(cmp(v, w) for w in neighbors):
                 out.append((k, kp))
     return out
+
+
+def _refine(objective, start: list[float], value: float, axes, sense: str, tol: float):
+    """Golden-section coordinate descent from a grid node.
+
+    axes holds (lo, hi, half-width) per angle; the objective only ever sees
+    angles clamped to [lo, hi]. Each round line-searches every axis in turn
+    and then narrows the windows; a single axis is done after its one line
+    search, several stop once a round no longer moves the value.
+    """
+    point = list(start)
+    halves = [half for _, _, half in axes]
+    for _ in range(REFINE_ROUNDS):
+        for i, (lo, hi, _) in enumerate(axes):
+
+            def line(x: float, i=i) -> float:
+                trial = point[:i] + [x] + point[i + 1 :]
+                return objective([min(max(a, a_lo), a_hi) for a, (a_lo, a_hi, _) in zip(trial, axes)])
+
+            a, b = max(lo, point[i] - halves[i]), min(hi, point[i] + halves[i])
+            point[i], found = _golden_section(line, a, b, sense, tol)
+        halves = [half / 3.0 for half in halves]
+        done = len(axes) == 1 or abs(found - value) <= 1e-13 * max(1.0, abs(found))
+        value = found
+        if done:
+            break
+    point[-1] %= 2 * math.pi
+    return tuple(point), value
 
 
 def optimize_bounds(
@@ -215,31 +239,25 @@ def optimize_bounds(
 ) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
-    Grid optima are refined by golden-section search on phi (2D) or
-    coordinate descent over (theta, phi) (3D); every evaluated angle whose
+    Both boundaries are read as a (rows, cols) grid of faces: a 2D ring is one
+    row of phi, a 3D mesh has rows of theta whose first and last are the
+    poles. Grid optima are refined by golden-section coordinate descent over
+    the boundary's angles (phi, or theta and phi); every evaluated angle whose
     value lies within value_tol of the optimum is reported.
     """
-    rect = _rect_for(vec)
+    rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
-    is_2d = isinstance(boundary, Boundary2D)
-    if is_2d and not boundary.samples:
-        raise EmptyBoundary("boundary carries no faces")
-    opts = FaceOpts(deg_tol=boundary.deg_tol)
-    results = []
-    for kind in kinds:
-        sense = kind.sense
-        if is_2d:
-            results.append(_optimize_2d(vec, boundary, kind, sense, rect, opts, angle_tol, value_tol))
-        else:
-            results.append(_optimize_3d(vec, boundary, kind, sense, rect, opts, angle_tol, value_tol))
+    if isinstance(boundary, Boundary2D):
+        if not boundary.samples:
+            raise EmptyBoundary("boundary carries no faces")
+        rows, thetas, phis = [boundary.samples], None, [f.direction.phi for f in boundary.samples]
+    else:
+        rows, thetas, phis = boundary.grid, boundary.thetas, boundary.phis
+    results = [
+        _optimize(vec, rows, thetas, phis, kind, rect, boundary.deg_tol, angle_tol, value_tol) for kind in kinds
+    ]
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
-
-
-def _rect_for(vec: ObservableVec) -> Hyperrect:
-    from .numrange import hyperrect
-
-    return hyperrect(vec)
 
 
 def _collect(evaluated, best: float, sense: str, value_tol: float, angle_tol: float):
@@ -251,68 +269,36 @@ def _collect(evaluated, best: float, sense: str, value_tol: float, angle_tol: fl
     return sorted(keep)
 
 
-def _optimize_2d(vec, boundary, kind, sense, rect, opts, angle_tol, value_tol) -> MeasureResult:
-    phis = [f.direction.phi for f in boundary.samples]
-    values = [_face_value(kind, f, rect, sense) for f in boundary.samples]
-    better = (lambda u, v: u < v) if sense == MIN else (lambda u, v: u > v)
-    step = 2 * math.pi / len(phis)
-
-    def objective(phi: float) -> float:
-        return _face_value(kind, face(vec, direction2(phi % (2 * math.pi)), opts), rect, sense)
-
-    evaluated = list(zip([(p,) for p in phis], values))
-    candidates = _local_optima_2d(values, sense)
-    candidates.sort(key=lambda k: values[k], reverse=(sense == MAX))
-    best = min(values) if sense == MIN else max(values)
-    for k in candidates[:MAX_REFINE]:
-        x, v = _golden_section(objective, phis[k] - step, phis[k] + step, sense, angle_tol)
-        x %= 2 * math.pi
-        evaluated.append(((x,), v))
-        if better(v, best):
-            best = v
-    angles = _collect(evaluated, best, sense, value_tol, angle_tol)
-    return MeasureResult(kind=kind, value=best, sense=sense, angles=angles)
-
-
-def _optimize_3d(vec, boundary, kind, sense, rect, opts, angle_tol, value_tol) -> MeasureResult:
-    thetas, phis = boundary.thetas, boundary.phis
-    rows = len(thetas)
-    cols = len(phis)
-    values = np.empty((rows, cols))
-    for k in range(rows):
-        row = boundary.grid[k]
-        if k in (0, rows - 1):
+def _optimize(vec, rows, thetas, phis, kind, rect, deg_tol, angle_tol, value_tol) -> MeasureResult:
+    sense = kind.sense
+    poles = thetas is not None
+    n_rows, n_cols = len(rows), len(phis)
+    values = np.empty((n_rows, n_cols))
+    for k, row in enumerate(rows):
+        if poles and k in (0, n_rows - 1):
             values[k, :] = _face_value(kind, row[0], rect, sense)
         else:
-            for kp in range(cols):
-                values[k, kp] = _face_value(kind, row[kp], rect, sense)
+            values[k, :] = [_face_value(kind, f, rect, sense) for f in row]
     better = (lambda u, v: u < v) if sense == MIN else (lambda u, v: u > v)
-    dtheta = math.pi / (rows - 1)
-    dphi = 2 * math.pi / cols
+    # the angles of each row's nodes ahead of phi, and the (lo, hi, half-width) of each axis
+    row_angles = [(float(t),) for t in thetas] if poles else [()]
+    axes = [(-math.inf, math.inf, 2 * math.pi / n_cols)]
+    if poles:
+        axes.insert(0, (0.0, math.pi, math.pi / (n_rows - 1)))
 
-    def objective(theta: float, phi: float) -> float:
-        theta = min(max(theta, 0.0), math.pi)
-        f = face(vec, direction3(theta, phi % (2 * math.pi)), opts)
-        return _face_value(kind, f, rect, sense)
+    def objective(angles: list[float]) -> float:
+        *theta, phi = angles
+        phi %= 2 * math.pi
+        direction = direction3(theta[0], phi) if theta else direction2(phi)
+        return _face_value(kind, face(vec, direction, deg_tol), rect, sense)
 
-    evaluated = [((float(thetas[k]), float(phis[kp])), values[k, kp]) for k in range(rows) for kp in range(cols)]
-    candidates = _local_optima_3d(values, sense)
+    evaluated = [((*row_angles[k], float(phis[kp])), values[k, kp]) for k in range(n_rows) for kp in range(n_cols)]
+    candidates = _local_optima(values, sense, poles)
     candidates.sort(key=lambda idx: values[idx], reverse=(sense == MAX))
     best = float(values.min() if sense == MIN else values.max())
     for k, kp in candidates[:MAX_REFINE]:
-        th, ph = float(thetas[k]), float(phis[kp])
-        v = values[k, kp]
-        half_t, half_p = dtheta, dphi
-        for _ in range(6):
-            th, v_t = _golden_section(lambda t: objective(t, ph), max(0.0, th - half_t), min(math.pi, th + half_t), sense, angle_tol)
-            ph, v_p = _golden_section(lambda p: objective(th, p), ph - half_p, ph + half_p, sense, angle_tol)
-            half_t, half_p = half_t / 3.0, half_p / 3.0
-            if abs(v_p - v) <= 1e-13 * max(1.0, abs(v_p)):
-                v = v_p
-                break
-            v = v_p
-        ph %= 2 * math.pi
-        evaluated.append(((th, ph), v))
+        angles, v = _refine(objective, [*row_angles[k], float(phis[kp])], values[k, kp], axes, sense, angle_tol)
+        evaluated.append((angles, v))
         if better(v, best):
             best = v
     angles = _collect(evaluated, best, sense, value_tol, angle_tol)
@@ -334,7 +320,7 @@ def triviality_check(vec: ObservableVec, boundary, rect: Hyperrect | None = None
     A shared corner makes every bound of this family trivial.
     """
     if rect is None:
-        rect = _rect_for(vec)
+        rect = hyperrect(vec)
     verts = boundary.all_vertices()
     scale = max(1.0, max(h - l for l, h in zip(rect.lo, rect.hi)))
     for corner in rect.corners():

@@ -8,13 +8,14 @@ of negative reals use the real signed root sign(s)|s|^(1/g).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedFamily
-from .numrange import diag_directions, face, support
+from .numrange import diag_directions, direction3, face, support
 from .spinops import HalfInt, ObservableVec, anticomm_vec, power_vec
 
 FAMILY_JPOW = "JPOW"
@@ -85,33 +86,16 @@ def surface_anticomm(gamma: int, mu_steps: int, nu_steps: int) -> LimitSurface:
     return LimitSurface(family=FAMILY_ANTICOMM, gamma=gamma, points=pts, bloch=grid)
 
 
-_roman_hull_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _roman_hull_points() -> np.ndarray:
-    """Hull vertices of the sampled gamma=1 anticommutator surface.
+@functools.cache
+def _roman_hull_facets() -> np.ndarray:
+    """Facet equations (outward unit normal, offset) of the sampled gamma=1 anticommutator hull.
 
     Membership against this sample is approximate at the resolution of the
     _ROMAN_GRID Bloch grid (no polyhedral description exists for this hull).
     """
-    key = _ROMAN_GRID
-    if key not in _roman_hull_cache:
-        from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull  # deferred: only this region needs it
 
-        pts = surface_anticomm(1, *key).points
-        _roman_hull_cache[key] = pts[ConvexHull(pts).vertices]
-    return _roman_hull_cache[key]
-
-
-def _in_hull(points: np.ndarray, p: np.ndarray) -> bool:
-    """Exact hull-of-samples membership via a feasibility program."""
-    from scipy.optimize import linprog
-
-    n = len(points)
-    a_eq = np.vstack([points.T, np.ones(n)])
-    b_eq = np.concatenate([p, [1.0]])
-    res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-    return bool(res.status == 0)
+    return ConvexHull(surface_anticomm(1, *_ROMAN_GRID).points).equations
 
 
 def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool:
@@ -128,7 +112,8 @@ def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool
     if family == FAMILY_ANTICOMM:
         if gamma == 1:
             # no polyhedral description: hull of a dense surface sample
-            return _in_hull(_roman_hull_points(), p)
+            eq = _roman_hull_facets()
+            return bool(np.all(eq[:, :3] @ p + eq[:, 3] <= tol))
         if gamma % 2 == 1:
             return float(np.sum(np.abs(p))) <= 1.0 + tol
         if gamma >= 4:
@@ -193,7 +178,5 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
 
 def support_neg(vec: ObservableVec, direction) -> float:
     """lambda_max of the antipodal direction, i.e. -lambda_min of this one."""
-    from .numrange import direction3
-
     anti = direction3(math.pi - direction.theta, (math.pi + direction.phi) % (2 * math.pi))
     return support(vec, anti).lambda_max

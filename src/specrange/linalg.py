@@ -2,9 +2,7 @@
 
 All matrices are square numpy complex128 arrays. Eigendecompositions are
 delegated to LAPACK (numpy.linalg.eigh), which meets the residual contract
-``|A v - lambda v| <= 1e-10 |A|_F`` for the dimensions used here (d <= 201);
-eigenvectors inside numerically degenerate clusters are re-orthonormalized
-with modified Gram-Schmidt before being exposed.
+``|A v - lambda v| <= 1e-10 |A|_F`` for the dimensions used here (d <= 201).
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from .errors import (
 
 HERMITICITY_RTOL = 1e-12
 NORM_TOL = 1e-12
-# relative gap below which adjacent eigenvalues count as one cluster
-CLUSTER_RTOL = 1e-12
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -83,18 +79,6 @@ def make_hermitian(entries, label: str = "") -> HermObservable:
     return HermObservable(mat=mat, label=label, eig_min=float(vals[0]), eig_max=float(vals[-1]))
 
 
-def _mgs_orthonormalize(block: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the columns of block."""
-    out = block.copy()
-    for k in range(out.shape[1]):
-        for i in range(k):
-            out[:, k] -= (out[:, i].conj() @ out[:, k]) * out[:, i]
-        nrm = np.linalg.norm(out[:, k])
-        if nrm > 0:
-            out[:, k] /= nrm
-    return out
-
-
 def eig_hermitian(mat) -> Spectrum:
     """Full ascending eigendecomposition of a Hermitian matrix."""
     mat = as_cmatrix(mat)
@@ -103,15 +87,6 @@ def eig_hermitian(mat) -> Spectrum:
         values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    # re-orthonormalize degenerate clusters so downstream compressions are stable
-    scale = max(1.0, float(abs(values[-1])), float(abs(values[0])))
-    d = len(values)
-    start = 0
-    for k in range(1, d + 1):
-        if k == d or values[k] - values[k - 1] > CLUSTER_RTOL * scale:
-            if k - start > 1:
-                vectors[:, start:k] = _mgs_orthonormalize(vectors[:, start:k])
-            start = k
     values.setflags(write=False)
     vectors.setflags(write=False)
     return Spectrum(values=values, vectors=vectors)
@@ -125,29 +100,6 @@ def combine_matrix(coeffs, mats) -> np.ndarray:
     return out
 
 
-def combine(terms) -> HermObservable:
-    """Real-linear combination ``sum(c_k * A_k)`` of same-dimension observables."""
-    terms = list(terms)
-    if not terms:
-        raise DimensionMismatch("empty combination")
-    dim = terms[0][1].dim
-    for _, obs in terms:
-        if obs.dim != dim:
-            raise DimensionMismatch("operands differ in dimension")
-    mat = combine_matrix([c for c, _ in terms], [obs.mat for _, obs in terms])
-    label = " + ".join(f"{float(c):g}*{obs.label or 'op'}" for c, obs in terms)
-    return make_hermitian(mat, label=label)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def expectation(obs: HermObservable, psi) -> float:
     """Born-rule mean value <psi|A|psi> for a unit vector psi."""
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
@@ -157,26 +109,3 @@ def expectation(obs: HermObservable, psi) -> float:
     if abs(nrm - 1.0) > NORM_TOL:
         raise NotNormalized(f"|psi| = {nrm!r}")
     return float(np.real(psi.conj() @ (obs.mat @ psi)))
-
-
-def char_coeffs(obs: HermObservable) -> np.ndarray:
-    """Characteristic-polynomial coefficients S_0..S_d via the Newton recursion.
-
-    S_l are the elementary symmetric functions of the eigenvalues, computed
-    from traces of matrix powers: S_0 = 1, S_l = (1/l) sum_{i=1..l}
-    (-1)^(i-1) tr(A^i) S_{l-i}.
-    """
-    d = obs.dim
-    power_traces = np.empty(d + 1)
-    acc = np.eye(d, dtype=np.complex128)
-    for i in range(1, d + 1):
-        acc = acc @ obs.mat
-        power_traces[i] = float(np.real(np.trace(acc)))
-    coeffs = np.empty(d + 1)
-    coeffs[0] = 1.0
-    for l in range(1, d + 1):
-        s = 0.0
-        for i in range(1, l + 1):
-            s += (-1.0) ** (i - 1) * power_traces[i] * coeffs[l - i]
-        coeffs[l] = s / l
-    return coeffs

@@ -17,12 +17,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyBoundary, NoConvergence, NotCommuting
 from .linalg import combine_matrix, eig_hermitian
-from .parallel import grid_map
 from .spinops import ObservableVec
 
 DEG_TOL_DEFAULT = 1e-8
 DEDUP_TOL = 1e-8
 COLLINEAR_TOL = 1e-10
+# degenerate-face reconstruction: recursion depth, and the direction grid the
+# compressed operators are swept on (a ring of INNER_STEPS for two operators,
+# INNER_STEPS // 2 by INNER_STEPS for three)
+FACE_DEPTH = 2
+INNER_STEPS = 64
 
 # body-diagonal unit vectors (+1,+1,+1)/sqrt3 family with component product +1;
 # the four directions where odd-dimensional sweeps go degenerate
@@ -63,13 +67,21 @@ def diag_directions() -> list[Direction]:
     return out
 
 
-@dataclass
-class FaceOpts:
-    """Knobs for degenerate-face reconstruction."""
+def sweep_directions(n: int, grid) -> list[Direction]:
+    """The direction grid of every sweep.
 
-    depth: int = 2
-    inner_steps: int = 64
-    deg_tol: float = DEG_TOL_DEFAULT
+    n = 2: grid is a step count K', the ring phi_k' = 2 pi k'/K'.
+    n = 3: grid is (K, K'), the lat-long grid theta_k = k pi/K, phi_k' = 2 pi k'/K';
+    the north and south poles come first, then rows k = 1..K-1 of K' directions.
+    """
+    if n == 2:
+        return [direction2(float(p)) for p in 2 * math.pi * np.arange(grid) / grid]
+    K, Kp = grid
+    phis = 2 * math.pi * np.arange(Kp) / Kp
+    dirs = [direction3(0.0, 0.0), direction3(math.pi, 0.0)]
+    for theta in np.linspace(0.0, math.pi, K + 1)[1:-1]:
+        dirs.extend(direction3(float(theta), float(p)) for p in phis)
+    return dirs
 
 
 @dataclass
@@ -158,17 +170,6 @@ def _expectations(mats, psi: np.ndarray) -> np.ndarray:
     return np.array([float(np.real(psi.conj() @ (m @ psi))) for m in mats])
 
 
-def _inner_directions(n: int, steps: int) -> list[np.ndarray]:
-    if n == 2:
-        return [np.array([math.cos(p), math.sin(p)]) for p in 2 * math.pi * np.arange(steps) / steps]
-    dirs = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    for theta in np.linspace(0.0, math.pi, steps // 2 + 1)[1:-1]:
-        st, ct = math.sin(theta), math.cos(theta)
-        for p in 2 * math.pi * np.arange(steps) / steps:
-            dirs.append(np.array([st * math.cos(p), st * math.sin(p), ct]))
-    return dirs
-
-
 def _bloch_spinor(n: np.ndarray) -> np.ndarray:
     theta = math.acos(min(1.0, max(-1.0, n[2])))
     phi = math.atan2(n[1], n[0])
@@ -214,7 +215,7 @@ def _pair_cluster_vertices(mats, lift: np.ndarray, compressed, steps: int):
     return pairs
 
 
-def _cluster_vertices(mats, lift: np.ndarray, depth: int, opts: FaceOpts):
+def _cluster_vertices(mats, lift: np.ndarray, depth: int, deg_tol: float):
     """Vertex/state pairs of the face spanned by lift; returns (pairs, exhausted).
 
     `lift` maps the current (compressed) space back to the full Hilbert space,
@@ -236,24 +237,25 @@ def _cluster_vertices(mats, lift: np.ndarray, depth: int, opts: FaceOpts):
         psi = lift[:, 0]
         return [(_expectations(mats, psi), psi)], False
     if m == 2:
-        return _pair_cluster_vertices(mats, lift, compressed, opts.inner_steps), False
+        return _pair_cluster_vertices(mats, lift, compressed, INNER_STEPS), False
     if depth <= 0:
         return [(_expectations(mats, lift[:, k]), lift[:, k]) for k in range(m)], True
     pairs = []
     exhausted = False
-    for eta in _inner_directions(len(mats), opts.inner_steps):
+    inner_grid = INNER_STEPS if len(mats) == 2 else (INNER_STEPS // 2, INNER_STEPS)
+    for direction in sweep_directions(len(mats), inner_grid):
         try:
-            values, vectors = np.linalg.eigh(combine_matrix(eta, compressed))
+            values, vectors = np.linalg.eigh(combine_matrix(direction.eta, compressed))
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
         lam = float(values[-1])
-        tol = opts.deg_tol * max(1.0, abs(lam))
+        tol = deg_tol * max(1.0, abs(lam))
         mult = int(np.sum(values >= lam - tol))
         if mult >= m:
             # the whole compressed space attains this hyperplane; its extreme
             # points are recovered by the non-degenerate inner directions
             continue
-        sub, ex = _cluster_vertices(mats, lift @ vectors[:, m - mult :], depth - 1, opts)
+        sub, ex = _cluster_vertices(mats, lift @ vectors[:, m - mult :], depth - 1, deg_tol)
         pairs.extend(sub)
         exhausted = exhausted or ex
     if not pairs:
@@ -327,11 +329,10 @@ def _reduce_collinear(points: np.ndarray, tol: float) -> np.ndarray:
     return points
 
 
-def face(vec: ObservableVec, direction: Direction, opts: FaceOpts | None = None) -> SupportFace:
+def face(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFAULT) -> SupportFace:
     """Support data plus the face's vertex set in mean-value space."""
-    opts = opts or FaceOpts()
-    sf = support(vec, direction, opts.deg_tol)
-    pairs, exhausted = _cluster_vertices(vec.mats, sf.eigenbasis, opts.depth, opts)
+    sf = support(vec, direction, deg_tol)
+    pairs, exhausted = _cluster_vertices(vec.mats, sf.eigenbasis, FACE_DEPTH, deg_tol)
     verts = [_certify_extremes(vec.ops, coords, psi) for coords, psi in pairs]
     scale = max(1.0, max(float(np.max(np.abs(v))) for v in verts))
     points = _dedupe(np.array(verts), DEDUP_TOL * scale)
@@ -417,21 +418,13 @@ def convex_hull_2d(points: np.ndarray, collinear_tol: float = COLLINEAR_TOL) -> 
     return np.array(out)
 
 
-def boundary2d(
-    vec: ObservableVec,
-    steps: int = 360,
-    deg_tol: float = DEG_TOL_DEFAULT,
-    opts: FaceOpts | None = None,
-) -> Boundary2D:
+def boundary2d(vec: ObservableVec, steps: int = 360, deg_tol: float = DEG_TOL_DEFAULT) -> Boundary2D:
     """Faces at phi_k = 2 pi k / steps plus the convex hull of their vertices."""
     if vec.n != 2:
         raise DimensionMismatch("boundary2d needs a 2-operator vector")
     if steps < 8:
         raise ValueError("steps must be >= 8")
-    base = opts or FaceOpts()
-    opts = FaceOpts(depth=base.depth, inner_steps=base.inner_steps, deg_tol=deg_tol)
-    phis = 2 * math.pi * np.arange(steps) / steps
-    samples = grid_map(lambda p: face(vec, direction2(float(p)), opts), phis)
+    samples = [face(vec, d, deg_tol) for d in sweep_directions(2, steps)]
     hull = convex_hull_2d(np.vstack([f.vertices for f in samples]))
     return Boundary2D(samples=samples, hull=hull, deg_tol=deg_tol)
 
@@ -441,28 +434,21 @@ def boundary3d(
     theta_steps: int,
     phi_steps: int,
     deg_tol: float = DEG_TOL_DEFAULT,
-    opts: FaceOpts | None = None,
 ) -> Mesh3D:
     """Lat-long sweep: theta_k = k pi/K (both poles), phi_k' = k' 2pi/K'."""
     if vec.n != 3:
         raise DimensionMismatch("boundary3d needs a 3-operator vector")
     if theta_steps < 4 or phi_steps < 8:
         raise ValueError("theta_steps >= 4 and phi_steps >= 8 required")
-    base = opts or FaceOpts()
-    opts = FaceOpts(depth=base.depth, inner_steps=base.inner_steps, deg_tol=deg_tol)
     K, Kp = theta_steps, phi_steps
-    thetas = np.linspace(0.0, math.pi, K + 1)
-    phis = 2 * math.pi * np.arange(Kp) / Kp
-
-    north = face(vec, direction3(0.0, 0.0), opts)
-    south = face(vec, direction3(math.pi, 0.0), opts)
-    inner_nodes = [(float(t), float(p)) for t in thetas[1:-1] for p in phis]
-    inner_faces = grid_map(lambda tp: face(vec, direction3(*tp), opts), inner_nodes)
+    north, south, *inner_faces = [face(vec, d, deg_tol) for d in sweep_directions(3, (K, Kp))]
 
     grid: list[list[SupportFace]] = [[north] * Kp]
     for k in range(K - 1):
         grid.append(inner_faces[k * Kp : (k + 1) * Kp])
     grid.append([south] * Kp)
+    thetas = np.array([row[0].direction.theta for row in grid])
+    phis = np.array([f.direction.phi for f in grid[1]])
 
     # node ids: 0 = north pole, 1 + (k-1)*Kp + k' for k = 1..K-1, last = south
     def rep(f: SupportFace) -> np.ndarray:
@@ -512,27 +498,18 @@ def hyperrect(vec: ObservableVec) -> Hyperrect:
     )
 
 
-def _membership_directions(n: int, grid) -> list[Direction]:
-    if n == 2:
-        steps = int(grid)
-        return [direction2(2 * math.pi * k / steps) for k in range(steps)]
-    K, Kp = grid
-    dirs = [direction3(0.0, 0.0), direction3(math.pi, 0.0)]
-    for theta in np.linspace(0.0, math.pi, K + 1)[1:-1]:
-        for k in range(Kp):
-            dirs.append(direction3(float(theta), 2 * math.pi * k / Kp))
-    return dirs
-
-
 def membership(vec: ObservableVec, r, grid) -> float:
-    """Signed margin min_eta (lambda_max(eta) - eta.r); negative certifies r outside."""
+    """Signed margin min_eta (lambda_max(eta) - eta.r); negative certifies r outside.
+
+    grid is a sweep_directions grid: a step count for two operators,
+    (theta_steps, phi_steps) for three.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
         raise DimensionMismatch(f"point has shape {r.shape}, expected ({vec.n},)")
     margin = math.inf
-    for d in _membership_directions(vec.n, grid):
-        spec = eig_hermitian(combine_matrix(d.eta, vec.mats))
-        margin = min(margin, float(spec.values[-1]) - float(d.eta @ r))
+    for d in sweep_directions(vec.n, grid):
+        margin = min(margin, support(vec, d).lambda_max - float(d.eta @ r))
     return margin
 
 

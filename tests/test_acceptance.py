@@ -17,7 +17,6 @@ from specrange.definetti import convergence_sweep, surface_anticomm, surface_jpo
 from specrange.linalg import eig_hermitian, combine_matrix, make_hermitian
 from specrange.numrange import (
     Direction,
-    FaceOpts,
     boundary2d,
     boundary3d,
     commuting_polytope,
@@ -249,7 +248,7 @@ def test_criterion_08_fourth_power_faces():
         phi=float(math.atan2(-normal[1], -normal[0]) % (2 * math.pi)),
         theta=float(math.acos(-normal[2])),
     )
-    f72 = face(vec72, d72, FaceOpts(deg_tol=1e-5))
+    f72 = face(vec72, d72, deg_tol=1e-5)
     v = f72.vertices
     assert len(v) >= 16
     res = ((v[:, 0] + v[:, 1] - 36.96675) / 21.71172) ** 2 + (

@@ -149,6 +149,21 @@ def test_limit_region_roman_hull_membership():
     assert not limit_region_contains("ANTICOMM", 1, [0.7, 0.7, 0.7])
 
 
+def test_limit_region_roman_hull_honours_tol():
+    # walk out along a ray to the hull boundary, then step 1e-6 past it
+    ray = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    lo, hi = 0.0, 2.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if limit_region_contains("ANTICOMM", 1, mid * ray):
+            lo = mid
+        else:
+            hi = mid
+    past = (hi + 1e-6) * ray
+    assert not limit_region_contains("ANTICOMM", 1, past)
+    assert limit_region_contains("ANTICOMM", 1, past, tol=1e-5)
+
+
 def test_limit_region_unsupported():
     with pytest.raises(UnsupportedFamily):
         limit_region_contains("ANTICOMM", 2, [0.1, 0.1, 0.1])

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from specrange.errors import DimensionMismatch, NotCommuting
 from specrange.linalg import combine_matrix, eig_hermitian, make_hermitian
 from specrange.numrange import (
-    FaceOpts,
     block_union_range,
     boundary2d,
     boundary3d,
@@ -345,23 +343,11 @@ def test_anticomm_pair_spectrum_phi_invariant(twice):
             assert np.max(np.abs(vals - base)) <= 1e-9 * max(1.0, float(np.max(np.abs(base))))
 
 
-# --- determinism / threading -----------------------------------------------
+# --- determinism -------------------------------------------------------------
 
 
-def test_boundary_deterministic_and_thread_invariant():
+def test_boundary_deterministic():
     vec = jsq_pair(HalfInt(5))
     first = boundary2d(vec, steps=45)
     second = boundary2d(vec, steps=45)
     assert first.hull.tobytes() == second.hull.tobytes()
-    old = os.environ.get("SPECRANGE_THREADS")
-    os.environ["SPECRANGE_THREADS"] = "4"
-    try:
-        threaded = boundary2d(vec, steps=45)
-    finally:
-        if old is None:
-            os.environ.pop("SPECRANGE_THREADS")
-        else:
-            os.environ["SPECRANGE_THREADS"] = old
-    assert threaded.hull.tobytes() == first.hull.tobytes()
-    for f1, f2 in zip(first.samples, threaded.samples):
-        assert f1.vertices.tobytes() == f2.vertices.tobytes()

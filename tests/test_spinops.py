@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import CI_LONG
+from oracles import analytic_lambda_oracle
 from specrange.errors import GammaOutOfRange, UnsupportedJ, WrongKind
 from specrange.linalg import eig_hermitian, expectation
 from specrange.spinops import (
     HalfInt,
-    analytic_lambda_oracle,
     angular_momentum,
     anticomm_vec,
     coherent_ket,
