@@ -10,6 +10,7 @@ refined by golden-section coordinate descent in the angles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,11 @@ CLAMP_TOL = 1e-9
 # uncertified weights this close to an endpoint are floored, never zeroed:
 # kappa < 1 measures have unbounded slope there, and flooring keeps local
 # search from undercutting the true optimum inside the coordinate noise zone
-# (exact endpoints arrive bitwise from certified face vertices)
+# (exact endpoints arrive bitwise from certified face vertices); below the
+# smallest normal float, which no coordinate noise reaches, the floor ramps in
+# linearly from 0 so the measure stays continuous above an exact lo
 RING_FLOOR = 5e-16
+RING_RAMP = sys.float_info.min
 VALUE_TOL = 1e-9
 ANGLE_TOL = 1e-7
 MAX_REFINE = 16
@@ -108,9 +112,11 @@ def normalize_mean(x: float, lo: float, hi: float) -> tuple[float, float]:
         return 1.0, 0.0
     if x == hi:
         return 0.0, 1.0
-    x = min(max(x, lo), hi)
-    ring = (x - lo) / width
-    ring = min(max(ring, RING_FLOOR), 1.0 - RING_FLOOR)
+    ring = (min(max(x, lo), hi) - lo) / width
+    floor = RING_FLOOR
+    if x > lo and ring < RING_RAMP:
+        floor *= ring / RING_RAMP
+    ring = min(max(ring, floor), 1.0 - RING_FLOOR)
     return 1.0 - ring, ring
 
 

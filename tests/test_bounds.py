@@ -68,6 +68,15 @@ def test_measure_values():
     assert measure(MeasureKind.umax(), 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_measure_continuous_above_exact_lo():
+    # subnormal weights ramp the noise floor in from 0; normal ones get all of it
+    u = MeasureKind.u(0.5)
+    assert measure(u, 5e-324, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert measure(u, 1e-300, 0.0, 1.0) == measure(u, 1e-20, 0.0, 1.0) > 1.0 + 2e-8
+    mid = np.array([0.0, 5e-324]) / 2.0
+    assert combined(u, mid, Hyperrect(lo=(0.0, 0.0), hi=(1.0, 1.0))) == 2.0
+
+
 def test_combined_corner_and_known_points():
     rect = Hyperrect(lo=(0.0, 0.0), hi=(1.0, 1.0))
     assert combined(MeasureKind.u(0.5), [0.0, 1.0], rect) == pytest.approx(2.0, abs=1e-14)
