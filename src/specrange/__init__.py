@@ -24,6 +24,7 @@ from .linalg import (
     eig_hermitian,
     expectation,
     make_hermitian,
+    top_eigenvalues,
 )
 from .numrange import (
     Boundary2D,

@@ -1,8 +1,13 @@
-"""Dense complex Hermitian linear algebra with certified residual accuracy.
+"""Complex Hermitian linear algebra with certified residual accuracy.
 
-All matrices are square numpy complex128 arrays. Eigendecompositions are
-delegated to LAPACK (numpy.linalg.eigh), which meets the residual contract
+All matrices are square numpy complex128 arrays. Full eigendecompositions
+(eigenvalues and eigenvectors) are delegated to LAPACK through
+numpy.linalg.eigh, which meets the residual contract
 ``|A v - lambda v| <= 1e-10 |A|_F`` for the dimensions used here (d <= 201).
+Readers that need only the top eigenvalue of many real combinations of one
+operator set use ``top_eigenvalues``: the set is packed once into Hermitian
+band storage and each combination goes through LAPACK ?hbevx (tridiagonal
+reduction, then bisection for the one eigenvalue), via scipy.linalg.eig_banded.
 """
 
 from __future__ import annotations
@@ -98,6 +103,48 @@ def combine_matrix(coeffs, mats) -> np.ndarray:
     for c, m in zip(coeffs, mats):
         out += float(c) * m
     return out
+
+
+def top_eigenvalues(coeffs, mats) -> np.ndarray:
+    """lambda_max of sum_i coeffs[k, i] * mats[i] for every row k of coeffs.
+
+    The operators are validated once (finite, Hermitian): a real combination
+    of Hermitian matrices is Hermitian, so the rows need no checks of their
+    own. The bandwidth b is the farthest diagonal with a nonzero entry in any
+    operator; every row is formed in upper band storage, shape (b+1, d), and
+    only its top eigenvalue is computed. A diagonal set has b = 0, a dense one
+    b = d - 1; both take this same path.
+    """
+    from scipy.linalg import eig_banded  # deferred: scipy.linalg takes longer to import than specrange
+
+    mats = [as_cmatrix(m) for m in mats]
+    for m in mats:
+        check_hermitian(m)
+    d = mats[0].shape[0]
+    if any(m.shape != (d, d) for m in mats):
+        raise DimensionMismatch("operators differ in dimension")
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[1] != len(mats):
+        raise DimensionMismatch(f"coefficients have shape {coeffs.shape}, expected (k, {len(mats)})")
+    offsets = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    b = int(offsets[np.any(np.stack(mats) != 0, axis=0)].max(initial=0))
+    bands = np.zeros((len(mats), b + 1, d), dtype=np.complex128)
+    for band, m in zip(bands, mats):
+        for k in range(b + 1):
+            band[b - k, k:] = np.diagonal(m, k)
+    rows = np.tensordot(coeffs, bands, axes=1)
+    if not np.all(np.isfinite(rows)):
+        raise NonFinite("operator combinations have non-finite entries")
+    try:
+        tops = [
+            eig_banded(
+                row, select="i", select_range=(d - 1, d - 1), eigvals_only=True, check_finite=False
+            )[0]
+            for row in rows
+        ]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return np.array(tops, dtype=float)
 
 
 def expectation(obs: HermObservable, psi) -> float:

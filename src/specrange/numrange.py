@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBoundary, NoConvergence, NotCommuting
-from .linalg import combine_matrix, eig_hermitian
+from .linalg import combine_matrix, eig_hermitian, top_eigenvalues
 from .spinops import ObservableVec
 
 DEG_TOL_DEFAULT = 1e-8
@@ -507,10 +507,8 @@ def membership(vec: ObservableVec, r, grid) -> float:
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
         raise DimensionMismatch(f"point has shape {r.shape}, expected ({vec.n},)")
-    margin = math.inf
-    for d in sweep_directions(vec.n, grid):
-        margin = min(margin, support(vec, d).lambda_max - float(d.eta @ r))
-    return margin
+    etas = np.array([d.eta for d in sweep_directions(vec.n, grid)])
+    return float(np.min(top_eigenvalues(etas, vec.mats) - etas @ r))
 
 
 def commuting_polytope(vec: ObservableVec, comm_tol: float = 1e-10, seed: int = 20) -> np.ndarray:

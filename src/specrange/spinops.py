@@ -233,9 +233,9 @@ def j_triple(j: HalfInt) -> ObservableVec:
 
 
 def scale_uniform(vec: ObservableVec, s: float) -> ObservableVec:
-    """Multiply every operator by s > 0 (extreme eigenvalues scale exactly)."""
-    if not s > 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    """Multiply every operator by a finite s > 0 (extreme eigenvalues scale exactly)."""
+    if not 0 < s < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {s}")
     scaled = tuple(
         HermObservable(
             mat=op.mat * s,

@@ -121,12 +121,21 @@ def test_concavity_convexity_on_segments(x1, y1, x2, y2):
     rect = Hyperrect(lo=(0.0, 0.0), hi=(1.0, 1.0))
     r1, r2 = np.array([x1, y1]), np.array([x2, y2])
     mid = (r1 + r2) / 2.0
-    for kind in (MeasureKind.h(), MeasureKind.u(0.5)):
-        avg = (combined(kind, r1, rect) + combined(kind, r2, rect)) / 2.0
-        assert combined(kind, mid, rect) >= avg - 1e-10
-    for kind in (MeasureKind.u(2.0), MeasureKind.umax()):
-        avg = (combined(kind, r1, rect) + combined(kind, r2, rect)) / 2.0
-        assert combined(kind, mid, rect) <= avg + 1e-10
+    # the chord is taken at the midpoint actually evaluated: (a + b) / 2 rounds,
+    # e.g. to 1.0 for a = next_down(1.0), b = 1.0; where a = b, t = 0 and mid = a
+    t = np.divide(mid - r1, r2 - r1, out=np.zeros(2), where=r1 != r2)
+    # sign +1: concave, at or above the chord; -1: convex, at or below it
+    for kind, sign in (
+        (MeasureKind.h(), 1.0),
+        (MeasureKind.u(0.5), 1.0),
+        (MeasureKind.u(2.0), -1.0),
+        (MeasureKind.umax(), -1.0),
+    ):
+        chord = sum(
+            (1.0 - ti) * measure(kind, a, 0.0, 1.0) + ti * measure(kind, b, 0.0, 1.0)
+            for a, b, ti in zip(r1, r2, t)
+        )
+        assert sign * (combined(kind, mid, rect) - chord) >= -1e-10
 
 
 def test_segment_tests_on_real_boundary():

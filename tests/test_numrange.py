@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from specrange.errors import DimensionMismatch, NotCommuting
-from specrange.linalg import combine_matrix, eig_hermitian, make_hermitian
+from specrange.errors import DimensionMismatch, NonFinite, NonHermitian, NotCommuting
+from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
 from specrange.numrange import (
     block_union_range,
     boundary2d,
@@ -245,6 +245,18 @@ def test_membership_margins():
     assert outside < 0
     margin = membership(jsq_pair(HalfInt(4)), [4.0, 1.0], 360)
     assert abs(margin) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [([[0.0, math.inf], [math.inf, 0.0]], NonFinite), ([[0.0, 1.0], [0.0, 0.0]], NonHermitian)],
+)
+def test_membership_rejects_bad_operator(entries, error):
+    good = angular_momentum(HalfInt(1)).jz
+    bad = HermObservable(mat=np.array(entries, dtype=complex), label="bad", eig_min=-1.0, eig_max=1.0)
+    vec = ObservableVec(ops=(good, bad), j=HalfInt(1), kind="J")
+    with pytest.raises(error):
+        membership(vec, [0.0, 0.0], 12)
 
 
 # --- commuting polytope ----------------------------------------------------

@@ -251,6 +251,12 @@ def test_scale_uniform():
     assert scaled.ops[0].eig_min == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_scale_uniform_rejects_nonpositive_and_nonfinite(s):
+    with pytest.raises(ValueError):
+        scale_uniform(power_vec(HalfInt(2), 1), s)
+
+
 def test_scale_uniform_large_j_anticommutator():
     vec = anticomm_vec(HalfInt(50), 1)
     scaled = scale_uniform(vec, 1.0 / 614.689)
