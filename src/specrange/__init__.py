@@ -27,10 +27,9 @@ from .linalg import (
     top_eigenvalues,
 )
 from .numrange import (
-    Boundary2D,
+    Boundary,
     Direction,
     Hyperrect,
-    Mesh3D,
     SupportFace,
     block_union_range,
     boundary2d,

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptyBoundary
-from .numrange import (
-    Boundary2D,
-    Hyperrect,
-    Mesh3D,
-    direction2,
-    direction3,
-    face,
-    hyperrect,
-)
+from .numrange import Boundary, Hyperrect, direction2, direction3, face, hyperrect
 from .spinops import ObservableVec
 
 MIN = "min"
@@ -188,21 +180,18 @@ def _golden_section(fn, a: float, b: float, sense: str, tol: float) -> tuple[flo
     return best
 
 
-def _local_optima(values: np.ndarray, sense: str, poles: bool) -> list[tuple[int, int]]:
-    """Grid nodes no worse than their neighbours; columns wrap around, rows do not."""
-    rows, cols = values.shape
+def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]:
+    """Grid nodes no worse than their neighbours; columns wrap around, rows do not.
+
+    Column kp of a row is read modulo that row's length, so a row of one face
+    meets each neighbouring row at its column 0.
+    """
     cmp = (lambda u, v: u <= v) if sense == MIN else (lambda u, v: u >= v)
     out = []
-    for k in range(rows):
-        for kp in range(cols):
-            if poles and k in (0, rows - 1) and kp != 0:
-                continue  # pole rows share one face; keep a single candidate
-            v = values[k, kp]
-            neighbors = [values[k, kp - 1], values[k, (kp + 1) % cols]]
-            if k > 0:
-                neighbors.append(values[k - 1, kp])
-            if k < rows - 1:
-                neighbors.append(values[k + 1, kp])
+    for k, row in enumerate(values):
+        for kp, v in enumerate(row):
+            neighbors = [row[kp - 1], row[(kp + 1) % len(row)]]
+            neighbors += [values[i][kp % len(values[i])] for i in (k - 1, k + 1) if 0 <= i < len(values)]
             if all(cmp(v, w) for w in neighbors):
                 out.append((k, kp))
     return out
@@ -238,30 +227,25 @@ def _refine(objective, start: list[float], value: float, axes, sense: str, tol: 
 
 def optimize_bounds(
     vec: ObservableVec,
-    boundary: Boundary2D | Mesh3D,
+    boundary: Boundary,
     kinds,
     angle_tol: float = ANGLE_TOL,
     value_tol: float = VALUE_TOL,
 ) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
-    Both boundaries are read as a (rows, cols) grid of faces: a 2D ring is one
-    row of phi, a 3D mesh has rows of theta whose first and last are the
-    poles. Grid optima are refined by golden-section coordinate descent over
-    the boundary's angles (phi, or theta and phi); every evaluated angle whose
-    value lies within value_tol of the optimum is reported.
+    The boundary is read through its rows view, a grid of faces (one row of
+    phi in 2D, rows of theta in 3D). Grid optima are refined by golden-section
+    coordinate descent over the faces' angles (phi, or theta and phi); every
+    evaluated angle whose value lies within value_tol of the optimum is
+    reported.
     """
+    if not boundary.faces:
+        raise EmptyBoundary("boundary carries no faces")
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
-    if isinstance(boundary, Boundary2D):
-        if not boundary.samples:
-            raise EmptyBoundary("boundary carries no faces")
-        rows, thetas, phis = [boundary.samples], None, [f.direction.phi for f in boundary.samples]
-    else:
-        rows, thetas, phis = boundary.grid, boundary.thetas, boundary.phis
-    results = [
-        _optimize(vec, rows, thetas, phis, kind, rect, boundary.deg_tol, angle_tol, value_tol) for kind in kinds
-    ]
+    rows = boundary.rows()
+    results = [_optimize(vec, rows, kind, rect, boundary.deg_tol, angle_tol, value_tol) for kind in kinds]
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
 
@@ -275,22 +259,18 @@ def _collect(evaluated, best: float, sense: str, value_tol: float, angle_tol: fl
     return sorted(keep)
 
 
-def _optimize(vec, rows, thetas, phis, kind, rect, deg_tol, angle_tol, value_tol) -> MeasureResult:
+def _angles(direction) -> tuple[float, ...]:
+    return (direction.phi,) if direction.theta is None else (direction.theta, direction.phi)
+
+
+def _optimize(vec, rows, kind, rect, deg_tol, angle_tol, value_tol) -> MeasureResult:
     sense = kind.sense
-    poles = thetas is not None
-    n_rows, n_cols = len(rows), len(phis)
-    values = np.empty((n_rows, n_cols))
-    for k, row in enumerate(rows):
-        if poles and k in (0, n_rows - 1):
-            values[k, :] = _face_value(kind, row[0], rect, sense)
-        else:
-            values[k, :] = [_face_value(kind, f, rect, sense) for f in row]
+    values = [np.array([_face_value(kind, f, rect, sense) for f in row]) for row in rows]
     better = (lambda u, v: u < v) if sense == MIN else (lambda u, v: u > v)
-    # the angles of each row's nodes ahead of phi, and the (lo, hi, half-width) of each axis
-    row_angles = [(float(t),) for t in thetas] if poles else [()]
-    axes = [(-math.inf, math.inf, 2 * math.pi / n_cols)]
-    if poles:
-        axes.insert(0, (0.0, math.pi, math.pi / (n_rows - 1)))
+    # the (lo, hi, half-width) of each axis: phi spaced by the longest row, theta by the rows
+    axes = [(-math.inf, math.inf, 2 * math.pi / max(len(row) for row in rows))]
+    if rows[0][0].direction.theta is not None:
+        axes.insert(0, (0.0, math.pi, math.pi / (len(rows) - 1)))
 
     def objective(angles: list[float]) -> float:
         *theta, phi = angles
@@ -298,12 +278,13 @@ def _optimize(vec, rows, thetas, phis, kind, rect, deg_tol, angle_tol, value_tol
         direction = direction3(theta[0], phi) if theta else direction2(phi)
         return _face_value(kind, face(vec, direction, deg_tol), rect, sense)
 
-    evaluated = [((*row_angles[k], float(phis[kp])), values[k, kp]) for k in range(n_rows) for kp in range(n_cols)]
-    candidates = _local_optima(values, sense, poles)
-    candidates.sort(key=lambda idx: values[idx], reverse=(sense == MAX))
-    best = float(values.min() if sense == MIN else values.max())
+    evaluated = [(_angles(f.direction), v) for row, vals in zip(rows, values) for f, v in zip(row, vals)]
+    candidates = _local_optima(values, sense)
+    candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == MAX))
+    flat = np.concatenate(values)
+    best = float(flat.min() if sense == MIN else flat.max())
     for k, kp in candidates[:MAX_REFINE]:
-        angles, v = _refine(objective, [*row_angles[k], float(phis[kp])], values[k, kp], axes, sense, angle_tol)
+        angles, v = _refine(objective, list(_angles(rows[k][kp].direction)), values[k][kp], axes, sense, angle_tol)
         evaluated.append((angles, v))
         if better(v, best):
             best = v

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from . import io
 from .bounds import MeasureKind, optimize_bounds
@@ -25,40 +24,47 @@ SETS_2D = ("jsq2d", "ladder")
 SETS_3D = ("j", "jpow", "anticomm")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    j: HalfInt | None = None
-    set: str = ""
-    gamma: int = 1
-    theta_steps: int = 36
-    phi_steps: int = 360
-    deg_tol: float = 1e-8
-    measures: list[MeasureKind] = field(default_factory=list)
-    refine_tol: float = 1e-7
-    out_path: str = "-"
-    format: str = "csv"
+def _arg(parse, ok=lambda value: True, need: str = ""):
+    """An argparse type: parse the text, then require ok(value); both failures exit 2."""
 
-    def __post_init__(self):
-        if self.command in ("boundary", "mesh", "bounds", "check", "gaps"):
-            if self.phi_steps < 8 or self.theta_steps < 8:
-                raise ValueError("step counts must be >= 8")
-        if not (self.deg_tol > 0 and self.refine_tol > 0):
-            raise ValueError("tolerances must be positive")
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: must be {need}")
+        return value
+
+    return convert
 
 
-def build_set(cfg: RunConfig) -> ObservableVec:
-    if cfg.set == "j":
-        return j_triple(cfg.j)
-    if cfg.set == "jpow":
-        return power_vec(cfg.j, cfg.gamma)
-    if cfg.set == "jsq2d":
-        return jsq_pair(cfg.j)
-    if cfg.set == "ladder":
-        return ladder_combo(cfg.j, cfg.gamma)
-    if cfg.set == "anticomm":
-        return anticomm_vec(cfg.j, cfg.gamma)
-    raise ValueError(f"unknown set {cfg.set!r}")
+def _list(parse):
+    return lambda text: [parse(tok) for tok in text.split(",") if tok.strip()]
+
+
+HALF_INT = _arg(HalfInt.parse)
+HALF_INTS = _arg(_list(HalfInt.parse))
+GAMMA = _arg(int, lambda g: g >= 1, ">= 1")
+STEPS = _arg(int, lambda n: n >= 8, ">= 8")
+COUNT = _arg(int, lambda n: n >= 0, ">= 0")
+TOL = _arg(float, lambda x: x > 0, "positive")
+MEASURES = _arg(_list(MeasureKind.parse))
+POINT = _arg(lambda text: [float(tok) for tok in text.split(",")])
+
+
+def build_set(args) -> ObservableVec:
+    if args.set == "j":
+        return j_triple(args.j)
+    if args.set == "jpow":
+        return power_vec(args.j, args.gamma)
+    if args.set == "jsq2d":
+        return jsq_pair(args.j)
+    if args.set == "ladder":
+        return ladder_combo(args.j, args.gamma)
+    if args.set == "anticomm":
+        return anticomm_vec(args.j, args.gamma)
+    raise ValueError(f"unknown set {args.set!r}")
 
 
 def _emit(text: str, out_path: str) -> None:
@@ -69,13 +75,13 @@ def _emit(text: str, out_path: str) -> None:
             fh.write(text)
 
 
-def _add_common(p, include_theta=False):
-    p.add_argument("--j", required=True, help="quantum number, e.g. 3/2 or 2")
-    p.add_argument("--gamma", type=int, default=1)
-    p.add_argument("--deg-tol", type=float, default=1e-8)
-    p.add_argument("--phi-steps", type=int, default=360)
+def _add_common(p, include_theta=False, steps=STEPS):
+    p.add_argument("--j", required=True, type=HALF_INT, help="quantum number, e.g. 3/2 or 2")
+    p.add_argument("--gamma", type=GAMMA, default=1)
+    p.add_argument("--deg-tol", type=TOL, default=1e-8)
+    p.add_argument("--phi-steps", type=steps, default=360)
     if include_theta:
-        p.add_argument("--theta-steps", type=int, default=36)
+        p.add_argument("--theta-steps", type=steps, default=36)
     p.add_argument("--out", default="-")
 
 
@@ -87,7 +93,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ops", help="dump operator matrices")
-    _add_common(p)
+    _add_common(p, steps=int)  # ops sweeps nothing, so its step count is not checked
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
     p.add_argument("--format", default="json", choices=("json",))
 
@@ -104,32 +110,32 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="tight uncertainty/certainty bounds")
     _add_common(p, include_theta=True)
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
-    p.add_argument("--measures", default="h,u0.5,u2,umax")
-    p.add_argument("--refine-tol", type=float, default=1e-7)
+    p.add_argument("--measures", type=MEASURES, default="h,u0.5,u2,umax")
+    p.add_argument("--refine-tol", type=TOL, default=1e-7)
     p.add_argument("--format", default="json", choices=("json",))
 
     p = sub.add_parser("check", help="membership margin of a mean vector")
     _add_common(p, include_theta=True)
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
+    p.add_argument("--point", required=True, type=POINT, help="comma-separated coordinates")
 
     p = sub.add_parser("surface", help="large-j limit surface samples")
     p.add_argument("--family", required=True, choices=("jpow", "anticomm"))
-    p.add_argument("--gamma", type=int, default=1)
-    p.add_argument("--mu-steps", type=int, default=90)
-    p.add_argument("--nu-steps", type=int, default=180)
+    p.add_argument("--gamma", type=GAMMA, default=1)
+    p.add_argument("--mu-steps", type=COUNT, default=90)
+    p.add_argument("--nu-steps", type=COUNT, default=180)
     p.add_argument("--format", default="csv", choices=("csv",))
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("sweep", help="finite-j convergence series")
     p.add_argument("--family", required=True, choices=("jpow", "anticomm"))
-    p.add_argument("--gamma", type=int, default=1)
+    p.add_argument("--gamma", type=GAMMA, default=1)
     p.add_argument(
         "--quantity",
         required=True,
         choices=("am", "am_min", "lmax_eta1", "lmin_eta1", "mean_eta1"),
     )
-    p.add_argument("--j-list", required=True, help="comma-separated, e.g. 1,3/2,2")
+    p.add_argument("--j-list", required=True, type=HALF_INTS, help="comma-separated, e.g. 1,3/2,2")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("gaps", help="level-crossing report: top spectral gap per node")
@@ -139,97 +145,72 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cfg_from(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        j=HalfInt.parse(args.j) if getattr(args, "j", None) else None,
-        set=getattr(args, "set", ""),
-        gamma=getattr(args, "gamma", 1),
-        theta_steps=getattr(args, "theta_steps", 36),
-        phi_steps=getattr(args, "phi_steps", 360),
-        deg_tol=getattr(args, "deg_tol", 1e-8),
-        measures=[MeasureKind.parse(m) for m in getattr(args, "measures", "").split(",") if m],
-        refine_tol=getattr(args, "refine_tol", 1e-7),
-        out_path=getattr(args, "out", "-"),
-        format=getattr(args, "format", "csv"),
-    )
-
-
 def run(argv) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _cfg_from(args)
-    except (ValueError, SpecRangeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return _dispatch(cfg, args)
+        return _dispatch(args)
     except SpecRangeError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 
 
-def _dispatch(cfg: RunConfig, args) -> int:
-    if cfg.command == "ops":
-        _emit(io.ops_json(build_set(cfg), cfg.set), cfg.out_path)
+def _dispatch(args) -> int:
+    if args.command == "ops":
+        _emit(io.ops_json(build_set(args), args.set), args.out)
         return 0
 
-    if cfg.command == "boundary":
-        b = boundary2d(build_set(cfg), steps=cfg.phi_steps, deg_tol=cfg.deg_tol)
-        if cfg.format == "csv":
-            _emit(io.boundary_csv(b), cfg.out_path)
-        elif cfg.format == "json":
-            _emit(io.boundary_json(b, cfg.j, cfg.set, cfg.gamma), cfg.out_path)
+    if args.command == "boundary":
+        b = boundary2d(build_set(args), steps=args.phi_steps, deg_tol=args.deg_tol)
+        if args.format == "csv":
+            _emit(io.boundary_csv(b), args.out)
+        elif args.format == "json":
+            _emit(io.boundary_json(b, args.j, args.set, args.gamma), args.out)
         else:
-            _emit(io.boundary_svg(b), cfg.out_path)
+            _emit(io.boundary_svg(b), args.out)
         return 0
 
-    if cfg.command == "mesh":
-        mesh = boundary3d(build_set(cfg), cfg.theta_steps, cfg.phi_steps, deg_tol=cfg.deg_tol)
-        _emit(io.mesh_csv(mesh) if cfg.format == "csv" else io.mesh_svg(mesh), cfg.out_path)
+    if args.command == "mesh":
+        mesh = boundary3d(build_set(args), args.theta_steps, args.phi_steps, deg_tol=args.deg_tol)
+        _emit(io.mesh_csv(mesh) if args.format == "csv" else io.mesh_svg(mesh), args.out)
         return 0
 
-    if cfg.command == "gaps":
-        mesh = boundary3d(build_set(cfg), cfg.theta_steps, cfg.phi_steps, deg_tol=cfg.deg_tol)
-        _emit(io.gaps_csv(mesh), cfg.out_path)
+    if args.command == "gaps":
+        mesh = boundary3d(build_set(args), args.theta_steps, args.phi_steps, deg_tol=args.deg_tol)
+        _emit(io.gaps_csv(mesh), args.out)
         return 0
 
-    if cfg.command == "bounds":
-        vec = build_set(cfg)
+    if args.command == "bounds":
+        vec = build_set(args)
         if vec.n == 2:
-            boundary = boundary2d(vec, steps=cfg.phi_steps, deg_tol=cfg.deg_tol)
+            boundary = boundary2d(vec, steps=args.phi_steps, deg_tol=args.deg_tol)
         else:
-            boundary = boundary3d(vec, cfg.theta_steps, cfg.phi_steps, deg_tol=cfg.deg_tol)
-        report = optimize_bounds(vec, boundary, cfg.measures, angle_tol=cfg.refine_tol)
-        _emit(io.bounds_json(report, cfg.j, cfg.set, cfg.gamma), cfg.out_path)
+            boundary = boundary3d(vec, args.theta_steps, args.phi_steps, deg_tol=args.deg_tol)
+        report = optimize_bounds(vec, boundary, args.measures, angle_tol=args.refine_tol)
+        _emit(io.bounds_json(report, args.j, args.set, args.gamma), args.out)
         return 0
 
-    if cfg.command == "check":
-        vec = build_set(cfg)
-        point = [float(tok) for tok in args.point.split(",")]
-        grid = cfg.phi_steps if vec.n == 2 else (cfg.theta_steps, cfg.phi_steps)
-        margin = membership(vec, point, grid)
-        _emit(io.fmt(margin) + "\n", cfg.out_path)
+    if args.command == "check":
+        vec = build_set(args)
+        grid = args.phi_steps if vec.n == 2 else (args.theta_steps, args.phi_steps)
+        margin = membership(vec, args.point, grid)
+        _emit(io.fmt(margin) + "\n", args.out)
         return 0
 
-    if cfg.command == "surface":
+    if args.command == "surface":
         build = surface_jpow if args.family == "jpow" else surface_anticomm
         surf = build(args.gamma, args.mu_steps, args.nu_steps)
         _emit(io.surface_csv(surf), args.out)
         return 0
 
-    if cfg.command == "sweep":
-        j_list = [HalfInt.parse(tok) for tok in args.j_list.split(",") if tok.strip()]
-        series = convergence_sweep(args.family.upper(), args.gamma, j_list, args.quantity.upper())
+    if args.command == "sweep":
+        series = convergence_sweep(args.family.upper(), args.gamma, args.j_list, args.quantity.upper())
         _emit(io.sweep_csv(series, args.quantity), args.out)
         return 0
 
-    raise ValueError(f"unhandled command {cfg.command!r}")  # pragma: no cover
+    raise ValueError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
 def main() -> None:

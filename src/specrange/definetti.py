@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedFamily
+from .errors import DimensionMismatch, UnsupportedFamily
 from .numrange import diag_directions, direction3, face, support
 from .spinops import HalfInt, ObservableVec, anticomm_vec, power_vec
 
@@ -98,9 +98,16 @@ def _roman_hull_facets() -> np.ndarray:
     return ConvexHull(surface_anticomm(1, *_ROMAN_GRID).points).equations
 
 
+def _point3(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,):
+        raise DimensionMismatch(f"point has shape {p.shape}, expected (3,)")
+    return p
+
+
 def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool:
     """Membership in the large-j limit region of the scaled mean vectors."""
-    p = np.asarray(p, dtype=float)
+    p = _point3(p)
     if family == FAMILY_JPOW:
         if gamma == 1:
             return float(np.linalg.norm(p)) <= 1.0 + tol
@@ -124,7 +131,7 @@ def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool
 
 def g_region_contains(vartheta, r, tol: float = 1e-10) -> bool:
     """Membership in G_theta: sum_l (sqrt3 eta_l . r)^(2 theta) <= 4; theta=inf is the octahedron."""
-    r = np.asarray(r, dtype=float)
+    r = _point3(r)
     etas = [d.eta for d in diag_directions()]
     projections = [math.sqrt(3.0) * float(e @ r) for e in etas]
     if vartheta == math.inf:

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .bounds import BoundReport
-from .numrange import Boundary2D, Hyperrect, Mesh3D
+from .numrange import Boundary
 from .spinops import HalfInt, ObservableVec
 
 
@@ -27,34 +27,32 @@ def csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def boundary_csv(boundary: Boundary2D) -> str:
+def boundary_csv(boundary: Boundary) -> str:
     rows = []
-    for f in boundary.samples:
+    for f in boundary.faces:
         for idx, v in enumerate(f.vertices):
             rows.append([f.direction.phi, f.lambda_max, f.multiplicity, v[0], v[1], idx])
     return csv_text(["phi", "lambda_max", "multiplicity", "v1", "v2", "vertex_index"], rows)
 
 
-def mesh_csv(mesh: Mesh3D) -> str:
+def mesh_csv(mesh: Boundary) -> str:
     rows = []
-    for k, theta in enumerate(mesh.thetas):
-        row = mesh.grid[k]
-        faces = [row[0]] if k in (0, len(mesh.thetas) - 1) else row
-        for f in faces:
+    for row in mesh.rows():
+        for f in row:
+            d = f.direction
             for idx, v in enumerate(f.vertices):
-                rows.append([theta, f.direction.phi, f.lambda_max, f.multiplicity, v[0], v[1], v[2], idx])
+                rows.append([d.theta, d.phi, f.lambda_max, f.multiplicity, v[0], v[1], v[2], idx])
     return csv_text(
         ["theta", "phi", "lambda_max", "multiplicity", "v1", "v2", "v3", "vertex_index"], rows
     )
 
 
-def gaps_csv(mesh: Mesh3D) -> str:
+def gaps_csv(mesh: Boundary) -> str:
     rows = []
-    for k, theta in enumerate(mesh.thetas):
-        row = mesh.grid[k]
-        faces = [row[0]] if k in (0, len(mesh.thetas) - 1) else row
-        for f in faces:
-            rows.append([theta, f.direction.phi, f.lambda_max, f.gap if f.gap is not None else float("nan")])
+    for row in mesh.rows():
+        for f in row:
+            gap = f.gap if f.gap is not None else float("nan")
+            rows.append([f.direction.theta, f.direction.phi, f.lambda_max, gap])
     return csv_text(["theta", "phi", "lambda_max", "gap"], rows)
 
 
@@ -70,7 +68,7 @@ def sweep_csv(series, quantity: str) -> str:
     return csv_text(["j_twice", "quantity", "value"], rows)
 
 
-def boundary_json(boundary: Boundary2D, j: HalfInt, set_name: str, gamma: int) -> str:
+def boundary_json(boundary: Boundary, j: HalfInt, set_name: str, gamma: int) -> str:
     doc = {
         "j_twice": j.twice,
         "set": set_name,
@@ -82,7 +80,7 @@ def boundary_json(boundary: Boundary2D, j: HalfInt, set_name: str, gamma: int) -
                 "multiplicity": f.multiplicity,
                 "vertices": [[float(c) for c in v] for v in f.vertices],
             }
-            for f in boundary.samples
+            for f in boundary.faces
         ],
         "hull": [[float(c) for c in v] for v in boundary.hull],
     }
@@ -156,11 +154,11 @@ def svg_polyline(points: np.ndarray, width: int = 480, height: int = 480, margin
     )
 
 
-def boundary_svg(boundary: Boundary2D) -> str:
+def boundary_svg(boundary: Boundary) -> str:
     return svg_polyline(boundary.hull)
 
 
-def mesh_svg(mesh: Mesh3D) -> str:
+def mesh_svg(mesh: Boundary) -> str:
     """2D projection of the mesh vertices onto the first two coordinates."""
     pts = mesh.all_vertices()[:, :2]
     hull_like = pts[np.argsort(np.arctan2(pts[:, 1] - pts[:, 1].mean(), pts[:, 0] - pts[:, 0].mean()))]

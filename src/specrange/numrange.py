@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBoundary, NoConvergence, NotCommuting
+from .errors import DimensionMismatch, EmptyBoundary, NoConvergence, NonFinite, NotCommuting
 from .linalg import combine_matrix, eig_hermitian, top_eigenvalues
 from .spinops import ObservableVec
 
@@ -99,35 +99,28 @@ class SupportFace:
 
 
 @dataclass
-class Boundary2D:
-    samples: list[SupportFace]
-    hull: np.ndarray  # (h, 2) extreme-point polygon, CCW
+class Boundary:
+    """One sweep: a face per direction of sweep_directions(n, grid), in that order."""
+
+    faces: list[SupportFace]
+    grid: int | tuple[int, int]  # the sweep_directions grid, as membership takes it
     deg_tol: float = DEG_TOL_DEFAULT
+    hull: np.ndarray | None = None  # 2D only: (h, 2) extreme-point polygon, CCW
+
+    def rows(self) -> list[list[SupportFace]]:
+        """The faces as grid rows, columns in phi order.
+
+        The 2D ring is one row; the 3D grid runs from the north pole to the
+        south pole, and each pole row holds its one face.
+        """
+        if not isinstance(self.grid, tuple):
+            return [self.faces]
+        north, south, *inner = self.faces
+        kp = self.grid[1]
+        return [[north], *(inner[k : k + kp] for k in range(0, len(inner), kp)), [south]]
 
     def all_vertices(self) -> np.ndarray:
-        return np.vstack([f.vertices for f in self.samples])
-
-
-@dataclass
-class Mesh3D:
-    thetas: np.ndarray  # (K+1,)
-    phis: np.ndarray  # (K',)
-    grid: list[list[SupportFace]]  # (K+1) rows of K' faces; pole rows share one face
-    node_points: np.ndarray  # (N, 3) representative vertex per mesh node
-    triangles: np.ndarray  # (T, 3) indices into node_points
-    deg_tol: float = DEG_TOL_DEFAULT
-
-    def all_vertices(self) -> np.ndarray:
-        chunks = [self.grid[0][0].vertices, self.grid[-1][0].vertices]
-        for row in self.grid[1:-1]:
-            chunks.extend(f.vertices for f in row)
-        return np.vstack(chunks)
-
-    def unique_faces(self):
-        yield self.grid[0][0]
-        for row in self.grid[1:-1]:
-            yield from row
-        yield self.grid[-1][0]
+        return np.vstack([f.vertices for f in self.faces])
 
 
 @dataclass(frozen=True)
@@ -418,15 +411,15 @@ def convex_hull_2d(points: np.ndarray, collinear_tol: float = COLLINEAR_TOL) -> 
     return np.array(out)
 
 
-def boundary2d(vec: ObservableVec, steps: int = 360, deg_tol: float = DEG_TOL_DEFAULT) -> Boundary2D:
+def boundary2d(vec: ObservableVec, steps: int = 360, deg_tol: float = DEG_TOL_DEFAULT) -> Boundary:
     """Faces at phi_k = 2 pi k / steps plus the convex hull of their vertices."""
     if vec.n != 2:
         raise DimensionMismatch("boundary2d needs a 2-operator vector")
     if steps < 8:
         raise ValueError("steps must be >= 8")
-    samples = [face(vec, d, deg_tol) for d in sweep_directions(2, steps)]
-    hull = convex_hull_2d(np.vstack([f.vertices for f in samples]))
-    return Boundary2D(samples=samples, hull=hull, deg_tol=deg_tol)
+    faces = [face(vec, d, deg_tol) for d in sweep_directions(2, steps)]
+    hull = convex_hull_2d(np.vstack([f.vertices for f in faces]))
+    return Boundary(faces=faces, grid=steps, deg_tol=deg_tol, hull=hull)
 
 
 def boundary3d(
@@ -434,60 +427,15 @@ def boundary3d(
     theta_steps: int,
     phi_steps: int,
     deg_tol: float = DEG_TOL_DEFAULT,
-) -> Mesh3D:
+) -> Boundary:
     """Lat-long sweep: theta_k = k pi/K (both poles), phi_k' = k' 2pi/K'."""
     if vec.n != 3:
         raise DimensionMismatch("boundary3d needs a 3-operator vector")
     if theta_steps < 4 or phi_steps < 8:
         raise ValueError("theta_steps >= 4 and phi_steps >= 8 required")
-    K, Kp = theta_steps, phi_steps
-    north, south, *inner_faces = [face(vec, d, deg_tol) for d in sweep_directions(3, (K, Kp))]
-
-    grid: list[list[SupportFace]] = [[north] * Kp]
-    for k in range(K - 1):
-        grid.append(inner_faces[k * Kp : (k + 1) * Kp])
-    grid.append([south] * Kp)
-    thetas = np.array([row[0].direction.theta for row in grid])
-    phis = np.array([f.direction.phi for f in grid[1]])
-
-    # node ids: 0 = north pole, 1 + (k-1)*Kp + k' for k = 1..K-1, last = south
-    def rep(f: SupportFace) -> np.ndarray:
-        return f.vertices.mean(axis=0)
-
-    node_points = [rep(north)]
-    for row in grid[1:-1]:
-        node_points.extend(rep(f) for f in row)
-    node_points.append(rep(south))
-    node_points = np.array(node_points)
-    south_id = len(node_points) - 1
-
-    def node_id(k: int, kp: int) -> int:
-        if k == 0:
-            return 0
-        if k == K:
-            return south_id
-        return 1 + (k - 1) * Kp + (kp % Kp)
-
-    tris = []
-    for k in range(K):
-        for kp in range(Kp):
-            a, b = node_id(k, kp), node_id(k, kp + 1)
-            c, d = node_id(k + 1, kp), node_id(k + 1, kp + 1)
-            if k == 0:
-                tris.append((a, c, d))
-            elif k == K - 1:
-                tris.append((a, c, b))
-            else:
-                tris.append((a, c, d))
-                tris.append((a, d, b))
-    return Mesh3D(
-        thetas=thetas,
-        phis=phis,
-        grid=grid,
-        node_points=node_points,
-        triangles=np.array(tris, dtype=int),
-        deg_tol=deg_tol,
-    )
+    grid = (theta_steps, phi_steps)
+    faces = [face(vec, d, deg_tol) for d in sweep_directions(3, grid)]
+    return Boundary(faces=faces, grid=grid, deg_tol=deg_tol)
 
 
 def hyperrect(vec: ObservableVec) -> Hyperrect:
@@ -507,6 +455,8 @@ def membership(vec: ObservableVec, r, grid) -> float:
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
         raise DimensionMismatch(f"point has shape {r.shape}, expected ({vec.n},)")
+    if not np.all(np.isfinite(r)):
+        raise NonFinite(f"point {r.tolist()} is not finite")
     etas = np.array([d.eta for d in sweep_directions(vec.n, grid)])
     return float(np.min(top_eigenvalues(etas, vec.mats) - etas @ r))
 
@@ -551,18 +501,14 @@ def commuting_polytope(vec: ObservableVec, comm_tol: float = 1e-10, seed: int = 
         return pts  # degenerate (coplanar) clouds are returned as-is
 
 
-def block_union_range(parts, steps: int) -> Boundary2D:
+def block_union_range(parts, steps: int) -> np.ndarray:
     """Hull of the union of several 2-operator boundaries (dimensions may differ)."""
     parts = list(parts)
     if not parts:
         raise EmptyBoundary("no parts given")
-    samples: list[SupportFace] = []
     vertex_sets = []
     for part in parts:
         if part.n != 2:
             raise DimensionMismatch("block_union_range needs 2-operator vectors")
-        b = boundary2d(part, steps=steps)
-        samples.extend(b.samples)
-        vertex_sets.append(b.all_vertices())
-    hull = convex_hull_2d(np.vstack(vertex_sets))
-    return Boundary2D(samples=samples, hull=hull)
+        vertex_sets.append(boundary2d(part, steps=steps).all_vertices())
+    return convex_hull_2d(np.vstack(vertex_sets))

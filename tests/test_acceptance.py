@@ -228,7 +228,7 @@ def test_criterion_08_fourth_power_faces():
     mesh = boundary3d(vec3, 40, 80)
     perms = [(0, 1, 2), (0, 2, 1), (2, 1, 0)]
     matched = 0
-    for f in mesh.unique_faces():
+    for f in mesh.faces:
         if f.multiplicity != 1:
             continue
         for vert in f.vertices:

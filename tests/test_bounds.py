@@ -17,7 +17,7 @@ from specrange.bounds import (
     triviality_check,
 )
 from specrange.errors import DegenerateRange
-from specrange.numrange import Hyperrect, boundary2d, boundary3d, face, direction2, hyperrect
+from specrange.numrange import Hyperrect, boundary2d, boundary3d, direction2, direction3, face, hyperrect
 from specrange.spinops import HalfInt, anticomm_vec, jsq_pair, ladder_combo, power_vec, scale_uniform
 
 LN2 = math.log(2.0)
@@ -181,6 +181,21 @@ def test_optimize_anticomm_mesh():
     rep = optimize_bounds(vec, mesh, ["u2", "umax"])
     assert rep.results[0].value == pytest.approx(13.0 / 6.0, abs=1e-9)
     assert rep.results[1].value == pytest.approx(2.5, abs=1e-9)
+
+
+def test_pole_reported_once():
+    # a pole is one direction: its angles appear once, at phi = 0, however many
+    # columns the mesh has
+    vec = anticomm_vec(HalfInt(3), 1)
+    rep = optimize_bounds(vec, boundary3d(vec, 12, 24), ["h", "u0.5", "u2", "umax"])
+    for res in rep.results:
+        assert all(phi == 0.0 for theta, phi in res.angles if theta in (0.0, math.pi))
+    uhalf = rep.results[1]
+    assert str(uhalf.kind) == "u0.5"
+    etas = np.array([direction3(theta, phi).eta for theta, phi in uhalf.angles])
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    assert len(etas) == 6
+    assert all(np.min(np.linalg.norm(etas - a, axis=1)) <= 1e-12 for a in axes)
 
 
 def test_optimize_rejects_degenerate_range():

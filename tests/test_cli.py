@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,3 +147,40 @@ def test_numeric_failure_exit_code(tmp_path):
     out = tmp_path / "x.json"
     code = run_cli(["bounds", "--j", "1/2", "--set", "jsq2d", "--phi-steps", "16", "--out", str(out)])
     assert code == 1  # degenerate spectral interval
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--j", "1", "--set", "j", "--point", "a,b,c"],
+        ["sweep", "--family", "anticomm", "--quantity", "am", "--j-list", "1,x"],
+        ["surface", "--family", "anticomm", "--gamma", "0"],
+    ],
+    ids=["check-point", "sweep-j-list", "surface-gamma"],
+)
+def test_malformed_argument_exits_2(args):
+    assert run_cli(args) == 2
+
+
+def test_check_non_finite_point_is_numeric_failure(capsys):
+    assert run_cli(["check", "--j", "2", "--set", "j", "--point", "nan,0,0", "--theta-steps", "12", "--phi-steps", "24"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def readme_cli_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("specrange ")]
+
+
+def test_readme_cli_examples(tmp_path):
+    examples = readme_cli_examples()
+    assert len(examples) == 7
+    for i, args in enumerate(examples):
+        out = tmp_path / f"example{i}.out"
+        if "--out" in args:
+            args[args.index("--out") + 1] = str(out)
+        else:
+            args += ["--out", str(out)]
+        assert run_cli(args) == 0, args
+        assert out.stat().st_size > 0, args

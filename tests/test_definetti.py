@@ -13,7 +13,7 @@ from specrange.definetti import (
     surface_anticomm,
     surface_jpow,
 )
-from specrange.errors import UnsupportedFamily
+from specrange.errors import DimensionMismatch, UnsupportedFamily
 from specrange.numrange import boundary3d, diag_directions
 from specrange.spinops import HalfInt, anticomm_vec, scale_uniform
 
@@ -92,7 +92,7 @@ def test_finite_j_roman_surface():
     vec = anticomm_vec(HalfInt(2), 1)
     mesh = boundary3d(vec, 18, 36)
     checked = 0
-    for f in mesh.unique_faces():
+    for f in mesh.faces:
         if f.multiplicity != 1:
             continue
         for v in f.vertices:
@@ -169,6 +169,23 @@ def test_limit_region_unsupported():
         limit_region_contains("ANTICOMM", 2, [0.1, 0.1, 0.1])
     with pytest.raises(UnsupportedFamily):
         limit_region_contains("OTHER", 3, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: limit_region_contains("JPOW", 3, [0.1, 0.1]),
+        lambda: limit_region_contains("JPOW", 1, [2.0]),
+        lambda: limit_region_contains("ANTICOMM", 1, [0.1, 0.1]),
+        lambda: limit_region_contains("ANTICOMM", 3, [[0.1, 0.1, 0.1]]),
+        lambda: g_region_contains(2, [0.1, 0.1]),
+        lambda: g_region_contains(math.inf, [0.1, 0.1, 0.1, 0.1]),
+    ],
+    ids=["jpow3-2d", "jpow1-1d", "anticomm1-2d", "anticomm3-row", "g2-2d", "ginf-4d"],
+)
+def test_limit_regions_reject_wrong_shape(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_g_region_sphere_boundary():

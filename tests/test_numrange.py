@@ -176,14 +176,12 @@ def test_mesh_anticomm_spheres(twice, radius):
     assert np.max(np.abs(np.linalg.norm(v, axis=1) - radius)) <= 1e-8
 
 
-def test_mesh_triangles_on_their_hyperplanes():
+def test_mesh_faces_on_their_hyperplanes():
     mesh = boundary3d(anticomm_vec(HalfInt(2), 1), 8, 16)
-    for tri in mesh.triangles[:64]:
-        assert len(set(int(t) for t in tri)) == 3
     # representative node points satisfy their own face hyperplane
-    rows = len(mesh.thetas)
-    for k in (0, rows // 2, rows - 1):
-        f = mesh.grid[k][0]
+    rows = mesh.rows()
+    for k in (0, len(rows) // 2, len(rows) - 1):
+        f = rows[k][0]
         rep = f.vertices.mean(axis=0)
         assert abs(float(f.direction.eta @ rep) - f.lambda_max) <= 1e-8
 
@@ -259,6 +257,12 @@ def test_membership_rejects_bad_operator(entries, error):
         membership(vec, [0.0, 0.0], 12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_membership_rejects_non_finite_point(bad):
+    with pytest.raises(NonFinite):
+        membership(j_triple(HalfInt(2)), [bad, 0.0, 0.0], (12, 24))
+
+
 # --- commuting polytope ----------------------------------------------------
 
 
@@ -307,7 +311,7 @@ def test_block_union_matches_single():
     vec = jsq_pair(HalfInt(3))
     single = boundary2d(vec, steps=90)
     union = block_union_range([vec], steps=90)
-    match_point_sets(single.hull, union.hull, 1e-12)
+    match_point_sets(single.hull, union, 1e-12)
 
 
 def test_block_union_adds_lowest_corner():
@@ -318,13 +322,13 @@ def test_block_union_adds_lowest_corner():
     top_only = boundary2d(jsq_pair(HalfInt(7)), steps=120)
     expected = np.vstack([top_only.all_vertices(), [[0.25, 0.25]]])
     expected_hull = convex_hull_2d(expected)
-    match_point_sets(union.hull, expected_hull, 1e-9)
-    assert np.min(np.linalg.norm(union.hull - np.array([0.25, 0.25]), axis=1)) <= 1e-9
+    match_point_sets(union, expected_hull, 1e-9)
+    assert np.min(np.linalg.norm(union - np.array([0.25, 0.25]), axis=1)) <= 1e-9
 
 
 def test_block_union_with_trivial_block():
     union = block_union_range([jsq_pair(HalfInt(8)), jsq_pair(HalfInt(0))], steps=90)
-    assert np.min(np.linalg.norm(union.hull - np.array([0.0, 0.0]), axis=1)) <= 1e-12
+    assert np.min(np.linalg.norm(union - np.array([0.0, 0.0]), axis=1)) <= 1e-12
 
 
 # --- ladder/anticommutator spectra invariances ------------------------------
