@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedFamily
+from .errors import DimensionMismatch, UnsupportedFamily, UnsupportedJ
 from .numrange import diag_directions, direction3, face, support
 from .spinops import HalfInt, ObservableVec, anticomm_vec, power_vec
 
@@ -149,7 +149,8 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
 
     AM / AM_MIN: extreme eigenvalues of the first operator; LMAX_ETA1 /
     LMIN_ETA1: extreme eigenvalues of eta_1 . E; MEAN_ETA1: the single-point
-    face coordinate at eta_1 divided by the extreme eigenvalue.
+    face coordinate at eta_1 divided by the extreme eigenvalue. Raises
+    UnsupportedJ at j = 0 (all operators vanish) and for a non-point MEAN_ETA1 face.
     """
     if family == FAMILY_JPOW:
         build, power = power_vec, lambda j: j.j**gamma
@@ -161,6 +162,8 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
     out = []
     for j in j_list:
         j = j if isinstance(j, HalfInt) else HalfInt.parse(str(j))
+        if j.twice == 0:
+            raise UnsupportedJ("j = 0: every operator is zero, so nothing can be normalized")
         vec: ObservableVec = build(j, gamma)
         scale = power(j)
         if quantity == AM:
@@ -175,7 +178,7 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
         elif quantity == MEAN_ETA1:
             f = face(vec, eta1)
             if not f.is_point:
-                raise ValueError(f"face at eta_1 is not a point for j={j}")
+                raise UnsupportedJ(f"face at eta_1 is not a point for j={j}")
             value = float(f.vertices[0][0]) / vec.ops[0].eig_max
         else:
             raise ValueError(f"unknown quantity {quantity!r}")

@@ -34,7 +34,7 @@ class WrongKind(SpecRangeError):
 
 
 class UnsupportedJ(SpecRangeError):
-    """No closed form is available for this quantum number."""
+    """The requested quantity has no value, or no closed form, at this quantum number."""
 
 
 class DegenerateRange(SpecRangeError):

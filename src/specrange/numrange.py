@@ -3,9 +3,8 @@
 For each unit direction eta the top eigenvalue of eta.E gives a supporting
 hyperplane of the allowed region of mean vectors; the states attaining it
 generate the touching face. Nondegenerate directions expose a single extreme
-point; degenerate ones get their face reconstructed by compressing the
-operators onto the top eigenspace and sweeping the compressed vector
-recursively (depth-limited).
+point; degenerate ones get their face rebuilt from the operators compressed
+onto the top eigenspace, one free dimension at a time (_cluster_vertices).
 """
 
 from __future__ import annotations
@@ -15,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBoundary, NoConvergence, NonFinite, NotCommuting
+from .errors import DimensionMismatch, EmptyBoundary, NonFinite, NotCommuting
 from .linalg import combine_matrix, eig_hermitian, top_eigenvalues
 from .spinops import ObservableVec
 
 DEG_TOL_DEFAULT = 1e-8
 DEDUP_TOL = 1e-8
 COLLINEAR_TOL = 1e-10
-# degenerate-face reconstruction: recursion depth, and the direction grid the
-# compressed operators are swept on (a ring of INNER_STEPS for two operators,
-# INNER_STEPS // 2 by INNER_STEPS for three)
-FACE_DEPTH = 2
+# degenerate-face reconstruction: the ring of directions a 2D face is swept on
+# in its free plane, and the ring of Bloch directions of a doublet ellipse
 INNER_STEPS = 64
 
 # body-diagonal unit vectors (+1,+1,+1)/sqrt3 family with component product +1;
@@ -95,7 +92,7 @@ class SupportFace:
     vertices: np.ndarray | None = None  # (k, n) mean vectors
     is_point: bool = False
     gap: float | None = None  # lambda_max minus next eigenvalue below the cluster
-    exhausted: bool = False  # recursion bottomed out with unresolved degeneracy
+    exhausted: bool = False  # never set (every face is resolved); perfbench/tracer.py's census reads it
 
 
 @dataclass
@@ -144,19 +141,23 @@ def support(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_D
     if direction.n != vec.n:
         raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
     spec = eig_hermitian(combine_matrix(direction.eta, vec.mats))
-    values = spec.values
-    lam = float(values[-1])
-    tol = deg_tol * max(1.0, abs(lam))
-    mult = int(np.sum(values >= lam - tol))
-    d = len(values)
-    gap = float(lam - values[d - mult - 1]) if mult < d else None
+    lam, basis = _top_cluster(spec, deg_tol)
+    mult = basis.shape[1]
+    gap = float(lam - spec.values[-mult - 1]) if mult < spec.dim else None
     return SupportFace(
         direction=direction,
         lambda_max=lam,
         multiplicity=mult,
-        eigenbasis=spec.vectors[:, d - mult :],
+        eigenbasis=basis,
         gap=gap,
     )
+
+
+def _top_cluster(spec, deg_tol: float) -> tuple[float, np.ndarray]:
+    """lambda_max and the eigenvectors of the eigenvalues within deg_tol*max(1, |lambda_max|)."""
+    lam = float(spec.values[-1])
+    mult = int(np.sum(spec.values >= lam - deg_tol * max(1.0, abs(lam))))
+    return lam, spec.vectors[:, spec.dim - mult :]
 
 
 def _expectations(mats, psi: np.ndarray) -> np.ndarray:
@@ -192,9 +193,7 @@ def _pair_cluster_vertices(mats, lift: np.ndarray, compressed, steps: int):
     u, sig, vt = np.linalg.svd(rows)
     cut = 1e-12 * max(1.0, float(sig[0]), float(np.max(np.abs(center))))
     rank = int(np.sum(sig > cut))
-    if rank == 0:
-        bloch_dirs = [np.array([0.0, 0.0, 1.0])]
-    elif rank == 1:
+    if rank == 1:
         bloch_dirs = [vt[0], -vt[0]]
     else:
         angles = 2 * math.pi * np.arange(steps) / steps
@@ -208,16 +207,20 @@ def _pair_cluster_vertices(mats, lift: np.ndarray, compressed, steps: int):
     return pairs
 
 
-def _cluster_vertices(mats, lift: np.ndarray, depth: int, deg_tol: float):
-    """Vertex/state pairs of the face spanned by lift; returns (pairs, exhausted).
+def _cluster_vertices(mats, lift: np.ndarray, fixed: list, deg_tol: float):
+    """Vertex/state pairs of the face spanned by lift.
 
-    `lift` maps the current (compressed) space back to the full Hilbert space,
-    so expectations are always taken against the original operators.
+    Every state of span(lift) attains the hyperplane of each unit direction in
+    `fixed`, so the face lies in their orthogonal complement: a segment when
+    one direction is free; when two are, a convex set (Toeplitz-Hausdorff)
+    swept on a ring whose every top cluster recurses with its direction fixed,
+    so the recursion is at most n - 1 deep. `lift` maps back to the full
+    Hilbert space, so expectations are taken against the original operators.
     """
     m = lift.shape[1]
     if m == 1:
         psi = lift[:, 0]
-        return [(_expectations(mats, psi), psi)], False
+        return [(_expectations(mats, psi), psi)]
     compressed = [lift.conj().T @ (mat @ lift) for mat in mats]
     compressed = [(b + b.conj().T) / 2.0 for b in compressed]
     scale = max(1.0, max(float(np.max(np.abs(b))) for b in compressed))
@@ -228,32 +231,20 @@ def _cluster_vertices(mats, lift: np.ndarray, depth: int, deg_tol: float):
     ):
         # every eigenspace state maps to the same mean vector: an exposed point
         psi = lift[:, 0]
-        return [(_expectations(mats, psi), psi)], False
+        return [(_expectations(mats, psi), psi)]
     if m == 2:
-        return _pair_cluster_vertices(mats, lift, compressed, INNER_STEPS), False
-    if depth <= 0:
-        return [(_expectations(mats, lift[:, k]), lift[:, k]) for k in range(m)], True
+        return _pair_cluster_vertices(mats, lift, compressed, INNER_STEPS)
+    free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
+    if len(free) == 1:
+        vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
+        ends = (lift @ vectors[:, 0], lift @ vectors[:, -1])
+        return [(_expectations(mats, psi), psi) for psi in ends]
     pairs = []
-    exhausted = False
-    inner_grid = INNER_STEPS if len(mats) == 2 else (INNER_STEPS // 2, INNER_STEPS)
-    for direction in sweep_directions(len(mats), inner_grid):
-        try:
-            values, vectors = np.linalg.eigh(combine_matrix(direction.eta, compressed))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-        lam = float(values[-1])
-        tol = deg_tol * max(1.0, abs(lam))
-        mult = int(np.sum(values >= lam - tol))
-        if mult >= m:
-            # the whole compressed space attains this hyperplane; its extreme
-            # points are recovered by the non-degenerate inner directions
-            continue
-        sub, ex = _cluster_vertices(mats, lift @ vectors[:, m - mult :], depth - 1, deg_tol)
-        pairs.extend(sub)
-        exhausted = exhausted or ex
-    if not pairs:
-        return [(_expectations(mats, lift[:, k]), lift[:, k]) for k in range(m)], True
-    return pairs, exhausted
+    for direction in sweep_directions(2, INNER_STEPS):
+        eta = direction.eta @ free
+        _, top = _top_cluster(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
+        pairs.extend(_cluster_vertices(mats, lift @ top, [*fixed, eta], deg_tol))
+    return pairs
 
 
 EXTREME_WINDOW = 1e-10
@@ -325,14 +316,13 @@ def _reduce_collinear(points: np.ndarray, tol: float) -> np.ndarray:
 def face(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFAULT) -> SupportFace:
     """Support data plus the face's vertex set in mean-value space."""
     sf = support(vec, direction, deg_tol)
-    pairs, exhausted = _cluster_vertices(vec.mats, sf.eigenbasis, FACE_DEPTH, deg_tol)
+    pairs = _cluster_vertices(vec.mats, sf.eigenbasis, [direction.eta], deg_tol)
     verts = [_certify_extremes(vec.ops, coords, psi) for coords, psi in pairs]
     scale = max(1.0, max(float(np.max(np.abs(v))) for v in verts))
     points = _dedupe(np.array(verts), DEDUP_TOL * scale)
     points = _reduce_collinear(points, DEDUP_TOL * scale)
     sf.vertices = points
     sf.is_point = len(points) == 1
-    sf.exhausted = exhausted
     return sf
 
 

@@ -167,6 +167,19 @@ def test_check_non_finite_point_is_numeric_failure(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "sweep --family jpow --gamma 2 --quantity mean_eta1 --j-list 1",
+        "sweep --family anticomm --quantity am --j-list 0",
+        "sweep --family jpow --quantity lmin_eta1 --j-list 0",
+    ],
+)
+def test_sweep_unsupported_j_is_numeric_failure(args, capsys):
+    assert run_cli(args.split()) == 1
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def readme_cli_examples():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

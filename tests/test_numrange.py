@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specrange.errors import DimensionMismatch, NonFinite, NonHermitian, NotCommuting
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
@@ -118,6 +119,48 @@ def test_face_vertices_inside_hyperrect():
     for v in f.vertices:
         for x, lo, hi in zip(v, rect.lo, rect.hi):
             assert lo - 1e-8 <= x <= hi + 1e-8
+
+
+def _segment_set(n):
+    """A = 1e-7 (path-graph adjacency), then B = 0 and C = I for three operators, or C = I for two.
+
+    At deg_tol = 1e-6 every direction near C leaves all of C^3 in the top
+    cluster, yet the face at C is the segment x = +-sqrt2 * 1e-7 that A spans.
+    """
+    a = 1e-7 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    mats = [a, np.zeros((3, 3)), np.eye(3)] if n == 3 else [a, np.eye(3)]
+    ops = tuple(make_hermitian(m, f"M{i}") for i, m in enumerate(mats))
+    return ObservableVec(ops=ops, j=HalfInt(2), kind="J")
+
+
+@pytest.mark.parametrize("direction", [direction3(0.0, 0.0), direction2(math.pi / 2)], ids=["3d", "2d"])
+def test_face_segment_below_deg_tol(direction):
+    f = face(_segment_set(direction.n), direction, deg_tol=1e-6)
+    end = [math.sqrt(2.0) * 1e-7] + [0.0] * (direction.n - 2) + [1.0]
+    match_point_sets(f.vertices, [end, [-end[0], *end[1:]]], 1e-12)
+    assert not f.exhausted
+
+
+def test_face_ring_dense_in_curved_face():
+    """jpow gamma=2 at j=3: eta_1 . E is a multiple of I, so the face at eta_1 is a curved 2D set."""
+    vec = power_vec(HalfInt(6), 2)
+    eta = diag_directions()[0].eta
+    f = face(vec, diag_directions()[0])
+    v = f.vertices
+    assert np.max(np.abs(v @ eta - f.lambda_max)) <= 1e-8 * f.lambda_max
+    radius = float(np.max(np.linalg.norm(v - v.mean(axis=0), axis=1)))
+    values, vectors = scipy.linalg.eigh(sum(c * m for c, m in zip(eta, vec.mats)))
+    top = vectors[:, values >= values[-1] - 1e-8 * abs(values[-1])]
+    rng = np.random.default_rng(7)
+    for _ in range(24):
+        s = rng.normal(size=3)
+        s -= (s @ eta) * eta
+        s /= np.linalg.norm(s)
+        compressed = top.conj().T @ sum(c * m for c, m in zip(s, vec.mats)) @ top
+        want = float(scipy.linalg.eigvalsh(compressed)[-1])
+        got = float(np.max(v @ s))
+        assert got <= want + 1e-9 * radius
+        assert want - got <= 5e-3 * radius
 
 
 # --- boundary2d ------------------------------------------------------------
