@@ -34,6 +34,8 @@ RING_FLOOR = 5e-16
 RING_RAMP = sys.float_info.min
 VALUE_TOL = 1e-9
 ANGLE_TOL = 1e-7
+REGION_TOL = 1e-9
+TRIVIAL_TOL = 1e-6
 MAX_REFINE = 16
 REFINE_ROUNDS = 6
 
@@ -225,19 +227,13 @@ def _refine(objective, start: list[float], value: float, axes, sense: str, tol: 
     return tuple(point), value
 
 
-def optimize_bounds(
-    vec: ObservableVec,
-    boundary: Boundary,
-    kinds,
-    angle_tol: float = ANGLE_TOL,
-    value_tol: float = VALUE_TOL,
-) -> BoundReport:
+def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
     The boundary is read through its rows view, a grid of faces (one row of
     phi in 2D, rows of theta in 3D). Grid optima are refined by golden-section
     coordinate descent over the faces' angles (phi, or theta and phi); every
-    evaluated angle whose value lies within value_tol of the optimum is
+    evaluated angle whose value lies within VALUE_TOL of the optimum is
     reported.
     """
     if not boundary.faces:
@@ -245,16 +241,16 @@ def optimize_bounds(
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
     rows = boundary.rows()
-    results = [_optimize(vec, rows, kind, rect, boundary.deg_tol, angle_tol, value_tol) for kind in kinds]
+    results = [_optimize(vec, rows, kind, rect, boundary.deg_tol) for kind in kinds]
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
 
 
-def _collect(evaluated, best: float, sense: str, value_tol: float, angle_tol: float):
+def _collect(evaluated, best: float):
     keep = []
     for angles, value in evaluated:
-        if abs(value - best) <= value_tol:
-            if not any(all(abs(a - b) <= 10 * angle_tol for a, b in zip(angles, kept)) for kept in keep):
+        if abs(value - best) <= VALUE_TOL:
+            if not any(all(abs(a - b) <= 10 * ANGLE_TOL for a, b in zip(angles, kept)) for kept in keep):
                 keep.append(angles)
     return sorted(keep)
 
@@ -263,7 +259,7 @@ def _angles(direction) -> tuple[float, ...]:
     return (direction.phi,) if direction.theta is None else (direction.theta, direction.phi)
 
 
-def _optimize(vec, rows, kind, rect, deg_tol, angle_tol, value_tol) -> MeasureResult:
+def _optimize(vec, rows, kind, rect, deg_tol) -> MeasureResult:
     sense = kind.sense
     values = [np.array([_face_value(kind, f, rect, sense) for f in row]) for row in rows]
     better = (lambda u, v: u < v) if sense == MIN else (lambda u, v: u > v)
@@ -284,25 +280,25 @@ def _optimize(vec, rows, kind, rect, deg_tol, angle_tol, value_tol) -> MeasureRe
     flat = np.concatenate(values)
     best = float(flat.min() if sense == MIN else flat.max())
     for k, kp in candidates[:MAX_REFINE]:
-        angles, v = _refine(objective, list(_angles(rows[k][kp].direction)), values[k][kp], axes, sense, angle_tol)
+        angles, v = _refine(objective, list(_angles(rows[k][kp].direction)), values[k][kp], axes, sense, ANGLE_TOL)
         evaluated.append((angles, v))
         if better(v, best):
             best = v
-    angles = _collect(evaluated, best, sense, value_tol, angle_tol)
+    angles = _collect(evaluated, best)
     return MeasureResult(kind=kind, value=best, sense=sense, angles=angles)
 
 
-def region_contains(kind: MeasureKind, bound: float, sense: str, r, rect: Hyperrect, tol: float = 1e-9) -> bool:
-    """Membership in the bound region R = {r : combined respects the bound}."""
+def region_contains(kind: MeasureKind, bound: float, sense: str, r, rect: Hyperrect) -> bool:
+    """Membership in the bound region R = {r : combined respects the bound}, with REGION_TOL relative slack."""
     value = combined(kind, r, rect)
-    slack = tol * max(1.0, abs(bound))
+    slack = REGION_TOL * max(1.0, abs(bound))
     if sense == MIN:
         return value >= bound - slack
     return value <= bound + slack
 
 
-def triviality_check(vec: ObservableVec, boundary, rect: Hyperrect | None = None, tol: float = 1e-6):
-    """Flag (plus witnessing corner) when a hyperrect corner sits on the boundary.
+def triviality_check(vec: ObservableVec, boundary, rect: Hyperrect | None = None):
+    """Flag (plus witnessing corner) when a hyperrect corner is a boundary vertex within TRIVIAL_TOL (relative).
 
     A shared corner makes every bound of this family trivial.
     """
@@ -312,6 +308,6 @@ def triviality_check(vec: ObservableVec, boundary, rect: Hyperrect | None = None
     scale = max(1.0, max(h - l for l, h in zip(rect.lo, rect.hi)))
     for corner in rect.corners():
         dist = float(np.min(np.linalg.norm(verts - corner, axis=1)))
-        if dist <= tol * scale:
+        if dist <= TRIVIAL_TOL * scale:
             return True, tuple(corner)
     return False, None

@@ -75,13 +75,16 @@ def _emit(text: str, out_path: str) -> None:
             fh.write(text)
 
 
-def _add_common(p, include_theta=False, steps=STEPS):
+def _add_common(p, grid: int = 0, deg_tol: bool = True):
+    """--j, --gamma and --out; for grid = 2 or 3, the direction grid's step counts and --deg-tol."""
     p.add_argument("--j", required=True, type=HALF_INT, help="quantum number, e.g. 3/2 or 2")
     p.add_argument("--gamma", type=GAMMA, default=1)
-    p.add_argument("--deg-tol", type=TOL, default=1e-8)
-    p.add_argument("--phi-steps", type=steps, default=360)
-    if include_theta:
-        p.add_argument("--theta-steps", type=steps, default=36)
+    if grid and deg_tol:
+        p.add_argument("--deg-tol", type=TOL, default=1e-8)
+    if grid:
+        p.add_argument("--phi-steps", type=STEPS, default=360)
+    if grid == 3:
+        p.add_argument("--theta-steps", type=STEPS, default=36)
     p.add_argument("--out", default="-")
 
 
@@ -93,29 +96,26 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ops", help="dump operator matrices")
-    _add_common(p, steps=int)  # ops sweeps nothing, so its step count is not checked
+    _add_common(p)
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
-    p.add_argument("--format", default="json", choices=("json",))
 
     p = sub.add_parser("boundary", help="2D boundary sweep")
-    _add_common(p)
+    _add_common(p, grid=2)
     p.add_argument("--set", required=True, choices=SETS_2D)
     p.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
 
     p = sub.add_parser("mesh", help="3D boundary sweep")
-    _add_common(p, include_theta=True)
+    _add_common(p, grid=3)
     p.add_argument("--set", required=True, choices=SETS_3D)
     p.add_argument("--format", default="csv", choices=("csv", "svg"))
 
     p = sub.add_parser("bounds", help="tight uncertainty/certainty bounds")
-    _add_common(p, include_theta=True)
+    _add_common(p, grid=3)
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
     p.add_argument("--measures", type=MEASURES, default="h,u0.5,u2,umax")
-    p.add_argument("--refine-tol", type=TOL, default=1e-7)
-    p.add_argument("--format", default="json", choices=("json",))
 
     p = sub.add_parser("check", help="membership margin of a mean vector")
-    _add_common(p, include_theta=True)
+    _add_common(p, grid=3, deg_tol=False)  # membership reads lambda_max only
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
     p.add_argument("--point", required=True, type=POINT, help="comma-separated coordinates")
 
@@ -124,7 +124,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=GAMMA, default=1)
     p.add_argument("--mu-steps", type=COUNT, default=90)
     p.add_argument("--nu-steps", type=COUNT, default=180)
-    p.add_argument("--format", default="csv", choices=("csv",))
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("sweep", help="finite-j convergence series")
@@ -139,7 +138,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("gaps", help="level-crossing report: top spectral gap per node")
-    _add_common(p, include_theta=True)
+    _add_common(p, grid=3)
     p.add_argument("--set", required=True, choices=SETS_3D)
 
     return parser
@@ -163,11 +162,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "boundary":
-        b = boundary2d(build_set(args), steps=args.phi_steps, deg_tol=args.deg_tol)
+        vec = build_set(args)
+        b = boundary2d(vec, steps=args.phi_steps, deg_tol=args.deg_tol)
         if args.format == "csv":
             _emit(io.boundary_csv(b), args.out)
         elif args.format == "json":
-            _emit(io.boundary_json(b, args.j, args.set, args.gamma), args.out)
+            _emit(io.boundary_json(b, args.j, args.set, vec.gamma), args.out)
         else:
             _emit(io.boundary_svg(b), args.out)
         return 0
@@ -188,8 +188,8 @@ def _dispatch(args) -> int:
             boundary = boundary2d(vec, steps=args.phi_steps, deg_tol=args.deg_tol)
         else:
             boundary = boundary3d(vec, args.theta_steps, args.phi_steps, deg_tol=args.deg_tol)
-        report = optimize_bounds(vec, boundary, args.measures, angle_tol=args.refine_tol)
-        _emit(io.bounds_json(report, args.j, args.set, args.gamma), args.out)
+        report = optimize_bounds(vec, boundary, args.measures)
+        _emit(io.bounds_json(report, args.j, args.set, vec.gamma), args.out)
         return 0
 
     if args.command == "check":

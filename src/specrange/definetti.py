@@ -8,7 +8,6 @@ of negative reals use the real signed root sign(s)|s|^(1/g).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ LMAX_ETA1 = "LMAX_ETA1"
 LMIN_ETA1 = "LMIN_ETA1"
 MEAN_ETA1 = "MEAN_ETA1"
 
-_ROMAN_GRID = (90, 180)  # Bloch grid used for hull-membership of the gamma=1 region
+G_REGION_TOL = 1e-10
 
 
 def signed_root(s: float, gamma: int) -> float:
@@ -86,18 +85,6 @@ def surface_anticomm(gamma: int, mu_steps: int, nu_steps: int) -> LimitSurface:
     return LimitSurface(family=FAMILY_ANTICOMM, gamma=gamma, points=pts, bloch=grid)
 
 
-@functools.cache
-def _roman_hull_facets() -> np.ndarray:
-    """Facet equations (outward unit normal, offset) of the sampled gamma=1 anticommutator hull.
-
-    Membership against this sample is approximate at the resolution of the
-    _ROMAN_GRID Bloch grid (no polyhedral description exists for this hull).
-    """
-    from scipy.spatial import ConvexHull  # deferred: only this region needs it
-
-    return ConvexHull(surface_anticomm(1, *_ROMAN_GRID).points).equations
-
-
 def _point3(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
@@ -105,8 +92,45 @@ def _point3(p) -> np.ndarray:
     return p
 
 
+def _roman_gauge(p: np.ndarray) -> float:
+    """Gauge of p in the convex hull of the Roman surface (2xz, 2yz, 2xy), in closed form.
+
+    The hull is {(2 rho_13, 2 rho_23, 2 rho_12) : rho a real 3x3 density
+    matrix}, so its support function in direction eta is lambda_max(M(eta))
+    with M(eta) = [[0, eta3, eta1], [eta3, 0, eta2], [eta1, eta2, 0]]. By SDP
+    duality, t I - M(eta) >= 0 with t > 0 is t C for a correlation matrix C
+    (unit diagonal, off-diagonals c_12, c_13, c_23 = -eta3/t, -eta1/t, -eta2/t),
+    and p lies in the hull scaled by s exactly when
+    p1 c_13 + p2 c_23 + p3 c_12 >= -s for every 3x3 correlation matrix C.
+    At fixed c_12 = c the admissible (c_13, c_23) fill the ellipse
+    u^T [[1, c], [c, 1]]^-1 u <= 1, over which p1 c_13 + p2 c_23 has minimum
+    -sqrt(p1^2 + p2^2 + 2 p1 p2 c). So the gauge is -min g over c in [-1, 1] of
+
+        g(c) = p3 c - sqrt(p1^2 + p2^2 + 2 p1 p2 c),
+
+    a convex function. Its minimum lies at c = +-1, where g = +-p3 - |p1 +- p2|,
+    or where g'(c) = 0: sqrt(...) = k with k = p1 p2 / p3 > 0, at
+    c* = (k^2 - p1^2 - p2^2) / (2 p1 p2), taken when it lies in (-1, 1).
+    A non-finite coordinate gives a NaN or infinite gauge, so p is never inside.
+    """
+    p1, p2, p3 = (float(c) for c in p)
+    gauge = max(abs(p1 + p2) - p3, abs(p1 - p2) + p3)
+    if p1 * p2 * p3 > 0.0:
+        k = p1 * p2 / p3
+        c_star = (k * k - p1 * p1 - p2 * p2) / (2.0 * p1 * p2)
+        if -1.0 < c_star < 1.0:
+            gauge = max(gauge, k - p3 * c_star)
+    return gauge
+
+
 def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool:
-    """Membership in the large-j limit region of the scaled mean vectors."""
+    """Membership in the large-j limit region of the scaled mean vectors.
+
+    For the ball, the octahedra and the Roman-surface hull (anticommutators at
+    gamma = 1, gauge from ``_roman_gauge``), tol bounds the gauge: p is inside
+    when its gauge is at most 1 + tol. The other regions allow tol of slack in
+    each defining inequality.
+    """
     p = _point3(p)
     if family == FAMILY_JPOW:
         if gamma == 1:
@@ -118,9 +142,7 @@ def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool
         return inside_box and float(np.sum(p)) <= 1.0 + tol and root_sum >= 1.0 - tol
     if family == FAMILY_ANTICOMM:
         if gamma == 1:
-            # no polyhedral description: hull of a dense surface sample
-            eq = _roman_hull_facets()
-            return bool(np.all(eq[:, :3] @ p + eq[:, 3] <= tol))
+            return _roman_gauge(p) <= 1.0 + tol
         if gamma % 2 == 1:
             return float(np.sum(np.abs(p))) <= 1.0 + tol
         if gamma >= 4:
@@ -129,15 +151,20 @@ def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool
     raise UnsupportedFamily(f"unknown family {family!r}")
 
 
-def g_region_contains(vartheta, r, tol: float = 1e-10) -> bool:
-    """Membership in G_theta: sum_l (sqrt3 eta_l . r)^(2 theta) <= 4; theta=inf is the octahedron."""
+def g_region_contains(vartheta, r) -> bool:
+    """Membership in G_theta: sum_l (sqrt3 eta_l . r)^(2 theta) <= 4; theta=inf is the octahedron.
+
+    theta must be a positive integer or math.inf; anything else raises ValueError.
+    """
+    if vartheta != math.inf and not (float(vartheta).is_integer() and vartheta >= 1):
+        raise ValueError(f"theta must be a positive integer or math.inf, got {vartheta!r}")
     r = _point3(r)
     etas = [d.eta for d in diag_directions()]
     projections = [math.sqrt(3.0) * float(e @ r) for e in etas]
     if vartheta == math.inf:
-        return max(abs(p) for p in projections) <= 1.0 + tol
+        return max(abs(p) for p in projections) <= 1.0 + G_REGION_TOL
     power = 2 * int(vartheta)
-    return sum(p**power for p in projections) <= 4.0 + tol
+    return sum(p**power for p in projections) <= 4.0 + G_REGION_TOL
 
 
 def _eta1():

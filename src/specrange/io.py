@@ -15,6 +15,9 @@ from .bounds import BoundReport
 from .numrange import Boundary
 from .spinops import HalfInt, ObservableVec
 
+SVG_SIZE = 480
+SVG_MARGIN = 24
+
 
 def fmt(x: float) -> str:
     return f"{float(x):.12g}"
@@ -130,25 +133,25 @@ def ops_json(vec: ObservableVec, set_name: str) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def svg_polyline(points: np.ndarray, width: int = 480, height: int = 480, margin: int = 24) -> str:
-    """Minimal closed-polyline plot of a 2D point loop."""
+def svg_polyline(points: np.ndarray) -> str:
+    """Minimal closed-polyline plot of a 2D point loop, SVG_SIZE pixels square."""
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-30)
-    scale = min((width - 2 * margin) / span[0], (height - 2 * margin) / span[1])
+    scale = (SVG_SIZE - 2 * SVG_MARGIN) / max(span[0], span[1])
 
     def to_px(p):
-        x = margin + (p[0] - lo[0]) * scale
-        y = height - margin - (p[1] - lo[1]) * scale
+        x = SVG_MARGIN + (p[0] - lo[0]) * scale
+        y = SVG_SIZE - SVG_MARGIN - (p[1] - lo[1]) * scale
         return f"{x:.2f},{y:.2f}"
 
     loop = np.vstack([pts, pts[:1]])
     path = " ".join(to_px(p) for p in loop)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-        f'  <rect width="{width}" height="{height}" fill="white"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
+        f'  <rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n'
         f'  <polyline points="{path}" fill="none" stroke="#c02020" stroke-width="1.5"/>\n'
         "</svg>\n"
     )

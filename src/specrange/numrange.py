@@ -21,6 +21,10 @@ from .spinops import ObservableVec
 DEG_TOL_DEFAULT = 1e-8
 DEDUP_TOL = 1e-8
 COLLINEAR_TOL = 1e-10
+# commuting-polytope test: relative commutator tolerance, and the seed of the
+# random combination diagonalized for the common eigenbasis
+COMM_TOL = 1e-10
+COMM_SEED = 20
 # degenerate-face reconstruction: the ring of directions a 2D face is swept on
 # in its free plane, and the ring of Bloch directions of a doublet ellipse
 INNER_STEPS = 64
@@ -343,13 +347,13 @@ def _between_chord(a, c, b, tol: float) -> bool:
     return dist <= tol
 
 
-def convex_hull_2d(points: np.ndarray, collinear_tol: float = COLLINEAR_TOL) -> np.ndarray:
+def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Monotone-chain hull, CCW, with collinear vertices pruned.
 
     The chain itself runs with exact comparisons (a toleranced chain can drop
     a far corner when near-duplicate extremes create e-16-long edges); the
-    collinearity tolerance is then applied as a chord-distance prune, scaled
-    by max(1, max|coordinate|) so the stated 1e-10 applies at unit scale.
+    collinearity tolerance COLLINEAR_TOL is then applied as a chord-distance
+    prune, scaled by max(1, max|coordinate|) so it applies at unit scale.
     """
     pts = np.asarray(points, dtype=float)
     scale = max(1.0, float(np.max(np.abs(pts))))
@@ -382,7 +386,7 @@ def convex_hull_2d(points: np.ndarray, collinear_tol: float = COLLINEAR_TOL) -> 
         return np.array(hull) if hull else pts[:1]
     # prune interior points of straight runs (the anchor hull[0] itself can
     # be a mid-edge point displaced by e-16, so finish with a ring pass)
-    tol = collinear_tol * scale
+    tol = COLLINEAR_TOL * scale
     out = [hull[0]]
     for p in hull[1:]:
         while len(out) >= 2 and _between_chord(out[-2], p, out[-1], tol):
@@ -451,22 +455,22 @@ def membership(vec: ObservableVec, r, grid) -> float:
     return float(np.min(top_eigenvalues(etas, vec.mats) - etas @ r))
 
 
-def commuting_polytope(vec: ObservableVec, comm_tol: float = 1e-10, seed: int = 20) -> np.ndarray:
+def commuting_polytope(vec: ObservableVec) -> np.ndarray:
     """Hull vertices of the diagonal mean vectors in a common eigenbasis.
 
     A random real combination is diagonalized to produce the simultaneous
-    eigenbasis; the seed is fixed so results are deterministic.
+    eigenbasis; the seed COMM_SEED is fixed so results are deterministic.
     """
     mats = vec.mats
     for i in range(len(mats)):
         for k in range(i + 1, len(mats)):
             a, b = mats[i], mats[k]
             scale = max(1.0, float(np.max(np.abs(a))) * float(np.max(np.abs(b))))
-            if float(np.max(np.abs(a @ b - b @ a))) > comm_tol * scale:
+            if float(np.max(np.abs(a @ b - b @ a))) > COMM_TOL * scale:
                 raise NotCommuting(
                     f"{vec.ops[i].label!r} and {vec.ops[k].label!r} do not commute"
                 )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COMM_SEED)
     for _ in range(8):
         coeffs = rng.normal(size=len(mats))
         spec = eig_hermitian(combine_matrix(coeffs, mats))

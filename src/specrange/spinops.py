@@ -127,16 +127,12 @@ def angular_momentum(j: HalfInt) -> SpinOperators:
     )
 
 
-def _matpow(mat: np.ndarray, gamma: int) -> np.ndarray:
-    return np.linalg.matrix_power(mat, gamma)
-
-
 def ladder_combo(j: HalfInt, gamma: int) -> ObservableVec:
     """The pair (J+^g + J-^g, i(J+^g - J-^g)); the null pair when g >= d."""
     if gamma < 1:
         raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
     ops = angular_momentum(j)
-    plus_pow = _matpow(ops.jplus, gamma)
+    plus_pow = np.linalg.matrix_power(ops.jplus, gamma)
     x = plus_pow + plus_pow.conj().T
     y = 1j * (plus_pow - plus_pow.conj().T)
     return ObservableVec(
@@ -153,7 +149,7 @@ def power_vec(j: HalfInt, gamma: int) -> ObservableVec:
         raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
     ops = angular_momentum(j)
     triple = tuple(
-        make_hermitian(_matpow(base.mat, gamma), f"{base.label}^{gamma}")
+        make_hermitian(np.linalg.matrix_power(base.mat, gamma), f"{base.label}^{gamma}")
         for base in (ops.jx, ops.jy, ops.jz)
     )
     return ObservableVec(ops=triple, j=j, kind=KIND_JPOW, gamma=gamma)
@@ -173,7 +169,7 @@ def anticomm_vec(j: HalfInt, gamma: int = 1) -> ObservableVec:
     if gamma < 1:
         raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
     ops = angular_momentum(j)
-    xg, yg, zg = (_matpow(o.mat, gamma) for o in (ops.jx, ops.jy, ops.jz))
+    xg, yg, zg = (np.linalg.matrix_power(o.mat, gamma) for o in (ops.jx, ops.jy, ops.jz))
     pairs = [(xg, zg, "A1"), (yg, zg, "A2"), (xg, yg, "A3")]
     trip = []
     for a, b, name in pairs:

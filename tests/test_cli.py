@@ -76,6 +76,21 @@ def test_boundary_json_roundtrip_identical(tmp_path):
     assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds", "--j", "2", "--set", "jsq2d", "--phi-steps", "16"],
+        ["boundary", "--j", "2", "--set", "jsq2d", "--gamma", "5", "--phi-steps", "16", "--format", "json"],
+    ],
+    ids=["bounds", "boundary"],
+)
+def test_json_gamma_is_the_operators(tmp_path, args):
+    # (Jx^2, Jy^2) are squares whatever --gamma says
+    out = tmp_path / "doc.json"
+    assert run_cli([*args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["gamma"] == 2
+
+
 def test_mesh_csv(tmp_path):
     out = tmp_path / "mesh.csv"
     assert run_cli(["mesh", "--j", "3/2", "--set", "anticomm", "--theta-steps", "8", "--phi-steps", "16", "--out", str(out)]) == 0

@@ -140,13 +140,14 @@ def test_limit_region_membership():
 
 
 def test_limit_region_roman_hull_membership():
-    # membership is hull-of-samples based, so boundary queries resolve only
-    # to grid accuracy; probe points comfortably inside/outside
+    # clear interior and exterior probes; the boundary itself is tested below
     assert limit_region_contains("ANTICOMM", 1, [0.0, 0.0, 0.0])
     assert limit_region_contains("ANTICOMM", 1, [0.6, 0.6, 0.6])
     assert limit_region_contains("ANTICOMM", 1, [0.99, 0.0, 0.0])
     assert not limit_region_contains("ANTICOMM", 1, [0.9, 0.9, 0.9])
     assert not limit_region_contains("ANTICOMM", 1, [0.7, 0.7, 0.7])
+    for bad in ([math.nan, 0.0, 0.0], [0.1, 0.1, math.nan], [math.inf, 0.0, 0.0], [0.0, 0.0, -math.inf]):
+        assert not limit_region_contains("ANTICOMM", 1, bad)
 
 
 def test_limit_region_roman_hull_honours_tol():
@@ -162,6 +163,51 @@ def test_limit_region_roman_hull_honours_tol():
     past = (hi + 1e-6) * ray
     assert not limit_region_contains("ANTICOMM", 1, past)
     assert limit_region_contains("ANTICOMM", 1, past, tol=1e-5)
+
+
+def _roman_matrix(eta) -> np.ndarray:
+    """M(eta), whose lambda_max is the Roman-hull support function in direction eta."""
+    return np.array([[0.0, eta[2], eta[0]], [eta[2], 0.0, eta[1]], [eta[0], eta[1], 0.0]])
+
+
+def test_limit_region_roman_hull_exact_boundary():
+    # the top eigenvector v of M(eta) is a real pure state touching the
+    # supporting plane eta . p = lambda_max(M(eta)); 1e-7 past it is outside
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        eta = rng.normal(size=3)
+        eta /= np.linalg.norm(eta)
+        v = np.linalg.eigh(_roman_matrix(eta))[1][:, -1]
+        p = np.array([2 * v[0] * v[2], 2 * v[1] * v[2], 2 * v[0] * v[1]])
+        assert limit_region_contains("ANTICOMM", 1, p)
+        assert not limit_region_contains("ANTICOMM", 1, p + 1e-7 * eta)
+
+
+# a band past the 90x180 sampled hull's worst support error: lambda_max(M(eta))
+# exceeds the sample's support by at most 9.2e-4, reached near eta = +-z, so a
+# point farther than the band outside the sampled hull is outside the true
+# region, and one farther inside is inside
+ROMAN_ORACLE_BAND = 1e-3
+
+
+def test_limit_region_roman_hull_matches_sampled_oracle():
+    from scipy.spatial import ConvexHull
+
+    samples = surface_anticomm(1, 90, 180).points
+    eq = ConvexHull(samples).equations
+    rng = np.random.default_rng(8)
+    # the oracle's band really covers its support error, checked on random directions
+    for _ in range(200):
+        eta = rng.normal(size=3)
+        eta /= np.linalg.norm(eta)
+        gap = np.linalg.eigvalsh(_roman_matrix(eta))[-1] - float(np.max(samples @ eta))
+        assert -1e-12 <= gap <= ROMAN_ORACLE_BAND
+    points = rng.uniform(-1.1, 1.1, size=(4000, 3))
+    distance = np.max(points @ eq[:, :3].T + eq[:, 3], axis=1)  # signed, unit facet normals
+    clear = np.abs(distance) > ROMAN_ORACLE_BAND
+    assert clear.sum() > 3900
+    for p, d in zip(points[clear], distance[clear]):
+        assert limit_region_contains("ANTICOMM", 1, p) == (d < 0), (p, d)
 
 
 def test_limit_region_unsupported():
@@ -197,6 +243,13 @@ def test_g_region_sphere_boundary():
         assert abs(total - 4.0) <= 1e-10
         assert g_region_contains(1, r)
         assert not g_region_contains(1, r * 1.001)
+
+
+@pytest.mark.parametrize("vartheta", [0.5, 1.5, 0, -1, -math.inf, math.nan])
+def test_g_region_rejects_non_integer_theta(vartheta):
+    # truncating theta = 0.5 to power 0 would count every point inside
+    with pytest.raises(ValueError):
+        g_region_contains(vartheta, [0.0, 0.0, 100.0])
 
 
 def test_g_region_octahedron_and_interior():
