@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBoundary, NonFinite, NotCommuting
-from .linalg import combine_matrix, eig_hermitian, top_eigenvalues
+from .linalg import band_top, block_top_eigenvalues, combine_matrix, eig_hermitian
 from .spinops import ObservableVec
 
 DEG_TOL_DEFAULT = 1e-8
@@ -141,19 +141,47 @@ class Hyperrect:
 
 
 def support(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFAULT) -> SupportFace:
-    """Top eigenvalue, its cluster multiplicity and eigenspace basis (no vertices)."""
+    """Top eigenvalue, its cluster multiplicity and eigenspace basis (no vertices).
+
+    vec.blocks holds the operators validated and band-packed once. Each
+    block's combination is solved for its top k eigenpairs only: k = min(3,
+    size) at first, doubled while the block's lowest computed value is still
+    inside the cluster, the values within deg_tol*max(1, |lambda_max|) of the
+    largest over all blocks. The blocks then merge as one spectrum: the
+    cluster's eigenvectors are embedded into C^d in ascending order of their
+    values, and the gap runs to the largest computed value below the cluster
+    (None when the cluster fills C^d). Each block whose top does not fill the
+    cluster has a computed value below it, so that value is the spectrum's
+    next one. A cluster that spans blocks has block-pure eigenvectors, which
+    no operator couples.
+    """
     if direction.n != vec.n:
         raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
-    spec = eig_hermitian(combine_matrix(direction.eta, vec.mats))
-    lam, basis = _top_cluster(spec, deg_tol)
-    mult = basis.shape[1]
-    gap = float(lam - spec.values[-mult - 1]) if mult < spec.dim else None
+    blocks = vec.blocks
+    bands = [block.combine(direction.eta) for block in blocks]
+    solved = [band_top(band, min(3, block.size)) for band, block in zip(bands, blocks)]
+    lam = max(float(values[-1]) for values, _ in solved)
+    floor = lam - deg_tol * max(1.0, abs(lam))
+    for i, block in enumerate(blocks):
+        while solved[i][0][0] >= floor and len(solved[i][0]) < block.size:
+            solved[i] = band_top(bands[i], min(2 * len(solved[i][0]), block.size))
+    cluster = []  # (value, the block's positions in C^d, eigenvector) of every value in the cluster
+    below = []  # each block's largest value under the cluster
+    for block, (values, vectors) in zip(blocks, solved):
+        cut = int(np.searchsorted(values, floor))
+        if cut:
+            below.append(float(values[cut - 1]))
+        cluster.extend((values[c], block.index, vectors[:, c]) for c in range(cut, len(values)))
+    cluster.sort(key=lambda entry: entry[0])
+    basis = np.zeros((vec.dim, len(cluster)), dtype=np.complex128)
+    for col, (_, index, vector) in enumerate(cluster):
+        basis[index, col] = vector
     return SupportFace(
         direction=direction,
         lambda_max=lam,
-        multiplicity=mult,
+        multiplicity=len(cluster),
         eigenbasis=basis,
-        gap=gap,
+        gap=lam - max(below) if below else None,
     )
 
 
@@ -452,7 +480,7 @@ def membership(vec: ObservableVec, r, grid) -> float:
     if not np.all(np.isfinite(r)):
         raise NonFinite(f"point {r.tolist()} is not finite")
     etas = np.array([d.eta for d in sweep_directions(vec.n, grid)])
-    return float(np.min(top_eigenvalues(etas, vec.mats) - etas @ r))
+    return float(np.min(block_top_eigenvalues(etas, vec.blocks) - etas @ r))
 
 
 def commuting_polytope(vec: ObservableVec) -> np.ndarray:
@@ -484,14 +512,14 @@ def commuting_polytope(vec: ObservableVec) -> np.ndarray:
     points = np.array([_expectations(mats, basis[:, l]) for l in range(basis.shape[1])])
     if vec.n == 2:
         return convex_hull_2d(points)
-    from scipy.spatial import ConvexHull  # deferred: only 3-op polytopes need it
+    from scipy.spatial import ConvexHull, QhullError  # deferred: only 3-op polytopes need it
 
     pts = _dedupe(points, 1e-10 * max(1.0, float(np.max(np.abs(points)))))
     if len(pts) <= 3:
         return pts
     try:
         return pts[ConvexHull(pts).vertices]
-    except Exception:
+    except QhullError:
         return pts  # degenerate (coplanar) clouds are returned as-is
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GammaOutOfRange, WrongKind
-from .linalg import HermObservable, make_hermitian
+from .linalg import Block, HermObservable, make_hermitian, split_blocks
 
 KIND_J = "J"
 KIND_JPOW = "JPOW"
@@ -90,6 +91,11 @@ class ObservableVec:
     @property
     def mats(self) -> list[np.ndarray]:
         return [op.mat for op in self.ops]
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The operators validated and split into band-stored blocks, once per vector."""
+        return split_blocks(self.mats)
 
 
 @dataclass(frozen=True)

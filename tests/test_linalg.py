@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import char_coeffs
 from specrange.errors import NonHermitian, NotNormalized
-from specrange.linalg import combine_matrix, eig_hermitian, expectation, make_hermitian, top_eigenvalues
+from specrange.linalg import combine_matrix, eig_hermitian, expectation, make_hermitian, split_blocks, top_eigenvalues
 from specrange.numrange import support, sweep_directions
 from specrange.spinops import (
     HalfInt,
@@ -145,6 +145,53 @@ def test_top_eigenvalues_dense_random_set():
     rng = np.random.default_rng(11)
     ops = tuple(make_hermitian(random_hermitian(rng, 17), f"R{i}") for i in range(3))
     assert_top_matches_support(ObservableVec(ops=ops, j=HalfInt(16), kind="J"), (6, 12))
+
+
+# (family, gamma): (block count, block bandwidth or None when not fixed, real)
+BLOCK_CENSUS = {
+    ("jsq2d", 2): (2, 1, True),
+    ("jpow", 2): (2, 1, True),
+    ("ladder", 2): (2, 1, False),
+    ("ladder", 3): (3, 1, False),
+    ("jpow", 4): (2, 2, True),
+    ("anticomm", 2): (2, 2, True),
+    ("j", 1): (1, None, False),
+    ("jpow", 3): (1, None, False),
+    ("anticomm", 1): (1, None, False),
+    ("anticomm", 3): (1, None, False),
+}
+BUILDERS = {
+    "j": lambda j, g: j_triple(j),
+    "jsq2d": lambda j, g: jsq_pair(j),
+    "jpow": power_vec,
+    "ladder": ladder_combo,
+    "anticomm": anticomm_vec,
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CENSUS), ids=lambda c: f"{c[0]}{c[1]}")
+def test_block_census_at_j10(case):
+    """The blocks at j = 10 are the connected components of the operators' nonzero patterns."""
+    count, bandwidth, real = BLOCK_CENSUS[case]
+    vec = BUILDERS[case[0]](HalfInt(20), case[1])
+    blocks = split_blocks(vec.mats)
+    assert len(blocks) == count
+    assert sorted(np.concatenate([b.index for b in blocks]).tolist()) == list(range(vec.dim))
+    if bandwidth is not None:
+        assert [b.bands.shape[1] - 1 for b in blocks] == [bandwidth] * count
+    assert all((b.bands.dtype == np.float64) == real for b in blocks)
+    owner = np.zeros(vec.dim, dtype=int)
+    for k, b in enumerate(blocks):
+        owner[b.index] = k
+    coupling = np.not_equal.outer(owner, owner)
+    for b in blocks:
+        for mat, band in zip(vec.mats, b.bands):
+            assert not np.any(mat[coupling])
+            sub = mat[np.ix_(b.index, b.index)]
+            w = band.shape[0] - 1
+            assert not np.any(np.triu(sub, w + 1))
+            for k in range(w + 1):
+                assert np.array_equal(band[w - k, k:], np.diagonal(sub, k))
 
 
 def test_matmul_identity_and_commutator():

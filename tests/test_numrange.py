@@ -7,6 +7,7 @@ import scipy.linalg
 from specrange.errors import DimensionMismatch, NonFinite, NonHermitian, NotCommuting
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
 from specrange.numrange import (
+    Direction,
     block_union_range,
     boundary2d,
     boundary3d,
@@ -19,6 +20,7 @@ from specrange.numrange import (
     hyperrect,
     membership,
     support,
+    sweep_directions,
 )
 from specrange.spinops import (
     HalfInt,
@@ -72,6 +74,119 @@ def test_support_anticomm_diagonal_direction():
 def test_support_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         support(jsq_pair(HalfInt(3)), direction3(0.1, 0.2))
+
+
+SUPPORT_FAMILIES = [
+    j_triple,
+    *(lambda j, g=g: power_vec(j, g) for g in (1, 2, 3, 4)),
+    jsq_pair,
+    *(lambda j, g=g: ladder_combo(j, g) for g in (1, 2, 3)),
+    *(lambda j, g=g: anticomm_vec(j, g) for g in (1, 2, 3)),
+]
+
+
+def reference_directions(n: int):
+    """24 seeded directions, the diagonals (body diagonals for n = 3) and the axes."""
+    rng = np.random.default_rng(23)
+    if n == 2:
+        phis = [*rng.uniform(0.0, 2 * math.pi, 24), *(math.pi / 4 + k * math.pi / 2 for k in range(4))]
+        phis += [k * math.pi / 2 for k in range(4)]
+        return [direction2(float(p)) for p in phis]
+    dirs = []
+    for x, y, z in rng.normal(size=(24, 3)):
+        r = math.sqrt(x * x + y * y + z * z)
+        dirs.append(direction3(math.acos(z / r), math.atan2(y, x)))
+    axes = [direction3(0.0, 0.0), direction3(math.pi, 0.0)]
+    axes += [direction3(math.pi / 2, k * math.pi / 2) for k in range(4)]
+    return dirs + diag_directions() + axes
+
+
+@pytest.mark.parametrize("twice", [0, 1, 3, 10, 40])
+@pytest.mark.parametrize("family", range(len(SUPPORT_FAMILIES)))
+def test_support_matches_dense_reference(family, twice):
+    """The blocked top cluster against a full dense eigh of eta.A.
+
+    lambda_max and the gap agree to the backward-error bound of both solvers,
+    1e-12 * max(1, |lambda|, |eta.A|_2); multiplicities are equal; the
+    cluster's projector agrees to 1e-8 wherever the gap below it exceeds
+    1e-6 * max(1, |eta.A|_2). A projector moves by up to about
+    eps * |eta.A|_2 / gap under either solver's backward error, so an absolute
+    gap floor would not do: anticomm gamma = 2 at j = 20 has a seeded direction
+    with |eta.A|_2 = 7.7e4 and gap 8.4e-4, where the two projectors differ by
+    1.0e-8 and each is within 1.1e-8 of a 40-digit one.
+    """
+    vec = SUPPORT_FAMILIES[family](HalfInt(twice))
+    for direction in reference_directions(vec.n):
+        sf = support(vec, direction)
+        mat = sum(c * m for c, m in zip(direction.eta, vec.mats))
+        values, vectors = np.linalg.eigh(mat)
+        lam = float(values[-1])
+        radius = float(np.linalg.norm(mat, 2))
+        tol = 1e-12 * max(1.0, abs(lam), radius)
+        mult = int(np.sum(values >= lam - 1e-8 * max(1.0, abs(lam))))
+        assert abs(sf.lambda_max - lam) <= tol
+        assert sf.multiplicity == mult
+        assert sf.eigenbasis.shape == (vec.dim, mult)
+        if mult == vec.dim:
+            assert sf.gap is None
+            continue
+        gap = lam - float(values[-mult - 1])
+        assert abs(sf.gap - gap) <= 2 * tol
+        if gap > 1e-6 * max(1.0, radius):
+            top = vectors[:, -mult:]
+            diff = sf.eigenbasis @ sf.eigenbasis.conj().T - top @ top.conj().T
+            assert float(np.max(np.abs(diff))) <= 1e-8
+
+
+def test_support_cross_block_doublets_exact():
+    """A doublet with one state in each parity block of jsq2d is exact.
+
+    Every top-cluster column lies in one block. When the pair's two states
+    lie in different blocks, no operator entry couples them, so the
+    compressed operators' off-diagonal entry is exactly zero and no rank cut
+    decides the face. At j = 50, 264 of the 349 doublets on 360 steps span
+    the two blocks; the other 85 pair two states of one block.
+    """
+    vec = jsq_pair(HalfInt(100))
+    owners = np.zeros(vec.dim, dtype=int)
+    for k, block in enumerate(vec.blocks):
+        owners[block.index] = k
+    cross_block = 0
+    for direction in sweep_directions(2, 360):
+        sf = support(vec, direction)
+        if sf.multiplicity != 2:
+            continue
+        lift = sf.eigenbasis
+        homes = [set(owners[col != 0].tolist()) for col in lift.T]
+        assert all(len(home) == 1 for home in homes)
+        if homes[0] == homes[1]:
+            continue
+        cross_block += 1
+        for mat in vec.mats:
+            b = lift.conj().T @ (mat @ lift)
+            b = (b + b.conj().T) / 2.0
+            assert b[1, 0] == 0.0
+    assert cross_block >= 250
+
+
+BAD_OPERATORS = [([[0.0, math.inf], [math.inf, 0.0]], NonFinite), ([[0.0, 1.0], [0.0, 0.0]], NonHermitian)]
+
+
+@pytest.mark.parametrize("solve", [support, face])
+@pytest.mark.parametrize("entries, error", BAD_OPERATORS)
+def test_support_and_face_reject_bad_operator(solve, entries, error):
+    good = angular_momentum(HalfInt(1)).jz
+    bad = HermObservable(mat=np.array(entries, dtype=complex), label="bad", eig_min=-1.0, eig_max=1.0)
+    vec = ObservableVec(ops=(good, bad), j=HalfInt(1), kind="J")
+    with pytest.raises(error):
+        solve(vec, direction2(0.3))
+
+
+@pytest.mark.parametrize("solve", [support, face])
+def test_support_and_face_reject_non_finite_direction(solve):
+    direction = Direction(eta=np.array([math.nan, 0.0, 1.0]), phi=0.0, theta=0.0)
+    with pytest.raises(NonFinite):
+        solve(j_triple(HalfInt(2)), direction)
 
 
 # --- face ------------------------------------------------------------------
@@ -288,10 +403,7 @@ def test_membership_margins():
     assert abs(margin) <= 1e-9
 
 
-@pytest.mark.parametrize(
-    "entries, error",
-    [([[0.0, math.inf], [math.inf, 0.0]], NonFinite), ([[0.0, 1.0], [0.0, 0.0]], NonHermitian)],
-)
+@pytest.mark.parametrize("entries, error", BAD_OPERATORS)
 def test_membership_rejects_bad_operator(entries, error):
     good = angular_momentum(HalfInt(1)).jz
     bad = HermObservable(mat=np.array(entries, dtype=complex), label="bad", eig_min=-1.0, eig_max=1.0)
@@ -317,6 +429,15 @@ def test_commuting_polytope_triangle():
 def test_commuting_polytope_rejects_noncommuting():
     with pytest.raises(NotCommuting):
         commuting_polytope(jsq_pair(HalfInt(4)))
+
+
+def test_commuting_polytope_coplanar_set():
+    j = HalfInt(3)
+    jz = angular_momentum(j).jz
+    zsq = make_hermitian(jz.mat @ jz.mat, "Jz^2")
+    poly = commuting_polytope(ObservableVec(ops=(jz, jz, zsq), j=j, kind="JPOW", gamma=1))
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    match_point_sets(poly, np.column_stack([m, m, m * m]), 1e-10)
 
 
 def test_commuting_polytope_diagonal_pair():
