@@ -196,51 +196,40 @@ def _expectations(mats, psi: np.ndarray) -> np.ndarray:
     return np.array([float(np.real(psi.conj() @ (m @ psi))) for m in mats])
 
 
-def _bloch_spinor(n: np.ndarray) -> np.ndarray:
-    theta = math.acos(min(1.0, max(-1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
-    return np.array(
-        [math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=np.complex128
-    )
+# the ring a doublet ellipse is sampled on, as (cos t, sin t) rows at
+# t = 2 pi k / INNER_STEPS; libm's cos/sin, which numpy's need not match bitwise
+_RING = np.array([(math.cos(t), math.sin(t)) for t in 2 * math.pi * np.arange(INNER_STEPS) / INNER_STEPS])
 
 
-def _pair_cluster_vertices(mats, lift: np.ndarray, compressed, steps: int):
-    """Extreme points of a 2-dim cluster's range, analytically.
+def _pair_cluster_vertices(lift: np.ndarray, compressed):
+    """Extreme points of a 2-dim cluster's range, analytically, with their states.
 
     On C^2 each compressed operator is c_i I + v_i . sigma, so the range is
     the affine image of the Bloch sphere: an ellipse ring, a segment, or a
-    point, read off from the SVD of the stacked v_i.
+    point, read off from the SVD of the stacked v_i. A vertex is center +
+    rows @ n for its Bloch direction n, one matrix-vector product per vertex
+    (a stacked matmul): one matrix-matrix product need not round the same.
     """
-    center = np.array([float(np.real(b[0, 0] + b[1, 1])) / 2.0 for b in compressed])
-    rows = np.array(
-        [
-            [
-                float(np.real(b[1, 0])),
-                float(np.imag(b[1, 0])),
-                float(np.real(b[0, 0] - b[1, 1])) / 2.0,
-            ]
-            for b in compressed
-        ]
-    )
-    u, sig, vt = np.linalg.svd(rows)
+    pair = np.array(compressed)  # (n, 2, 2)
+    center = (pair[:, 0, 0] + pair[:, 1, 1]).real / 2.0
+    rows = np.stack([pair[:, 1, 0].real, pair[:, 1, 0].imag, (pair[:, 0, 0] - pair[:, 1, 1]).real / 2.0], axis=1)
+    _, sig, vt = np.linalg.svd(rows)
     cut = 1e-12 * max(1.0, float(sig[0]), float(np.max(np.abs(center))))
     rank = int(np.sum(sig > cut))
     if rank == 1:
-        bloch_dirs = [vt[0], -vt[0]]
+        dirs = np.array([vt[0], -vt[0]])
     else:
-        angles = 2 * math.pi * np.arange(steps) / steps
-        bloch_dirs = [math.cos(t) * vt[0] + math.sin(t) * vt[1] for t in angles]
+        dirs = _RING[:, :1] * vt[0] + _RING[:, 1:] * vt[1]
         if rank == 3:  # near-degenerate cluster: range slightly thickened
-            bloch_dirs.extend([vt[2], -vt[2]])
-    pairs = []
-    for n in bloch_dirs:
-        psi = lift @ _bloch_spinor(n)
-        pairs.append((center + rows @ n, psi))
-    return pairs
+            dirs = np.vstack([dirs, vt[2], -vt[2]])
+    coords = center + np.matmul(rows, dirs[:, :, None])[:, :, 0]
+    half = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0)) / 2.0
+    phase = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
+    return coords, lift @ np.array([np.cos(half), np.sin(half) * phase])
 
 
 def _cluster_vertices(mats, lift: np.ndarray, fixed: list, deg_tol: float):
-    """Vertex/state pairs of the face spanned by lift.
+    """Vertices (k, n) of the face spanned by lift, and their states (d, k).
 
     Every state of span(lift) attains the hyperplane of each unit direction in
     `fixed`, so the face lies in their orthogonal complement: a segment when
@@ -251,8 +240,7 @@ def _cluster_vertices(mats, lift: np.ndarray, fixed: list, deg_tol: float):
     """
     m = lift.shape[1]
     if m == 1:
-        psi = lift[:, 0]
-        return [(_expectations(mats, psi), psi)]
+        return _expectations(mats, lift[:, 0])[None], lift[:, :1]
     compressed = [lift.conj().T @ (mat @ lift) for mat in mats]
     compressed = [(b + b.conj().T) / 2.0 for b in compressed]
     scale = max(1.0, max(float(np.max(np.abs(b))) for b in compressed))
@@ -262,71 +250,85 @@ def _cluster_vertices(mats, lift: np.ndarray, fixed: list, deg_tol: float):
         for b, mu in zip(compressed, means)
     ):
         # every eigenspace state maps to the same mean vector: an exposed point
-        psi = lift[:, 0]
-        return [(_expectations(mats, psi), psi)]
+        return _expectations(mats, lift[:, 0])[None], lift[:, :1]
     if m == 2:
-        return _pair_cluster_vertices(mats, lift, compressed, INNER_STEPS)
+        return _pair_cluster_vertices(lift, compressed)
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
         vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
         ends = (lift @ vectors[:, 0], lift @ vectors[:, -1])
-        return [(_expectations(mats, psi), psi) for psi in ends]
-    pairs = []
+        return np.array([_expectations(mats, psi) for psi in ends]), np.array(ends).T
+    parts = []
     for direction in sweep_directions(2, INNER_STEPS):
         eta = direction.eta @ free
         _, top = _top_cluster(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
-        pairs.extend(_cluster_vertices(mats, lift @ top, [*fixed, eta], deg_tol))
-    return pairs
+        parts.append(_cluster_vertices(mats, lift @ top, [*fixed, eta], deg_tol))
+    return np.vstack([coords for coords, _ in parts]), np.hstack([states for _, states in parts])
 
 
 EXTREME_WINDOW = 1e-10
 EXTREME_RESIDUAL = 1e-9
 
 
-def _certify_extremes(ops, coords: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _certify_extremes(vec: ObservableVec, coords: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Snap coordinates to exact spectral endpoints when the state proves it.
 
     Measures with exponent < 1 have unbounded slope at the interval ends, so
     e-16 coordinate noise would otherwise surface as noise^kappa in bounds;
-    the eigen-residual test separates true extreme states cleanly.
+    the eigen-residual test separates true extreme states cleanly. One window
+    test flags the (vertex, operator, end) entries; only flagged coordinates
+    pay for a residual, at eig_min when both ends are near.
     """
+    ends, width = vec.spectral_ends
+    near = np.abs(coords[:, :, None] - ends) <= EXTREME_WINDOW * width[:, None]
+    if not near.any():
+        return coords
     out = coords.copy()
-    for i, op in enumerate(ops):
-        width = max(1.0, op.eig_max - op.eig_min)
-        for ext in (op.eig_min, op.eig_max):
-            if abs(out[i] - ext) <= EXTREME_WINDOW * width:
-                scale = max(1.0, abs(op.eig_min), abs(op.eig_max))
-                if float(np.linalg.norm(op.mat @ psi - ext * psi)) <= EXTREME_RESIDUAL * scale:
-                    out[i] = ext
-                elif out[i] == ext:
-                    # not an extreme state, only a bitwise float collision:
-                    # push inside so downstream treats it as a generic value
-                    inward = 1e-12 * width
-                    out[i] = ext + (inward if ext == op.eig_min else -inward)
-                break
+    for v, i in zip(*np.nonzero(near.any(axis=2))):
+        top = not near[v, i, 0]
+        ext = ends[i, int(top)]
+        psi = states[:, v]
+        scale = max(1.0, abs(ends[i, 0]), abs(ends[i, 1]))
+        if float(np.linalg.norm(vec.ops[i].mat @ psi - ext * psi)) <= EXTREME_RESIDUAL * scale:
+            out[v, i] = ext
+        elif out[v, i] == ext:
+            # not an extreme state, only a bitwise float collision:
+            # push inside so downstream treats it as a generic value
+            inward = 1e-12 * width[i]
+            out[v, i] = ext - inward if top else ext + inward
     return out
+
+
+def _first_in_cell(points: np.ndarray, cell: float) -> np.ndarray:
+    """The first point, in input order, of each cell floor(points / cell)."""
+    keys = np.floor(points / cell)
+    order = np.lexsort(keys.T)  # stable: a cell's first point leads its run
+    ranked = keys[order]
+    leads = np.ones(len(points), dtype=bool)
+    leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return points[np.sort(order[leads])]
 
 
 def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
     if len(points) <= 1:
         return points
-    # cell pass is O(n); the greedy pass catches cell-straddling duplicates
-    # but only runs on small survivors
-    seen: dict[tuple[int, ...], bool] = {}
-    keep = []
-    for idx, p in enumerate(points):
-        key = tuple(int(math.floor(c / tol)) for c in p)
-        if key not in seen:
-            seen[key] = True
-            keep.append(idx)
-    points = points[keep]
+    # the cell pass keeps each cell's first point; the greedy pass, one
+    # pairwise Chebyshev matrix, catches cell-straddling duplicates and keeps
+    # each row close to no row kept before it. The 64-survivor cap bounds that
+    # n^2 matrix's memory, not its time: a face recursed on a ring can leave
+    # thousands of points, which are returned after the cell pass.
+    points = _first_in_cell(points, tol)
     if len(points) > 64:
         return points
-    kept: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    close = np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol
+    np.fill_diagonal(close, False)
+    if not close.any():
+        return points
+    kept: list[int] = []
+    for i in range(len(points)):
+        if not close[i, kept].any():
+            kept.append(i)
+    return points[kept]
 
 
 def _reduce_collinear(points: np.ndarray, tol: float) -> np.ndarray:
@@ -346,12 +348,17 @@ def _reduce_collinear(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def face(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFAULT) -> SupportFace:
-    """Support data plus the face's vertex set in mean-value space."""
+    """Support data plus the face's vertex set in mean-value space.
+
+    The post-processing is array code: the face's vertices arrive as one
+    (k, n) array with their states as columns, and certification, dedupe and
+    collinear reduction each act on the whole array.
+    """
     sf = support(vec, direction, deg_tol)
-    pairs = _cluster_vertices(vec.mats, sf.eigenbasis, [direction.eta], deg_tol)
-    verts = [_certify_extremes(vec.ops, coords, psi) for coords, psi in pairs]
-    scale = max(1.0, max(float(np.max(np.abs(v))) for v in verts))
-    points = _dedupe(np.array(verts), DEDUP_TOL * scale)
+    coords, states = _cluster_vertices(vec.mats, sf.eigenbasis, [direction.eta], deg_tol)
+    verts = _certify_extremes(vec, coords, states)
+    scale = max(1.0, float(np.abs(verts).max()))
+    points = _dedupe(verts, DEDUP_TOL * scale)
     points = _reduce_collinear(points, DEDUP_TOL * scale)
     sf.vertices = points
     sf.is_point = len(points) == 1
@@ -386,15 +393,7 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     scale = max(1.0, float(np.max(np.abs(pts))))
     # merge floating-point noise clusters so duplicates cannot seed the chain
-    cell = 1e-9 * scale
-    seen: dict[tuple[int, ...], int] = {}
-    keep_idx = []
-    for idx, p in enumerate(pts):
-        key = tuple(int(math.floor(c / cell)) for c in p)
-        if key not in seen:
-            seen[key] = idx
-            keep_idx.append(idx)
-    pts = pts[keep_idx]
+    pts = _first_in_cell(pts, 1e-9 * scale)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     if len(pts) == 1:
         return pts

@@ -97,6 +97,15 @@ class ObservableVec:
         """The operators validated and split into band-stored blocks, once per vector."""
         return split_blocks(self.mats)
 
+    @cached_property
+    def spectral_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each operator's (eig_min, eig_max) as an (n, 2) array, and max(1, eig_max - eig_min).
+
+        Built once per vector, so a face's extreme-point test reads arrays.
+        """
+        ends = np.array([(op.eig_min, op.eig_max) for op in self.ops])
+        return ends, np.maximum(1.0, ends[:, 1] - ends[:, 0])
+
 
 @dataclass(frozen=True)
 class SpinOperators:

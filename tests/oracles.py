@@ -1,17 +1,24 @@
-"""Eigensolver-independent reference oracles for the test suite.
+"""Reference oracles for the test suite.
 
 ``analytic_lambda_oracle`` gives lambda_max(phi) of cos(phi) Jx^2 + sin(phi) Jy^2
 in closed form for small j; ``char_coeffs`` gives characteristic-polynomial
 coefficients from traces of matrix powers. Neither uses an eigendecomposition,
 so the tests can hold the eigensolver against them.
+
+``dedupe_reference`` and ``face_vertices_reference`` are the face layer's
+vertex post-processing as per-vertex Python loops: the cell and greedy
+dedupe loops, one Bloch spinor and one matrix-vector product per ring
+direction, and one extreme-certification pass per vertex. The library's
+array code must reproduce them bitwise.
 """
 
 import math
 
 import numpy as np
 
+from specrange import numrange
 from specrange.errors import UnsupportedJ
-from specrange.linalg import HermObservable
+from specrange.linalg import HermObservable, combine_matrix, eig_hermitian
 from specrange.spinops import KIND_JSQ2D, HalfInt
 
 # --- closed-form top eigenvalues of cos(phi) Jx^2 + sin(phi) Jy^2 -----------
@@ -124,3 +131,127 @@ def char_coeffs(obs: HermObservable) -> np.ndarray:
             s += (-1.0) ** (i - 1) * power_traces[i] * coeffs[l - i]
         coeffs[l] = s / l
     return coeffs
+
+
+# --- the face layer's per-vertex path ------------------------------------------
+
+
+def cells_reference(points: np.ndarray, tol: float) -> np.ndarray:
+    """The first point of each floor(c / tol) cell, in input order."""
+    seen: dict[tuple[int, ...], bool] = {}
+    keep = []
+    for idx, p in enumerate(points):
+        key = tuple(int(math.floor(c / tol)) for c in p)
+        if key not in seen:
+            seen[key] = True
+            keep.append(idx)
+    return points[keep]
+
+
+def dedupe_reference(points: np.ndarray, tol: float) -> np.ndarray:
+    """The cell pass, then a greedy pass over at most 64 survivors."""
+    if len(points) <= 1:
+        return points
+    points = cells_reference(points, tol)
+    if len(points) > 64:
+        return points
+    kept: list[np.ndarray] = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= tol for q in kept):
+            kept.append(p)
+    return np.array(kept)
+
+
+def _bloch_spinor(n: np.ndarray) -> np.ndarray:
+    theta = math.acos(min(1.0, max(-1.0, n[2])))
+    phi = math.atan2(n[1], n[0])
+    return np.array(
+        [math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=np.complex128
+    )
+
+
+def _pair_cluster_pairs(lift: np.ndarray, compressed, steps: int) -> list:
+    center = np.array([float(np.real(b[0, 0] + b[1, 1])) / 2.0 for b in compressed])
+    rows = np.array(
+        [
+            [
+                float(np.real(b[1, 0])),
+                float(np.imag(b[1, 0])),
+                float(np.real(b[0, 0] - b[1, 1])) / 2.0,
+            ]
+            for b in compressed
+        ]
+    )
+    u, sig, vt = np.linalg.svd(rows)
+    cut = 1e-12 * max(1.0, float(sig[0]), float(np.max(np.abs(center))))
+    rank = int(np.sum(sig > cut))
+    if rank == 1:
+        bloch_dirs = [vt[0], -vt[0]]
+    else:
+        angles = 2 * math.pi * np.arange(steps) / steps
+        bloch_dirs = [math.cos(t) * vt[0] + math.sin(t) * vt[1] for t in angles]
+        if rank == 3:
+            bloch_dirs.extend([vt[2], -vt[2]])
+    pairs = []
+    for n in bloch_dirs:
+        psi = lift @ _bloch_spinor(n)
+        pairs.append((center + rows @ n, psi))
+    return pairs
+
+
+def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float) -> list:
+    """(vertex, state) pairs of the face spanned by lift, one list entry per vertex."""
+    m = lift.shape[1]
+    if m == 1:
+        psi = lift[:, 0]
+        return [(numrange._expectations(mats, psi), psi)]
+    compressed = [lift.conj().T @ (mat @ lift) for mat in mats]
+    compressed = [(b + b.conj().T) / 2.0 for b in compressed]
+    scale = max(1.0, max(float(np.max(np.abs(b))) for b in compressed))
+    means = [float(np.real(np.trace(b))) / m for b in compressed]
+    if all(
+        float(np.max(np.abs(b - mu * np.eye(m)))) <= 1e-10 * scale
+        for b, mu in zip(compressed, means)
+    ):
+        psi = lift[:, 0]
+        return [(numrange._expectations(mats, psi), psi)]
+    if m == 2:
+        return _pair_cluster_pairs(lift, compressed, numrange.INNER_STEPS)
+    free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
+    if len(free) == 1:
+        vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
+        ends = (lift @ vectors[:, 0], lift @ vectors[:, -1])
+        return [(numrange._expectations(mats, psi), psi) for psi in ends]
+    pairs = []
+    for direction in numrange.sweep_directions(2, numrange.INNER_STEPS):
+        eta = direction.eta @ free
+        _, top = numrange._top_cluster(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
+        pairs.extend(cluster_pairs_reference(mats, lift @ top, [*fixed, eta], deg_tol))
+    return pairs
+
+
+def certify_extremes_reference(ops, coords: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """One vertex: eig_min tested before eig_max, one break per coordinate."""
+    out = coords.copy()
+    for i, op in enumerate(ops):
+        width = max(1.0, op.eig_max - op.eig_min)
+        for ext in (op.eig_min, op.eig_max):
+            if abs(out[i] - ext) <= numrange.EXTREME_WINDOW * width:
+                scale = max(1.0, abs(op.eig_min), abs(op.eig_max))
+                if float(np.linalg.norm(op.mat @ psi - ext * psi)) <= numrange.EXTREME_RESIDUAL * scale:
+                    out[i] = ext
+                elif out[i] == ext:
+                    inward = 1e-12 * width
+                    out[i] = ext + (inward if ext == op.eig_min else -inward)
+                break
+    return out
+
+
+def face_vertices_reference(vec, direction, deg_tol: float = numrange.DEG_TOL_DEFAULT) -> np.ndarray:
+    """numrange.face(vec, direction, deg_tol).vertices, one vertex at a time."""
+    sf = numrange.support(vec, direction, deg_tol)
+    pairs = cluster_pairs_reference(vec.mats, sf.eigenbasis, [direction.eta], deg_tol)
+    verts = [certify_extremes_reference(vec.ops, coords, psi) for coords, psi in pairs]
+    scale = max(1.0, max(float(np.max(np.abs(v))) for v in verts))
+    points = dedupe_reference(np.array(verts), numrange.DEDUP_TOL * scale)
+    return numrange._reduce_collinear(points, numrange.DEDUP_TOL * scale)

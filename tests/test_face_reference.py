@@ -1,0 +1,249 @@
+"""The face layer's array code against its per-vertex reference path, bitwise.
+
+``numrange._dedupe`` must keep the same rows in the same order as the cell
+and greedy loops of ``oracles.dedupe_reference``, and ``numrange.face`` must
+return the vertices of ``oracles.face_vertices_reference``, which builds one
+spinor, one coordinate and one certification per vertex. Equality is on the
+bytes, so a -0.0 kept in place of a 0.0 fails.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import cells_reference, cluster_pairs_reference, dedupe_reference, face_vertices_reference
+from specrange import numrange
+from specrange.linalg import make_hermitian
+from specrange.numrange import diag_directions, direction2, direction3, face, support, sweep_directions
+from specrange.spinops import HalfInt, ObservableVec, anticomm_vec, j_triple, jsq_pair, power_vec
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# --- dedupe ------------------------------------------------------------------
+
+# 1e-10 is commuting_polytope's tolerance, 1e-8 the face's at unit scale
+TOLS = (1e-8, 1e-10, 0.3)
+
+
+def _offsets(tol: float) -> list[float]:
+    """Copy offsets: exact duplicates, near-duplicates at tol (1 +- 1e-15), half and whole cells."""
+    near = [tol * (1 - 1e-15), tol * (1 + 1e-15), tol, tol / 2]
+    return [0.0, *near, *(-x for x in near)]
+
+
+@st.composite
+def clouds(draw):
+    """Anchors five cells apart on a lattice, each with a few near copies, shuffled.
+
+    A copy moves each coordinate by an offset, by one ulp (which can cross a
+    cell boundary), or turns a 0.0 into -0.0.
+    """
+    tol = draw(st.sampled_from(TOLS))
+    n = draw(st.sampled_from((2, 3)))
+    count = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.array(np.unravel_index(rng.choice(9**n, size=count, replace=False), (9,) * n)).T - 4
+    anchors = cells * (5 * tol)
+    offsets = _offsets(tol)
+    rows = [anchors]
+    for anchor in anchors:
+        for _ in range(int(rng.integers(0, 3))):
+            copy = anchor.copy()
+            for i in range(n):
+                kind = int(rng.integers(0, 4))
+                if kind == 0:
+                    copy[i] += offsets[int(rng.integers(len(offsets)))]
+                elif kind == 1:
+                    copy[i] = np.nextafter(copy[i], math.inf if rng.integers(2) else -math.inf)
+                elif kind == 2 and copy[i] == 0.0:
+                    copy[i] = -copy[i]
+            rows.append(copy[None])
+    points = np.vstack(rows)
+    return points[rng.permutation(len(points))], tol
+
+
+@given(clouds())
+@settings(max_examples=300, deadline=None)
+def test_dedupe_matches_reference_loops(cloud):
+    points, tol = cloud
+    assert_same_bits(numrange._first_in_cell(points, tol), cells_reference(points, tol))
+    assert_same_bits(numrange._dedupe(points, tol), dedupe_reference(points, tol))
+
+
+def _line(count: int, tol: float) -> np.ndarray:
+    return np.array([[3.0 * k * tol, -2.0 * k * tol] for k in range(count)])
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize(
+    "survivors, kept",
+    [(1, 1), (2, 1), (64, 63), (65, 65)],
+    ids=["1-survivor", "2-survivors", "64-survivors", "65-survivors-capped"],
+)
+def test_dedupe_cap_both_sides(survivors, kept, tol):
+    """survivors - 1 separated points plus a copy of the first one ulp below its cell.
+
+    The cell pass keeps the copy, so `survivors` rows reach the greedy pass,
+    which merges the copy into the first row unless the 64-row cap skips it.
+    A 1-survivor cloud is one point repeated.
+    """
+    if survivors == 1:
+        points = np.repeat(_line(1, tol) + 0.5 * tol, 5, axis=0)
+    else:
+        base = _line(survivors - 1, tol) + 7 * tol
+        base[0] = np.floor(base[0] / tol) * tol  # on a cell edge; its copy sits one ulp below
+        points = np.vstack([base, np.nextafter(base[:1], -math.inf)])
+        assert len(cells_reference(points, tol)) == survivors
+    got = numrange._dedupe(points, tol)
+    assert len(got) == kept
+    assert_same_bits(got, dedupe_reference(points, tol))
+
+
+def test_dedupe_keeps_first_signed_zero():
+    points = np.array([[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [1.0, 1.0]])
+    got = numrange._dedupe(points, 1e-10)
+    assert_same_bits(got, dedupe_reference(points, 1e-10))
+    assert_same_bits(got[0], np.array([-0.0, 0.0]))
+
+
+# --- face vertices -----------------------------------------------------------
+
+# anticomm gamma = 1, j = 2: ring faces that refinement solves near the body
+# diagonals, with the ring's 64 vertices deduped to 64, 32, 19, 18, 14 and 1
+ANTICOMM_RING_ANGLES = [
+    (0.9552109551667161, 3.926990816987241),
+    (0.9553164432549975, 3.926990816987241),
+    (0.9553167246843652, 3.926990816987241),
+    (2.1862759289054283, 2.356194490192345),
+    (0.9553165507514506, 3.926990816987241),
+    (0.9553166171879122, 3.926990816987241),
+]
+
+
+@pytest.mark.parametrize("theta, phi", ANTICOMM_RING_ANGLES)
+def test_face_anticomm_rings_match_reference(theta, phi):
+    vec = anticomm_vec(HalfInt(4), 1)
+    direction = direction3(theta, phi)
+    f = face(vec, direction)
+    assert f.multiplicity == 2
+    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+
+
+def test_face_jsq2d_doublets_match_reference():
+    """j = 50 on 360 steps: the first doublet across the two parity blocks, and the first within one."""
+    vec = jsq_pair(HalfInt(100))
+    owners = np.zeros(vec.dim, dtype=int)
+    for k, block in enumerate(vec.blocks):
+        owners[block.index] = k
+    found = {}
+    for direction in sweep_directions(2, 360):
+        sf = support(vec, direction)
+        if sf.multiplicity == 2:
+            homes = {int(owners[np.flatnonzero(col)[0]]) for col in sf.eigenbasis.T}
+            found.setdefault(len(homes) == 2, direction)
+    assert set(found) == {True, False}
+    for direction in found.values():
+        assert_same_bits(face(vec, direction).vertices, face_vertices_reference(vec, direction))
+
+
+def test_face_jpow4_ellipse_and_segment_match_reference():
+    """jpow gamma = 4 at j = 2: an ellipse at a body diagonal, a rank-1 segment at the north pole."""
+    vec = power_vec(HalfInt(4), 4)
+    for direction, count in ((diag_directions()[0], 64), (direction3(0.0, 0.0), 2)):
+        vertices = face(vec, direction).vertices
+        assert len(vertices) == count
+        assert_same_bits(vertices, face_vertices_reference(vec, direction))
+
+
+def _generic_doublet_vec() -> ObservableVec:
+    rng = np.random.default_rng(5)
+    dense = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    mats = [(a + a.conj().T) / 2 for a in dense] + [np.diag([1.0, 1.0, 0.0]).astype(complex)]
+    return ObservableVec(ops=tuple(make_hermitian(m, f"M{i}") for i, m in enumerate(mats)), j=HalfInt(2), kind="J")
+
+
+def test_face_generic_doublet_matches_reference():
+    """Seeded dense complex operators with an exactly degenerate top pair at the north pole.
+
+    No entry of the compressed pair is zero, so every ring coordinate is a
+    full three-term product; the ring must round as one matrix-vector product
+    per vertex, which a single matrix-matrix product need not.
+    """
+    vec = _generic_doublet_vec()
+    direction = direction3(0.0, 0.0)
+    f = face(vec, direction)
+    assert f.multiplicity == 2
+    assert len(f.vertices) == numrange.INNER_STEPS
+    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+
+
+@pytest.mark.parametrize(
+    "vec, direction",
+    [
+        (_generic_doublet_vec(), direction3(0.0, 0.0)),
+        (anticomm_vec(HalfInt(4), 1), direction3(*ANTICOMM_RING_ANGLES[0])),
+        (power_vec(HalfInt(4), 4), diag_directions()[0]),
+    ],
+    ids=["generic", "anticomm", "jpow4"],
+)
+def test_ring_states_match_reference(vec, direction):
+    """The batched ring: coordinates bitwise, states within rounding of one spinor per vertex.
+
+    numpy's arccos and arctan2 need not round like libm's, so the states are
+    compared within 1e-14; they only decide extreme certification.
+    """
+    sf = support(vec, direction)
+    fixed = [direction.eta]
+    coords, states = numrange._cluster_vertices(vec.mats, sf.eigenbasis, fixed, numrange.DEG_TOL_DEFAULT)
+    pairs = cluster_pairs_reference(vec.mats, sf.eigenbasis, fixed, numrange.DEG_TOL_DEFAULT)
+    assert len(pairs) == numrange.INNER_STEPS
+    assert_same_bits(coords, np.array([point for point, _ in pairs]))
+    assert np.allclose(states, np.array([psi for _, psi in pairs]).T, rtol=0, atol=1e-14)
+
+
+def test_face_thickened_doublet_matches_reference():
+    """A top pair split by 1e-10 < deg_tol whose compressed operators span all three Pauli axes.
+
+    The rank-3 branch adds the third singular direction's two vertices to the ring.
+    """
+    sx = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+    sy = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
+    top = np.diag([1.0, 1.0 - 1e-10, 0.0]).astype(complex)
+    ops = tuple(make_hermitian(m, f"M{i}") for i, m in enumerate((sx, sy, top)))
+    vec = ObservableVec(ops=ops, j=HalfInt(2), kind="J")
+    direction = direction3(0.0, 0.0)
+    f = face(vec, direction)
+    assert f.multiplicity == 2
+    assert len(f.vertices) > numrange.INNER_STEPS
+    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+
+
+def test_face_certified_extreme_matches_reference():
+    vec = j_triple(HalfInt(4))
+    direction = direction3(math.pi / 2, 0.0)
+    f = face(vec, direction)
+    assert f.vertices[0, 0] == vec.ops[0].eig_max
+    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+
+
+def test_face_collision_pushed_inward_matches_reference():
+    """B's top value rounds to 1.0, which e0 attains bitwise, yet e0 is 1e-8 from B's top eigenvector.
+
+    The residual fails, so the coordinate is pushed 1e-12 * width inside.
+    """
+    a = make_hermitian(np.diag([1.0, -1.0]).astype(complex), "A")
+    b = make_hermitian(np.array([[1.0, 1e-8], [1e-8, 0.0]], dtype=complex), "B")
+    assert b.eig_max == 1.0
+    vec = ObservableVec(ops=(a, b), j=HalfInt(1), kind="J")
+    direction = direction2(0.0)
+    f = face(vec, direction)
+    width = max(1.0, b.eig_max - b.eig_min)
+    assert f.vertices[0, 1] == 1.0 - 1e-12 * width
+    assert f.vertices[0, 0] == 1.0
+    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
