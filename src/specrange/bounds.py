@@ -4,7 +4,8 @@ Each coordinate x with spectral interval [lo, hi] is mapped to the pair
 dot = (hi-x)/(hi-lo), ring = (x-lo)/(hi-lo); concave measures (entropy-like h,
 u_kappa for kappa < 1) are minimized over the boundary, convex ones
 (u_kappa for kappa > 1, u_max) maximized. Optima found on the sweep grid are
-refined by golden-section coordinate descent in the angles.
+refined by coordinate descent in the angles, each line search Brent's
+bounded minimizer: parabolic steps with golden-section fallback.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ REGION_TOL = 1e-9
 TRIVIAL_TOL = 1e-6
 MAX_REFINE = 16
 REFINE_ROUNDS = 6
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -155,31 +154,64 @@ def _face_value(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> float:
     return min(vals) if sense == MIN else max(vals)
 
 
-def _golden_section(fn, a: float, b: float, sense: str, tol: float) -> tuple[float, float]:
-    """Golden-section extremum of fn on [a, b]; returns the best evaluated sample."""
-    better = (lambda u, v: u < v) if sense == MIN else (lambda u, v: u > v)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best = (c, fc) if better(fc, fd) else (d, fd)
-    while abs(b - a) > tol:
-        if better(fc, fd):
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-            if better(fc, best[1]):
-                best = (c, fc)
+def _line_search(fn, a: float, b: float, sense: str, tol: float) -> tuple[float, float]:
+    """Extremum of fn on [a, b] by Brent's bounded minimizer; returns the best evaluated sample.
+
+    Parabolic interpolation through the three best points, with a golden-section
+    step whenever the parabola is not trusted (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5; scipy's fminbound). It stops
+    once the bracket around its best point is within 2 tol / 3 on each side,
+    an absolute tolerance in the angle. The reported sample is the first
+    evaluated with the best value, so a flat stretch keeps its first point.
+    """
+    sign = 1.0 if sense == MIN else -1.0
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    tol1 = tol / 3.0
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = sign * fn(x)
+    best = (x, fx)
+    step = prev = 0.0  # the last two step lengths
+    while abs(x - (a + b) / 2.0) > 2.0 * tol1 - (b - a) / 2.0:
+        mid = (a + b) / 2.0
+        parabolic = False
+        if abs(prev) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            prev, older = step, prev
+            # accept a parabola that stays inside [a, b] and steps under half the step before last
+            if abs(p) < abs(0.5 * q * older) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if x + step - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
+                    step = tol1 if mid >= x else -tol1
+        if not parabolic:
+            prev = (a if x >= mid else b) - x
+            step = golden * prev
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = sign * fn(u)
+        if fu < best[1]:
+            best = (u, fu)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-            if better(fd, best[1]):
-                best = (d, fd)
-    x = (a + b) / 2.0
-    fx = fn(x)
-    if better(fx, best[1]):
-        best = (x, fx)
-    return best
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return best[0], sign * best[1]
 
 
 def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]:
@@ -200,7 +232,7 @@ def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]
 
 
 def _refine(objective, start: list[float], value: float, axes, sense: str, tol: float):
-    """Golden-section coordinate descent from a grid node.
+    """Coordinate descent from a grid node, one Brent line search per axis.
 
     axes holds (lo, hi, half-width) per angle; the objective only ever sees
     angles clamped to [lo, hi]. Each round line-searches every axis in turn
@@ -217,7 +249,7 @@ def _refine(objective, start: list[float], value: float, axes, sense: str, tol: 
                 return objective([min(max(a, a_lo), a_hi) for a, (a_lo, a_hi, _) in zip(trial, axes)])
 
             a, b = max(lo, point[i] - halves[i]), min(hi, point[i] + halves[i])
-            point[i], found = _golden_section(line, a, b, sense, tol)
+            point[i], found = _line_search(line, a, b, sense, tol)
         halves = [half / 3.0 for half in halves]
         done = len(axes) == 1 or abs(found - value) <= 1e-13 * max(1.0, abs(found))
         value = found
@@ -231,10 +263,10 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     """Tight bound of each measure over the boundary, with attaining angles.
 
     The boundary is read through its rows view, a grid of faces (one row of
-    phi in 2D, rows of theta in 3D). Grid optima are refined by golden-section
-    coordinate descent over the faces' angles (phi, or theta and phi); every
-    evaluated angle whose value lies within VALUE_TOL of the optimum is
-    reported.
+    phi in 2D, rows of theta in 3D). Grid optima are refined by coordinate
+    descent with Brent line searches over the faces' angles (phi, or theta
+    and phi); every evaluated angle whose value lies within VALUE_TOL of the
+    optimum is reported.
     """
     if not boundary.faces:
         raise EmptyBoundary("boundary carries no faces")
@@ -246,12 +278,21 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     return BoundReport(results=results, trivial=trivial, rect=rect)
 
 
+def _same_angles(u: tuple[float, ...], v: tuple[float, ...]) -> bool:
+    """Equal within 10 ANGLE_TOL per angle, phi (the last) compared the short way round the circle."""
+    *theta_u, phi_u = u
+    *theta_v, phi_v = v
+    gap = abs(phi_u - phi_v) % (2 * math.pi)
+    return min(gap, 2 * math.pi - gap) <= 10 * ANGLE_TOL and all(
+        abs(a - b) <= 10 * ANGLE_TOL for a, b in zip(theta_u, theta_v)
+    )
+
+
 def _collect(evaluated, best: float):
     keep = []
     for angles, value in evaluated:
-        if abs(value - best) <= VALUE_TOL:
-            if not any(all(abs(a - b) <= 10 * ANGLE_TOL for a, b in zip(angles, kept)) for kept in keep):
-                keep.append(angles)
+        if abs(value - best) <= VALUE_TOL and not any(_same_angles(angles, kept) for kept in keep):
+            keep.append(angles)
     return sorted(keep)
 
 

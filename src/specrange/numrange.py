@@ -223,9 +223,13 @@ def _pair_cluster_vertices(lift: np.ndarray, compressed):
         if rank == 3:  # near-degenerate cluster: range slightly thickened
             dirs = np.vstack([dirs, vt[2], -vt[2]])
     coords = center + np.matmul(rows, dirs[:, :, None])[:, :, 0]
-    half = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0)) / 2.0
-    phase = np.exp(1j * np.arctan2(dirs[:, 1], dirs[:, 0]))
-    return coords, lift @ np.array([np.cos(half), np.sin(half) * phase])
+    # each spinor from the chart of its own hemisphere, [1 + n_z, n_x + i n_y]
+    # in the north and [n_x - i n_y, 1 - n_z] in the south: no half angle, so a
+    # direction within an ulp of a pole keeps its small component exact
+    nx, ny, nz = dirs.T
+    north = nz >= 0.0
+    spinors = np.array([np.where(north, 1.0 + nz, nx - 1j * ny), np.where(north, nx + 1j * ny, 1.0 - nz)])
+    return coords, lift @ (spinors / np.sqrt(2.0 * (1.0 + np.abs(nz))))
 
 
 def _cluster_vertices(mats, lift: np.ndarray, fixed: list, deg_tol: float):

@@ -163,11 +163,11 @@ def dedupe_reference(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _bloch_spinor(n: np.ndarray) -> np.ndarray:
-    theta = math.acos(min(1.0, max(-1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
-    return np.array(
-        [math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=np.complex128
-    )
+    """The spinor of unit Bloch vector n, from the chart of n's hemisphere (up to a phase)."""
+    x, y, z = (float(c) for c in n)
+    if z >= 0.0:
+        return np.array([1.0 + z, complex(x, y)], dtype=np.complex128) / math.sqrt(2.0 * (1.0 + z))
+    return np.array([complex(x, -y), 1.0 - z], dtype=np.complex128) / math.sqrt(2.0 * (1.0 - z))
 
 
 def _pair_cluster_pairs(lift: np.ndarray, compressed, steps: int) -> list:

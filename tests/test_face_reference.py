@@ -195,8 +195,9 @@ def test_face_generic_doublet_matches_reference():
 def test_ring_states_match_reference(vec, direction):
     """The batched ring: coordinates bitwise, states within rounding of one spinor per vertex.
 
-    numpy's arccos and arctan2 need not round like libm's, so the states are
-    compared within 1e-14; they only decide extreme certification.
+    One matrix product over the spinor table need not round like one
+    matrix-vector product per spinor, so the states are compared within
+    1e-14; they only decide extreme certification.
     """
     sf = support(vec, direction)
     fixed = [direction.eta]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from specrange import numrange
 from specrange.errors import DimensionMismatch, NonFinite, NonHermitian, NotCommuting
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
 from specrange.numrange import (
@@ -276,6 +277,24 @@ def test_face_ring_dense_in_curved_face():
         got = float(np.max(v @ s))
         assert got <= want + 1e-9 * radius
         assert want - got <= 5e-3 * radius
+
+
+@pytest.mark.parametrize("gamma", [2, 4])
+@pytest.mark.parametrize("twice", range(2, 9))
+def test_ring_states_realize_their_vertices(gamma, twice):
+    """Every state of a body-diagonal face has its vertex's expectations.
+
+    The rings here pass within an ulp of a Bloch pole (jpow gamma = 4, j = 2
+    is the worst), where a spinor built from a half angle loses its small
+    component: its expectations sat 1e-7 from the vertex.
+    """
+    vec = power_vec(HalfInt(twice), gamma)
+    for d in diag_directions():
+        sf = support(vec, d)
+        coords, states = numrange._cluster_vertices(vec.mats, sf.eigenbasis, [d.eta], numrange.DEG_TOL_DEFAULT)
+        for vertex, psi in zip(coords, states.T):
+            err = float(np.max(np.abs(numrange._expectations(vec.mats, psi) - vertex)))
+            assert err <= 1e-12 * max(1.0, float(np.linalg.norm(vertex)))
 
 
 # --- boundary2d ------------------------------------------------------------
