@@ -4,8 +4,8 @@ Each coordinate x with spectral interval [lo, hi] is mapped to the pair
 dot = (hi-x)/(hi-lo), ring = (x-lo)/(hi-lo); concave measures (entropy-like h,
 u_kappa for kappa < 1) are minimized over the boundary, convex ones
 (u_kappa for kappa > 1, u_max) maximized. Optima found on the sweep grid are
-refined by coordinate descent in the angles, each line search Brent's
-bounded minimizer: parabolic steps with golden-section fallback.
+refined by successive linearization: each step solves the face at the
+measure's gradient, whose best vertex is the next point.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ ANGLE_TOL = 1e-7
 REGION_TOL = 1e-9
 TRIVIAL_TOL = 1e-6
 MAX_REFINE = 16
-REFINE_ROUNDS = 6
+MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -149,69 +149,85 @@ class BoundReport:
     rect: Hyperrect
 
 
-def _face_value(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> float:
+def _best_vertex(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> tuple[np.ndarray, float]:
+    """The face vertex that scores best for the measure, with its value."""
     vals = [combined(kind, v, rect) for v in f.vertices]
-    return min(vals) if sense == MIN else max(vals)
+    i = int(np.argmin(vals) if sense == MIN else np.argmax(vals))
+    return f.vertices[i], vals[i]
 
 
-def _line_search(fn, a: float, b: float, sense: str, tol: float) -> tuple[float, float]:
-    """Extremum of fn on [a, b] by Brent's bounded minimizer; returns the best evaluated sample.
+def _face_value(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> float:
+    return _best_vertex(kind, f, rect, sense)[1]
 
-    Parabolic interpolation through the three best points, with a golden-section
-    step whenever the parabola is not trusted (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5; scipy's fminbound). It stops
-    once the bracket around its best point is within 2 tol / 3 on each side,
-    an absolute tolerance in the angle. The reported sample is the first
-    evaluated with the best value, so a flat stretch keeps its first point.
+
+def _better(u: float, v: float, sense: str) -> bool:
+    return u < v if sense == MIN else u > v
+
+
+def _gradient(kind: MeasureKind, r, rect: Hyperrect) -> np.ndarray:
+    """The gradient of combined at r, or its limit direction where a slope is unbounded.
+
+    Per coordinate, with w = hi - lo: h gives ln(dot/ring)/w, u_kappa gives
+    kappa (ring^(kappa-1) - dot^(kappa-1))/w and umax sign(ring - dot)/w. At an
+    exact endpoint h and u_kappa with kappa < 1 have unbounded slope; there the
+    direction is the signs of the unbounded coordinates (+1 where ring = 0,
+    -1 where dot = 0) and 0 everywhere else.
     """
-    sign = 1.0 if sense == MIN else -1.0
-    golden = (3.0 - math.sqrt(5.0)) / 2.0
-    tol1 = tol / 3.0
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = sign * fn(x)
-    best = (x, fx)
-    step = prev = 0.0  # the last two step lengths
-    while abs(x - (a + b) / 2.0) > 2.0 * tol1 - (b - a) / 2.0:
-        mid = (a + b) / 2.0
-        parabolic = False
-        if abs(prev) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            prev, older = step, prev
-            # accept a parabola that stays inside [a, b] and steps under half the step before last
-            if abs(p) < abs(0.5 * q * older) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                step = p / q
-                if x + step - a < 2.0 * tol1 or b - (x + step) < 2.0 * tol1:
-                    step = tol1 if mid >= x else -tol1
-        if not parabolic:
-            prev = (a if x >= mid else b) - x
-            step = golden * prev
-        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
-        fu = sign * fn(u)
-        if fu < best[1]:
-            best = (u, fu)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    grad = np.zeros(rect.n)
+    steep = np.zeros(rect.n)
+    unbounded = kind.tag == "h" or (kind.tag == "u" and kind.kappa < 1.0)
+    for i, (x, lo, hi) in enumerate(zip(r, rect.lo, rect.hi)):
+        dot, ring = normalize_mean(float(x), lo, hi)
+        width = hi - lo
+        if unbounded and (dot == 0.0 or ring == 0.0):
+            steep[i] = 1.0 if ring == 0.0 else -1.0
+        elif kind.tag == "h":
+            grad[i] = math.log(dot / ring) / width
+        elif kind.tag == "u":
+            grad[i] = kind.kappa * (ring ** (kind.kappa - 1.0) - dot ** (kind.kappa - 1.0)) / width
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return best[0], sign * best[1]
+            grad[i] = np.sign(ring - dot) / width
+    return steep if steep.any() else grad
+
+
+def _direction(eta: np.ndarray):
+    """The sweep direction of the unit vector eta; phi in [0, 2 pi), and 0 at a pole."""
+    if len(eta) == 2:
+        return direction2(math.atan2(eta[1], eta[0]) % (2 * math.pi))
+    rho = math.hypot(eta[0], eta[1])
+    phi = math.atan2(eta[1], eta[0]) % (2 * math.pi) if rho > 0.0 else 0.0
+    return direction3(math.atan2(rho, eta[2]), phi)
+
+
+def _ascend(vec, start, kind: MeasureKind, rect: Hyperrect, deg_tol: float):
+    """Successive linearization from a grid face (the conditional-gradient step of
+    Frank & Wolfe, Naval Res. Logist. Q. 3, 1956).
+
+    Each step solves the face at the measure's gradient g at the current best
+    vertex x, eta = +g/|g| to maximize and -g/|g| to minimize, and moves to
+    that face's best vertex x' only if its value is strictly better. The step
+    is monotone: a convex measure gains f(x') >= f(x) + g.(x' - x) >= f(x),
+    since x' maximizes g.y over the region; a concave one mirrors this. It
+    stops when the value does not improve, when g vanishes, when eta repeats
+    within ANGLE_TOL, or after MAX_STEPS.
+    """
+    sense = kind.sense
+    direction = start.direction
+    x, value = _best_vertex(kind, start, rect, sense)
+    for _ in range(MAX_STEPS):
+        g = _gradient(kind, x, rect)
+        norm = float(np.linalg.norm(g))
+        if norm == 0.0:
+            break
+        eta = g / norm if sense == MAX else -g / norm
+        if np.linalg.norm(eta - direction.eta) <= ANGLE_TOL:
+            break
+        step = _direction(eta)
+        x_new, found = _best_vertex(kind, face(vec, step, deg_tol), rect, sense)
+        if not _better(found, value, sense):
+            break
+        direction, x, value = step, x_new, found
+    return _angles(direction), value
 
 
 def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]:
@@ -231,42 +247,15 @@ def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]
     return out
 
 
-def _refine(objective, start: list[float], value: float, axes, sense: str, tol: float):
-    """Coordinate descent from a grid node, one Brent line search per axis.
-
-    axes holds (lo, hi, half-width) per angle; the objective only ever sees
-    angles clamped to [lo, hi]. Each round line-searches every axis in turn
-    and then narrows the windows; a single axis is done after its one line
-    search, several stop once a round no longer moves the value.
-    """
-    point = list(start)
-    halves = [half for _, _, half in axes]
-    for _ in range(REFINE_ROUNDS):
-        for i, (lo, hi, _) in enumerate(axes):
-
-            def line(x: float, i=i) -> float:
-                trial = point[:i] + [x] + point[i + 1 :]
-                return objective([min(max(a, a_lo), a_hi) for a, (a_lo, a_hi, _) in zip(trial, axes)])
-
-            a, b = max(lo, point[i] - halves[i]), min(hi, point[i] + halves[i])
-            point[i], found = _line_search(line, a, b, sense, tol)
-        halves = [half / 3.0 for half in halves]
-        done = len(axes) == 1 or abs(found - value) <= 1e-13 * max(1.0, abs(found))
-        value = found
-        if done:
-            break
-    point[-1] %= 2 * math.pi
-    return tuple(point), value
-
-
 def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
     The boundary is read through its rows view, a grid of faces (one row of
-    phi in 2D, rows of theta in 3D). Grid optima are refined by coordinate
-    descent with Brent line searches over the faces' angles (phi, or theta
-    and phi); every evaluated angle whose value lies within VALUE_TOL of the
-    optimum is reported.
+    phi in 2D, rows of theta in 3D). Each of the best MAX_REFINE grid optima
+    is refined by successive linearization (_ascend): the face at the
+    measure's gradient, taken at the current best vertex, gives the next
+    vertex while the value strictly improves. Every grid angle and refined
+    end angle whose value lies within VALUE_TOL of the optimum is reported.
     """
     if not boundary.faces:
         raise EmptyBoundary("boundary carries no faces")
@@ -303,27 +292,15 @@ def _angles(direction) -> tuple[float, ...]:
 def _optimize(vec, rows, kind, rect, deg_tol) -> MeasureResult:
     sense = kind.sense
     values = [np.array([_face_value(kind, f, rect, sense) for f in row]) for row in rows]
-    better = (lambda u, v: u < v) if sense == MIN else (lambda u, v: u > v)
-    # the (lo, hi, half-width) of each axis: phi spaced by the longest row, theta by the rows
-    axes = [(-math.inf, math.inf, 2 * math.pi / max(len(row) for row in rows))]
-    if rows[0][0].direction.theta is not None:
-        axes.insert(0, (0.0, math.pi, math.pi / (len(rows) - 1)))
-
-    def objective(angles: list[float]) -> float:
-        *theta, phi = angles
-        phi %= 2 * math.pi
-        direction = direction3(theta[0], phi) if theta else direction2(phi)
-        return _face_value(kind, face(vec, direction, deg_tol), rect, sense)
-
     evaluated = [(_angles(f.direction), v) for row, vals in zip(rows, values) for f, v in zip(row, vals)]
     candidates = _local_optima(values, sense)
     candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == MAX))
     flat = np.concatenate(values)
     best = float(flat.min() if sense == MIN else flat.max())
     for k, kp in candidates[:MAX_REFINE]:
-        angles, v = _refine(objective, list(_angles(rows[k][kp].direction)), values[k][kp], axes, sense, ANGLE_TOL)
+        angles, v = _ascend(vec, rows[k][kp], kind, rect, deg_tol)
         evaluated.append((angles, v))
-        if better(v, best):
+        if _better(v, best, sense):
             best = v
     angles = _collect(evaluated, best)
     return MeasureResult(kind=kind, value=best, sense=sense, angles=angles)

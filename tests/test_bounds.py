@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,13 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
 from conftest import CI_LONG
+from specrange import bounds
 from specrange.bounds import (
     ANGLE_TOL,
     MAX,
     MIN,
     MeasureKind,
+    _ascend,
     _collect,
-    _line_search,
+    _direction,
+    _gradient,
     combined,
     measure,
     normalize_mean,
@@ -25,7 +29,17 @@ from specrange.bounds import (
     triviality_check,
 )
 from specrange.errors import DegenerateRange
-from specrange.numrange import Hyperrect, boundary2d, boundary3d, direction2, direction3, face, hyperrect
+from specrange.linalg import top_eigenvalues
+from specrange.numrange import (
+    DEG_TOL_DEFAULT,
+    Hyperrect,
+    boundary2d,
+    boundary3d,
+    direction2,
+    direction3,
+    face,
+    hyperrect,
+)
 from specrange.spinops import HalfInt, anticomm_vec, jsq_pair, ladder_combo, power_vec, scale_uniform
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -222,10 +236,6 @@ def test_collect_wraps_phi():
     assert _collect([((2 * math.pi - 1e-14,), 2.0), ((0.0,), 2.0)], 2.0) == [(2 * math.pi - 1e-14,)]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: coordinate descent stalls at theta = 0.917 on this mesh, short of the body diagonal",
-)
 def test_jpow3_scaled_18x36_reaches_reference():
     j = HalfInt(20)
     vec = scale_uniform(power_vec(j, 3), 1.0 / j.j**3)
@@ -257,51 +267,99 @@ print(sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)
     assert proc.stdout.strip() == "[]"
 
 
-# --- line search --------------------------------------------------------------
+# --- successive linearization ------------------------------------------------
 
 
-def _recorded(fn):
-    calls = []
+def _umax_closed_form(vec) -> float:
+    """max of umax over the region: n/2 + max over sign vectors s of [|s/w| lambda_max(eta_s.A) - s.(mid/w)].
 
-    def wrapped(x):
-        calls.append((x, fn(x)))
-        return calls[-1][1]
+    umax(r) = n/2 + sum_i |x_i - mid_i| / w_i, so each sign vector s leaves a
+    linear function whose maximum is the support function at eta_s = (s/w)/|s/w|.
+    """
+    rect = hyperrect(vec)
+    lo, hi = np.array(rect.lo), np.array(rect.hi)
+    width, mid = hi - lo, (lo + hi) / 2.0
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=rect.n)))
+    slopes = signs / width
+    norms = np.linalg.norm(slopes, axis=1)
+    lam = top_eigenvalues(slopes / norms[:, None], vec.mats)
+    return rect.n / 2.0 + float(np.max(norms * lam - slopes @ mid))
 
-    return wrapped, calls
+
+def _jpow3_scaled(twice):
+    j = HalfInt(twice)
+    return scale_uniform(power_vec(j, 3), 1.0 / j.j**3)
 
 
-LINE_CASES = [
-    # (fn, window, sense, optimum)
-    pytest.param(lambda x: abs(x - 0.6180339), (0.0, 1.0), MIN, 0.6180339, id="kink"),
-    pytest.param(lambda x: 2.0 * x, (-0.26, 0.26), MIN, -0.26, id="monotone-left-edge"),
-    pytest.param(lambda x: math.exp(x), (1.0, 1.52), MAX, 1.52, id="monotone-right-edge-max"),
-    pytest.param(lambda x: math.cos(x - 2.0), (1.74, 2.9), MAX, 2.0, id="cosine-max"),
+UMAX_SETS = [
+    pytest.param(lambda: jsq_pair(HalfInt(5)), 360, id="jsq2d-2.5"),
+    pytest.param(lambda: jsq_pair(HalfInt(20)), 360, id="jsq2d-10"),
+    pytest.param(lambda: _jpow3_scaled(20), (12, 24), id="jpow3-10-12x24"),
+    pytest.param(lambda: _jpow3_scaled(20), (18, 36), id="jpow3-10-18x36"),
+    pytest.param(lambda: anticomm_vec(HalfInt(2), 1), (12, 24), id="anticomm-1"),
+    pytest.param(lambda: anticomm_vec(HalfInt(3), 1), (12, 24), id="anticomm-1.5"),
+    pytest.param(lambda: anticomm_vec(HalfInt(20), 1), (12, 24), id="anticomm-10"),
+    pytest.param(lambda: ladder_combo(HalfInt(4), 2), 180, id="ladder-2"),
 ]
 
 
-@pytest.mark.parametrize("fn, window, sense, optimum", LINE_CASES)
-def test_line_search_finds_optimum(fn, window, sense, optimum):
-    line, calls = _recorded(fn)
-    x, value = _line_search(line, *window, sense, ANGLE_TOL)
-    assert abs(x - optimum) <= ANGLE_TOL
-    values = [v for _, v in calls]
-    assert value == (min(values) if sense == MIN else max(values))
-    assert (x, value) in calls
+@pytest.mark.parametrize("build, grid", UMAX_SETS)
+def test_umax_matches_closed_form(build, grid):
+    vec = build()
+    region = boundary2d(vec, grid) if isinstance(grid, int) else boundary3d(vec, *grid)
+    value = optimize_bounds(vec, region, ["umax"]).results[0].value
+    want = _umax_closed_form(vec)
+    assert abs(value - want) <= 1e-12 * max(1.0, want)
 
 
-def test_line_search_quadratic_is_superlinear():
-    # golden-section takes 36 evaluations to shrink this window to ANGLE_TOL
-    line, calls = _recorded(lambda x: (x - 0.1) ** 2 + 3.0)
-    x, value = _line_search(line, -0.16, 0.36, MIN, ANGLE_TOL)
-    assert abs(x - 0.1) <= ANGLE_TOL
-    assert value == min(v for _, v in calls)
-    assert len(calls) <= 10
+@given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_gradient_matches_central_differences(ts):
+    rect = Hyperrect(lo=(-1.0, 0.0, 2.0), hi=(2.0, 0.5, 6.0))
+    lo, width = np.array(rect.lo), np.array(rect.hi) - np.array(rect.lo)
+    r = lo + np.array(ts) * width
+    for kind in (MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0)):
+        grad = _gradient(kind, r, rect)
+        for i in range(3):
+            step = np.zeros(3)
+            step[i] = 1e-6 * width[i]
+            diff = (combined(kind, r + step, rect) - combined(kind, r - step, rect)) / (2 * step[i])
+            assert grad[i] == pytest.approx(diff, rel=1e-6, abs=1e-6)
 
 
-@pytest.mark.parametrize("sense", [MIN, MAX])
-def test_line_search_constant_keeps_first_sample(sense):
-    line, calls = _recorded(lambda x: 1.5)
-    assert _line_search(line, 0.0, 0.52, sense, ANGLE_TOL) == calls[0]
+def test_gradient_at_exact_endpoints_is_sign_only():
+    rect = Hyperrect(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0))
+    for kind in (MeasureKind.h(), MeasureKind.u(0.5)):
+        assert list(_gradient(kind, [0.0, 0.3, 0.6], rect)) == [1.0, 0.0, 0.0]
+        assert list(_gradient(kind, [1.0, 0.3, 0.0], rect)) == [-1.0, 0.0, 1.0]
+    # kappa > 1 has finite slope there: the plain gradient
+    assert list(_gradient(MeasureKind.u(2.0), [0.0, 0.5, 1.0], rect)) == [-2.0, 0.0, 2.0]
+
+
+def test_ascent_ending_at_a_pole_reports_phi_zero():
+    for eta, angles in (([0.0, 0.0, 1.0], (0.0, 0.0)), ([-0.0, -0.0, -1.0], (math.pi, 0.0))):
+        d = _direction(np.array(eta))
+        assert (d.theta, d.phi) == angles
+    # the limit direction of h at this face's best vertex is -z
+    vec = anticomm_vec(HalfInt(2), 1)
+    start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
+    angles, _ = _ascend(vec, start, MeasureKind.h(), hyperrect(vec), DEG_TOL_DEFAULT)
+    assert angles == (math.pi, 0.0)
+
+
+def test_refinement_spends_fewer_solves_than_the_sweep(monkeypatch):
+    vec = anticomm_vec(HalfInt(2), 1)
+    mesh = boundary3d(vec, 12, 24)
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return face(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "face", counted)
+    optimize_bounds(vec, mesh, ["h", "u2", "umax"])
+    assert calls < len(mesh.faces) == 266
 
 
 # --- region / triviality -------------------------------------------------------
