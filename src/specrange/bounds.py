@@ -156,10 +156,6 @@ def _best_vertex(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> tuple[np.
     return f.vertices[i], vals[i]
 
 
-def _face_value(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> float:
-    return _best_vertex(kind, f, rect, sense)[1]
-
-
 def _better(u: float, v: float, sense: str) -> bool:
     return u < v if sense == MIN else u > v
 
@@ -291,7 +287,7 @@ def _angles(direction) -> tuple[float, ...]:
 
 def _optimize(vec, rows, kind, rect, deg_tol) -> MeasureResult:
     sense = kind.sense
-    values = [np.array([_face_value(kind, f, rect, sense) for f in row]) for row in rows]
+    values = [np.array([_best_vertex(kind, f, rect, sense)[1] for f in row]) for row in rows]
     evaluated = [(_angles(f.direction), v) for row, vals in zip(rows, values) for f, v in zip(row, vals)]
     candidates = _local_optima(values, sense)
     candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == MAX))

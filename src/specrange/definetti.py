@@ -200,8 +200,9 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
         elif quantity == LMAX_ETA1:
             value = support(vec, eta1).lambda_max / scale
         elif quantity == LMIN_ETA1:
-            spec_min = -support_neg(vec, eta1)
-            value = spec_min / scale
+            # lambda_max of the antipodal direction is -lambda_min of this one
+            anti = direction3(math.pi - eta1.theta, (math.pi + eta1.phi) % (2 * math.pi))
+            value = -support(vec, anti).lambda_max / scale
         elif quantity == MEAN_ETA1:
             f = face(vec, eta1)
             if not f.is_point:
@@ -212,8 +213,3 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
         out.append((j, float(value)))
     return out
 
-
-def support_neg(vec: ObservableVec, direction) -> float:
-    """lambda_max of the antipodal direction, i.e. -lambda_min of this one."""
-    anti = direction3(math.pi - direction.theta, (math.pi + direction.phi) % (2 * math.pi))
-    return support(vec, anti).lambda_max

@@ -11,12 +11,16 @@ each spectrum. ``split_blocks`` validates the set once and splits it into
 blocks, the connected components of the union of the operators' nonzero
 patterns, with no code per operator family; each block is packed once into
 upper band storage at its own bandwidth, real when every operator's block is
-real. A combination is formed block by block (``Block.combine``), and
-``band_top`` computes only its top eigenpairs with LAPACK ?hbevx (?sbevx for a
-real block): band-to-tridiagonal reduction, bisection for the selected
-eigenvalues, inverse iteration for their vectors. ``top_eigenvalues`` is the
-max over blocks of each block's top eigenvalue; ``numrange.support`` merges
-the blocks' top clusters into one.
+real. A block forms the bands of many combinations at once
+(``Block.combine``, one matrix-vector product per combination, so each band
+is the same whatever else the call forms), and ``band_top`` computes only a
+band's top eigenpairs with LAPACK ?hbevx (?sbevx for a real block):
+band-to-tridiagonal reduction, bisection for the selected eigenvalues,
+inverse iteration for their vectors.
+``Block.compress`` reads V^H A_i V for columns V of the block's space from the
+stored diagonals, so the face layer never forms a dense operator.
+``top_eigenvalues`` is the max over blocks of each block's top eigenvalue;
+``numrange`` merges the blocks' top clusters into one.
 """
 
 from __future__ import annotations
@@ -135,14 +139,36 @@ class Block:
     def combine(self, coeffs) -> np.ndarray:
         """Band of sum_i coeffs[..., i] * op_i, shape coeffs.shape[:-1] + (b + 1, m).
 
-        The operators are finite, but a combination can still overflow or
-        take a non-finite coefficient, so it is checked: NonFinite.
+        One matrix-vector product per row (a stacked matmul), the same call
+        with the same shapes for every row, so a row's band is bitwise the
+        same whatever other rows the call takes: one matrix-matrix product
+        need not round a row of many like a row of one. The operators are
+        finite, but a combination can still overflow or take a non-finite
+        coefficient, so it is checked: NonFinite.
         """
-        n_ops = len(self.bands)
-        out = np.asarray(coeffs, dtype=float) @ self.bands.reshape(n_ops, -1)
+        coeffs = np.asarray(coeffs, dtype=float)
+        out = np.matmul(coeffs[..., None, :], self.bands.reshape(len(self.bands), -1))[..., 0, :]
         if not np.all(np.isfinite(out)):
             raise NonFinite("operator combination has non-finite entries")
         return out.reshape(out.shape[:-1] + self.bands.shape[1:])
+
+    def compress(self, vectors) -> np.ndarray:
+        """V^H op_i V for every operator, shape vectors.shape[:-2] + (n_ops, c, c).
+
+        vectors holds columns of the block's space, shape (..., m, c). The
+        compressions are read from the b + 1 stored diagonals: with D the
+        main diagonal and U_k the k-th superdiagonal, V^H A V = H + H^H for
+        H = V^H (D/2) V + sum_k V[:m-k]^H U_k V[k:], so every result is
+        Hermitian bitwise. Each entry is one sum over the block's positions,
+        so a row's result does not depend on the other rows of the call.
+        """
+        b = self.bands.shape[1] - 1
+        left = vectors.conj()[..., None, :, :, None]  # (..., 1, m, c, 1)
+        right = vectors[..., None, :, None, :]  # (..., 1, m, 1, c)
+        half = (left * (0.5 * self.bands[:, b, :, None, None]) * right).sum(axis=-3)
+        for k in range(1, b + 1):
+            half += (left[..., :-k, :, :] * self.bands[:, b - k, k:, None, None] * right[..., k:, :, :]).sum(axis=-3)
+        return half + np.swapaxes(half, -1, -2).conj()
 
 
 def split_blocks(mats) -> tuple[Block, ...]:

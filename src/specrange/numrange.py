@@ -2,14 +2,20 @@
 
 For each unit direction eta the top eigenvalue of eta.E gives a supporting
 hyperplane of the allowed region of mean vectors; the states attaining it
-generate the touching face. Nondegenerate directions expose a single extreme
-point; degenerate ones get their face rebuilt from the operators compressed
-onto the top eigenspace, one free dimension at a time (_cluster_vertices).
+generate the touching face. A sweep is one call of ``faces`` over all its
+directions: each block of the operator set forms and solves every direction's
+band, the blocks' top clusters merge per direction (``support`` is that step
+at one direction), and the operators are compressed onto each cluster from
+the blocks' stored diagonals (``linalg.Block.compress``). Every face is built
+from those small compressed operators alone: a point when they are scalar,
+the analytic range of a pair, or a rebuild one free dimension at a time
+(_cluster_vertices). ``face`` is ``faces`` at one direction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +77,19 @@ def diag_directions() -> list[Direction]:
 def sweep_directions(n: int, grid) -> list[Direction]:
     """The direction grid of every sweep.
 
-    n = 2: grid is a step count K', the ring phi_k' = 2 pi k'/K'.
-    n = 3: grid is (K, K'), the lat-long grid theta_k = k pi/K, phi_k' = 2 pi k'/K';
-    the north and south poles come first, then rows k = 1..K-1 of K' directions.
+    n = 2: grid is a step count K' >= 8, the ring phi_k' = 2 pi k'/K'.
+    n = 3: grid is a pair (K, K') with K >= 4 and K' >= 8, the lat-long grid
+    theta_k = k pi/K, phi_k' = 2 pi k'/K'; the north and south poles come
+    first, then rows k = 1..K-1 of K' directions. Any other grid raises
+    ValueError.
     """
     if n == 2:
+        if not isinstance(grid, numbers.Integral) or grid < 8:
+            raise ValueError(f"a 2D grid is a step count >= 8, got {grid!r}")
         return [direction2(float(p)) for p in 2 * math.pi * np.arange(grid) / grid]
+    counts = isinstance(grid, tuple) and len(grid) == 2 and all(isinstance(g, numbers.Integral) for g in grid)
+    if not counts or grid[0] < 4 or grid[1] < 8:
+        raise ValueError(f"a 3D grid is a pair (theta_steps >= 4, phi_steps >= 8), got {grid!r}")
     K, Kp = grid
     phis = 2 * math.pi * np.arange(Kp) / Kp
     dirs = [direction3(0.0, 0.0), direction3(math.pi, 0.0)]
@@ -141,48 +154,91 @@ class Hyperrect:
 
 
 def support(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFAULT) -> SupportFace:
-    """Top eigenvalue, its cluster multiplicity and eigenspace basis (no vertices).
+    """Top eigenvalue, its cluster multiplicity and eigenspace basis (no vertices): _solve at one direction."""
+    return _solve(vec, [direction], deg_tol)[0][0]
 
-    vec.blocks holds the operators validated and band-packed once. Each
-    block's combination is solved for its top k eigenpairs only: k = min(3,
-    size) at first, doubled while the block's lowest computed value is still
-    inside the cluster, the values within deg_tol*max(1, |lambda_max|) of the
-    largest over all blocks. The blocks then merge as one spectrum: the
-    cluster's eigenvectors are embedded into C^d in ascending order of their
-    values, and the gap runs to the largest computed value below the cluster
-    (None when the cluster fills C^d). Each block whose top does not fill the
-    cluster has a computed value below it, so that value is the spectrum's
-    next one. A cluster that spans blocks has block-pure eigenvectors, which
-    no operator couples.
+
+def _solve(vec: ObservableVec, directions, deg_tol: float):
+    """Support records of many directions, and each block's part of their clusters.
+
+    vec.blocks holds the operators validated and band-packed once. Each block
+    forms the bands of every direction in one call (Block.combine, whose rows
+    do not depend on each other), and each band is solved for its top k
+    eigenpairs only: k = min(2, size) at first, doubled while the block's
+    lowest computed value is still inside the cluster, the values within
+    deg_tol*max(1, |lambda_max|) of the largest over all blocks. The blocks
+    then merge as one spectrum: the cluster's eigenvectors are embedded into
+    C^d in ascending order of their values, and the gap runs to the largest
+    computed value below the cluster (None when the cluster fills C^d). Each
+    block whose top does not fill the cluster has a computed value below it,
+    so that value is the spectrum's next one. A cluster that spans blocks has
+    block-pure eigenvectors, which no operator couples.
+
+    Returns the records, in direction order, and per block the list of
+    (direction number, the block's cluster columns in the merged cluster,
+    their eigenvectors in the block's space).
     """
-    if direction.n != vec.n:
-        raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
+    for direction in directions:
+        if direction.n != vec.n:
+            raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
     blocks = vec.blocks
-    bands = [block.combine(direction.eta) for block in blocks]
-    solved = [band_top(band, min(3, block.size)) for band, block in zip(bands, blocks)]
-    lam = max(float(values[-1]) for values, _ in solved)
-    floor = lam - deg_tol * max(1.0, abs(lam))
-    for i, block in enumerate(blocks):
-        while solved[i][0][0] >= floor and len(solved[i][0]) < block.size:
-            solved[i] = band_top(bands[i], min(2 * len(solved[i][0]), block.size))
-    cluster = []  # (value, the block's positions in C^d, eigenvector) of every value in the cluster
-    below = []  # each block's largest value under the cluster
-    for block, (values, vectors) in zip(blocks, solved):
-        cut = int(np.searchsorted(values, floor))
-        if cut:
-            below.append(float(values[cut - 1]))
-        cluster.extend((values[c], block.index, vectors[:, c]) for c in range(cut, len(values)))
-    cluster.sort(key=lambda entry: entry[0])
-    basis = np.zeros((vec.dim, len(cluster)), dtype=np.complex128)
-    for col, (_, index, vector) in enumerate(cluster):
-        basis[index, col] = vector
-    return SupportFace(
-        direction=direction,
-        lambda_max=lam,
-        multiplicity=len(cluster),
-        eigenbasis=basis,
-        gap=lam - max(below) if below else None,
-    )
+    etas = np.array([direction.eta for direction in directions]).reshape(len(directions), vec.n)
+    bands = [block.combine(etas) for block in blocks]
+    solved = [[band_top(band, min(2, block.size)) for band in rows] for block, rows in zip(blocks, bands)]
+    records = []
+    members: list[list] = [[] for _ in blocks]
+    for k, direction in enumerate(directions):
+        lam = max(float(rows[k][0][-1]) for rows in solved)
+        floor = lam - deg_tol * max(1.0, abs(lam))
+        cluster = []  # (value, block number, column in the block's solve) of every value in the cluster
+        below = []  # each block's largest value under the cluster
+        for i, block in enumerate(blocks):
+            values, vectors = solved[i][k]
+            while values[0] >= floor and len(values) < block.size:
+                values, vectors = band_top(bands[i][k], min(2 * len(values), block.size))
+            solved[i][k] = values, vectors
+            cut = int(np.searchsorted(values, floor))
+            if cut:
+                below.append(float(values[cut - 1]))
+            cluster.extend((values[c], i, c) for c in range(cut, len(values)))
+        cluster.sort(key=lambda entry: entry[0])
+        basis = np.zeros((vec.dim, len(cluster)), dtype=np.complex128)
+        owners = [i for _, i, _ in cluster]
+        for col, (_, i, c) in enumerate(cluster):
+            basis[blocks[i].index, col] = solved[i][k][1][:, c]
+        for i in set(owners):
+            cols = np.array([col for col, owner in enumerate(owners) if owner == i])
+            # a block's values ascend, so its columns keep their order in the merged cluster
+            members[i].append((k, cols, solved[i][k][1][:, -len(cols) :]))
+        records.append(
+            SupportFace(
+                direction=direction,
+                lambda_max=lam,
+                multiplicity=len(cluster),
+                eigenbasis=basis,
+                gap=lam - max(below) if below else None,
+            )
+        )
+    return records, members
+
+
+def _compressed(vec: ObservableVec, records, members) -> list[np.ndarray]:
+    """Each record's operators compressed onto its cluster, (n, m, m), from the blocks' bands.
+
+    Block.compress runs once per block and column count over every direction
+    with that many of the block's columns; entries between columns of
+    different blocks stay exact zeros.
+    """
+    out = [np.zeros((vec.n, sf.multiplicity, sf.multiplicity), dtype=np.complex128) for sf in records]
+    for block, entries in zip(vec.blocks, members):
+        groups: dict[int, list] = {}
+        for entry in entries:
+            groups.setdefault(len(entry[1]), []).append(entry)
+        for group in groups.values():
+            pieces = block.compress(np.stack([vectors for _, _, vectors in group]))
+            for (k, cols, _), piece in zip(group, pieces):
+                out[k][:, cols[:, None], cols] = piece
+    return out
 
 
 def _top_cluster(spec, deg_tol: float) -> tuple[float, np.ndarray]:
@@ -201,8 +257,8 @@ def _expectations(mats, psi: np.ndarray) -> np.ndarray:
 _RING = np.array([(math.cos(t), math.sin(t)) for t in 2 * math.pi * np.arange(INNER_STEPS) / INNER_STEPS])
 
 
-def _pair_cluster_vertices(lift: np.ndarray, compressed):
-    """Extreme points of a 2-dim cluster's range, analytically, with their states.
+def _pair_cluster_vertices(pair: np.ndarray):
+    """Extreme points of a 2-dim cluster's range, analytically, with their states (2, k).
 
     On C^2 each compressed operator is c_i I + v_i . sigma, so the range is
     the affine image of the Bloch sphere: an ellipse ring, a segment, or a
@@ -210,7 +266,6 @@ def _pair_cluster_vertices(lift: np.ndarray, compressed):
     rows @ n for its Bloch direction n, one matrix-vector product per vertex
     (a stacked matmul): one matrix-matrix product need not round the same.
     """
-    pair = np.array(compressed)  # (n, 2, 2)
     center = (pair[:, 0, 0] + pair[:, 1, 1]).real / 2.0
     rows = np.stack([pair[:, 1, 0].real, pair[:, 1, 0].imag, (pair[:, 0, 0] - pair[:, 1, 1]).real / 2.0], axis=1)
     _, sig, vt = np.linalg.svd(rows)
@@ -229,44 +284,44 @@ def _pair_cluster_vertices(lift: np.ndarray, compressed):
     nx, ny, nz = dirs.T
     north = nz >= 0.0
     spinors = np.array([np.where(north, 1.0 + nz, nx - 1j * ny), np.where(north, nx + 1j * ny, 1.0 - nz)])
-    return coords, lift @ (spinors / np.sqrt(2.0 * (1.0 + np.abs(nz))))
+    return coords, spinors / np.sqrt(2.0 * (1.0 + np.abs(nz)))
 
 
-def _cluster_vertices(mats, lift: np.ndarray, fixed: list, deg_tol: float):
-    """Vertices (k, n) of the face spanned by lift, and their states (d, k).
+def _cluster_vertices(compressed: np.ndarray, fixed: list, deg_tol: float):
+    """Vertices (k, n) of a cluster's face, and their states (m, k) in the cluster's basis.
 
-    Every state of span(lift) attains the hyperplane of each unit direction in
-    `fixed`, so the face lies in their orthogonal complement: a segment when
-    one direction is free; when two are, a convex set (Toeplitz-Hausdorff)
-    swept on a ring whose every top cluster recurses with its direction fixed,
-    so the recursion is at most n - 1 deep. `lift` maps back to the full
-    Hilbert space, so expectations are taken against the original operators.
+    compressed holds the operators compressed onto the cluster, (n, m, m).
+    Every state of the cluster attains the hyperplane of each unit direction
+    in `fixed`, so the face lies in their orthogonal complement: a point when
+    the cluster is one state or every compressed operator is scalar, the
+    analytic range of a pair when m = 2, a segment when one direction is
+    free; when two are, a convex set (Toeplitz-Hausdorff) swept on a ring
+    whose every top cluster recurses on the operators compressed once more,
+    with its direction fixed, so the recursion is at most n - 1 deep and
+    never leaves the cluster's space.
     """
-    m = lift.shape[1]
+    m = compressed.shape[1]
     if m == 1:
-        return _expectations(mats, lift[:, 0])[None], lift[:, :1]
-    compressed = [lift.conj().T @ (mat @ lift) for mat in mats]
-    compressed = [(b + b.conj().T) / 2.0 for b in compressed]
-    scale = max(1.0, max(float(np.max(np.abs(b))) for b in compressed))
-    means = [float(np.real(np.trace(b))) / m for b in compressed]
-    if all(
-        float(np.max(np.abs(b - mu * np.eye(m)))) <= 1e-10 * scale
-        for b, mu in zip(compressed, means)
-    ):
-        # every eigenspace state maps to the same mean vector: an exposed point
-        return _expectations(mats, lift[:, 0])[None], lift[:, :1]
+        return compressed[:, 0, 0].real[None], np.ones((1, 1))
+    scale = max(1.0, float(np.max(np.abs(compressed))))
+    diag = compressed[:, np.arange(m), np.arange(m)].real
+    means = diag.sum(axis=1) / m
+    if float(np.max(np.abs(compressed - means[:, None, None] * np.eye(m)))) <= 1e-10 * scale:
+        # every cluster state maps to the same mean vector: an exposed point
+        return diag[:, 0][None], np.eye(m, 1)
     if m == 2:
-        return _pair_cluster_vertices(lift, compressed)
+        return _pair_cluster_vertices(compressed)
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
-        vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
-        ends = (lift @ vectors[:, 0], lift @ vectors[:, -1])
-        return np.array([_expectations(mats, psi) for psi in ends]), np.array(ends).T
+        ends = eig_hermitian(combine_matrix(free[0], compressed)).vectors[:, [0, -1]]
+        return np.real(np.sum(ends.conj() * (compressed @ ends), axis=1)).T, ends
     parts = []
     for direction in sweep_directions(2, INNER_STEPS):
         eta = direction.eta @ free
         _, top = _top_cluster(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
-        parts.append(_cluster_vertices(mats, lift @ top, [*fixed, eta], deg_tol))
+        inner = top.conj().T @ compressed @ top
+        coords, states = _cluster_vertices((inner + inner.conj().transpose(0, 2, 1)) / 2.0, [*fixed, eta], deg_tol)
+        parts.append((coords, top @ states))
     return np.vstack([coords for coords, _ in parts]), np.hstack([states for _, states in parts])
 
 
@@ -274,14 +329,15 @@ EXTREME_WINDOW = 1e-10
 EXTREME_RESIDUAL = 1e-9
 
 
-def _certify_extremes(vec: ObservableVec, coords: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _certify_extremes(vec: ObservableVec, coords: np.ndarray, state) -> np.ndarray:
     """Snap coordinates to exact spectral endpoints when the state proves it.
 
     Measures with exponent < 1 have unbounded slope at the interval ends, so
     e-16 coordinate noise would otherwise surface as noise^kappa in bounds;
     the eigen-residual test separates true extreme states cleanly. One window
     test flags the (vertex, operator, end) entries; only flagged coordinates
-    pay for a residual, at eig_min when both ends are near.
+    pay for a residual, at eig_min when both ends are near, against the
+    vertex's state in C^d, state(v).
     """
     ends, width = vec.spectral_ends
     near = np.abs(coords[:, :, None] - ends) <= EXTREME_WINDOW * width[:, None]
@@ -291,7 +347,7 @@ def _certify_extremes(vec: ObservableVec, coords: np.ndarray, states: np.ndarray
     for v, i in zip(*np.nonzero(near.any(axis=2))):
         top = not near[v, i, 0]
         ext = ends[i, int(top)]
-        psi = states[:, v]
+        psi = state(v)
         scale = max(1.0, abs(ends[i, 0]), abs(ends[i, 1]))
         if float(np.linalg.norm(vec.ops[i].mat @ psi - ext * psi)) <= EXTREME_RESIDUAL * scale:
             out[v, i] = ext
@@ -351,22 +407,46 @@ def _reduce_collinear(points: np.ndarray, tol: float) -> np.ndarray:
     return points
 
 
-def face(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFAULT) -> SupportFace:
-    """Support data plus the face's vertex set in mean-value space.
+def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> list[SupportFace]:
+    """Support data plus the face's vertex set in mean-value space, for every direction.
 
-    The post-processing is array code: the face's vertices arrive as one
-    (k, n) array with their states as columns, and certification, dedupe and
-    collinear reduction each act on the whole array.
+    Each direction's top cluster is solved and merged block by block over all
+    directions (_solve), and the operators are compressed onto it from the
+    blocks' bands (_compressed), so a face is built from small compressed
+    operators only (_cluster_vertices). A state becomes a vector of C^d only
+    for a certification residual. Extreme certification is one window test
+    over every vertex; dedupe and collinear reduction act on each face of
+    more than one vertex. A direction's face does not depend on the other
+    directions of the call.
     """
-    sf = support(vec, direction, deg_tol)
-    coords, states = _cluster_vertices(vec.mats, sf.eigenbasis, [direction.eta], deg_tol)
-    verts = _certify_extremes(vec, coords, states)
-    scale = max(1.0, float(np.abs(verts).max()))
-    points = _dedupe(verts, DEDUP_TOL * scale)
-    points = _reduce_collinear(points, DEDUP_TOL * scale)
-    sf.vertices = points
-    sf.is_point = len(points) == 1
-    return sf
+    records, members = _solve(vec, directions, deg_tol)
+    if not records:
+        return []
+    coords, states = [], []
+    for sf, compressed in zip(records, _compressed(vec, records, members)):
+        face_coords, face_states = _cluster_vertices(compressed, [sf.direction.eta], deg_tol)
+        coords.append(face_coords)
+        states.append(face_states)
+    offsets = np.cumsum([0, *(len(c) for c in coords)])
+
+    def state(v):
+        f = int(np.searchsorted(offsets, v, side="right")) - 1
+        return records[f].eigenbasis @ states[f][:, v - offsets[f]]
+
+    verts = _certify_extremes(vec, np.vstack(coords), state)
+    for f, sf in enumerate(records):
+        points = verts[offsets[f] : offsets[f + 1]]
+        if len(points) > 1:
+            scale = max(1.0, float(np.abs(points).max()))
+            points = _reduce_collinear(_dedupe(points, DEDUP_TOL * scale), DEDUP_TOL * scale)
+        sf.vertices = points
+        sf.is_point = len(points) == 1
+    return records
+
+
+def face(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFAULT) -> SupportFace:
+    """faces at one direction."""
+    return faces(vec, [direction], deg_tol)[0]
 
 
 def _cross2(o, a, b) -> float:
@@ -440,11 +520,9 @@ def boundary2d(vec: ObservableVec, steps: int = 360, deg_tol: float = DEG_TOL_DE
     """Faces at phi_k = 2 pi k / steps plus the convex hull of their vertices."""
     if vec.n != 2:
         raise DimensionMismatch("boundary2d needs a 2-operator vector")
-    if steps < 8:
-        raise ValueError("steps must be >= 8")
-    faces = [face(vec, d, deg_tol) for d in sweep_directions(2, steps)]
-    hull = convex_hull_2d(np.vstack([f.vertices for f in faces]))
-    return Boundary(faces=faces, grid=steps, deg_tol=deg_tol, hull=hull)
+    found = faces(vec, sweep_directions(2, steps), deg_tol)
+    hull = convex_hull_2d(np.vstack([f.vertices for f in found]))
+    return Boundary(faces=found, grid=steps, deg_tol=deg_tol, hull=hull)
 
 
 def boundary3d(
@@ -456,11 +534,8 @@ def boundary3d(
     """Lat-long sweep: theta_k = k pi/K (both poles), phi_k' = k' 2pi/K'."""
     if vec.n != 3:
         raise DimensionMismatch("boundary3d needs a 3-operator vector")
-    if theta_steps < 4 or phi_steps < 8:
-        raise ValueError("theta_steps >= 4 and phi_steps >= 8 required")
     grid = (theta_steps, phi_steps)
-    faces = [face(vec, d, deg_tol) for d in sweep_directions(3, grid)]
-    return Boundary(faces=faces, grid=grid, deg_tol=deg_tol)
+    return Boundary(faces=faces(vec, sweep_directions(3, grid), deg_tol), grid=grid, deg_tol=deg_tol)
 
 
 def hyperrect(vec: ObservableVec) -> Hyperrect:

@@ -1,6 +1,11 @@
 import os
 import re
 
+# one BLAS thread, as the benchmark runs; numpy is not imported yet when this
+# file loads, so the setting takes effect, and a caller's own setting wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 CI_LONG = os.environ.get("SPECRANGE_CI_LONG", "") == "1"
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")

@@ -8,8 +8,10 @@ so the tests can hold the eigensolver against them.
 ``dedupe_reference`` and ``face_vertices_reference`` are the face layer's
 vertex post-processing as per-vertex Python loops: the cell and greedy
 dedupe loops, one Bloch spinor and one matrix-vector product per ring
-direction, and one extreme-certification pass per vertex. The library's
-array code must reproduce them bitwise.
+direction, and one extreme-certification pass per vertex. They compress
+the dense operators, while the library reads its compressions from the
+blocks' bands, so the library's faces match them to a tolerance; from the
+same compressed operators (``pair_cluster_pairs``) they match bitwise.
 """
 
 import math
@@ -170,7 +172,7 @@ def _bloch_spinor(n: np.ndarray) -> np.ndarray:
     return np.array([complex(x, -y), 1.0 - z], dtype=np.complex128) / math.sqrt(2.0 * (1.0 - z))
 
 
-def _pair_cluster_pairs(lift: np.ndarray, compressed, steps: int) -> list:
+def pair_cluster_pairs(lift: np.ndarray, compressed, steps: int) -> list:
     center = np.array([float(np.real(b[0, 0] + b[1, 1])) / 2.0 for b in compressed])
     rows = np.array(
         [
@@ -216,7 +218,7 @@ def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float)
         psi = lift[:, 0]
         return [(numrange._expectations(mats, psi), psi)]
     if m == 2:
-        return _pair_cluster_pairs(lift, compressed, numrange.INNER_STEPS)
+        return pair_cluster_pairs(lift, compressed, numrange.INNER_STEPS)
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
         vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
@@ -248,9 +250,13 @@ def certify_extremes_reference(ops, coords: np.ndarray, psi: np.ndarray) -> np.n
 
 
 def face_vertices_reference(vec, direction, deg_tol: float = numrange.DEG_TOL_DEFAULT) -> np.ndarray:
-    """numrange.face(vec, direction, deg_tol).vertices, one vertex at a time."""
+    """numrange.face(vec, direction, deg_tol).vertices, one vertex at a time, from the dense operators."""
     sf = numrange.support(vec, direction, deg_tol)
-    pairs = cluster_pairs_reference(vec.mats, sf.eigenbasis, [direction.eta], deg_tol)
+    return vertices_from_pairs(vec, cluster_pairs_reference(vec.mats, sf.eigenbasis, [direction.eta], deg_tol))
+
+
+def vertices_from_pairs(vec, pairs: list) -> np.ndarray:
+    """A face's vertices from its (vertex, state) pairs: certification, dedupe and collinear reduction."""
     verts = [certify_extremes_reference(vec.ops, coords, psi) for coords, psi in pairs]
     scale = max(1.0, max(float(np.max(np.abs(v))) for v in verts))
     points = dedupe_reference(np.array(verts), numrange.DEDUP_TOL * scale)

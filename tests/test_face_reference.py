@@ -1,10 +1,16 @@
-"""The face layer's array code against its per-vertex reference path, bitwise.
+"""The face layer's array code against its per-vertex reference path.
 
 ``numrange._dedupe`` must keep the same rows in the same order as the cell
-and greedy loops of ``oracles.dedupe_reference``, and ``numrange.face`` must
-return the vertices of ``oracles.face_vertices_reference``, which builds one
-spinor, one coordinate and one certification per vertex. Equality is on the
-bytes, so a -0.0 kept in place of a 0.0 fails.
+and greedy loops of ``oracles.dedupe_reference``, bitwise, so a -0.0 kept in
+place of a 0.0 fails. ``numrange.face`` reads its compressed operators from
+the blocks' bands, while ``oracles.face_vertices_reference`` compresses the
+dense operators and builds one spinor, one coordinate and one certification
+per vertex; the two round differently, so a face must have the reference's
+vertex count, and each coordinate i must lie within
+1e-13 max(1, |eig_min_i|, |eig_max_i|) of the reference's. A near-circular
+doublet ring is the exception: its sample angles are not fixed to that
+accuracy, so it is checked bitwise against the loops run on the library's
+own compressed pair.
 """
 
 import math
@@ -13,7 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cells_reference, cluster_pairs_reference, dedupe_reference, face_vertices_reference
+from oracles import (
+    cells_reference,
+    dedupe_reference,
+    face_vertices_reference,
+    pair_cluster_pairs,
+    vertices_from_pairs,
+)
 from specrange import numrange
 from specrange.linalg import make_hermitian
 from specrange.numrange import diag_directions, direction2, direction3, face, support, sweep_directions
@@ -23,6 +35,14 @@ from specrange.spinops import HalfInt, ObservableVec, anticomm_vec, j_triple, js
 def assert_same_bits(got: np.ndarray, want: np.ndarray):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def assert_close_vertices(vec, got: np.ndarray, want: np.ndarray):
+    """Equal counts, and each coordinate within 1e-13 of its operator's spectral scale."""
+    assert got.shape == want.shape
+    ends, _ = vec.spectral_ends
+    tol = 1e-13 * np.maximum(1.0, np.abs(ends).max(axis=1))
+    assert np.all(np.abs(got - want) <= tol)
 
 
 # --- dedupe ------------------------------------------------------------------
@@ -126,13 +146,34 @@ ANTICOMM_RING_ANGLES = [
 ]
 
 
+def library_cluster(vec, direction):
+    """The support record at one direction and its operators compressed from the blocks' bands."""
+    records, members = numrange._solve(vec, [direction], numrange.DEG_TOL_DEFAULT)
+    return records[0], numrange._compressed(vec, records, members)[0]
+
+
 @pytest.mark.parametrize("theta, phi", ANTICOMM_RING_ANGLES)
 def test_face_anticomm_rings_match_reference(theta, phi):
+    """Near-circular doublet ellipses: the ring from the band compressions, bitwise.
+
+    The two in-plane singular values of these rings differ by 5e-5 down to
+    4e-10 of their size, so the SVD fixes the ring's sample angles only to
+    that relative split: an ulp change in the compressed pair rotates the
+    sampled ring, which moves vertices by up to 4e-8 and dedupe counts by
+    one. So the compressions are held to the dense ones within 1e-13 of
+    their scale, and the vertices to the per-vertex loops run on the same
+    compressed pair, on the bytes.
+    """
     vec = anticomm_vec(HalfInt(4), 1)
     direction = direction3(theta, phi)
     f = face(vec, direction)
     assert f.multiplicity == 2
-    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+    sf, compressed = library_cluster(vec, direction)
+    dense = np.array([sf.eigenbasis.conj().T @ m @ sf.eigenbasis for m in vec.mats])
+    scale = max(1.0, max(np.linalg.norm(m, 2) for m in vec.mats))
+    assert np.max(np.abs(compressed - dense)) <= 1e-13 * scale
+    pairs = pair_cluster_pairs(sf.eigenbasis, compressed, numrange.INNER_STEPS)
+    assert_same_bits(f.vertices, vertices_from_pairs(vec, pairs))
 
 
 def test_face_jsq2d_doublets_match_reference():
@@ -149,7 +190,7 @@ def test_face_jsq2d_doublets_match_reference():
             found.setdefault(len(homes) == 2, direction)
     assert set(found) == {True, False}
     for direction in found.values():
-        assert_same_bits(face(vec, direction).vertices, face_vertices_reference(vec, direction))
+        assert_close_vertices(vec, face(vec, direction).vertices, face_vertices_reference(vec, direction))
 
 
 def test_face_jpow4_ellipse_and_segment_match_reference():
@@ -158,7 +199,7 @@ def test_face_jpow4_ellipse_and_segment_match_reference():
     for direction, count in ((diag_directions()[0], 64), (direction3(0.0, 0.0), 2)):
         vertices = face(vec, direction).vertices
         assert len(vertices) == count
-        assert_same_bits(vertices, face_vertices_reference(vec, direction))
+        assert_close_vertices(vec, vertices, face_vertices_reference(vec, direction))
 
 
 def _generic_doublet_vec() -> ObservableVec:
@@ -180,7 +221,7 @@ def test_face_generic_doublet_matches_reference():
     f = face(vec, direction)
     assert f.multiplicity == 2
     assert len(f.vertices) == numrange.INNER_STEPS
-    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+    assert_close_vertices(vec, f.vertices, face_vertices_reference(vec, direction))
 
 
 @pytest.mark.parametrize(
@@ -193,19 +234,19 @@ def test_face_generic_doublet_matches_reference():
     ids=["generic", "anticomm", "jpow4"],
 )
 def test_ring_states_match_reference(vec, direction):
-    """The batched ring: coordinates bitwise, states within rounding of one spinor per vertex.
+    """The batched ring against one spinor and one coordinate per vertex, from the same compressed pair.
 
-    One matrix product over the spinor table need not round like one
-    matrix-vector product per spinor, so the states are compared within
-    1e-14; they only decide extreme certification.
+    Coordinates are compared on the bytes. One matrix product over the
+    spinor table need not round like one matrix-vector product per spinor,
+    so the states are compared within 1e-14; they only decide extreme
+    certification.
     """
-    sf = support(vec, direction)
-    fixed = [direction.eta]
-    coords, states = numrange._cluster_vertices(vec.mats, sf.eigenbasis, fixed, numrange.DEG_TOL_DEFAULT)
-    pairs = cluster_pairs_reference(vec.mats, sf.eigenbasis, fixed, numrange.DEG_TOL_DEFAULT)
+    sf, compressed = library_cluster(vec, direction)
+    coords, states = numrange._cluster_vertices(compressed, [direction.eta], numrange.DEG_TOL_DEFAULT)
+    pairs = pair_cluster_pairs(sf.eigenbasis, compressed, numrange.INNER_STEPS)
     assert len(pairs) == numrange.INNER_STEPS
     assert_same_bits(coords, np.array([point for point, _ in pairs]))
-    assert np.allclose(states, np.array([psi for _, psi in pairs]).T, rtol=0, atol=1e-14)
+    assert np.allclose(sf.eigenbasis @ states, np.array([psi for _, psi in pairs]).T, rtol=0, atol=1e-14)
 
 
 def test_face_thickened_doublet_matches_reference():
@@ -222,7 +263,7 @@ def test_face_thickened_doublet_matches_reference():
     f = face(vec, direction)
     assert f.multiplicity == 2
     assert len(f.vertices) > numrange.INNER_STEPS
-    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+    assert_close_vertices(vec, f.vertices, face_vertices_reference(vec, direction))
 
 
 def test_face_certified_extreme_matches_reference():
@@ -230,7 +271,7 @@ def test_face_certified_extreme_matches_reference():
     direction = direction3(math.pi / 2, 0.0)
     f = face(vec, direction)
     assert f.vertices[0, 0] == vec.ops[0].eig_max
-    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+    assert_close_vertices(vec, f.vertices, face_vertices_reference(vec, direction))
 
 
 def test_face_collision_pushed_inward_matches_reference():
@@ -247,4 +288,4 @@ def test_face_collision_pushed_inward_matches_reference():
     width = max(1.0, b.eig_max - b.eig_min)
     assert f.vertices[0, 1] == 1.0 - 1e-12 * width
     assert f.vertices[0, 0] == 1.0
-    assert_same_bits(f.vertices, face_vertices_reference(vec, direction))
+    assert_close_vertices(vec, f.vertices, face_vertices_reference(vec, direction))

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import char_coeffs
 from specrange.errors import NonHermitian, NotNormalized
-from specrange.linalg import combine_matrix, eig_hermitian, expectation, make_hermitian, split_blocks, top_eigenvalues
+from specrange.linalg import (
+    Block,
+    combine_matrix,
+    eig_hermitian,
+    expectation,
+    make_hermitian,
+    split_blocks,
+    top_eigenvalues,
+)
 from specrange.numrange import support, sweep_directions
 from specrange.spinops import (
     HalfInt,
@@ -192,6 +200,60 @@ def test_block_census_at_j10(case):
             assert not np.any(np.triu(sub, w + 1))
             for k in range(w + 1):
                 assert np.array_equal(band[w - k, k:], np.diagonal(sub, k))
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CENSUS), ids=lambda c: f"{c[0]}{c[1]}")
+def test_block_combine_rows_do_not_depend_on_the_batch(case):
+    """Each row of a batched Block.combine is bitwise the band of its coefficients alone."""
+    vec = BUILDERS[case[0]](HalfInt(20), case[1])
+    coeffs = np.random.default_rng(1).normal(size=(37, vec.n))
+    for block in split_blocks(vec.mats):
+        batch = block.combine(coeffs)
+        for row, band in zip(coeffs, batch):
+            assert block.combine(row).tobytes() == band.tobytes()
+            assert block.combine(row[None])[0].tobytes() == band.tobytes()
+
+
+def _diagonal_set():
+    jz = angular_momentum(HalfInt(20)).jz
+    return ObservableVec(ops=(jz, make_hermitian(jz.mat @ jz.mat, "Jz^2")), j=HalfInt(20), kind="J")
+
+
+def _orthonormal(rng, size: int, c: int, dtype) -> np.ndarray:
+    raw = rng.normal(size=(size, c))
+    if dtype == np.complex128:
+        raw = raw + 1j * rng.normal(size=(size, c))
+    return np.linalg.qr(raw)[0]
+
+
+def assert_compress_matches_dense(mats, block: Block, c: int, rng):
+    """Block.compress of a stack of c orthonormal columns against dense V^H A V, per operator."""
+    dtypes = (np.float64, np.complex128) if block.bands.dtype == np.float64 else (np.complex128,)
+    for dtype in dtypes:
+        vectors = np.stack([_orthonormal(rng, block.size, c, dtype) for _ in range(3)])
+        got = block.compress(vectors)
+        assert got.shape == (3, len(mats), c, c)
+        assert np.array_equal(got, np.swapaxes(got, -1, -2).conj())
+        for mat, rows in zip(mats, np.swapaxes(got, 0, 1)):
+            sub = mat[np.ix_(block.index, block.index)]
+            want = vectors.conj().transpose(0, 2, 1) @ sub @ vectors
+            assert np.max(np.abs(rows - want)) <= 1e-13 * max(1.0, np.linalg.norm(mat, 2))
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("case", [*BLOCK_CENSUS, "diagonal"], ids=lambda c: "".join(map(str, c)) if c != "diagonal" else c)
+def test_block_compress_matches_dense(case, c):
+    """V^H A_i V from the stored diagonals, on real and complex bands and on the b = 0 diagonal set."""
+    vec = _diagonal_set() if case == "diagonal" else BUILDERS[case[0]](HalfInt(20), case[1])
+    rng = np.random.default_rng(c)
+    blocks = [b for b in split_blocks(vec.mats) if b.size >= c]
+    if case == "diagonal":
+        # the diagonal set splits into blocks of one; pack it whole at b = 0 too
+        whole = np.stack([np.diag(m).real for m in vec.mats])[:, None, :]
+        blocks.append(Block(index=np.arange(vec.dim), bands=whole))
+    assert blocks
+    for block in blocks:
+        assert_compress_matches_dense(vec.mats, block, c, rng)
 
 
 def test_matmul_identity_and_commutator():

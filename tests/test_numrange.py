@@ -32,6 +32,7 @@ from specrange.spinops import (
     jsq_pair,
     ladder_combo,
     power_vec,
+    scale_uniform,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -290,9 +291,10 @@ def test_ring_states_realize_their_vertices(gamma, twice):
     """
     vec = power_vec(HalfInt(twice), gamma)
     for d in diag_directions():
-        sf = support(vec, d)
-        coords, states = numrange._cluster_vertices(vec.mats, sf.eigenbasis, [d.eta], numrange.DEG_TOL_DEFAULT)
-        for vertex, psi in zip(coords, states.T):
+        records, members = numrange._solve(vec, [d], numrange.DEG_TOL_DEFAULT)
+        compressed = numrange._compressed(vec, records, members)[0]
+        coords, states = numrange._cluster_vertices(compressed, [d.eta], numrange.DEG_TOL_DEFAULT)
+        for vertex, psi in zip(coords, (records[0].eigenbasis @ states).T):
             err = float(np.max(np.abs(numrange._expectations(vec.mats, psi) - vertex)))
             assert err <= 1e-12 * max(1.0, float(np.linalg.norm(vertex)))
 
@@ -420,6 +422,23 @@ def test_membership_margins():
     assert outside < 0
     margin = membership(jsq_pair(HalfInt(4)), [4.0, 1.0], 360)
     assert abs(margin) <= 1e-9
+
+
+# 3D grids that would sweep only the poles or a few directions, a 2D grid of
+# no directions, and grids of the other dimension's shape
+BAD_GRIDS = [(3, (0, 0)), (3, (1, 1)), (3, (2, 3)), (2, 0), (2, (12, 24)), (3, 24)]
+
+
+@pytest.mark.parametrize("n, grid", BAD_GRIDS, ids=str)
+def test_bad_grid_raises_value_error(n, grid):
+    """membership and the sweeps share sweep_directions' one grid check."""
+    vec = anticomm_vec(HalfInt(4), 1) if n == 3 else jsq_pair(HalfInt(4))
+    with pytest.raises(ValueError, match="grid"):
+        membership(vec, np.full(n, 100.0), grid)
+    if n == 3 and not isinstance(grid, tuple):
+        return  # boundary3d takes its grid as two counts
+    with pytest.raises(ValueError, match="grid"):
+        boundary2d(vec, grid) if n == 2 else boundary3d(vec, *grid)
 
 
 @pytest.mark.parametrize("entries, error", BAD_OPERATORS)
@@ -550,3 +569,32 @@ def test_boundary_deterministic():
     first = boundary2d(vec, steps=45)
     second = boundary2d(vec, steps=45)
     assert first.hull.tobytes() == second.hull.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, grid",
+    [
+        (lambda: jsq_pair(HalfInt(100)), 360),
+        (lambda: anticomm_vec(HalfInt(3), 1), (12, 24)),
+        (lambda: anticomm_vec(HalfInt(20), 1), (12, 24)),
+        (lambda: scale_uniform(power_vec(HalfInt(40), 3), 1.0 / 20.0**3), (12, 24)),
+    ],
+    ids=["jsq2d-j50", "anticomm-j3/2", "anticomm-j10", "jpow3-j20"],
+)
+def test_sweep_faces_match_single_direction_faces(build, grid):
+    """Every face of a sweep is bitwise the face solved at its direction alone."""
+    vec = build()
+    boundary = boundary2d(vec, grid) if vec.n == 2 else boundary3d(vec, *grid)
+    for swept in boundary.faces:
+        alone = face(vec, swept.direction)
+        assert alone.lambda_max == swept.lambda_max
+        assert alone.multiplicity == swept.multiplicity
+        assert alone.gap == swept.gap
+        assert alone.is_point == swept.is_point
+        assert alone.eigenbasis.tobytes() == swept.eigenbasis.tobytes()
+        assert alone.vertices.shape == swept.vertices.shape
+        assert alone.vertices.tobytes() == swept.vertices.tobytes()
+
+
+def test_faces_of_no_directions():
+    assert numrange.faces(j_triple(HalfInt(2)), []) == []
