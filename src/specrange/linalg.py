@@ -160,9 +160,17 @@ class Block:
         main diagonal and U_k the k-th superdiagonal, V^H A V = H + H^H for
         H = V^H (D/2) V + sum_k V[:m-k]^H U_k V[k:], so every result is
         Hermitian bitwise. Each entry is one sum over the block's positions,
-        so a row's result does not depend on the other rows of the call.
+        so a row's result does not depend on the other rows of the call. One
+        column (c = 1, an expectation value) sums over the positions alone.
         """
         b = self.bands.shape[1] - 1
+        if vectors.shape[-1] == 1:
+            col = vectors[..., None, :, 0]  # (..., 1, m)
+            left = col.conj()
+            half = (left * (0.5 * self.bands[:, b]) * col).sum(axis=-1)
+            for k in range(1, b + 1):
+                half += (left[..., :-k] * self.bands[:, b - k, k:] * col[..., k:]).sum(axis=-1)
+            return (half + half.conj())[..., None, None]
         left = vectors.conj()[..., None, :, :, None]  # (..., 1, m, c, 1)
         right = vectors[..., None, :, None, :]  # (..., 1, m, 1, c)
         half = (left * (0.5 * self.bands[:, b, :, None, None]) * right).sum(axis=-3)

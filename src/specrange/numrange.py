@@ -231,9 +231,12 @@ def _compressed(vec: ObservableVec, records, members) -> list[np.ndarray]:
     """
     out = [np.zeros((vec.n, sf.multiplicity, sf.multiplicity), dtype=np.complex128) for sf in records]
     for block, entries in zip(vec.blocks, members):
-        groups: dict[int, list] = {}
-        for entry in entries:
-            groups.setdefault(len(entry[1]), []).append(entry)
+        if len(entries) == 1:  # one direction, as face and refinement ask for
+            groups = {0: entries}
+        else:
+            groups = {}
+            for entry in entries:
+                groups.setdefault(len(entry[1]), []).append(entry)
         for group in groups.values():
             pieces = block.compress(np.stack([vectors for _, _, vectors in group]))
             for (k, cols, _), piece in zip(group, pieces):
@@ -257,7 +260,7 @@ def _expectations(mats, psi: np.ndarray) -> np.ndarray:
 _RING = np.array([(math.cos(t), math.sin(t)) for t in 2 * math.pi * np.arange(INNER_STEPS) / INNER_STEPS])
 
 
-def _pair_cluster_vertices(pair: np.ndarray):
+def _pair_cluster_vertices(pair: np.ndarray, fixed: list):
     """Extreme points of a 2-dim cluster's range, analytically, with their states (2, k).
 
     On C^2 each compressed operator is c_i I + v_i . sigma, so the range is
@@ -265,6 +268,15 @@ def _pair_cluster_vertices(pair: np.ndarray):
     point, read off from the SVD of the stacked v_i. A vertex is center +
     rows @ n for its Bloch direction n, one matrix-vector product per vertex
     (a stacked matmul): one matrix-matrix product need not round the same.
+
+    The ring is sampled from its Bloch plane alone, not from the SVD's axes
+    in it, which a near-circular ellipse fixes only to the split of its two
+    singular values. With u, w the first two rows after the fixed directions
+    of an orthonormal frame of mean-value space (cyclically, so w is the
+    fixed direction when one direction is free), the ring starts at the Bloch
+    direction of the range's support point along u and turns toward w. So
+    the samples depend on the range and the fixed directions only, not on
+    the cluster's basis.
     """
     center = (pair[:, 0, 0] + pair[:, 1, 1]).real / 2.0
     rows = np.stack([pair[:, 1, 0].real, pair[:, 1, 0].imag, (pair[:, 0, 0] - pair[:, 1, 1]).real / 2.0], axis=1)
@@ -274,7 +286,15 @@ def _pair_cluster_vertices(pair: np.ndarray):
     if rank == 1:
         dirs = np.array([vt[0], -vt[0]])
     else:
-        dirs = _RING[:, :1] * vt[0] + _RING[:, 1:] * vt[1]
+        frame = np.linalg.svd(np.array(fixed))[2]
+        u, w = frame[len(fixed)], frame[(len(fixed) + 1) % len(frame)]
+        a, b = vt[:2] @ (rows.T @ u)
+        norm = math.hypot(a, b)
+        start = (a * vt[0] + b * vt[1]) / norm
+        turn = (a * vt[1] - b * vt[0]) / norm  # start turned a quarter in the plane
+        if w @ (rows @ turn) < 0.0:
+            turn = -turn
+        dirs = _RING[:, :1] * start + _RING[:, 1:] * turn
         if rank == 3:  # near-degenerate cluster: range slightly thickened
             dirs = np.vstack([dirs, vt[2], -vt[2]])
     coords = center + np.matmul(rows, dirs[:, :, None])[:, :, 0]
@@ -310,7 +330,7 @@ def _cluster_vertices(compressed: np.ndarray, fixed: list, deg_tol: float):
         # every cluster state maps to the same mean vector: an exposed point
         return diag[:, 0][None], np.eye(m, 1)
     if m == 2:
-        return _pair_cluster_vertices(compressed)
+        return _pair_cluster_vertices(compressed, fixed)
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
         ends = eig_hermitian(combine_matrix(free[0], compressed)).vectors[:, [0, -1]]
@@ -416,8 +436,8 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
     operators only (_cluster_vertices). A state becomes a vector of C^d only
     for a certification residual. Extreme certification is one window test
     over every vertex; dedupe and collinear reduction act on each face of
-    more than one vertex. A direction's face does not depend on the other
-    directions of the call.
+    more than one vertex, at DEDUP_TOL times the operators' spectral scale.
+    A direction's face does not depend on the other directions of the call.
     """
     records, members = _solve(vec, directions, deg_tol)
     if not records:
@@ -434,11 +454,15 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
         return records[f].eigenbasis @ states[f][:, v - offsets[f]]
 
     verts = _certify_extremes(vec, np.vstack(coords), state)
+    # scaled by the operators, not by the face: a scale read from the face's
+    # own coordinates puts the largest one on an edge of the dedupe cells,
+    # where a rounding-level change moves it across and changes the count
+    ends, _ = vec.spectral_ends
+    tol = DEDUP_TOL * max(1.0, float(np.abs(ends).max()))
     for f, sf in enumerate(records):
         points = verts[offsets[f] : offsets[f + 1]]
         if len(points) > 1:
-            scale = max(1.0, float(np.abs(points).max()))
-            points = _reduce_collinear(_dedupe(points, DEDUP_TOL * scale), DEDUP_TOL * scale)
+            points = _reduce_collinear(_dedupe(points, tol), tol)
         sf.vertices = points
         sf.is_point = len(points) == 1
     return records

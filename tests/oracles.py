@@ -10,8 +10,7 @@ vertex post-processing as per-vertex Python loops: the cell and greedy
 dedupe loops, one Bloch spinor and one matrix-vector product per ring
 direction, and one extreme-certification pass per vertex. They compress
 the dense operators, while the library reads its compressions from the
-blocks' bands, so the library's faces match them to a tolerance; from the
-same compressed operators (``pair_cluster_pairs``) they match bitwise.
+blocks' bands, so the library's faces match them to a tolerance.
 """
 
 import math
@@ -172,7 +171,7 @@ def _bloch_spinor(n: np.ndarray) -> np.ndarray:
     return np.array([complex(x, -y), 1.0 - z], dtype=np.complex128) / math.sqrt(2.0 * (1.0 - z))
 
 
-def pair_cluster_pairs(lift: np.ndarray, compressed, steps: int) -> list:
+def _pair_cluster_pairs(lift: np.ndarray, compressed, fixed: list, steps: int) -> list:
     center = np.array([float(np.real(b[0, 0] + b[1, 1])) / 2.0 for b in compressed])
     rows = np.array(
         [
@@ -190,8 +189,18 @@ def pair_cluster_pairs(lift: np.ndarray, compressed, steps: int) -> list:
     if rank == 1:
         bloch_dirs = [vt[0], -vt[0]]
     else:
+        # start at the support point along the first free direction of mean
+        # space, turning toward the next direction of the frame
+        frame = np.linalg.svd(np.array(fixed))[2]
+        u, w = frame[len(fixed)], frame[(len(fixed) + 1) % len(frame)]
+        start = rows.T @ u
+        start = start - (start @ vt[2]) * vt[2]
+        start = start / np.linalg.norm(start)
+        turn = np.cross(vt[2], start)
+        if w @ (rows @ turn) < 0.0:
+            turn = -turn
         angles = 2 * math.pi * np.arange(steps) / steps
-        bloch_dirs = [math.cos(t) * vt[0] + math.sin(t) * vt[1] for t in angles]
+        bloch_dirs = [math.cos(t) * start + math.sin(t) * turn for t in angles]
         if rank == 3:
             bloch_dirs.extend([vt[2], -vt[2]])
     pairs = []
@@ -218,7 +227,7 @@ def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float)
         psi = lift[:, 0]
         return [(numrange._expectations(mats, psi), psi)]
     if m == 2:
-        return pair_cluster_pairs(lift, compressed, numrange.INNER_STEPS)
+        return _pair_cluster_pairs(lift, compressed, fixed, numrange.INNER_STEPS)
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
         vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
@@ -252,12 +261,8 @@ def certify_extremes_reference(ops, coords: np.ndarray, psi: np.ndarray) -> np.n
 def face_vertices_reference(vec, direction, deg_tol: float = numrange.DEG_TOL_DEFAULT) -> np.ndarray:
     """numrange.face(vec, direction, deg_tol).vertices, one vertex at a time, from the dense operators."""
     sf = numrange.support(vec, direction, deg_tol)
-    return vertices_from_pairs(vec, cluster_pairs_reference(vec.mats, sf.eigenbasis, [direction.eta], deg_tol))
-
-
-def vertices_from_pairs(vec, pairs: list) -> np.ndarray:
-    """A face's vertices from its (vertex, state) pairs: certification, dedupe and collinear reduction."""
+    pairs = cluster_pairs_reference(vec.mats, sf.eigenbasis, [direction.eta], deg_tol)
     verts = [certify_extremes_reference(vec.ops, coords, psi) for coords, psi in pairs]
-    scale = max(1.0, max(float(np.max(np.abs(v))) for v in verts))
+    scale = max(1.0, max(max(abs(op.eig_min), abs(op.eig_max)) for op in vec.ops))
     points = dedupe_reference(np.array(verts), numrange.DEDUP_TOL * scale)
     return numrange._reduce_collinear(points, numrange.DEDUP_TOL * scale)
