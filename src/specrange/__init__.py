@@ -24,14 +24,12 @@ from .linalg import (
     eig_hermitian,
     expectation,
     make_hermitian,
-    top_eigenvalues,
 )
 from .numrange import (
     Boundary,
     Direction,
     Hyperrect,
     SupportFace,
-    block_union_range,
     boundary2d,
     boundary3d,
     commuting_polytope,

@@ -52,8 +52,8 @@ class MeasureKind:
         if self.tag not in ("h", "u", "umax"):
             raise ValueError(f"unknown measure tag {self.tag!r}")
         if self.tag == "u":
-            if self.kappa is None or not self.kappa > 0:
-                raise ValueError("u measure needs kappa > 0")
+            if self.kappa is None or not 0 < self.kappa < math.inf:
+                raise ValueError("u measure needs a finite kappa > 0")
         elif self.kappa is not None:
             raise ValueError(f"{self.tag} takes no kappa")
 
@@ -99,7 +99,7 @@ def normalize_mean(x: float, lo: float, hi: float) -> tuple[float, float]:
     if width <= RANGE_TOL:
         raise DegenerateRange(f"interval [{lo}, {hi}] has zero width")
     slack = CLAMP_TOL * max(1.0, width)
-    if x < lo - slack or x > hi + slack:
+    if not lo - slack <= x <= hi + slack:  # NaN fails too
         raise ValueError(f"x={x} outside [{lo}, {hi}] beyond clamp tolerance")
     if x == lo:
         return 1.0, 0.0

@@ -2,8 +2,7 @@
 
 In the symmetric-subspace limit the scaled mean vectors reduce to products of
 Bloch components: power triples map the sphere through (x^g, y^g, z^g) and the
-anticommutator triples through ((2xz)^g, (2yz)^g, (2xy)^g). Fractional powers
-of negative reals use the real signed root sign(s)|s|^(1/g).
+anticommutator triples through ((2xz)^g, (2yz)^g, (2xy)^g).
 """
 
 from __future__ import annotations
@@ -27,11 +26,6 @@ LMIN_ETA1 = "LMIN_ETA1"
 MEAN_ETA1 = "MEAN_ETA1"
 
 G_REGION_TOL = 1e-10
-
-
-def signed_root(s: float, gamma: int) -> float:
-    """Real gamma-th root: sign(s) |s|^(1/gamma)."""
-    return math.copysign(abs(s) ** (1.0 / gamma), s)
 
 
 @dataclass(frozen=True)

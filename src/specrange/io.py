@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .bounds import BoundReport
-from .numrange import Boundary
+from .numrange import Boundary, convex_hull_2d
 from .spinops import HalfInt, ObservableVec
 
 SVG_SIZE = 480
@@ -85,7 +85,7 @@ def boundary_json(boundary: Boundary, j: HalfInt, set_name: str, gamma: int) -> 
             }
             for f in boundary.faces
         ],
-        "hull": [[float(c) for c in v] for v in boundary.hull],
+        "hull": [[float(c) for c in v] for v in convex_hull_2d(boundary.all_vertices())],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -158,7 +158,7 @@ def svg_polyline(points: np.ndarray) -> str:
 
 
 def boundary_svg(boundary: Boundary) -> str:
-    return svg_polyline(boundary.hull)
+    return svg_polyline(convex_hull_2d(boundary.all_vertices()))
 
 
 def mesh_svg(mesh: Boundary) -> str:

@@ -19,8 +19,9 @@ band-to-tridiagonal reduction, bisection for the selected eigenvalues,
 inverse iteration for their vectors.
 ``Block.compress`` reads V^H A_i V for columns V of the block's space from the
 stored diagonals, so the face layer never forms a dense operator.
-``top_eigenvalues`` is the max over blocks of each block's top eigenvalue;
-``numrange`` merges the blocks' top clusters into one.
+``block_top_eigenvalues`` is the max over blocks of each block's top
+eigenvalue, for many combinations at once; ``numrange`` merges the blocks'
+top clusters into one.
 """
 
 from __future__ import annotations
@@ -160,17 +161,9 @@ class Block:
         main diagonal and U_k the k-th superdiagonal, V^H A V = H + H^H for
         H = V^H (D/2) V + sum_k V[:m-k]^H U_k V[k:], so every result is
         Hermitian bitwise. Each entry is one sum over the block's positions,
-        so a row's result does not depend on the other rows of the call. One
-        column (c = 1, an expectation value) sums over the positions alone.
+        so a row's result does not depend on the other rows of the call.
         """
         b = self.bands.shape[1] - 1
-        if vectors.shape[-1] == 1:
-            col = vectors[..., None, :, 0]  # (..., 1, m)
-            left = col.conj()
-            half = (left * (0.5 * self.bands[:, b]) * col).sum(axis=-1)
-            for k in range(1, b + 1):
-                half += (left[..., :-k] * self.bands[:, b - k, k:] * col[..., k:]).sum(axis=-1)
-            return (half + half.conj())[..., None, None]
         left = vectors.conj()[..., None, :, :, None]  # (..., 1, m, c, 1)
         right = vectors[..., None, :, None, :]  # (..., 1, m, 1, c)
         half = (left * (0.5 * self.bands[:, b, :, None, None]) * right).sum(axis=-3)
@@ -254,15 +247,6 @@ def block_top_eigenvalues(coeffs, blocks) -> np.ndarray:
         rows = block.combine(coeffs)
         tops = np.maximum(tops, [band_top(row, 1, vectors=False)[0] for row in rows])
     return tops
-
-
-def top_eigenvalues(coeffs, mats) -> np.ndarray:
-    """lambda_max of sum_i coeffs[k, i] * mats[i] for every row k of coeffs.
-
-    The operators are validated and split into blocks once (split_blocks);
-    each row is the max over blocks of the block's top eigenvalue.
-    """
-    return block_top_eigenvalues(coeffs, split_blocks(mats))
 
 
 def expectation(obs: HermObservable, psi) -> float:

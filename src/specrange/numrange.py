@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBoundary, NonFinite, NotCommuting
+from .errors import DimensionMismatch, NonFinite, NotCommuting
 from .linalg import band_top, block_top_eigenvalues, combine_matrix, eig_hermitian
 from .spinops import ObservableVec
 
@@ -119,7 +119,6 @@ class Boundary:
     faces: list[SupportFace]
     grid: int | tuple[int, int]  # the sweep_directions grid, as membership takes it
     deg_tol: float = DEG_TOL_DEFAULT
-    hull: np.ndarray | None = None  # 2D only: (h, 2) extreme-point polygon, CCW
 
     def rows(self) -> list[list[SupportFace]]:
         """The faces as grid rows, columns in phi order.
@@ -231,12 +230,9 @@ def _compressed(vec: ObservableVec, records, members) -> list[np.ndarray]:
     """
     out = [np.zeros((vec.n, sf.multiplicity, sf.multiplicity), dtype=np.complex128) for sf in records]
     for block, entries in zip(vec.blocks, members):
-        if len(entries) == 1:  # one direction, as face and refinement ask for
-            groups = {0: entries}
-        else:
-            groups = {}
-            for entry in entries:
-                groups.setdefault(len(entry[1]), []).append(entry)
+        groups = {}
+        for entry in entries:
+            groups.setdefault(len(entry[1]), []).append(entry)
         for group in groups.values():
             pieces = block.compress(np.stack([vectors for _, _, vectors in group]))
             for (k, cols, _), piece in zip(group, pieces):
@@ -541,12 +537,10 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
 
 
 def boundary2d(vec: ObservableVec, steps: int = 360, deg_tol: float = DEG_TOL_DEFAULT) -> Boundary:
-    """Faces at phi_k = 2 pi k / steps plus the convex hull of their vertices."""
+    """Faces at phi_k = 2 pi k / steps."""
     if vec.n != 2:
         raise DimensionMismatch("boundary2d needs a 2-operator vector")
-    found = faces(vec, sweep_directions(2, steps), deg_tol)
-    hull = convex_hull_2d(np.vstack([f.vertices for f in found]))
-    return Boundary(faces=found, grid=steps, deg_tol=deg_tol, hull=hull)
+    return Boundary(faces=faces(vec, sweep_directions(2, steps), deg_tol), grid=steps, deg_tol=deg_tol)
 
 
 def boundary3d(
@@ -624,15 +618,3 @@ def commuting_polytope(vec: ObservableVec) -> np.ndarray:
     except QhullError:
         return pts  # degenerate (coplanar) clouds are returned as-is
 
-
-def block_union_range(parts, steps: int) -> np.ndarray:
-    """Hull of the union of several 2-operator boundaries (dimensions may differ)."""
-    parts = list(parts)
-    if not parts:
-        raise EmptyBoundary("no parts given")
-    vertex_sets = []
-    for part in parts:
-        if part.n != 2:
-            raise DimensionMismatch("block_union_range needs 2-operator vectors")
-        vertex_sets.append(boundary2d(part, steps=steps).all_vertices())
-    return convex_hull_2d(np.vstack(vertex_sets))

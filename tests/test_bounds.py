@@ -29,7 +29,7 @@ from specrange.bounds import (
     triviality_check,
 )
 from specrange.errors import DegenerateRange
-from specrange.linalg import top_eigenvalues
+from specrange.linalg import block_top_eigenvalues
 from specrange.numrange import (
     DEG_TOL_DEFAULT,
     Hyperrect,
@@ -69,6 +69,21 @@ def test_measure_kind_parse_and_sense():
         MeasureKind.parse("entropy")
     with pytest.raises(ValueError):
         MeasureKind.u(-1.0)
+    for text in ("uinf", "u1e400"):
+        with pytest.raises(ValueError):
+            MeasureKind.parse(text)
+
+
+def test_nan_coordinate_raises():
+    unit = Hyperrect(lo=(0.0, 0.0), hi=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        normalize_mean(math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        measure(MeasureKind.h(), math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        combined(MeasureKind.h(), [math.nan, 0.5], unit)
+    with pytest.raises(ValueError):
+        region_contains(MeasureKind.h(), 0.0, MIN, [math.nan, math.nan], unit)
 
 
 def test_normalize_mean_endpoints_and_midpoint():
@@ -282,7 +297,7 @@ def _umax_closed_form(vec) -> float:
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=rect.n)))
     slopes = signs / width
     norms = np.linalg.norm(slopes, axis=1)
-    lam = top_eigenvalues(slopes / norms[:, None], vec.mats)
+    lam = block_top_eigenvalues(slopes / norms[:, None], vec.blocks)
     return rect.n / 2.0 + float(np.max(norms * lam - slopes @ mid))
 
 
@@ -310,6 +325,32 @@ def test_umax_matches_closed_form(build, grid):
     value = optimize_bounds(vec, region, ["umax"]).results[0].value
     want = _umax_closed_form(vec)
     assert abs(value - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e3])
+@pytest.mark.parametrize(
+    "build, grid",
+    [
+        pytest.param(lambda: jsq_pair(HalfInt(5)), 64, id="jsq2d-2.5"),
+        pytest.param(lambda: anticomm_vec(HalfInt(2), 1), (12, 24), id="anticomm-1"),
+    ],
+)
+def test_scale_uniform_laws(build, grid, s):
+    """Scaling every operator by s scales each lambda_max by s and leaves the faces and the measures."""
+    vec = build()
+    scaled = scale_uniform(vec, s)
+
+    def sweep(v):
+        return boundary2d(v, grid) if isinstance(grid, int) else boundary3d(v, *grid)
+
+    region, region_s = sweep(vec), sweep(scaled)
+    for f, f_s in zip(region.faces, region_s.faces):
+        assert abs(f_s.lambda_max / s - f.lambda_max) <= 1e-12 * max(1.0, abs(f.lambda_max))
+        assert len(f_s.vertices) == len(f.vertices)
+    kinds = ["h", "u0.5", "u2", "umax"]
+    values = [r.value for r in optimize_bounds(vec, region, kinds).results]
+    values_s = [r.value for r in optimize_bounds(scaled, region_s, kinds).results]
+    assert np.allclose(values_s, values, rtol=0.0, atol=1e-12)
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=3, max_size=3))

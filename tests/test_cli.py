@@ -170,8 +170,10 @@ def test_numeric_failure_exit_code(tmp_path):
         ["check", "--j", "1", "--set", "j", "--point", "a,b,c"],
         ["sweep", "--family", "anticomm", "--quantity", "am", "--j-list", "1,x"],
         ["surface", "--family", "anticomm", "--gamma", "0"],
+        ["bounds", "--j", "1", "--set", "jsq2d", "--measures", "uinf", "--phi-steps", "16"],
+        ["bounds", "--j", "1", "--set", "jsq2d", "--measures", "u1e400", "--phi-steps", "16"],
     ],
-    ids=["check-point", "sweep-j-list", "surface-gamma"],
+    ids=["check-point", "sweep-j-list", "surface-gamma", "bounds-kappa-inf", "bounds-kappa-overflow"],
 )
 def test_malformed_argument_exits_2(args):
     assert run_cli(args) == 2
@@ -203,7 +205,7 @@ def readme_cli_examples():
 
 def test_readme_cli_examples(tmp_path):
     examples = readme_cli_examples()
-    assert len(examples) == 7
+    assert len(examples) == 8
     for i, args in enumerate(examples):
         out = tmp_path / f"example{i}.out"
         if "--out" in args:

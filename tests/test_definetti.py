@@ -9,7 +9,6 @@ from specrange.definetti import (
     convergence_sweep,
     g_region_contains,
     limit_region_contains,
-    signed_root,
     surface_anticomm,
     surface_jpow,
 )
@@ -18,12 +17,6 @@ from specrange.numrange import boundary3d, diag_directions
 from specrange.spinops import HalfInt, anticomm_vec, scale_uniform
 
 SQ3 = math.sqrt(3.0)
-
-
-def test_signed_root():
-    assert signed_root(-8.0, 3) == pytest.approx(-2.0, abs=1e-14)
-    assert signed_root(8.0, 3) == pytest.approx(2.0, abs=1e-14)
-    assert signed_root(0.0, 5) == 0.0
 
 
 def test_bloch_grid_contains_axes():

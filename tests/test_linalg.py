@@ -8,12 +8,12 @@ from oracles import char_coeffs
 from specrange.errors import NonHermitian, NotNormalized
 from specrange.linalg import (
     Block,
+    block_top_eigenvalues,
     combine_matrix,
     eig_hermitian,
     expectation,
     make_hermitian,
     split_blocks,
-    top_eigenvalues,
 )
 from specrange.numrange import support, sweep_directions
 from specrange.spinops import (
@@ -118,7 +118,7 @@ def assert_top_matches_support(vec, grid):
     by 2.7e-11 against a 40-digit reference, while the banded one is off by 1.4e-14.
     """
     dirs = sweep_directions(vec.n, grid)
-    tops = top_eigenvalues(np.array([d.eta for d in dirs]), vec.mats)
+    tops = block_top_eigenvalues(np.array([d.eta for d in dirs]), split_blocks(vec.mats))
     assert tops.shape == (len(dirs),)
     for d, top in zip(dirs, tops):
         lam = support(vec, d).lambda_max

@@ -9,7 +9,6 @@ from specrange.errors import DimensionMismatch, NonFinite, NonHermitian, NotComm
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
 from specrange.numrange import (
     Direction,
-    block_union_range,
     boundary2d,
     boundary3d,
     commuting_polytope,
@@ -302,27 +301,31 @@ def test_ring_states_realize_their_vertices(gamma, twice):
 # --- boundary2d ------------------------------------------------------------
 
 
+def hull_of(boundary):
+    return convex_hull_2d(boundary.all_vertices())
+
+
 def test_boundary2d_point_region():
-    b = boundary2d(jsq_pair(HalfInt(1)), steps=16)
-    assert b.hull.shape == (1, 2)
-    assert np.allclose(b.hull[0], [0.25, 0.25], atol=1e-12)
+    hull = hull_of(boundary2d(jsq_pair(HalfInt(1)), steps=16))
+    assert hull.shape == (1, 2)
+    assert np.allclose(hull[0], [0.25, 0.25], atol=1e-12)
 
 
 def test_boundary2d_triangle():
     b = boundary2d(jsq_pair(HalfInt(2)), steps=360)
-    match_point_sets(b.hull, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 1e-10)
+    match_point_sets(hull_of(b), [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 1e-10)
 
 
 def test_boundary2d_ellipse_constraint():
     b = boundary2d(jsq_pair(HalfInt(3)), steps=360)
-    v = b.hull
+    v = hull_of(b)
     residual = (v[:, 0] + v[:, 1] - 2.5) ** 2 + (v[:, 0] - v[:, 1]) ** 2 / 3.0 - 1.0
     assert np.max(np.abs(residual)) <= 1e-8
 
 
 def test_boundary2d_hull_convex():
     for vec in (jsq_pair(HalfInt(4)), ladder_combo(HalfInt(4), 2)):
-        hull = boundary2d(vec, steps=180).hull
+        hull = hull_of(boundary2d(vec, steps=180))
         n = len(hull)
         scale = max(1.0, float(np.max(np.abs(hull))))
         for i in range(n):
@@ -334,7 +337,7 @@ def test_boundary2d_hull_convex():
 def test_boundary2d_hull_subset_of_samples():
     b = boundary2d(jsq_pair(HalfInt(5)), steps=90)
     allv = b.all_vertices()
-    for h in b.hull:
+    for h in hull_of(b):
         assert np.min(np.linalg.norm(allv - h, axis=1)) <= 1e-12
 
 
@@ -502,25 +505,32 @@ def test_commuting_polytope_matches_sweep(case):
         xsq = make_hermitian(ops.jx.mat @ ops.jx.mat, "Jx^2")
         vec = ObservableVec(ops=(ops.jx, xsq), j=j, kind="JPOW", gamma=1)
     poly = commuting_polytope(vec)
-    swept = boundary2d(vec, steps=360).hull
+    swept = hull_of(boundary2d(vec, steps=360))
     match_point_sets(poly, swept, 1e-8)
 
 
-# --- block union -----------------------------------------------------------
+# --- block union: the range of a direct sum --------------------------------
+
+
+def direct_sum(parts):
+    """The 2-operator vector whose operators are block_diag of the parts' operators."""
+    ops = tuple(
+        make_hermitian(scipy.linalg.block_diag(*(part.mats[i] for part in parts)), parts[0].ops[i].label)
+        for i in range(2)
+    )
+    return ObservableVec(ops=ops, j=parts[0].j, kind=parts[0].kind, gamma=parts[0].gamma)
 
 
 def test_block_union_matches_single():
     vec = jsq_pair(HalfInt(3))
     single = boundary2d(vec, steps=90)
-    union = block_union_range([vec], steps=90)
-    match_point_sets(single.hull, union, 1e-12)
+    union = hull_of(boundary2d(direct_sum([vec]), steps=90))
+    match_point_sets(hull_of(single), union, 1e-12)
 
 
 def test_block_union_adds_lowest_corner():
-    union = block_union_range(
-        [jsq_pair(HalfInt(7)), jsq_pair(HalfInt(5)), jsq_pair(HalfInt(3)), jsq_pair(HalfInt(1))],
-        steps=120,
-    )
+    parts = [jsq_pair(HalfInt(7)), jsq_pair(HalfInt(5)), jsq_pair(HalfInt(3)), jsq_pair(HalfInt(1))]
+    union = hull_of(boundary2d(direct_sum(parts), steps=120))
     top_only = boundary2d(jsq_pair(HalfInt(7)), steps=120)
     expected = np.vstack([top_only.all_vertices(), [[0.25, 0.25]]])
     expected_hull = convex_hull_2d(expected)
@@ -529,7 +539,7 @@ def test_block_union_adds_lowest_corner():
 
 
 def test_block_union_with_trivial_block():
-    union = block_union_range([jsq_pair(HalfInt(8)), jsq_pair(HalfInt(0))], steps=90)
+    union = hull_of(boundary2d(direct_sum([jsq_pair(HalfInt(8)), jsq_pair(HalfInt(0))]), steps=90))
     assert np.min(np.linalg.norm(union - np.array([0.0, 0.0]), axis=1)) <= 1e-12
 
 
@@ -568,7 +578,7 @@ def test_boundary_deterministic():
     vec = jsq_pair(HalfInt(5))
     first = boundary2d(vec, steps=45)
     second = boundary2d(vec, steps=45)
-    assert first.hull.tobytes() == second.hull.tobytes()
+    assert hull_of(first).tobytes() == hull_of(second).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("limit_surfaces.py", ["--j-max", "3/2", "--mu-steps", "9", "--nu-steps", "18"]),
         ("sweep_bound_lists.py", ["--j-max", "3/2", "--theta-steps", "6", "--phi-steps", "12"]),
         ("reproduce_bound_tables.py", ["--j-list", "5/2", "--phi-steps", "36"]),
+        ("readme_outputs.py", []),
     ],
 )
 def test_script_runs(script, args, tmp_path):
