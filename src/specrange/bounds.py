@@ -6,10 +6,21 @@ u_kappa for kappa < 1) are minimized over the boundary, convex ones
 (u_kappa for kappa > 1, u_max) maximized. Optima found on the sweep grid are
 refined by successive linearization: each step solves the face at the
 measure's gradient, whose best vertex is the next point.
+
+Scoring is array code. _weights maps a (V, n) vertex array to its (dot, ring)
+weights, and _scores sums each vertex's per-coordinate measures in coordinate
+order, so a whole sweep is scored in one call per measure and each face's
+best value is a reduceat over its vertex range. Logarithms and powers are
+taken element by element with math.log and Python's float power, not with
+numpy's vectorized log and power, which differ from libm in the last ulp on
+some arguments; so every value is bitwise that of one scalar measure call per
+coordinate. normalize_mean, measure and combined are the array functions at
+one point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -93,37 +104,69 @@ class MeasureKind:
         return self.tag
 
 
-def normalize_mean(x: float, lo: float, hi: float) -> tuple[float, float]:
-    """Split x in [lo, hi] into the complementary weights (dot, ring)."""
+def _weights(points, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Split every coordinate of a (V, n) point array into the complementary weights (dot, ring).
+
+    Coordinate i lies in [lo[i], hi[i]] up to a clamp slack of
+    CLAMP_TOL max(1, hi - lo). A coordinate equal to an endpoint bitwise gets
+    exact weights; any other is held RING_FLOOR off them (ramped in below the
+    smallest normal float). The first bad coordinate, in vertex then
+    coordinate order, raises: DegenerateRange for a zero-width interval,
+    ValueError past the slack (NaN included).
+    """
+    points = np.asarray(points, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     width = hi - lo
-    if width <= RANGE_TOL:
-        raise DegenerateRange(f"interval [{lo}, {hi}] has zero width")
-    slack = CLAMP_TOL * max(1.0, width)
-    if not lo - slack <= x <= hi + slack:  # NaN fails too
-        raise ValueError(f"x={x} outside [{lo}, {hi}] beyond clamp tolerance")
-    if x == lo:
-        return 1.0, 0.0
-    if x == hi:
-        return 0.0, 1.0
-    ring = (min(max(x, lo), hi) - lo) / width
-    floor = RING_FLOOR
-    if x > lo and ring < RING_RAMP:
-        floor *= ring / RING_RAMP
-    ring = min(max(ring, floor), 1.0 - RING_FLOOR)
+    slack = CLAMP_TOL * np.maximum(1.0, width)
+    bad = (width <= RANGE_TOL) | ~((lo - slack <= points) & (points <= hi + slack))  # NaN fails too
+    if bad.any():
+        v, i = np.unravel_index(np.argmax(bad), bad.shape)
+        if width[i] <= RANGE_TOL:
+            raise DegenerateRange(f"interval [{float(lo[i])}, {float(hi[i])}] has zero width")
+        raise ValueError(f"x={float(points[v, i])} outside [{float(lo[i])}, {float(hi[i])}] beyond clamp tolerance")
+    ring = (np.minimum(np.maximum(points, lo), hi) - lo) / width
+    # the floor ramps in from 0 at lo over subnormal rings (so ring stays 0 at an
+    # exact lo) and is RING_FLOOR below lo; the cap is 1 at an exact hi
+    floor = RING_FLOOR * np.minimum(ring / RING_RAMP + (points < lo), 1.0)
+    cap = np.where(points == hi, 1.0, 1.0 - RING_FLOOR)
+    ring = np.minimum(np.maximum(ring, floor), cap)
     return 1.0 - ring, ring
 
 
-def measure(kind: MeasureKind, x: float, lo: float, hi: float) -> float:
-    dot, ring = normalize_mean(x, lo, hi)
+def _map(fn, w: np.ndarray, *args) -> np.ndarray:
+    """fn(element, *args) over the elements of w as Python floats, so each value is libm's, bit for bit."""
+    values = map(fn, w.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, dtype=float, count=w.size).reshape(w.shape)
+
+
+def _measures(kind: MeasureKind, dot: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """The per-coordinate measure of each (dot, ring) weight pair; h's w ln w is 0 at w = 0."""
     if kind.tag == "h":
-        out = 0.0
-        for w in (dot, ring):
-            if w > 0.0:
-                out -= w * math.log(w)
-        return out
+        dot_log = dot * _map(math.log, np.where(dot > 0.0, dot, 1.0))
+        ring_log = ring * _map(math.log, np.where(ring > 0.0, ring, 1.0))
+        return (0.0 - dot_log) - ring_log
     if kind.tag == "u":
-        return dot**kind.kappa + ring**kind.kappa
-    return max(dot, ring)
+        return _map(pow, dot, kind.kappa) + _map(pow, ring, kind.kappa)
+    return np.maximum(dot, ring)
+
+
+def _scores(kind: MeasureKind, dot: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """combined at each row of (V, n) weights: 0 + m_0 + m_1 + ..., coordinates in order."""
+    total = np.zeros(len(dot))
+    for column in _measures(kind, dot, ring).T:
+        total = total + column
+    return total
+
+
+def normalize_mean(x: float, lo: float, hi: float) -> tuple[float, float]:
+    """Split x in [lo, hi] into the complementary weights (dot, ring)."""
+    dot, ring = _weights([[x]], [lo], [hi])
+    return float(dot[0, 0]), float(ring[0, 0])
+
+
+def measure(kind: MeasureKind, x: float, lo: float, hi: float) -> float:
+    return float(_measures(kind, *_weights([[x]], [lo], [hi]))[0, 0])
 
 
 def combined(kind: MeasureKind, r, rect: Hyperrect) -> float:
@@ -131,7 +174,7 @@ def combined(kind: MeasureKind, r, rect: Hyperrect) -> float:
     r = np.asarray(r, dtype=float)
     if r.shape != (rect.n,):
         raise ValueError(f"point shape {r.shape} does not match rect n={rect.n}")
-    return sum(measure(kind, float(x), lo, hi) for x, lo, hi in zip(r, rect.lo, rect.hi))
+    return float(_scores(kind, *_weights(r[None], rect.lo, rect.hi))[0])
 
 
 @dataclass
@@ -149,19 +192,20 @@ class BoundReport:
     rect: Hyperrect
 
 
-def _best_vertex(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> tuple[np.ndarray, float]:
-    """The face vertex that scores best for the measure, with its value."""
-    vals = [combined(kind, v, rect) for v in f.vertices]
+def _best_vertex(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """The best value of the measure over the face's vertices, with that vertex's weights (dot, ring)."""
+    dot, ring = _weights(f.vertices, rect.lo, rect.hi)
+    vals = _scores(kind, dot, ring)
     i = int(np.argmin(vals) if sense == MIN else np.argmax(vals))
-    return f.vertices[i], vals[i]
+    return float(vals[i]), dot[i], ring[i]
 
 
 def _better(u: float, v: float, sense: str) -> bool:
     return u < v if sense == MIN else u > v
 
 
-def _gradient(kind: MeasureKind, r, rect: Hyperrect) -> np.ndarray:
-    """The gradient of combined at r, or its limit direction where a slope is unbounded.
+def _gradient(kind: MeasureKind, dots: np.ndarray, rings: np.ndarray, rect: Hyperrect) -> np.ndarray:
+    """The gradient of combined at the point of weights (dots, rings), or its limit direction where a slope is unbounded.
 
     Per coordinate, with w = hi - lo: h gives ln(dot/ring)/w, u_kappa gives
     kappa (ring^(kappa-1) - dot^(kappa-1))/w and umax sign(ring - dot)/w. At an
@@ -172,8 +216,7 @@ def _gradient(kind: MeasureKind, r, rect: Hyperrect) -> np.ndarray:
     grad = np.zeros(rect.n)
     steep = np.zeros(rect.n)
     unbounded = kind.tag == "h" or (kind.tag == "u" and kind.kappa < 1.0)
-    for i, (x, lo, hi) in enumerate(zip(r, rect.lo, rect.hi)):
-        dot, ring = normalize_mean(float(x), lo, hi)
+    for i, (dot, ring, lo, hi) in enumerate(zip(dots.tolist(), rings.tolist(), rect.lo, rect.hi)):
         width = hi - lo
         if unbounded and (dot == 0.0 or ring == 0.0):
             steep[i] = 1.0 if ring == 0.0 else -1.0
@@ -209,9 +252,9 @@ def _ascend(vec, start, kind: MeasureKind, rect: Hyperrect, deg_tol: float):
     """
     sense = kind.sense
     direction = start.direction
-    x, value = _best_vertex(kind, start, rect, sense)
+    value, dot, ring = _best_vertex(kind, start, rect, sense)
     for _ in range(MAX_STEPS):
-        g = _gradient(kind, x, rect)
+        g = _gradient(kind, dot, ring, rect)
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
             break
@@ -219,10 +262,10 @@ def _ascend(vec, start, kind: MeasureKind, rect: Hyperrect, deg_tol: float):
         if np.linalg.norm(eta - direction.eta) <= ANGLE_TOL:
             break
         step = _direction(eta)
-        x_new, found = _best_vertex(kind, face(vec, step, deg_tol), rect, sense)
+        found, dot_new, ring_new = _best_vertex(kind, face(vec, step, deg_tol), rect, sense)
         if not _better(found, value, sense):
             break
-        direction, x, value = step, x_new, found
+        direction, value, dot, ring = step, found, dot_new, ring_new
     return _angles(direction), value
 
 
@@ -232,14 +275,15 @@ def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]
     Column kp of a row is read modulo that row's length, so a row of one face
     meets each neighbouring row at its column 0.
     """
-    cmp = (lambda u, v: u <= v) if sense == MIN else (lambda u, v: u >= v)
+    cmp = np.less_equal if sense == MIN else np.greater_equal
     out = []
     for k, row in enumerate(values):
-        for kp, v in enumerate(row):
-            neighbors = [row[kp - 1], row[(kp + 1) % len(row)]]
-            neighbors += [values[i][kp % len(values[i])] for i in (k - 1, k + 1) if 0 <= i < len(values)]
-            if all(cmp(v, w) for w in neighbors):
-                out.append((k, kp))
+        ok = cmp(row, np.roll(row, 1)) & cmp(row, np.roll(row, -1))
+        cols = np.arange(len(row))
+        for i in (k - 1, k + 1):
+            if 0 <= i < len(values):
+                ok &= cmp(row, values[i][cols % len(values[i])])
+        out.extend((k, int(kp)) for kp in np.flatnonzero(ok))
     return out
 
 
@@ -258,7 +302,10 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
     rows = boundary.rows()
-    results = [_optimize(vec, rows, kind, rect, boundary.deg_tol) for kind in kinds]
+    faces = [f for row in rows for f in row]
+    points = np.vstack([f.vertices for f in faces])
+    starts = np.cumsum([0] + [len(f.vertices) for f in faces[:-1]])
+    results = [_optimize(vec, rows, points, starts, kind, rect, boundary.deg_tol) for kind in kinds]
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
 
@@ -285,20 +332,29 @@ def _angles(direction) -> tuple[float, ...]:
     return (direction.phi,) if direction.theta is None else (direction.theta, direction.phi)
 
 
-def _optimize(vec, rows, kind, rect, deg_tol) -> MeasureResult:
+def _optimize(vec, rows, points, starts, kind, rect, deg_tol) -> MeasureResult:
+    """One measure's bound: the sweep's vertices (rows order, face k from starts[k]) scored in one call."""
     sense = kind.sense
-    values = [np.array([_best_vertex(kind, f, rect, sense)[1] for f in row]) for row in rows]
-    evaluated = [(_angles(f.direction), v) for row, vals in zip(rows, values) for f, v in zip(row, vals)]
+    scores = _scores(kind, *_weights(points, rect.lo, rect.hi))
+    flat = (np.minimum if sense == MIN else np.maximum).reduceat(scores, starts)
+    values = np.split(flat, np.cumsum([len(row) for row in rows])[:-1])
     candidates = _local_optima(values, sense)
     candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == MAX))
-    flat = np.concatenate(values)
     best = float(flat.min() if sense == MIN else flat.max())
+    refined = []
     for k, kp in candidates[:MAX_REFINE]:
         angles, v = _ascend(vec, rows[k][kp], kind, rect, deg_tol)
-        evaluated.append((angles, v))
+        refined.append((angles, v))
         if _better(v, best, sense):
             best = v
-    angles = _collect(evaluated, best)
+    # only grid faces within VALUE_TOL of the final best can be collected
+    near = [
+        (_angles(f.direction), v)
+        for row, vals in zip(rows, values)
+        for f, v in zip(row, vals)
+        if abs(v - best) <= VALUE_TOL
+    ]
+    angles = _collect(near + refined, best)
     return MeasureResult(kind=kind, value=best, sense=sense, angles=angles)
 
 

@@ -162,7 +162,5 @@ def boundary_svg(boundary: Boundary) -> str:
 
 
 def mesh_svg(mesh: Boundary) -> str:
-    """2D projection of the mesh vertices onto the first two coordinates."""
-    pts = mesh.all_vertices()[:, :2]
-    hull_like = pts[np.argsort(np.arctan2(pts[:, 1] - pts[:, 1].mean(), pts[:, 0] - pts[:, 0].mean()))]
-    return svg_polyline(hull_like)
+    """Outline of the mesh vertices projected onto the first two coordinates: their 2D hull."""
+    return svg_polyline(convex_hull_2d(mesh.all_vertices()[:, :2]))

@@ -11,14 +11,20 @@ dedupe loops, one Bloch spinor and one matrix-vector product per ring
 direction, and one extreme-certification pass per vertex. They compress
 the dense operators, while the library reads its compressions from the
 blocks' bands, so the library's faces match them to a tolerance.
+
+``normalize_mean_reference`` through ``local_optima_reference`` are the
+scoring layer as per-vertex Python loops: one ``normalize_mean`` and one
+``math`` call per coordinate, summed vertex by vertex, and the grid's local
+optima found node by node. ``bounds`` scores in array code with the same
+``math`` calls, so its values match them bitwise.
 """
 
 import math
 
 import numpy as np
 
-from specrange import numrange
-from specrange.errors import UnsupportedJ
+from specrange import bounds, numrange
+from specrange.errors import DegenerateRange, UnsupportedJ
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian
 from specrange.spinops import KIND_JSQ2D, HalfInt
 
@@ -266,3 +272,71 @@ def face_vertices_reference(vec, direction, deg_tol: float = numrange.DEG_TOL_DE
     scale = max(1.0, max(max(abs(op.eig_min), abs(op.eig_max)) for op in vec.ops))
     points = dedupe_reference(np.array(verts), numrange.DEDUP_TOL * scale)
     return numrange._reduce_collinear(points, numrange.DEDUP_TOL * scale)
+
+
+# --- the scoring layer's per-vertex path ---------------------------------------
+
+
+def normalize_mean_reference(x: float, lo: float, hi: float) -> tuple[float, float]:
+    """Split x in [lo, hi] into the complementary weights (dot, ring)."""
+    width = hi - lo
+    if width <= bounds.RANGE_TOL:
+        raise DegenerateRange(f"interval [{lo}, {hi}] has zero width")
+    slack = bounds.CLAMP_TOL * max(1.0, width)
+    if not lo - slack <= x <= hi + slack:  # NaN fails too
+        raise ValueError(f"x={x} outside [{lo}, {hi}] beyond clamp tolerance")
+    if x == lo:
+        return 1.0, 0.0
+    if x == hi:
+        return 0.0, 1.0
+    ring = (min(max(x, lo), hi) - lo) / width
+    floor = bounds.RING_FLOOR
+    if x > lo and ring < bounds.RING_RAMP:
+        floor *= ring / bounds.RING_RAMP
+    ring = min(max(ring, floor), 1.0 - bounds.RING_FLOOR)
+    return 1.0 - ring, ring
+
+
+def measure_reference(kind, x: float, lo: float, hi: float) -> float:
+    dot, ring = normalize_mean_reference(x, lo, hi)
+    if kind.tag == "h":
+        out = 0.0
+        for w in (dot, ring):
+            if w > 0.0:
+                out -= w * math.log(w)
+        return out
+    if kind.tag == "u":
+        return dot**kind.kappa + ring**kind.kappa
+    return max(dot, ring)
+
+
+def combined_reference(kind, r, rect) -> float:
+    """Sum of the per-coordinate measure over the mean vector r."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (rect.n,):
+        raise ValueError(f"point shape {r.shape} does not match rect n={rect.n}")
+    return sum(measure_reference(kind, float(x), lo, hi) for x, lo, hi in zip(r, rect.lo, rect.hi))
+
+
+def best_vertex_reference(kind, f, rect, sense: str) -> tuple[np.ndarray, float]:
+    """The face vertex that scores best for the measure, with its value."""
+    vals = [combined_reference(kind, v, rect) for v in f.vertices]
+    i = int(np.argmin(vals) if sense == bounds.MIN else np.argmax(vals))
+    return f.vertices[i], vals[i]
+
+
+def local_optima_reference(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]:
+    """Grid nodes no worse than their neighbours; columns wrap around, rows do not.
+
+    Column kp of a row is read modulo that row's length, so a row of one face
+    meets each neighbouring row at its column 0.
+    """
+    cmp = (lambda u, v: u <= v) if sense == bounds.MIN else (lambda u, v: u >= v)
+    out = []
+    for k, row in enumerate(values):
+        for kp, v in enumerate(row):
+            neighbors = [row[kp - 1], row[(kp + 1) % len(row)]]
+            neighbors += [values[i][kp % len(values[i])] for i in (k - 1, k + 1) if 0 <= i < len(values)]
+            if all(cmp(v, w) for w in neighbors):
+                out.append((k, kp))
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -21,6 +22,7 @@ from specrange.bounds import (
     _collect,
     _direction,
     _gradient,
+    _weights,
     combined,
     measure,
     normalize_mean,
@@ -38,6 +40,7 @@ from specrange.numrange import (
     direction2,
     direction3,
     face,
+    faces,
     hyperrect,
 )
 from specrange.spinops import HalfInt, anticomm_vec, jsq_pair, ladder_combo, power_vec, scale_uniform
@@ -353,6 +356,50 @@ def test_scale_uniform_laws(build, grid, s):
     assert np.allclose(values_s, values, rtol=0.0, atol=1e-12)
 
 
+def gradient_at(kind, r, rect):
+    """_gradient at the point r, from r's weights."""
+    dot, ring = _weights(np.array([r], dtype=float), rect.lo, rect.hi)
+    return _gradient(kind, dot[0], ring[0], rect)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: anticomm_vec(HalfInt(2), 1), id="anticomm-1"),
+        pytest.param(lambda: _jpow3_scaled(4), id="jpow3-2"),
+    ],
+)
+def test_operator_permutation_laws(build):
+    """Permuting the operators permutes the hyperrect and every face's vertices, and keeps each bound.
+
+    The permuted set's face at eta' is the original face at the direction e
+    with e[perm[k]] = eta'[k], read in permuted coordinates. The bounds agree
+    to 1e-12, not bitwise: the measure sums its coordinates in another order.
+    """
+    vec = build()
+    kinds = ["h", "u0.5", "u2", "umax"]
+    values = [r.value for r in optimize_bounds(vec, boundary3d(vec, 12, 24), kinds).results]
+    rect = hyperrect(vec)
+    for perm in itertools.permutations(range(3)):
+        cols = list(perm)
+        permuted = dataclasses.replace(vec, ops=tuple(vec.ops[i] for i in perm))
+        mesh = boundary3d(permuted, 12, 24)
+        rect_p = hyperrect(permuted)
+        assert (rect_p.lo, rect_p.hi) == (tuple(np.array(rect.lo)[cols]), tuple(np.array(rect.hi)[cols]))
+        back = []
+        for f in mesh.faces:
+            eta = np.zeros(3)
+            eta[cols] = f.direction.eta
+            back.append(_direction(eta))
+        for f, g in zip(mesh.faces, faces(vec, back, mesh.deg_tol)):
+            want = g.vertices[:, cols]
+            assert len(f.vertices) == len(want)
+            gaps = np.max(np.abs(f.vertices[:, None] - want[None]), axis=2)
+            assert np.max(np.min(gaps, axis=1)) <= 1e-12
+        values_p = [r.value for r in optimize_bounds(permuted, mesh, kinds).results]
+        assert np.allclose(values_p, values, rtol=0.0, atol=1e-12), perm
+
+
 @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_gradient_matches_central_differences(ts):
@@ -360,7 +407,7 @@ def test_gradient_matches_central_differences(ts):
     lo, width = np.array(rect.lo), np.array(rect.hi) - np.array(rect.lo)
     r = lo + np.array(ts) * width
     for kind in (MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0)):
-        grad = _gradient(kind, r, rect)
+        grad = gradient_at(kind, r, rect)
         for i in range(3):
             step = np.zeros(3)
             step[i] = 1e-6 * width[i]
@@ -371,10 +418,10 @@ def test_gradient_matches_central_differences(ts):
 def test_gradient_at_exact_endpoints_is_sign_only():
     rect = Hyperrect(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0))
     for kind in (MeasureKind.h(), MeasureKind.u(0.5)):
-        assert list(_gradient(kind, [0.0, 0.3, 0.6], rect)) == [1.0, 0.0, 0.0]
-        assert list(_gradient(kind, [1.0, 0.3, 0.0], rect)) == [-1.0, 0.0, 1.0]
+        assert list(gradient_at(kind, [0.0, 0.3, 0.6], rect)) == [1.0, 0.0, 0.0]
+        assert list(gradient_at(kind, [1.0, 0.3, 0.0], rect)) == [-1.0, 0.0, 1.0]
     # kappa > 1 has finite slope there: the plain gradient
-    assert list(_gradient(MeasureKind.u(2.0), [0.0, 0.5, 1.0], rect)) == [-2.0, 0.0, 2.0]
+    assert list(gradient_at(MeasureKind.u(2.0), [0.0, 0.5, 1.0], rect)) == [-2.0, 0.0, 2.0]
 
 
 def test_ascent_ending_at_a_pole_reports_phi_zero():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from specrange.cli import run
+from specrange.numrange import boundary3d, convex_hull_2d
+from specrange.spinops import HalfInt, anticomm_vec
 
 
 def run_cli(args):
@@ -150,6 +153,21 @@ def test_svg_output(tmp_path):
     text = out.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text
+
+
+def test_mesh_svg_draws_the_projected_hull(tmp_path):
+    # anticomm j = 2 on 12x24: 266 vertices project onto the (v1, v2) plane,
+    # and the polyline visits the 24 of them that convex_hull_2d keeps, then closes
+    vec = anticomm_vec(HalfInt(4), 1)
+    pts = boundary3d(vec, 12, 24).all_vertices()[:, :2]
+    hull = convex_hull_2d(pts)
+    assert (len(pts), len(hull)) == (266, 24)
+    out = tmp_path / "m.svg"
+    args = ["mesh", "--j", "2", "--set", "anticomm", "--theta-steps", "12", "--phi-steps", "24"]
+    assert run_cli([*args, "--format", "svg", "--out", str(out)]) == 0
+    points = re.search(r'<polyline points="([^"]*)"', out.read_text()).group(1).split()
+    assert len(points) == len(hull) + 1
+    assert points[0] == points[-1]
 
 
 def test_usage_error_exit_code():

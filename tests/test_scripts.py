@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("sweep_bound_lists.py", ["--j-max", "3/2", "--theta-steps", "6", "--phi-steps", "12"]),
         ("reproduce_bound_tables.py", ["--j-list", "5/2", "--phi-steps", "36"]),
         ("readme_outputs.py", []),
+        ("table_digests.py", []),
     ],
 )
 def test_script_runs(script, args, tmp_path):
