@@ -290,8 +290,9 @@ def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]
 def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
-    The boundary is read through its rows view, a grid of faces (one row of
-    phi in 2D, rows of theta in 3D). Each of the best MAX_REFINE grid optima
+    The faces are scored in place, in grid order, and their local optima
+    found on the rows view (one row of phi in 2D, rows of theta in 3D).
+    Each of the best MAX_REFINE grid optima
     is refined by successive linearization (_ascend): the face at the
     measure's gradient, taken at the current best vertex, gives the next
     vertex while the value strictly improves. Every grid angle and refined
@@ -302,9 +303,8 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
     rows = boundary.rows()
-    faces = [f for row in rows for f in row]
-    points = np.vstack([f.vertices for f in faces])
-    starts = np.cumsum([0] + [len(f.vertices) for f in faces[:-1]])
+    points = boundary.all_vertices()
+    starts = np.cumsum([0] + [len(f.vertices) for f in boundary.faces[:-1]])
     results = [_optimize(vec, rows, points, starts, kind, rect, boundary.deg_tol) for kind in kinds]
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
@@ -333,7 +333,7 @@ def _angles(direction) -> tuple[float, ...]:
 
 
 def _optimize(vec, rows, points, starts, kind, rect, deg_tol) -> MeasureResult:
-    """One measure's bound: the sweep's vertices (rows order, face k from starts[k]) scored in one call."""
+    """One measure's bound: the sweep's vertices (face k from starts[k], in grid order) scored in one call."""
     sense = kind.sense
     scores = _scores(kind, *_weights(points, rect.lo, rect.hi))
     flat = (np.minimum if sense == MIN else np.maximum).reduceat(scores, starts)

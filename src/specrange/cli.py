@@ -193,6 +193,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check":
+        n = 2 if args.set in SETS_2D else 3
+        if len(args.point) != n:  # a usage error, like any malformed argument
+            err = f"specrange check: error: --point of the {args.set} set takes {n} coordinates, got {len(args.point)}"
+            print(err, file=sys.stderr)
+            return 2
         vec = build_set(args)
         grid = args.phi_steps if vec.n == 2 else (args.theta_steps, args.phi_steps)
         margin = membership(vec, args.point, grid)

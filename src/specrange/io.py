@@ -40,11 +40,10 @@ def boundary_csv(boundary: Boundary) -> str:
 
 def mesh_csv(mesh: Boundary) -> str:
     rows = []
-    for row in mesh.rows():
-        for f in row:
-            d = f.direction
-            for idx, v in enumerate(f.vertices):
-                rows.append([d.theta, d.phi, f.lambda_max, f.multiplicity, v[0], v[1], v[2], idx])
+    for f in mesh.faces:
+        d = f.direction
+        for idx, v in enumerate(f.vertices):
+            rows.append([d.theta, d.phi, f.lambda_max, f.multiplicity, v[0], v[1], v[2], idx])
     return csv_text(
         ["theta", "phi", "lambda_max", "multiplicity", "v1", "v2", "v3", "vertex_index"], rows
     )
@@ -52,10 +51,9 @@ def mesh_csv(mesh: Boundary) -> str:
 
 def gaps_csv(mesh: Boundary) -> str:
     rows = []
-    for row in mesh.rows():
-        for f in row:
-            gap = f.gap if f.gap is not None else float("nan")
-            rows.append([f.direction.theta, f.direction.phi, f.lambda_max, gap])
+    for f in mesh.faces:
+        gap = f.gap if f.gap is not None else float("nan")
+        rows.append([f.direction.theta, f.direction.phi, f.lambda_max, gap])
     return csv_text(["theta", "phi", "lambda_max", "gap"], rows)
 
 

@@ -7,9 +7,10 @@ directions: each block of the operator set forms and solves every direction's
 band, the blocks' top clusters merge per direction (``support`` is that step
 at one direction), and the operators are compressed onto each cluster from
 the blocks' stored diagonals (``linalg.Block.compress``). Every face is built
-from those small compressed operators alone: a point when they are scalar,
-the analytic range of a pair, or a rebuild one free dimension at a time
-(_cluster_vertices). ``face`` is ``faces`` at one direction.
+from those small compressed operators alone, by its number of free
+directions (_cluster_vertices): a point when they are scalar, a segment
+when one direction is free, and with two the analytic range of a pair or a
+ring of segments. ``face`` is ``faces`` at one direction.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ def sweep_directions(n: int, grid) -> list[Direction]:
 
     n = 2: grid is a step count K' >= 8, the ring phi_k' = 2 pi k'/K'.
     n = 3: grid is a pair (K, K') with K >= 4 and K' >= 8, the lat-long grid
-    theta_k = k pi/K, phi_k' = 2 pi k'/K'; the north and south poles come
-    first, then rows k = 1..K-1 of K' directions. Any other grid raises
-    ValueError.
+    theta_k = k pi/K, phi_k' = 2 pi k'/K', in grid order: the north pole,
+    rows k = 1..K-1 of K' directions, then the south pole. Any other grid
+    raises ValueError.
     """
     if n == 2:
         if not isinstance(grid, numbers.Integral) or grid < 8:
@@ -92,10 +93,10 @@ def sweep_directions(n: int, grid) -> list[Direction]:
         raise ValueError(f"a 3D grid is a pair (theta_steps >= 4, phi_steps >= 8), got {grid!r}")
     K, Kp = grid
     phis = 2 * math.pi * np.arange(Kp) / Kp
-    dirs = [direction3(0.0, 0.0), direction3(math.pi, 0.0)]
+    dirs = [direction3(0.0, 0.0)]
     for theta in np.linspace(0.0, math.pi, K + 1)[1:-1]:
         dirs.extend(direction3(float(theta), float(p)) for p in phis)
-    return dirs
+    return [*dirs, direction3(math.pi, 0.0)]
 
 
 @dataclass
@@ -128,9 +129,8 @@ class Boundary:
         """
         if not isinstance(self.grid, tuple):
             return [self.faces]
-        north, south, *inner = self.faces
-        kp = self.grid[1]
-        return [[north], *(inner[k : k + kp] for k in range(0, len(inner), kp)), [south]]
+        f, kp = self.faces, self.grid[1]
+        return [f[:1], *(f[k : k + kp] for k in range(1, len(f) - 1, kp)), f[-1:]]
 
     def all_vertices(self) -> np.ndarray:
         return np.vstack([f.vertices for f in self.faces])
@@ -251,13 +251,13 @@ def _expectations(mats, psi: np.ndarray) -> np.ndarray:
     return np.array([float(np.real(psi.conj() @ (m @ psi))) for m in mats])
 
 
-# the ring a doublet ellipse is sampled on, as (cos t, sin t) rows at
-# t = 2 pi k / INNER_STEPS; libm's cos/sin, which numpy's need not match bitwise
-_RING = np.array([(math.cos(t), math.sin(t)) for t in 2 * math.pi * np.arange(INNER_STEPS) / INNER_STEPS])
+# sweep_directions(2, INNER_STEPS) as (cos t, sin t) rows: the ring a free
+# plane is swept on and a doublet ellipse is sampled on
+_RING = np.array([d.eta for d in sweep_directions(2, INNER_STEPS)])
 
 
-def _pair_cluster_vertices(pair: np.ndarray, fixed: list):
-    """Extreme points of a 2-dim cluster's range, analytically, with their states (2, k).
+def _pair_cluster_vertices(pair: np.ndarray, free: np.ndarray):
+    """Extreme points of a 2-dim cluster's range in the free plane, analytically, with their states (2, k).
 
     On C^2 each compressed operator is c_i I + v_i . sigma, so the range is
     the affine image of the Bloch sphere: an ellipse ring, a segment, or a
@@ -267,12 +267,10 @@ def _pair_cluster_vertices(pair: np.ndarray, fixed: list):
 
     The ring is sampled from its Bloch plane alone, not from the SVD's axes
     in it, which a near-circular ellipse fixes only to the split of its two
-    singular values. With u, w the first two rows after the fixed directions
-    of an orthonormal frame of mean-value space (cyclically, so w is the
-    fixed direction when one direction is free), the ring starts at the Bloch
-    direction of the range's support point along u and turns toward w. So
-    the samples depend on the range and the fixed directions only, not on
-    the cluster's basis.
+    singular values. With u, w = free, the orthonormal rows spanning the
+    plane the face lies in, the ring starts at the Bloch direction of the
+    range's support point along u and turns toward w. So the samples depend
+    on the range and the free plane only, not on the cluster's basis.
     """
     center = (pair[:, 0, 0] + pair[:, 1, 1]).real / 2.0
     rows = np.stack([pair[:, 1, 0].real, pair[:, 1, 0].imag, (pair[:, 0, 0] - pair[:, 1, 1]).real / 2.0], axis=1)
@@ -282,8 +280,7 @@ def _pair_cluster_vertices(pair: np.ndarray, fixed: list):
     if rank == 1:
         dirs = np.array([vt[0], -vt[0]])
     else:
-        frame = np.linalg.svd(np.array(fixed))[2]
-        u, w = frame[len(fixed)], frame[(len(fixed) + 1) % len(frame)]
+        u, w = free
         a, b = vt[:2] @ (rows.T @ u)
         norm = math.hypot(a, b)
         start = (a * vt[0] + b * vt[1]) / norm
@@ -308,13 +305,14 @@ def _cluster_vertices(compressed: np.ndarray, fixed: list, deg_tol: float):
 
     compressed holds the operators compressed onto the cluster, (n, m, m).
     Every state of the cluster attains the hyperplane of each unit direction
-    in `fixed`, so the face lies in their orthogonal complement: a point when
-    the cluster is one state or every compressed operator is scalar, the
-    analytic range of a pair when m = 2, a segment when one direction is
-    free; when two are, a convex set (Toeplitz-Hausdorff) swept on a ring
-    whose every top cluster recurses on the operators compressed once more,
-    with its direction fixed, so the recursion is at most n - 1 deep and
-    never leaves the cluster's space.
+    in `fixed`, so the face lies in their orthogonal complement and is built
+    by its number of free directions: a point when the cluster is one state
+    or every compressed operator is scalar; with one, the segment between
+    the extreme eigenvectors of the free operator, for any m; with two, the
+    analytic range of a pair when m = 2, else a convex set
+    (Toeplitz-Hausdorff) swept on _RING in the free plane, whose every top
+    cluster, compressed once more with its direction fixed, has one free
+    direction: the recursion is one level deep.
     """
     m = compressed.shape[1]
     if m == 1:
@@ -325,15 +323,14 @@ def _cluster_vertices(compressed: np.ndarray, fixed: list, deg_tol: float):
     if float(np.max(np.abs(compressed - means[:, None, None] * np.eye(m)))) <= 1e-10 * scale:
         # every cluster state maps to the same mean vector: an exposed point
         return diag[:, 0][None], np.eye(m, 1)
-    if m == 2:
-        return _pair_cluster_vertices(compressed, fixed)
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
         ends = eig_hermitian(combine_matrix(free[0], compressed)).vectors[:, [0, -1]]
         return np.real(np.sum(ends.conj() * (compressed @ ends), axis=1)).T, ends
+    if m == 2:
+        return _pair_cluster_vertices(compressed, free)
     parts = []
-    for direction in sweep_directions(2, INNER_STEPS):
-        eta = direction.eta @ free
+    for eta in _RING @ free:
         _, top = _top_cluster(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
         inner = top.conj().T @ compressed @ top
         coords, states = _cluster_vertices((inner + inner.conj().transpose(0, 2, 1)) / 2.0, [*fixed, eta], deg_tol)
@@ -390,12 +387,9 @@ def _dedupe(points: np.ndarray, tol: float) -> np.ndarray:
         return points
     # the cell pass keeps each cell's first point; the greedy pass, one
     # pairwise Chebyshev matrix, catches cell-straddling duplicates and keeps
-    # each row close to no row kept before it. The 64-survivor cap bounds that
-    # n^2 matrix's memory, not its time: a face recursed on a ring can leave
-    # thousands of points, which are returned after the cell pass.
+    # each row close to no row kept before it. A face has at most
+    # 2 INNER_STEPS vertices (a ring of segments), so the matrix stays small.
     points = _first_in_cell(points, tol)
-    if len(points) > 64:
-        return points
     close = np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol
     np.fill_diagonal(close, False)
     if not close.any():

@@ -156,12 +156,10 @@ def cells_reference(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def dedupe_reference(points: np.ndarray, tol: float) -> np.ndarray:
-    """The cell pass, then a greedy pass over at most 64 survivors."""
+    """The cell pass, then a greedy pass over its survivors."""
     if len(points) <= 1:
         return points
     points = cells_reference(points, tol)
-    if len(points) > 64:
-        return points
     kept: list[np.ndarray] = []
     for p in points:
         if not any(np.max(np.abs(p - q)) <= tol for q in kept):
@@ -177,7 +175,7 @@ def _bloch_spinor(n: np.ndarray) -> np.ndarray:
     return np.array([complex(x, -y), 1.0 - z], dtype=np.complex128) / math.sqrt(2.0 * (1.0 - z))
 
 
-def _pair_cluster_pairs(lift: np.ndarray, compressed, fixed: list, steps: int) -> list:
+def _pair_cluster_pairs(lift: np.ndarray, compressed, free: np.ndarray, steps: int) -> list:
     center = np.array([float(np.real(b[0, 0] + b[1, 1])) / 2.0 for b in compressed])
     rows = np.array(
         [
@@ -196,9 +194,8 @@ def _pair_cluster_pairs(lift: np.ndarray, compressed, fixed: list, steps: int) -
         bloch_dirs = [vt[0], -vt[0]]
     else:
         # start at the support point along the first free direction of mean
-        # space, turning toward the next direction of the frame
-        frame = np.linalg.svd(np.array(fixed))[2]
-        u, w = frame[len(fixed)], frame[(len(fixed) + 1) % len(frame)]
+        # space, turning toward the second
+        u, w = free
         start = rows.T @ u
         start = start - (start @ vt[2]) * vt[2]
         start = start / np.linalg.norm(start)
@@ -232,13 +229,13 @@ def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float)
     ):
         psi = lift[:, 0]
         return [(numrange._expectations(mats, psi), psi)]
-    if m == 2:
-        return _pair_cluster_pairs(lift, compressed, fixed, numrange.INNER_STEPS)
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
         vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
         ends = (lift @ vectors[:, 0], lift @ vectors[:, -1])
         return [(numrange._expectations(mats, psi), psi) for psi in ends]
+    if m == 2:
+        return _pair_cluster_pairs(lift, compressed, free, numrange.INNER_STEPS)
     pairs = []
     for direction in numrange.sweep_directions(2, numrange.INNER_STEPS):
         eta = direction.eta @ free

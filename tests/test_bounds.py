@@ -43,7 +43,16 @@ from specrange.numrange import (
     faces,
     hyperrect,
 )
-from specrange.spinops import HalfInt, anticomm_vec, jsq_pair, ladder_combo, power_vec, scale_uniform
+from specrange.spinops import (
+    HalfInt,
+    anticomm_vec,
+    j_triple,
+    jsq_pair,
+    ladder_combo,
+    power_vec,
+    rotate_frame,
+    scale_uniform,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -398,6 +407,37 @@ def test_operator_permutation_laws(build):
             assert np.max(np.min(gaps, axis=1)) <= 1e-12
         values_p = [r.value for r in optimize_bounds(permuted, mesh, kinds).results]
         assert np.allclose(values_p, values, rtol=0.0, atol=1e-12), perm
+
+
+@pytest.mark.parametrize("twice", [2, 3, 4, 7])
+def test_rotate_frame_laws(twice):
+    """A rotated j triple has the same region, the ball of radius j, and the same hyperrect, so the same bounds."""
+    vec = j_triple(HalfInt(twice))
+    kinds = ["h", "u0.5", "u2", "umax"]
+    values = [r.value for r in optimize_bounds(vec, boundary3d(vec, 12, 24), kinds).results]
+    for theta, phi in ((0.3, 1.1), (1.2, 4.0), (2.5, 0.7)):
+        rotated = rotate_frame(vec, theta, phi)
+        values_r = [r.value for r in optimize_bounds(rotated, boundary3d(rotated, 12, 24), kinds).results]
+        assert np.allclose(values_r, values, rtol=0.0, atol=1e-12), (theta, phi)
+
+
+DEG_TOL_SETS = [
+    *(pytest.param(lambda t=t: jsq_pair(HalfInt(t)), 360, id=f"jsq2d-{t / 2:g}") for t in (3, 10, 20)),
+    *(pytest.param(lambda t=t: anticomm_vec(HalfInt(t), 1), (12, 24), id=f"anticomm-{t / 2:g}") for t in (2, 3, 10, 20)),
+    *(pytest.param(lambda t=t: _jpow3_scaled(t), (12, 24), id=f"jpow3-{t / 2:g}") for t in (2, 10, 20)),
+]
+
+
+@pytest.mark.parametrize("build, grid", DEG_TOL_SETS)
+def test_bounds_stable_across_deg_tol_band(build, grid):
+    """Every bound is the same to 1e-9 for any deg_tol in [1e-10, 1e-6]: no cluster cut in that band moves it."""
+    vec = build()
+    kinds = ["h", "u0.5", "u2", "umax"]
+    values = []
+    for deg_tol in (1e-10, 1e-8, 1e-6):
+        region = boundary2d(vec, grid, deg_tol) if isinstance(grid, int) else boundary3d(vec, *grid, deg_tol)
+        values.append([r.value for r in optimize_bounds(vec, region, kinds).results])
+    assert np.allclose(values, values[1], rtol=0.0, atol=1e-9)
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=3, max_size=3))

@@ -186,15 +186,23 @@ def test_numeric_failure_exit_code(tmp_path):
     "args",
     [
         ["check", "--j", "1", "--set", "j", "--point", "a,b,c"],
+        ["check", "--j", "1", "--set", "j", "--point", "0.4,0.4"],
         ["sweep", "--family", "anticomm", "--quantity", "am", "--j-list", "1,x"],
         ["surface", "--family", "anticomm", "--gamma", "0"],
         ["bounds", "--j", "1", "--set", "jsq2d", "--measures", "uinf", "--phi-steps", "16"],
         ["bounds", "--j", "1", "--set", "jsq2d", "--measures", "u1e400", "--phi-steps", "16"],
     ],
-    ids=["check-point", "sweep-j-list", "surface-gamma", "bounds-kappa-inf", "bounds-kappa-overflow"],
+    ids=["check-point", "check-point-count", "sweep-j-list", "surface-gamma", "bounds-kappa-inf", "bounds-kappa-overflow"],
 )
-def test_malformed_argument_exits_2(args):
+def test_malformed_argument_exits_2(args, capsys):
     assert run_cli(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("set_name, point, n", [("j", "0.4,0.4", 3), ("jsq2d", "1,2,3", 2)])
+def test_check_point_count_names_expected(set_name, point, n, capsys):
+    assert run_cli(["check", "--j", "1", "--set", set_name, "--point", point]) == 2
+    assert f"takes {n} coordinates" in capsys.readouterr().err
 
 
 def test_check_non_finite_point_is_numeric_failure(capsys):

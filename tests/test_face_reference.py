@@ -94,15 +94,15 @@ def _line(count: int, tol: float) -> np.ndarray:
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize(
     "survivors, kept",
-    [(1, 1), (2, 1), (64, 63), (65, 65)],
-    ids=["1-survivor", "2-survivors", "64-survivors", "65-survivors-capped"],
+    [(1, 1), (2, 1), (64, 63), (65, 64)],
+    ids=["1-survivor", "2-survivors", "64-survivors", "65-survivors"],
 )
 def test_dedupe_cap_both_sides(survivors, kept, tol):
     """survivors - 1 separated points plus a copy of the first one ulp below its cell.
 
     The cell pass keeps the copy, so `survivors` rows reach the greedy pass,
-    which merges the copy into the first row unless the 64-row cap skips it.
-    A 1-survivor cloud is one point repeated.
+    which merges the copy into the first row at any count: no cap on either
+    side of 64 rows skips it. A 1-survivor cloud is one point repeated.
     """
     if survivors == 1:
         points = np.repeat(_line(1, tol) + 0.5 * tol, 5, axis=0)

@@ -279,6 +279,39 @@ def test_face_ring_dense_in_curved_face():
         assert want - got <= 5e-3 * radius
 
 
+@pytest.mark.parametrize(
+    "vec",
+    [*(jsq_pair(HalfInt(2 * j)) for j in (10, 30, 50)), ladder_combo(HalfInt(4), 2)],
+    ids=["jsq2d-10", "jsq2d-30", "jsq2d-50", "ladder-2"],
+)
+def test_2d_faces_are_points_or_segments(vec):
+    """A 2D face has one free direction, so every face, doublets included, is a point or a segment."""
+    assert max(len(f.vertices) for f in boundary2d(vec, 360).faces) <= 2
+
+
+def test_ring_faces_reach_dedupe_with_at_most_two_points_per_ring_direction(monkeypatch):
+    """A ring face is INNER_STEPS sub-faces of one free direction each, so at most 2 INNER_STEPS points."""
+    sizes = []
+    dedupe = numrange._dedupe
+
+    def recorded(points, tol):
+        sizes.append(len(points))
+        return dedupe(points, tol)
+
+    monkeypatch.setattr(numrange, "_dedupe", recorded)
+    face(power_vec(HalfInt(6), 2), diag_directions()[0])
+    face(_segment_set(3), direction3(0.0, 0.0), deg_tol=1e-6)
+    assert len(sizes) == 2
+    assert max(sizes) <= 2 * numrange.INNER_STEPS
+
+
+def test_ring_table_is_libm_cos_sin():
+    """_RING is sweep_directions(2, INNER_STEPS): libm's (cos t, sin t), bit for bit."""
+    angles = 2 * math.pi * np.arange(numrange.INNER_STEPS) / numrange.INNER_STEPS
+    table = np.array([(math.cos(t), math.sin(t)) for t in angles])
+    assert numrange._RING.tobytes() == table.tobytes()
+
+
 @pytest.mark.parametrize("gamma", [2, 4])
 @pytest.mark.parametrize("twice", range(2, 9))
 def test_ring_states_realize_their_vertices(gamma, twice):
