@@ -46,6 +46,8 @@ RING_FLOOR = 5e-16
 RING_RAMP = sys.float_info.min
 VALUE_TOL = 1e-9
 ANGLE_TOL = 1e-7
+# _collect's cell width: twice _same_angles' 10 ANGLE_TOL, so a matching pair is at most one cell apart
+ANGLE_CELL = 20 * ANGLE_TOL
 REGION_TOL = 1e-9
 TRIVIAL_TOL = 1e-6
 MAX_REFINE = 16
@@ -229,13 +231,19 @@ def _gradient(kind: MeasureKind, dots: np.ndarray, rings: np.ndarray, rect: Hype
     return steep if steep.any() else grad
 
 
+def _phi(eta: np.ndarray) -> float:
+    """atan2 of eta's first two coordinates in [0, 2 pi): a tiny negative angle,
+    which % rounds up to exactly 2 pi, is folded to 0."""
+    phi = math.atan2(eta[1], eta[0]) % (2 * math.pi)
+    return 0.0 if phi == 2 * math.pi else phi
+
+
 def _direction(eta: np.ndarray):
     """The sweep direction of the unit vector eta; phi in [0, 2 pi), and 0 at a pole."""
     if len(eta) == 2:
-        return direction2(math.atan2(eta[1], eta[0]) % (2 * math.pi))
+        return direction2(_phi(eta))
     rho = math.hypot(eta[0], eta[1])
-    phi = math.atan2(eta[1], eta[0]) % (2 * math.pi) if rho > 0.0 else 0.0
-    return direction3(math.atan2(rho, eta[2]), phi)
+    return direction3(math.atan2(rho, eta[2]), _phi(eta) if rho > 0.0 else 0.0)
 
 
 def _ascend(vec, start, kind: MeasureKind, rect: Hyperrect, deg_tol: float):
@@ -320,11 +328,44 @@ def _same_angles(u: tuple[float, ...], v: tuple[float, ...]) -> bool:
     )
 
 
+def _cell(angles: tuple[float, ...]) -> tuple[int, ...]:
+    return tuple(math.floor(a / ANGLE_CELL) for a in angles)
+
+
+def _around(cell: tuple[int, ...]):
+    return itertools.product(*((c - 1, c, c + 1) for c in cell))
+
+
 def _collect(evaluated, best: float):
+    """The angles whose value lies within VALUE_TOL of best, sorted; of those
+    that _same_angles matches, the first one met is kept.
+
+    Kept angles are indexed by cell, ANGLE_CELL wide per coordinate, and a
+    candidate is tested only against the 3^k cells around it: a matching pair
+    is at most 10 ANGLE_TOL apart, half a cell, so never two cells apart.
+    phi lies in [0, 2 pi]; within a cell of the seam it is also looked up at
+    phi -/+ 2 pi, which covers the narrower last cell and phi = 2 pi.
+    """
     keep = []
+    cells: dict[tuple[int, ...], list] = {}
     for angles, value in evaluated:
-        if abs(value - best) <= VALUE_TOL and not any(_same_angles(angles, kept) for kept in keep):
+        if not abs(value - best) <= VALUE_TOL:
+            continue
+        *theta, phi = angles
+        shifts = [0.0]
+        if phi < ANGLE_CELL:
+            shifts.append(2 * math.pi)
+        elif phi > 2 * math.pi - ANGLE_CELL:
+            shifts.append(-2 * math.pi)
+        near = (
+            kept
+            for shift in shifts
+            for key in _around(_cell((*theta, phi + shift)))
+            for kept in cells.get(key, ())
+        )
+        if not any(_same_angles(angles, kept) for kept in near):
             keep.append(angles)
+            cells.setdefault(_cell(angles), []).append(angles)
     return sorted(keep)
 
 

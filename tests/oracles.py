@@ -17,6 +17,10 @@ scoring layer as per-vertex Python loops: one ``normalize_mean`` and one
 ``math`` call per coordinate, summed vertex by vertex, and the grid's local
 optima found node by node. ``bounds`` scores in array code with the same
 ``math`` calls, so its values match them bitwise.
+
+``collect_reference`` is the attaining-angle list as the scan that tests each
+candidate against every angle kept so far; ``bounds._collect`` tests it only
+against the kept angles in neighbouring cells, and returns the same list.
 """
 
 import math
@@ -337,3 +341,12 @@ def local_optima_reference(values: list[np.ndarray], sense: str) -> list[tuple[i
             if all(cmp(v, w) for w in neighbors):
                 out.append((k, kp))
     return out
+
+
+def collect_reference(evaluated, best: float):
+    """The angles within VALUE_TOL of best, sorted; of those _same_angles matches, the first one met."""
+    keep = []
+    for angles, value in evaluated:
+        if abs(value - best) <= bounds.VALUE_TOL and not any(bounds._same_angles(angles, kept) for kept in keep):
+            keep.append(angles)
+    return sorted(keep)

@@ -12,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
 from conftest import CI_LONG
+from oracles import collect_reference
 from specrange import bounds
 from specrange.bounds import (
+    ANGLE_CELL,
     ANGLE_TOL,
     MAX,
     MIN,
+    VALUE_TOL,
     MeasureKind,
     _ascend,
     _collect,
@@ -263,6 +266,94 @@ def test_collect_wraps_phi():
     assert _collect([((2 * math.pi - 1e-14,), 2.0), ((0.0,), 2.0)], 2.0) == [(2 * math.pi - 1e-14,)]
 
 
+SAME = 10 * ANGLE_TOL
+EDGE = 5 * ANGLE_CELL
+TWO_PI = 2 * math.pi
+COLLECT_CASES = {
+    "0.99-apart-merge": ([(1.0,), (1.0 + 0.99 * SAME,)], [(1.0,)]),
+    "1.01-apart-stay": ([(1.0,), (1.0 + 1.01 * SAME,)], [(1.0,), (1.0 + 1.01 * SAME,)]),
+    "0.99-across-edge": ([(EDGE - 0.5 * SAME,), (EDGE + 0.49 * SAME,)], [(EDGE - 0.5 * SAME,)]),
+    "1.01-across-edge": ([(EDGE - 0.5 * SAME,), (EDGE + 0.51 * SAME,)], [(EDGE - 0.5 * SAME,), (EDGE + 0.51 * SAME,)]),
+    "theta-0.99-across-edge": ([(EDGE - 0.01 * SAME, 2.0), (EDGE + 0.98 * SAME, 2.0)], [(EDGE - 0.01 * SAME, 2.0)]),
+    "theta-1.01-across-edge": (
+        [(EDGE + 0.01 * SAME, 2.0), (EDGE - SAME, 2.0)],
+        [(EDGE - SAME, 2.0), (EDGE + 0.01 * SAME, 2.0)],
+    ),
+    "phi-exactly-2pi": ([(1.0, TWO_PI), (1.0, 5e-8), (1.0, 0.0)], [(1.0, TWO_PI)]),
+    "phi-0-before-2pi": ([(0.0,), (TWO_PI,)], [(0.0,)]),
+    "seam-kept-first": ([(TWO_PI - 9e-7,), (5e-8,)], [(TWO_PI - 9e-7,)]),
+    "seam-1.01-apart": ([(TWO_PI - 9.6e-7,), (5e-8,)], [(5e-8,), (TWO_PI - 9.6e-7,)]),
+}
+
+
+@pytest.mark.parametrize("angles, want", COLLECT_CASES.values(), ids=COLLECT_CASES.keys())
+def test_collect_planted_cases(angles, want):
+    evaluated = [(a, 0.0) for a in angles]
+    assert _collect(evaluated, 0.0) == collect_reference(evaluated, 0.0) == want
+
+
+def test_collect_keeps_values_within_value_tol():
+    """At best = 0.5, best + VALUE_TOL rounds to within VALUE_TOL and best - VALUE_TOL to just outside."""
+    evaluated = [((1.0,), 0.5 + VALUE_TOL), ((2.0,), 0.5 - VALUE_TOL), ((3.0,), 0.5), ((4.0,), 0.5 + 2 * VALUE_TOL)]
+    assert _collect(evaluated, 0.5) == collect_reference(evaluated, 0.5) == [(1.0,), (3.0,)]
+
+
+@st.composite
+def attaining_lists(draw):
+    """(angles, value) lists of one or two angles, drawn near shared anchors so that matches and misses both occur."""
+    k = draw(st.integers(1, 2))
+    best = draw(st.floats(-10.0, 10.0))
+    thetas = st.sampled_from([0.0, math.pi, EDGE, 1.0]) | st.floats(0.0, math.pi)
+    phis = st.sampled_from([0.0, TWO_PI, TWO_PI - 9e-7, 5e-8, EDGE, TWO_PI - ANGLE_CELL]) | st.floats(0.0, TWO_PI)
+    steps = st.sampled_from([0.0, 0.49, -0.49, 0.5, 0.99, -0.99, 1.01, -1.01, 2.0]) | st.floats(-3.0, 3.0)
+    values = st.sampled_from([0.0, VALUE_TOL, -VALUE_TOL, 2 * VALUE_TOL]) | st.floats(-2 * VALUE_TOL, 2 * VALUE_TOL)
+    anchors = draw(st.lists(st.tuples(*[thetas] * (k - 1), phis), min_size=1, max_size=4))
+    out = []
+    for _ in range(draw(st.integers(0, 24))):
+        anchor = draw(st.sampled_from(anchors))
+        angles = tuple(a + draw(steps) * SAME for a in anchor)
+        # keep phi in the [0, 2 pi] the library emits
+        angles = (*angles[:-1], min(max(angles[-1], 0.0), TWO_PI))
+        out.append((angles, best + draw(values)))
+    return out, best
+
+
+@given(attaining_lists())
+@settings(max_examples=400, deadline=None)
+def test_collect_matches_the_full_scan(case):
+    evaluated, best = case
+    assert _collect(evaluated, best) == collect_reference(evaluated, best)
+
+
+def test_collect_tests_each_candidate_against_its_cells_only(monkeypatch):
+    """u2 is flat on the anticomm j = 3/2 ball, so every grid face of 36x72 attains it.
+
+    A scan of every kept angle makes about 3.19e6 _same_angles calls for the
+    2538 candidates; the cell index makes at most two a candidate.
+    """
+    vec = anticomm_vec(HalfInt(3), 1)
+    mesh = boundary3d(vec, 36, 72)
+    calls = candidates = 0
+    same, collect = bounds._same_angles, bounds._collect
+
+    def counted_same(u, v):
+        nonlocal calls
+        calls += 1
+        return same(u, v)
+
+    def counted_collect(evaluated, best):
+        nonlocal candidates
+        candidates += len(evaluated)
+        return collect(evaluated, best)
+
+    monkeypatch.setattr(bounds, "_same_angles", counted_same)
+    monkeypatch.setattr(bounds, "_collect", counted_collect)
+    (result,) = optimize_bounds(vec, mesh, ["u2"]).results
+    assert candidates >= len(mesh.faces)
+    assert len(result.angles) > 2000
+    assert calls <= 2 * candidates
+
+
 def test_jpow3_scaled_18x36_reaches_reference():
     j = HalfInt(20)
     vec = scale_uniform(power_vec(j, 3), 1.0 / j.j**3)
@@ -473,6 +564,13 @@ def test_ascent_ending_at_a_pole_reports_phi_zero():
     start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
     angles, _ = _ascend(vec, start, MeasureKind.h(), hyperrect(vec), DEG_TOL_DEFAULT)
     assert angles == (math.pi, 0.0)
+
+
+def test_direction_folds_a_tiny_negative_phi_to_zero():
+    """atan2 gives -1e-17 here, and -1e-17 % (2 pi) rounds to exactly 2 pi."""
+    assert _direction(np.array([1.0, -1e-17])).phi == 0.0
+    d = _direction(np.array([1.0, -1e-17, 0.0]))
+    assert (d.theta, d.phi) == (math.pi / 2, 0.0)
 
 
 def test_refinement_spends_fewer_solves_than_the_sweep(monkeypatch):
