@@ -5,7 +5,10 @@ dot = (hi-x)/(hi-lo), ring = (x-lo)/(hi-lo); concave measures (entropy-like h,
 u_kappa for kappa < 1) are minimized over the boundary, convex ones
 (u_kappa for kappa > 1, u_max) maximized. Optima found on the sweep grid are
 refined by successive linearization: each step solves the face at the
-measure's gradient, whose best vertex is the next point.
+measure's gradient, whose best vertex is the next point. Every ascent of a
+table, over all its measures, advances in lockstep rounds: a round solves
+the faces of all live ascents in one numrange.faces call and scores their
+vertices together.
 
 Scoring is array code. _weights maps a (V, n) vertex array to its (dot, ring)
 weights, and _scores sums each vertex's per-coordinate measures in coordinate
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptyBoundary
-from .numrange import Boundary, Hyperrect, direction2, direction3, face, hyperrect
+# face is not called here; the benchmark's tracer (perfbench/tracer.py) wraps bounds.face by name
+from .numrange import Boundary, Direction, Hyperrect, direction2, direction3, face, faces, hyperrect  # noqa: F401
 from .spinops import ObservableVec
 
 MIN = "min"
@@ -194,12 +198,15 @@ class BoundReport:
     rect: Hyperrect
 
 
-def _best_vertex(kind: MeasureKind, f, rect: Hyperrect, sense: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """The best value of the measure over the face's vertices, with that vertex's weights (dot, ring)."""
-    dot, ring = _weights(f.vertices, rect.lo, rect.hi)
-    vals = _scores(kind, dot, ring)
-    i = int(np.argmin(vals) if sense == MIN else np.argmax(vals))
-    return float(vals[i]), dot[i], ring[i]
+def _best_rows(scores: np.ndarray, starts, sense: str) -> np.ndarray:
+    """The index of each segment's best score, segment k running from starts[k] to the next start.
+
+    On ties the first index wins, as argmin and argmax break them.
+    """
+    starts = np.asarray(starts)
+    best = (np.minimum if sense == MIN else np.maximum).reduceat(scores, starts)
+    hits = np.flatnonzero(scores == np.repeat(best, np.diff(starts, append=len(scores))))
+    return hits[np.searchsorted(hits, starts)]
 
 
 def _better(u: float, v: float, sense: str) -> bool:
@@ -246,35 +253,66 @@ def _direction(eta: np.ndarray):
     return direction3(math.atan2(rho, eta[2]), _phi(eta) if rho > 0.0 else 0.0)
 
 
-def _ascend(vec, start, kind: MeasureKind, rect: Hyperrect, deg_tol: float):
-    """Successive linearization from a grid face (the conditional-gradient step of
-    Frank & Wolfe, Naval Res. Logist. Q. 3, 1956).
+@dataclass
+class _Ascent:
+    """One refinement from a grid optimum of measure kinds[measure]: its current direction, value and weights."""
 
-    Each step solves the face at the measure's gradient g at the current best
-    vertex x, eta = +g/|g| to maximize and -g/|g| to minimize, and moves to
-    that face's best vertex x' only if its value is strictly better. The step
-    is monotone: a convex measure gains f(x') >= f(x) + g.(x' - x) >= f(x),
-    since x' maximizes g.y over the region; a concave one mirrors this. It
-    stops when the value does not improve, when g vanishes, when eta repeats
-    within ANGLE_TOL, or after MAX_STEPS.
+    measure: int
+    direction: Direction
+    value: float
+    dot: np.ndarray
+    ring: np.ndarray
+
+
+def _refine(vec, kinds, ascents: list[_Ascent], rect: Hyperrect, deg_tol: float) -> None:
+    """Successive linearization of every ascent in lockstep rounds (the
+    conditional-gradient step of Frank & Wolfe, Naval Res. Logist. Q. 3, 1956).
+
+    A step solves the face at the measure's gradient g at the ascent's
+    current best vertex x, eta = +g/|g| to maximize and -g/|g| to minimize,
+    and moves to that face's best vertex x' only if its value is strictly
+    better. The step is monotone: a convex measure gains
+    f(x') >= f(x) + g.(x' - x) >= f(x), since x' maximizes g.y over the
+    region; a concave one mirrors this. An ascent retires when its value does
+    not improve, when g vanishes, when eta repeats within ANGLE_TOL, or after
+    MAX_STEPS. Each round solves the steps of all live ascents in one faces
+    call, weights their stacked vertices at once and scores them in one
+    _scores call per measure. A face does not depend on the other directions
+    of its call and a score row only on its vertex, so every ascent ends
+    bitwise where it would alone. Ascents are given in measure order.
     """
-    sense = kind.sense
-    direction = start.direction
-    value, dot, ring = _best_vertex(kind, start, rect, sense)
+    live = ascents
     for _ in range(MAX_STEPS):
-        g = _gradient(kind, dot, ring, rect)
-        norm = float(np.linalg.norm(g))
-        if norm == 0.0:
-            break
-        eta = g / norm if sense == MAX else -g / norm
-        if np.linalg.norm(eta - direction.eta) <= ANGLE_TOL:
-            break
-        step = _direction(eta)
-        found, dot_new, ring_new = _best_vertex(kind, face(vec, step, deg_tol), rect, sense)
-        if not _better(found, value, sense):
-            break
-        direction, value, dot, ring = step, found, dot_new, ring_new
-    return _angles(direction), value
+        moving, steps = [], []
+        for a in live:
+            kind = kinds[a.measure]
+            g = _gradient(kind, a.dot, a.ring, rect)
+            norm = float(np.linalg.norm(g))
+            if norm == 0.0:
+                continue
+            eta = g / norm if kind.sense == MAX else -g / norm
+            if np.linalg.norm(eta - a.direction.eta) <= ANGLE_TOL:
+                continue
+            moving.append(a)
+            steps.append(_direction(eta))
+        if not steps:
+            return
+        solved = faces(vec, steps, deg_tol)
+        offsets = np.cumsum([0, *(len(f.vertices) for f in solved)])
+        dot, ring = _weights(np.vstack([f.vertices for f in solved]), rect.lo, rect.hi)
+        live = []
+        first = 0
+        for m, group in itertools.groupby(moving, key=lambda a: a.measure):
+            group = list(group)
+            last = first + len(group)
+            begin, end = offsets[first], offsets[last]
+            sense = kinds[m].sense
+            scores = _scores(kinds[m], dot[begin:end], ring[begin:end])
+            for a, step, i in zip(group, steps[first:last], _best_rows(scores, offsets[first:last] - begin, sense)):
+                if _better(scores[i], a.value, sense):
+                    a.direction, a.value, a.dot, a.ring = step, float(scores[i]), dot[begin + i], ring[begin + i]
+                    live.append(a)
+            first = last
 
 
 def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]:
@@ -298,22 +336,42 @@ def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]
 def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
-    The faces are scored in place, in grid order, and their local optima
-    found on the rows view (one row of phi in 2D, rows of theta in 3D).
-    Each of the best MAX_REFINE grid optima
-    is refined by successive linearization (_ascend): the face at the
-    measure's gradient, taken at the current best vertex, gives the next
-    vertex while the value strictly improves. Every grid angle and refined
-    end angle whose value lies within VALUE_TOL of the optimum is reported.
+    The sweep's vertices are weighted once and scored in one call per
+    measure, in grid order; each face's value is its best vertex's, and the
+    local optima are found on the rows view (one row of phi in 2D, rows of
+    theta in 3D). Each measure's best MAX_REFINE grid optima start an ascent
+    from their best vertex, and all ascents of the table are refined together
+    (_refine): round by round, the face at each live ascent's gradient gives
+    its next vertex while its value strictly improves. Every grid angle and
+    refined end angle whose value lies within VALUE_TOL of the optimum is
+    reported.
     """
     if not boundary.faces:
         raise EmptyBoundary("boundary carries no faces")
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
     rows = boundary.rows()
-    points = boundary.all_vertices()
     starts = np.cumsum([0] + [len(f.vertices) for f in boundary.faces[:-1]])
-    results = [_optimize(vec, rows, points, starts, kind, rect, boundary.deg_tol) for kind in kinds]
+    row_starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    dot, ring = _weights(boundary.all_vertices(), rect.lo, rect.hi)
+    grids, ascents = [], []
+    for m, kind in enumerate(kinds):
+        sense = kind.sense
+        scores = _scores(kind, dot, ring)
+        best = _best_rows(scores, starts, sense)
+        flat = scores[best]
+        values = np.split(flat, row_starts[1:])
+        candidates = _local_optima(values, sense)
+        candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == MAX))
+        for k, kp in candidates[:MAX_REFINE]:
+            i = best[row_starts[k] + kp]
+            ascents.append(_Ascent(m, rows[k][kp].direction, float(scores[i]), dot[i], ring[i]))
+        grids.append((values, float(flat.min() if sense == MIN else flat.max())))
+    _refine(vec, kinds, ascents, rect, boundary.deg_tol)
+    results = [
+        _result(kind, rows, values, best, [(_angles(a.direction), a.value) for a in ascents if a.measure == m])
+        for m, (kind, (values, best)) in enumerate(zip(kinds, grids))
+    ]
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
 
@@ -373,19 +431,10 @@ def _angles(direction) -> tuple[float, ...]:
     return (direction.phi,) if direction.theta is None else (direction.theta, direction.phi)
 
 
-def _optimize(vec, rows, points, starts, kind, rect, deg_tol) -> MeasureResult:
-    """One measure's bound: the sweep's vertices (face k from starts[k], in grid order) scored in one call."""
+def _result(kind, rows, values, best: float, refined) -> MeasureResult:
+    """One measure's bound from its grid values and its refined (angles, value) ends, in candidate order."""
     sense = kind.sense
-    scores = _scores(kind, *_weights(points, rect.lo, rect.hi))
-    flat = (np.minimum if sense == MIN else np.maximum).reduceat(scores, starts)
-    values = np.split(flat, np.cumsum([len(row) for row in rows])[:-1])
-    candidates = _local_optima(values, sense)
-    candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == MAX))
-    best = float(flat.min() if sense == MIN else flat.max())
-    refined = []
-    for k, kp in candidates[:MAX_REFINE]:
-        angles, v = _ascend(vec, rows[k][kp], kind, rect, deg_tol)
-        refined.append((angles, v))
+    for _, v in refined:
         if _better(v, best, sense):
             best = v
     # only grid faces within VALUE_TOL of the final best can be collected

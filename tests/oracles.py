@@ -21,6 +21,12 @@ optima found node by node. ``bounds`` scores in array code with the same
 ``collect_reference`` is the attaining-angle list as the scan that tests each
 candidate against every angle kept so far; ``bounds._collect`` tests it only
 against the kept angles in neighbouring cells, and returns the same list.
+
+``optimize_reference`` is ``optimize_bounds`` with each grid optimum refined
+by its own sequential ascent (``ascend_reference``), one ``face`` solve and
+one ``best_vertex`` scoring a step, measure after measure. ``bounds`` advances
+all ascents of a table in lockstep rounds, one ``faces`` call a round, and
+ends every ascent bitwise where this one does.
 """
 
 import math
@@ -350,3 +356,69 @@ def collect_reference(evaluated, best: float):
         if abs(value - best) <= bounds.VALUE_TOL and not any(bounds._same_angles(angles, kept) for kept in keep):
             keep.append(angles)
     return sorted(keep)
+
+
+def best_vertex(kind, f, rect, sense: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """The best value of the measure over the face's vertices, with that vertex's weights (dot, ring)."""
+    dot, ring = bounds._weights(f.vertices, rect.lo, rect.hi)
+    vals = bounds._scores(kind, dot, ring)
+    i = int(np.argmin(vals) if sense == bounds.MIN else np.argmax(vals))
+    return float(vals[i]), dot[i], ring[i]
+
+
+def ascend_reference(vec, start, kind, rect, deg_tol: float, solve=numrange.face):
+    """Successive linearization from the grid face start, one solve(vec, direction, deg_tol) a step.
+
+    Each step solves the face at the measure's gradient at the current best
+    vertex and moves to that face's best vertex only if its value is strictly
+    better. It stops when the value does not improve, when the gradient
+    vanishes, when eta repeats within ANGLE_TOL, or after MAX_STEPS.
+    """
+    sense = kind.sense
+    direction = start.direction
+    value, dot, ring = best_vertex(kind, start, rect, sense)
+    for _ in range(bounds.MAX_STEPS):
+        g = bounds._gradient(kind, dot, ring, rect)
+        norm = float(np.linalg.norm(g))
+        if norm == 0.0:
+            break
+        eta = g / norm if sense == bounds.MAX else -g / norm
+        if np.linalg.norm(eta - direction.eta) <= bounds.ANGLE_TOL:
+            break
+        step = bounds._direction(eta)
+        found, dot_new, ring_new = best_vertex(kind, solve(vec, step, deg_tol), rect, sense)
+        if not bounds._better(found, value, sense):
+            break
+        direction, value, dot, ring = step, found, dot_new, ring_new
+    return bounds._angles(direction), value
+
+
+def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
+    """optimize_bounds' results, each measure scored and refined on its own, one ascent after another."""
+    rect = numrange.hyperrect(vec)
+    rows = boundary.rows()
+    points = boundary.all_vertices()
+    starts = np.cumsum([0] + [len(f.vertices) for f in boundary.faces[:-1]])
+    results = []
+    for kind in kinds:
+        sense = kind.sense
+        scores = bounds._scores(kind, *bounds._weights(points, rect.lo, rect.hi))
+        flat = (np.minimum if sense == bounds.MIN else np.maximum).reduceat(scores, starts)
+        values = np.split(flat, np.cumsum([len(row) for row in rows])[:-1])
+        candidates = bounds._local_optima(values, sense)
+        candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == bounds.MAX))
+        best = float(flat.min() if sense == bounds.MIN else flat.max())
+        refined = []
+        for k, kp in candidates[: bounds.MAX_REFINE]:
+            angles, v = ascend_reference(vec, rows[k][kp], kind, rect, boundary.deg_tol, solve)
+            refined.append((angles, v))
+            if bounds._better(v, best, sense):
+                best = v
+        near = [
+            (bounds._angles(f.direction), v)
+            for row, vals in zip(rows, values)
+            for f, v in zip(row, vals)
+            if abs(v - best) <= bounds.VALUE_TOL
+        ]
+        results.append(bounds.MeasureResult(kind, best, sense, bounds._collect(near + refined, best)))
+    return results

@@ -12,19 +12,22 @@ from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
 from conftest import CI_LONG
-from oracles import collect_reference
+from oracles import collect_reference, optimize_reference
 from specrange import bounds
 from specrange.bounds import (
     ANGLE_CELL,
     ANGLE_TOL,
     MAX,
+    MAX_STEPS,
     MIN,
     VALUE_TOL,
     MeasureKind,
-    _ascend,
+    _angles,
+    _best_rows,
     _collect,
     _direction,
     _gradient,
+    _scores,
     _weights,
     combined,
     measure,
@@ -34,7 +37,7 @@ from specrange.bounds import (
     triviality_check,
 )
 from specrange.errors import DegenerateRange
-from specrange.linalg import block_top_eigenvalues
+from specrange.linalg import block_top_eigenvalues, expectation
 from specrange.numrange import (
     DEG_TOL_DEFAULT,
     Hyperrect,
@@ -555,6 +558,15 @@ def test_gradient_at_exact_endpoints_is_sign_only():
     assert list(gradient_at(MeasureKind.u(2.0), [0.0, 0.5, 1.0], rect)) == [-2.0, 0.0, 2.0]
 
 
+def _ascent_from(vec, start, kind):
+    """An ascent of the one measure kind from the best vertex of the face start, as optimize_bounds starts one."""
+    rect = hyperrect(vec)
+    dot, ring = _weights(start.vertices, rect.lo, rect.hi)
+    scores = _scores(kind, dot, ring)
+    (i,) = _best_rows(scores, [0], kind.sense)
+    return bounds._Ascent(0, start.direction, float(scores[i]), dot[i], ring[i])
+
+
 def test_ascent_ending_at_a_pole_reports_phi_zero():
     for eta, angles in (([0.0, 0.0, 1.0], (0.0, 0.0)), ([-0.0, -0.0, -1.0], (math.pi, 0.0))):
         d = _direction(np.array(eta))
@@ -562,8 +574,9 @@ def test_ascent_ending_at_a_pole_reports_phi_zero():
     # the limit direction of h at this face's best vertex is -z
     vec = anticomm_vec(HalfInt(2), 1)
     start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
-    angles, _ = _ascend(vec, start, MeasureKind.h(), hyperrect(vec), DEG_TOL_DEFAULT)
-    assert angles == (math.pi, 0.0)
+    ascent = _ascent_from(vec, start, MeasureKind.h())
+    bounds._refine(vec, [MeasureKind.h()], [ascent], hyperrect(vec), DEG_TOL_DEFAULT)
+    assert _angles(ascent.direction) == (math.pi, 0.0)
 
 
 def test_direction_folds_a_tiny_negative_phi_to_zero():
@@ -574,18 +587,124 @@ def test_direction_folds_a_tiny_negative_phi_to_zero():
 
 
 def test_refinement_spends_fewer_solves_than_the_sweep(monkeypatch):
+    """Refinement solves fewer directions than the sweep, in at most MAX_STEPS faces calls and no face call."""
     vec = anticomm_vec(HalfInt(2), 1)
     mesh = boundary3d(vec, 12, 24)
-    calls = 0
+    calls = directions = single = 0
 
-    def counted(*args, **kwargs):
-        nonlocal calls
+    def counted(vec, steps, *args, **kwargs):
+        nonlocal calls, directions
         calls += 1
+        directions += len(steps)
+        return faces(vec, steps, *args, **kwargs)
+
+    def counted_single(*args, **kwargs):
+        nonlocal single
+        single += 1
         return face(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "face", counted)
+    monkeypatch.setattr(bounds, "faces", counted)
+    monkeypatch.setattr(bounds, "face", counted_single)
     optimize_bounds(vec, mesh, ["h", "u2", "umax"])
-    assert calls < len(mesh.faces) == 266
+    assert 0 < directions < len(mesh.faces) == 266
+    assert calls <= MAX_STEPS
+    assert single == 0
+
+
+ORACLE_SETS = [
+    *(pytest.param(lambda t=t: anticomm_vec(HalfInt(t), 1), (12, 24), id=f"anticomm-{t / 2:g}") for t in (2, 3, 4)),
+    *(pytest.param(lambda t=t: jsq_pair(HalfInt(t)), 360, id=f"jsq2d-{t / 2:g}") for t in (5, 6)),
+    pytest.param(lambda: _jpow3_scaled(5), (12, 24), id="jpow3-2.5"),
+    pytest.param(lambda: ladder_combo(HalfInt(4), 2), 180, id="ladder-2"),
+]
+
+
+def _direction_key(d):
+    return repr(d.theta), repr(d.phi), d.eta.tobytes()
+
+
+@pytest.mark.parametrize("build, grid", ORACLE_SETS)
+def test_lockstep_refinement_matches_the_sequential_oracle(build, grid, monkeypatch):
+    """Every bound and attaining angle is bitwise the one-ascent-at-a-time oracle's, from the same solved directions."""
+    vec = build()
+    region = boundary2d(vec, grid) if isinstance(grid, int) else boundary3d(vec, *grid)
+    kinds = [MeasureKind.parse(k) for k in ("h", "u0.5", "u2", "umax")]
+    oracle_steps, lockstep_steps = [], []
+
+    def solve(v, step, deg_tol):
+        oracle_steps.append(step)
+        return face(v, step, deg_tol)
+
+    def solve_all(v, steps, deg_tol):
+        lockstep_steps.extend(steps)
+        return faces(v, steps, deg_tol)
+
+    want = optimize_reference(vec, region, kinds, solve)
+    monkeypatch.setattr(bounds, "faces", solve_all)
+    got = optimize_bounds(vec, region, kinds).results
+    for g, w in zip(got, want, strict=True):
+        assert (str(g.kind), g.sense) == (str(w.kind), w.sense)
+        assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes()
+        assert np.array(g.angles).tobytes() == np.array(w.angles).tobytes()
+        assert len(g.angles) == len(w.angles)
+    assert sorted(map(_direction_key, lockstep_steps)) == sorted(map(_direction_key, oracle_steps))
+
+
+def test_ascent_retires_when_its_value_only_ties(monkeypatch):
+    """A step whose best vertex only equals the current value is not taken: the ascent keeps its direction."""
+    vec = anticomm_vec(HalfInt(2), 1)
+    h = MeasureKind.h()
+    start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
+    ascent = _ascent_from(vec, start, h)
+    value = ascent.value
+    rounds = []
+
+    def same_face(v, steps, deg_tol):
+        rounds.append(steps)
+        return [dataclasses.replace(start, direction=step) for step in steps]
+
+    monkeypatch.setattr(bounds, "faces", same_face)
+    bounds._refine(vec, [h], [ascent], hyperrect(vec), DEG_TOL_DEFAULT)
+    assert len(rounds) == 1 and len(rounds[0]) == 1
+    assert ascent.direction is start.direction
+    assert ascent.value == value
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("shift", [2.0, math.nan])
+def test_bad_vertex_in_a_round_raises_from_weights(monkeypatch, where, shift):
+    """A refinement face with a vertex past its hyperrect raises _weights' ValueError, not an index error."""
+    vec = anticomm_vec(HalfInt(2), 1)
+    mesh = boundary3d(vec, 12, 24)
+    rect = hyperrect(vec)
+    width = np.array(rect.hi) - np.array(rect.lo)
+
+    def out_of_range(v, steps, deg_tol):
+        solved = faces(v, steps, deg_tol)
+        bad = solved[where]
+        solved[where] = dataclasses.replace(bad, vertices=bad.vertices + shift * width)
+        return solved
+
+    monkeypatch.setattr(bounds, "faces", out_of_range)
+    with pytest.raises(ValueError, match="beyond clamp tolerance"):
+        optimize_bounds(vec, mesh, ["h", "u2", "umax"])
+
+
+def test_jsq2d_j3_h_is_attained_below_the_frozen_reference():
+    """jsq2d j = 3, h on 360 steps: each attaining face is one top eigenvector, whose dense mean vector
+    scores 0.4271422689, 1.19e-4 below the frozen JSQ_H entry 0.427261 (the long run's one mismatch)."""
+    vec = jsq_pair(HalfInt(6))
+    rect = hyperrect(vec)
+    h = MeasureKind.h()
+    (result,) = optimize_bounds(vec, boundary2d(vec, 360), [h]).results
+    assert result.angles
+    for (phi,) in result.angles:
+        f = face(vec, direction2(phi))
+        assert f.eigenbasis.shape[1] == 1
+        r = [expectation(op, f.eigenbasis[:, 0]) for op in vec.ops]
+        assert combined(h, r, rect) == pytest.approx(0.4271422689, abs=1e-9)
+    assert result.value == pytest.approx(0.4271422689, abs=1e-9)
+    assert ref.JSQ_H[ref.jsq_index(6)] - result.value == pytest.approx(1.19e-4, abs=1e-6)
 
 
 # --- region / triviality -------------------------------------------------------

@@ -14,7 +14,18 @@ from oracles import (
     normalize_mean_reference,
 )
 from specrange import bounds
-from specrange.bounds import MAX, MIN, MeasureKind, _local_optima, _scores, _weights, combined, measure, normalize_mean
+from specrange.bounds import (
+    MAX,
+    MIN,
+    MeasureKind,
+    _best_rows,
+    _local_optima,
+    _scores,
+    _weights,
+    combined,
+    measure,
+    normalize_mean,
+)
 from specrange.numrange import Hyperrect, SupportFace, direction2
 
 KINDS = [MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.u(3.0), MeasureKind.umax()]
@@ -84,7 +95,10 @@ def test_array_scoring_is_bitwise_the_per_vertex_loop(case):
         assert bits(_scores(kind, *_weights(points, rect.lo, rect.hi))) == bits(want)
         assert bits([combined(kind, p, rect) for p in points]) == bits(want)
         f = SupportFace(direction2(0.0), 0.0, 1, np.zeros((1, 1)), vertices=points)
-        value, dot, ring = bounds._best_vertex(kind, f, rect, kind.sense)
+        dot, ring = _weights(f.vertices, rect.lo, rect.hi)
+        scores = _scores(kind, dot, ring)
+        (i,) = _best_rows(scores, [0], kind.sense)
+        value, dot, ring = float(scores[i]), dot[i], ring[i]
         vertex, want_value = best_vertex_reference(kind, f, rect, kind.sense)
         want_dot, want_ring = _weights(vertex[None], rect.lo, rect.hi)
         assert bits([value]) == bits([want_value])
@@ -153,3 +167,13 @@ def test_local_optima_flat_grid_keeps_every_node(sense):
     values = [np.zeros(1), np.zeros(4), np.zeros(4), np.zeros(1)]
     want = [(0, 0), *[(k, kp) for k in (1, 2) for kp in range(4)], (3, 0)]
     assert _local_optima(values, sense) == local_optima_reference(values, sense) == want
+
+
+@given(grid_values(), st.sampled_from([MIN, MAX]))
+@settings(max_examples=300, deadline=None)
+def test_best_rows_is_each_segments_first_argmin_or_argmax(values, sense):
+    scores = np.concatenate(values)
+    starts = np.cumsum([0] + [len(v) for v in values[:-1]])
+    pick = np.argmin if sense == MIN else np.argmax
+    want = [int(start + pick(v)) for start, v in zip(starts, values)]
+    assert _best_rows(scores, starts, sense).tolist() == want
