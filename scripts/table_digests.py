@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Print a sha256 per benchmark bound table, so two checkouts can be diffed.
+"""Print a sha256 per benchmark bound table and query set, so two checkouts can be diffed.
 
 Loads `perfbench/workloads.py` read-only, runs every table of every workload
 once on this checkout's src (`workloads.run_table`, the call a benchmark pass
 makes) and prints `sha256  workload: label` per table. The digest covers the
 table's io text and `repr(sorted(values.items()))`, its checked values with
-full float repr. Run it in two checkouts and diff the printouts to check that
-their table outputs are byte-identical.
+full float repr. A workload with queries adds one line,
+`sha256  workload: queries seed 0`, over the repr of the list of outputs of
+the non-table operations of its first pass at seed 0 (`workload.ops(vec, 0,
+0)`), in order. Run it in two checkouts and diff the printouts to check that
+their outputs are byte-identical.
 """
 
 import hashlib
@@ -38,6 +41,9 @@ def main():
             out = workloads.run_table(table)
             data = (out.text + repr(sorted(out.values.items()))).encode()
             print(f"{hashlib.sha256(data).hexdigest()}  {name}: {table.label}")
+        if workload.queries is not None:
+            outputs = [op.run() for op in workload.ops(workload.setup(), 0, 0) if op.kind != "table"]
+            print(f"{hashlib.sha256(repr(outputs).encode()).hexdigest()}  {name}: queries seed 0")
 
 
 if __name__ == "__main__":

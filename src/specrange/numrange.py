@@ -99,6 +99,31 @@ def sweep_directions(n: int, grid) -> list[Direction]:
     return [*dirs, direction3(math.pi, 0.0)]
 
 
+def reversal_image(grid, signs) -> np.ndarray:
+    """For each index k of the sweep_directions grid, the index of S eta_k, S = diag(signs).
+
+    Integer arithmetic only: the phi column c goes to c, -c, steps/2 - c or
+    c + steps/2 (mod steps) as S keeps or flips x and y, the row r to K - r
+    when S flips z, and the poles swap. S eta_k matches the grid's
+    direction at the image to rounding. The identity when signs is None
+    (ObservableVec.reversal of a set with no such symmetry) or all +1, and
+    when S turns the plane by a half turn, which an odd phi count does not
+    map onto itself.
+    """
+    steps = grid[1] if isinstance(grid, tuple) else grid
+    count = steps if not isinstance(grid, tuple) else 2 + (grid[0] - 1) * steps
+    if signs is None or all(s == 1 for s in signs) or (signs[0] < 0 and steps % 2):
+        return np.arange(count)
+    cols = (signs[0] * signs[1] * np.arange(steps) + (steps // 2 if signs[0] < 0 else 0)) % steps
+    if not isinstance(grid, tuple):
+        return cols
+    rows = np.arange(grid[0] - 1)  # row r = 1..K-1 at rows[r - 1]
+    poles = [0, count - 1]
+    if signs[2] < 0:
+        rows, poles = rows[::-1], poles[::-1]
+    return np.concatenate([poles[:1], 1 + (rows[:, None] * steps + cols).ravel(), poles[1:]])
+
+
 @dataclass
 class SupportFace:
     """Per-direction record: support value, eigenspace, and face vertices."""
@@ -562,7 +587,14 @@ def membership(vec: ObservableVec, r, grid) -> float:
     """Signed margin min_eta (lambda_max(eta) - eta.r); negative certifies r outside.
 
     grid is a sweep_directions grid: a step count for two operators,
-    (theta_steps, phi_steps) for three.
+    (theta_steps, phi_steps) for three. The min runs over every direction of
+    the grid, but lambda_max comes from one solve per pair {eta_k, S eta_k}
+    (S = vec.reversal, the pair's image from reversal_image): the smaller
+    index of each pair is solved, in grid order, and its value is given to
+    both. The symmetry is exact, lambda_max(S eta) = lambda_max(eta), so the
+    shared value is the image direction's own up to the rounding of the
+    grid's angles, and a negative margin still certifies r outside. With no
+    grid-aligned S every direction is solved.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
@@ -570,7 +602,9 @@ def membership(vec: ObservableVec, r, grid) -> float:
     if not np.all(np.isfinite(r)):
         raise NonFinite(f"point {r.tolist()} is not finite")
     etas = np.array([d.eta for d in sweep_directions(vec.n, grid)])
-    return float(np.min(block_top_eigenvalues(etas, vec.blocks) - etas @ r))
+    pair = np.minimum(np.arange(len(etas)), reversal_image(grid, vec.reversal))
+    solved, solution = np.unique(pair, return_inverse=True)  # solved ascends: grid order
+    return float(np.min(block_top_eigenvalues(etas[solved], vec.blocks)[solution] - etas @ r))
 
 
 def commuting_polytope(vec: ObservableVec) -> np.ndarray:

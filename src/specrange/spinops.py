@@ -98,6 +98,27 @@ class ObservableVec:
         return split_blocks(self.mats)
 
     @cached_property
+    def reversal(self) -> tuple[int, ...] | None:
+        """The signs S with conj(eta.A) = (S eta).A, or None when an operator is neither real nor imaginary.
+
+        Complex conjugation in this basis maps states to states, so S maps
+        the allowed region onto itself and lambda_max(S eta) = lambda_max(eta).
+        Read from the validated bands (so an invalid operator raises first):
+        +1 for an operator whose bands have zero imaginary part in every
+        block, -1 for one whose bands have zero real part. The test is exact.
+        """
+        signs = []
+        for i in range(self.n):
+            bands = [block.bands[i] for block in self.blocks]
+            if not any(np.any(band.imag) for band in bands):
+                signs.append(1)
+            elif not any(np.any(band.real) for band in bands):
+                signs.append(-1)
+            else:
+                return None
+        return tuple(signs)
+
+    @cached_property
     def spectral_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Each operator's (eig_min, eig_max) as an (n, 2) array, and max(1, eig_max - eig_min).
 

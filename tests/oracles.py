@@ -27,6 +27,10 @@ by its own sequential ascent (``ascend_reference``), one ``face`` solve and
 one ``best_vertex`` scoring a step, measure after measure. ``bounds`` advances
 all ascents of a table in lockstep rounds, one ``faces`` call a round, and
 ends every ascent bitwise where this one does.
+
+``membership_reference`` is the margin with lambda_max solved at every grid
+direction; ``numrange.membership`` solves one direction of each pair
+{eta, S eta} of the grid and gives the other the same value.
 """
 
 import math
@@ -35,7 +39,7 @@ import numpy as np
 
 from specrange import bounds, numrange
 from specrange.errors import DegenerateRange, UnsupportedJ
-from specrange.linalg import HermObservable, combine_matrix, eig_hermitian
+from specrange.linalg import HermObservable, block_top_eigenvalues, combine_matrix, eig_hermitian
 from specrange.spinops import KIND_JSQ2D, HalfInt
 
 # --- closed-form top eigenvalues of cos(phi) Jx^2 + sin(phi) Jy^2 -----------
@@ -422,3 +426,12 @@ def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
         ]
         results.append(bounds.MeasureResult(kind, best, sense, bounds._collect(near + refined, best)))
     return results
+
+
+# --- membership at every grid direction ----------------------------------------
+
+
+def membership_reference(vec, r, grid) -> float:
+    """min over the grid of lambda_max(eta) - eta.r, one solve per direction."""
+    etas = np.array([d.eta for d in numrange.sweep_directions(vec.n, grid)])
+    return float(np.min(block_top_eigenvalues(etas, vec.blocks) - etas @ np.asarray(r, dtype=float)))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import membership_reference
 from specrange import numrange
 from specrange.errors import DimensionMismatch, NonFinite, NonHermitian, NotCommuting
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
@@ -19,6 +21,7 @@ from specrange.numrange import (
     face,
     hyperrect,
     membership,
+    reversal_image,
     support,
     sweep_directions,
 )
@@ -31,6 +34,7 @@ from specrange.spinops import (
     jsq_pair,
     ladder_combo,
     power_vec,
+    rotate_frame,
     scale_uniform,
 )
 
@@ -490,6 +494,114 @@ def test_membership_rejects_bad_operator(entries, error):
 def test_membership_rejects_non_finite_point(bad):
     with pytest.raises(NonFinite):
         membership(j_triple(HalfInt(2)), [bad, 0.0, 0.0], (12, 24))
+
+
+# --- complex conjugation: the grid image and membership over pairs --------------
+
+# the grid's angles are rounded at up to 2 pi, so a reflected direction and
+# the grid direction it maps to agree to a few ulps of 2 pi
+IMAGE_TOL = 4 * np.spacing(2 * math.pi)
+
+
+def check_image(n, grid, signs):
+    """reversal_image is an involution onto S eta_k, or the identity exactly when S is not grid-aligned."""
+    etas = np.array([d.eta for d in sweep_directions(n, grid)])
+    image = reversal_image(grid, signs)
+    index = np.arange(len(etas))
+    steps = grid[1] if n == 3 else grid
+    aligned = not (signs[0] < 0 and steps % 2)
+    assert np.array_equal(image, index) == (not aligned or all(s == 1 for s in signs))
+    if aligned:
+        assert np.array_equal(image[image], index)
+        assert np.max(np.abs(etas[image] - etas * np.array(signs))) <= IMAGE_TOL
+
+
+SIGNS3 = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+SIGNS2 = [(a, b) for a in (1, -1) for b in (1, -1)]
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("signs", SIGNS3, ids=str)
+@given(st.integers(min_value=4, max_value=40), st.integers(min_value=8, max_value=80))
+@settings(max_examples=30, deadline=None)
+def test_reversal_image_3d(signs, parity, theta_steps, phi_steps):
+    assume(phi_steps % 2 == parity)
+    check_image(3, (theta_steps, phi_steps), signs)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("signs", SIGNS2, ids=str)
+@given(st.integers(min_value=8, max_value=80))
+@settings(max_examples=30, deadline=None)
+def test_reversal_image_2d(signs, parity, steps):
+    assume(steps % 2 == parity)
+    check_image(2, steps, signs)
+
+
+# (label, vector, grid, whether S is None or all +1, so that no pair is shared)
+MEMBERSHIP_SETS = [
+    ("j 5/2", j_triple(HalfInt(5)), (12, 24), False),
+    ("j 2 odd phi", j_triple(HalfInt(4)), (7, 15), False),
+    *((f"jpow{g} 7/2", power_vec(HalfInt(7), g), (12, 24), g == 2) for g in (1, 2, 3)),
+    *((f"anticomm 1 j={HalfInt(t)}", anticomm_vec(HalfInt(t), 1), (12, 24), t == 1) for t in (1, 3, 4, 40)),
+    ("anticomm 2 j=3", anticomm_vec(HalfInt(6), 2), (12, 24), True),
+    *((f"ladder{g} 5/2", ladder_combo(HalfInt(5), g), 36, False) for g in (1, 2)),
+    ("ladder1 3 odd", ladder_combo(HalfInt(6), 1), 45, False),
+    ("jsq2d 3", jsq_pair(HalfInt(6)), 360, True),
+    ("rotated j 5/2", rotate_frame(j_triple(HalfInt(5)), 0.7, 2.1), (12, 24), True),
+]
+
+
+def membership_points(vec, rng):
+    """Seeded mean vectors: three of random states, three on the boundary, three outside it."""
+    mats = vec.mats
+    ends, _ = vec.spectral_ends
+    scale = max(1.0, float(np.abs(ends).max()))
+    points = []
+    for kind in ("inside", "boundary", "outside"):
+        for _ in range(3):
+            eta = rng.normal(size=vec.n)
+            eta /= np.linalg.norm(eta)
+            values, vectors = np.linalg.eigh(combine_matrix(eta, mats))
+            psi = vectors[:, -1]
+            if kind == "inside":
+                psi = rng.normal(size=vec.dim) + 1j * rng.normal(size=vec.dim)
+                psi /= np.linalg.norm(psi)
+            if kind == "outside":
+                points.append(eta * (values[-1] + rng.uniform(0.01, 0.5) * scale))
+            else:
+                points.append(np.array([float(np.real(psi.conj() @ (m @ psi))) for m in mats]))
+    return points, scale
+
+
+@pytest.mark.parametrize("label, vec, grid, unpaired", MEMBERSHIP_SETS, ids=[c[0] for c in MEMBERSHIP_SETS])
+def test_membership_matches_the_full_grid_oracle(label, vec, grid, unpaired):
+    assert unpaired == (vec.reversal is None or all(s == 1 for s in vec.reversal))
+    points, scale = membership_points(vec, np.random.default_rng(17))
+    for r in points:
+        got, want = membership(vec, r, grid), membership_reference(vec, r, grid)
+        if unpaired:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * scale
+
+
+def test_membership_solves_one_direction_per_pair(monkeypatch):
+    """anticomm S = (1, -1, -1) on 12x24: 264 directions pair up, two are their own images.
+
+    The two are on the equator at phi = 0 and pi; jsq2d has S all +1, so every direction is solved.
+    """
+    rows = []
+    solve = numrange.block_top_eigenvalues
+
+    def counted(coeffs, blocks):
+        rows.append(len(coeffs))
+        return solve(coeffs, blocks)
+
+    monkeypatch.setattr(numrange, "block_top_eigenvalues", counted)
+    membership(anticomm_vec(HalfInt(40), 1), [0.0, 0.0, 0.0], (12, 24))
+    membership(jsq_pair(HalfInt(6)), [0.0, 0.0], 360)
+    assert rows == [134, 360]
 
 
 # --- commuting polytope ----------------------------------------------------

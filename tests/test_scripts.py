@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts on small inputs: each exits 0 and writes output."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# lines a script must print once: table_digests.py digests the benchmark's query set
+EXPECTED_LINES = {"table_digests.py": re.compile(r"^[0-9a-f]{64}  point_queries: queries seed 0$", re.M)}
 
 
 @pytest.mark.parametrize(
@@ -33,5 +36,7 @@ def test_script_runs(script, args, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if script in EXPECTED_LINES:
+        assert len(EXPECTED_LINES[script].findall(proc.stdout)) == 1, proc.stdout
     for path in tmp_path.iterdir():
         assert path.stat().st_size > 0, path.name

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CI_LONG
 from oracles import analytic_lambda_oracle
 from specrange.errors import GammaOutOfRange, UnsupportedJ, WrongKind
-from specrange.linalg import eig_hermitian, expectation
+from specrange.linalg import block_top_eigenvalues, eig_hermitian, expectation, make_hermitian
 from specrange.spinops import (
     HalfInt,
+    ObservableVec,
     angular_momentum,
     anticomm_vec,
     coherent_ket,
@@ -288,3 +290,66 @@ def test_oracle_agrees_with_eigensolver(twice):
         top = eig_hermitian(lam).values[-1]
         oracle = analytic_lambda_oracle("JSQ2D", j, float(phi))
         assert abs(top - oracle) <= 1e-9 * max(1.0, abs(top))
+
+
+# --- complex conjugation: reversal ---------------------------------------------
+
+# every built-in family as (j, gamma) -> ObservableVec
+FAMILIES = {
+    "j": lambda j, gamma: j_triple(j),
+    "jpow": power_vec,
+    "jsq2d": lambda j, gamma: jsq_pair(j),
+    "ladder": ladder_combo,
+    "anticomm": anticomm_vec,
+}
+
+
+def spectral_scale(vec) -> float:
+    ends, _ = vec.spectral_ends
+    return max(1.0, float(np.abs(ends).max()))
+
+
+@pytest.mark.parametrize(
+    "vec, signs",
+    [
+        (j_triple(HalfInt(3)), (1, -1, 1)),
+        (power_vec(HalfInt(5), 2), (1, 1, 1)),
+        (power_vec(HalfInt(5), 3), (1, -1, 1)),
+        (jsq_pair(HalfInt(4)), (1, 1)),
+        (ladder_combo(HalfInt(4), 2), (1, -1)),
+        (ladder_combo(HalfInt(1), 2), (1, 1)),  # gamma >= d: the null pair
+        (anticomm_vec(HalfInt(3), 1), (1, -1, -1)),
+        (anticomm_vec(HalfInt(1), 1), (1, 1, 1)),  # Pauli matrices anticommute: the null triple
+        (anticomm_vec(HalfInt(4), 2), (1, 1, 1)),
+    ],
+    ids=str,
+)
+def test_reversal_signs(vec, signs):
+    """Jx and Jz are real and Jy imaginary in the Jz basis, and so are their products' parities."""
+    assert vec.reversal == signs
+
+
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_reversal_keeps_lambda_max(family, twice, gamma, coeffs):
+    vec = FAMILIES[family](HalfInt(twice), gamma)
+    eta = np.array(coeffs[: vec.n])
+    assume(np.linalg.norm(eta) > 1e-3)
+    eta /= np.linalg.norm(eta)
+    assert vec.reversal is not None
+    tops = block_top_eigenvalues(np.array([eta, np.array(vec.reversal) * eta]), vec.blocks)
+    assert abs(tops[0] - tops[1]) <= 1e-13 * spectral_scale(vec)
+
+
+def test_reversal_is_none_without_the_symmetry():
+    assert rotate_frame(j_triple(HalfInt(3)), 0.7, 2.1).reversal is None
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    mixed = make_hermitian(raw + raw.conj().T, "H")
+    vec = ObservableVec(ops=(angular_momentum(HalfInt(3)).jz, mixed), j=HalfInt(3), kind="J")
+    assert vec.reversal is None
