@@ -50,8 +50,6 @@ RING_FLOOR = 5e-16
 RING_RAMP = sys.float_info.min
 VALUE_TOL = 1e-9
 ANGLE_TOL = 1e-7
-# _collect's cell width: twice _same_angles' 10 ANGLE_TOL, so a matching pair is at most one cell apart
-ANGLE_CELL = 20 * ANGLE_TOL
 REGION_TOL = 1e-9
 TRIVIAL_TOL = 1e-6
 MAX_REFINE = 16
@@ -344,7 +342,8 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     (_refine): round by round, the face at each live ascent's gradient gives
     its next vertex while its value strictly improves. Every grid angle and
     refined end angle whose value lies within VALUE_TOL of the optimum is
-    reported.
+    reported (_collect); only the refined ends are compared for repeats, as
+    grid angles lie a grid step apart.
     """
     if not boundary.faces:
         raise EmptyBoundary("boundary carries no faces")
@@ -366,12 +365,14 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
         for k, kp in candidates[:MAX_REFINE]:
             i = best[row_starts[k] + kp]
             ascents.append(_Ascent(m, rows[k][kp].direction, float(scores[i]), dot[i], ring[i]))
-        grids.append((values, float(flat.min() if sense == MIN else flat.max())))
+        grids.append((flat.tolist(), float(flat.min() if sense == MIN else flat.max())))
     _refine(vec, kinds, ascents, rect, boundary.deg_tol)
-    results = [
-        _result(kind, rows, values, best, [(_angles(a.direction), a.value) for a in ascents if a.measure == m])
-        for m, (kind, (values, best)) in enumerate(zip(kinds, grids))
-    ]
+    grid = [_angles(f.direction) for f in boundary.faces]
+    results = []
+    for m, (kind, (grid_values, best)) in enumerate(zip(kinds, grids)):
+        refined = [(_angles(a.direction), a.value) for a in ascents if a.measure == m]
+        best = (min if kind.sense == MIN else max)([best, *(v for _, v in refined)])
+        results.append(MeasureResult(kind, best, kind.sense, _collect(zip(grid, grid_values), refined, best)))
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
 
@@ -386,66 +387,29 @@ def _same_angles(u: tuple[float, ...], v: tuple[float, ...]) -> bool:
     )
 
 
-def _cell(angles: tuple[float, ...]) -> tuple[int, ...]:
-    return tuple(math.floor(a / ANGLE_CELL) for a in angles)
+def _collect(grid, refined, best: float):
+    """The grid angles and refined ends whose value lies within VALUE_TOL of best, sorted.
 
-
-def _around(cell: tuple[int, ...]):
-    return itertools.product(*((c - 1, c, c + 1) for c in cell))
-
-
-def _collect(evaluated, best: float):
-    """The angles whose value lies within VALUE_TOL of best, sorted; of those
-    that _same_angles matches, the first one met is kept.
-
-    Kept angles are indexed by cell, ANGLE_CELL wide per coordinate, and a
-    candidate is tested only against the 3^k cells around it: a matching pair
-    is at most 10 ANGLE_TOL apart, half a cell, so never two cells apart.
-    phi lies in [0, 2 pi]; within a cell of the seam it is also looked up at
-    phi -/+ 2 pi, which covers the narrower last cell and phi = 2 pi.
+    grid and refined are (angles, value) pairs. Every grid angle within
+    VALUE_TOL is kept and compared with none: sweep_directions' angles lie a
+    whole grid step apart (pi/K in theta, 2 pi/K' in phi), past _same_angles'
+    10 ANGLE_TOL while K < 3e6 and K' < 6e6. A refined end within VALUE_TOL
+    is added unless it repeats a kept angle exactly (an ascent that never
+    left its grid face) or _same_angles matches it to one. So the list is the
+    full scan's over grid + refined: of the angles that _same_angles matches,
+    the first one met is kept.
     """
-    keep = []
-    cells: dict[tuple[int, ...], list] = {}
-    for angles, value in evaluated:
-        if not abs(value - best) <= VALUE_TOL:
-            continue
-        *theta, phi = angles
-        shifts = [0.0]
-        if phi < ANGLE_CELL:
-            shifts.append(2 * math.pi)
-        elif phi > 2 * math.pi - ANGLE_CELL:
-            shifts.append(-2 * math.pi)
-        near = (
-            kept
-            for shift in shifts
-            for key in _around(_cell((*theta, phi + shift)))
-            for kept in cells.get(key, ())
-        )
-        if not any(_same_angles(angles, kept) for kept in near):
+    keep = [angles for angles, value in grid if abs(value - best) <= VALUE_TOL]
+    seen = set(keep)
+    for angles, value in refined:
+        if abs(value - best) <= VALUE_TOL and angles not in seen and not any(_same_angles(angles, k) for k in keep):
             keep.append(angles)
-            cells.setdefault(_cell(angles), []).append(angles)
+            seen.add(angles)
     return sorted(keep)
 
 
 def _angles(direction) -> tuple[float, ...]:
     return (direction.phi,) if direction.theta is None else (direction.theta, direction.phi)
-
-
-def _result(kind, rows, values, best: float, refined) -> MeasureResult:
-    """One measure's bound from its grid values and its refined (angles, value) ends, in candidate order."""
-    sense = kind.sense
-    for _, v in refined:
-        if _better(v, best, sense):
-            best = v
-    # only grid faces within VALUE_TOL of the final best can be collected
-    near = [
-        (_angles(f.direction), v)
-        for row, vals in zip(rows, values)
-        for f, v in zip(row, vals)
-        if abs(v - best) <= VALUE_TOL
-    ]
-    angles = _collect(near + refined, best)
-    return MeasureResult(kind=kind, value=best, sense=sense, angles=angles)
 
 
 def region_contains(kind: MeasureKind, bound: float, sense: str, r, rect: Hyperrect) -> bool:

@@ -26,6 +26,7 @@ LMIN_ETA1 = "LMIN_ETA1"
 MEAN_ETA1 = "MEAN_ETA1"
 
 G_REGION_TOL = 1e-10
+LIMIT_REGION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,16 @@ def _roman_gauge(p: np.ndarray) -> float:
     return gauge
 
 
-def limit_region_contains(family: str, gamma: int, p, tol: float = 1e-9) -> bool:
+def limit_region_contains(family: str, gamma: int, p) -> bool:
     """Membership in the large-j limit region of the scaled mean vectors.
 
     For the ball, the octahedra and the Roman-surface hull (anticommutators at
-    gamma = 1, gauge from ``_roman_gauge``), tol bounds the gauge: p is inside
-    when its gauge is at most 1 + tol. The other regions allow tol of slack in
-    each defining inequality.
+    gamma = 1, gauge from ``_roman_gauge``), LIMIT_REGION_TOL bounds the
+    gauge: p is inside when its gauge is at most 1 + LIMIT_REGION_TOL. The
+    other regions allow LIMIT_REGION_TOL of slack in each defining inequality.
     """
     p = _point3(p)
+    tol = LIMIT_REGION_TOL
     if family == FAMILY_JPOW:
         if gamma == 1:
             return float(np.linalg.norm(p)) <= 1.0 + tol
@@ -171,7 +173,9 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
     AM / AM_MIN: extreme eigenvalues of the first operator; LMAX_ETA1 /
     LMIN_ETA1: extreme eigenvalues of eta_1 . E; MEAN_ETA1: the single-point
     face coordinate at eta_1 divided by the extreme eigenvalue. Raises
-    UnsupportedJ at j = 0 (all operators vanish) and for a non-point MEAN_ETA1 face.
+    UnsupportedJ at j = 0 (all operators vanish), for MEAN_ETA1 when the first
+    operator is zero (anticommutators at j = 1/2, where the Pauli matrices
+    anticommute) and for a non-point MEAN_ETA1 face.
     """
     if family == FAMILY_JPOW:
         build, power = power_vec, lambda j: j.j**gamma
@@ -198,6 +202,8 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
             anti = direction3(math.pi - eta1.theta, (math.pi + eta1.phi) % (2 * math.pi))
             value = -support(vec, anti).lambda_max / scale
         elif quantity == MEAN_ETA1:
+            if vec.ops[0].eig_max == 0.0:
+                raise UnsupportedJ(f"j={j}: the first operator is zero, so its mean cannot be normalized")
             f = face(vec, eta1)
             if not f.is_point:
                 raise UnsupportedJ(f"face at eta_1 is not a point for j={j}")

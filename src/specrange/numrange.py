@@ -15,13 +15,14 @@ ring of segments. ``face`` is ``faces`` at one direction.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NotCommuting
+from .errors import DimensionMismatch, NoConvergence, NonFinite, NotCommuting
 from .linalg import band_top, block_top_eigenvalues, combine_matrix, eig_hermitian
 from .spinops import ObservableVec
 
@@ -75,6 +76,18 @@ def diag_directions() -> list[Direction]:
     return out
 
 
+def _checked_grid(n: int, grid):
+    """grid as plain ints, or ValueError if it is not a sweep_directions grid for n operators."""
+    if n == 2:
+        if not isinstance(grid, numbers.Integral) or grid < 8:
+            raise ValueError(f"a 2D grid is a step count >= 8, got {grid!r}")
+        return int(grid)
+    counts = isinstance(grid, tuple) and len(grid) == 2 and all(isinstance(g, numbers.Integral) for g in grid)
+    if not counts or grid[0] < 4 or grid[1] < 8:
+        raise ValueError(f"a 3D grid is a pair (theta_steps >= 4, phi_steps >= 8), got {grid!r}")
+    return int(grid[0]), int(grid[1])
+
+
 def sweep_directions(n: int, grid) -> list[Direction]:
     """The direction grid of every sweep.
 
@@ -84,19 +97,23 @@ def sweep_directions(n: int, grid) -> list[Direction]:
     rows k = 1..K-1 of K' directions, then the south pole. Any other grid
     raises ValueError.
     """
+    grid = _checked_grid(n, grid)
     if n == 2:
-        if not isinstance(grid, numbers.Integral) or grid < 8:
-            raise ValueError(f"a 2D grid is a step count >= 8, got {grid!r}")
         return [direction2(float(p)) for p in 2 * math.pi * np.arange(grid) / grid]
-    counts = isinstance(grid, tuple) and len(grid) == 2 and all(isinstance(g, numbers.Integral) for g in grid)
-    if not counts or grid[0] < 4 or grid[1] < 8:
-        raise ValueError(f"a 3D grid is a pair (theta_steps >= 4, phi_steps >= 8), got {grid!r}")
     K, Kp = grid
     phis = 2 * math.pi * np.arange(Kp) / Kp
     dirs = [direction3(0.0, 0.0)]
     for theta in np.linspace(0.0, math.pi, K + 1)[1:-1]:
         dirs.extend(direction3(float(theta), float(p)) for p in phis)
     return [*dirs, direction3(math.pi, 0.0)]
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_etas(n: int, grid) -> np.ndarray:
+    """The read-only (N, n) array of sweep_directions(n, grid)'s unit vectors; grid as _checked_grid returns it."""
+    etas = np.array([d.eta for d in sweep_directions(n, grid)])
+    etas.flags.writeable = False
+    return etas
 
 
 def reversal_image(grid, signs) -> np.ndarray:
@@ -594,14 +611,15 @@ def membership(vec: ObservableVec, r, grid) -> float:
     both. The symmetry is exact, lambda_max(S eta) = lambda_max(eta), so the
     shared value is the image direction's own up to the rounding of the
     grid's angles, and a negative margin still certifies r outside. With no
-    grid-aligned S every direction is solved.
+    grid-aligned S every direction is solved. The grid's unit vectors are
+    built once per (n, grid) and kept read-only (_grid_etas).
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
         raise DimensionMismatch(f"point has shape {r.shape}, expected ({vec.n},)")
     if not np.all(np.isfinite(r)):
         raise NonFinite(f"point {r.tolist()} is not finite")
-    etas = np.array([d.eta for d in sweep_directions(vec.n, grid)])
+    etas = _grid_etas(vec.n, _checked_grid(vec.n, grid))
     pair = np.minimum(np.arange(len(etas)), reversal_image(grid, vec.reversal))
     solved, solution = np.unique(pair, return_inverse=True)  # solved ascends: grid order
     return float(np.min(block_top_eigenvalues(etas[solved], vec.blocks)[solution] - etas @ r))
@@ -612,6 +630,7 @@ def commuting_polytope(vec: ObservableVec) -> np.ndarray:
 
     A random real combination is diagonalized to produce the simultaneous
     eigenbasis; the seed COMM_SEED is fixed so results are deterministic.
+    NoConvergence when none of 8 combinations diagonalizes every operator.
     """
     mats = vec.mats
     for i in range(len(mats)):
@@ -633,6 +652,8 @@ def commuting_polytope(vec: ObservableVec) -> np.ndarray:
         )
         if offdiag <= 1e-8 * max(1.0, max(float(np.max(np.abs(m))) for m in mats)):
             break
+    else:
+        raise NoConvergence("no random combination of the operators diagonalized them all")
     points = np.array([_expectations(mats, basis[:, l]) for l in range(basis.shape[1])])
     if vec.n == 2:
         return convex_hull_2d(points)

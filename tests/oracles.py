@@ -19,14 +19,16 @@ optima found node by node. ``bounds`` scores in array code with the same
 ``math`` calls, so its values match them bitwise.
 
 ``collect_reference`` is the attaining-angle list as the scan that tests each
-candidate against every angle kept so far; ``bounds._collect`` tests it only
-against the kept angles in neighbouring cells, and returns the same list.
+candidate against every angle kept so far. ``bounds._collect`` keeps every
+grid angle uncompared, since grid angles lie a grid step apart, and tests
+only the refined ends; it returns the same list.
 
 ``optimize_reference`` is ``optimize_bounds`` with each grid optimum refined
 by its own sequential ascent (``ascend_reference``), one ``face`` solve and
-one ``best_vertex`` scoring a step, measure after measure. ``bounds`` advances
-all ascents of a table in lockstep rounds, one ``faces`` call a round, and
-ends every ascent bitwise where this one does.
+one ``best_vertex`` scoring a step, measure after measure, and its angles
+collected by ``collect_reference``. ``bounds`` advances all ascents of a
+table in lockstep rounds, one ``faces`` call a round, and ends every ascent
+bitwise where this one does.
 
 ``membership_reference`` is the margin with lambda_max solved at every grid
 direction; ``numrange.membership`` solves one direction of each pair
@@ -424,7 +426,7 @@ def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
             for f, v in zip(row, vals)
             if abs(v - best) <= bounds.VALUE_TOL
         ]
-        results.append(bounds.MeasureResult(kind, best, sense, bounds._collect(near + refined, best)))
+        results.append(bounds.MeasureResult(kind, best, sense, collect_reference(near + refined, best)))
     return results
 
 

@@ -15,9 +15,9 @@ from conftest import CI_LONG
 from oracles import collect_reference, optimize_reference
 from specrange import bounds
 from specrange.bounds import (
-    ANGLE_CELL,
     ANGLE_TOL,
     MAX,
+    MAX_REFINE,
     MAX_STEPS,
     MIN,
     VALUE_TOL,
@@ -48,6 +48,7 @@ from specrange.numrange import (
     face,
     faces,
     hyperrect,
+    sweep_directions,
 )
 from specrange.spinops import (
     HalfInt,
@@ -264,97 +265,149 @@ def test_optimize_rejects_degenerate_range():
 
 def test_collect_wraps_phi():
     """phi just below 2 pi and phi = 0 are one attaining direction."""
-    evaluated = [((math.pi / 2, 0.0), 1.0), ((math.pi / 2, 2 * math.pi - 1e-14), 1.0), ((math.pi / 2, 1.0), 1.0)]
-    assert _collect(evaluated, 1.0) == [(math.pi / 2, 0.0), (math.pi / 2, 1.0)]
-    assert _collect([((2 * math.pi - 1e-14,), 2.0), ((0.0,), 2.0)], 2.0) == [(2 * math.pi - 1e-14,)]
+    grid = [((math.pi / 2, 0.0), 1.0), ((math.pi / 2, 1.0), 1.0)]
+    refined = [((math.pi / 2, 2 * math.pi - 1e-14), 1.0)]
+    assert _collect(grid, refined, 1.0) == [(math.pi / 2, 0.0), (math.pi / 2, 1.0)]
+    assert _collect([], [((2 * math.pi - 1e-14,), 2.0), ((0.0,), 2.0)], 2.0) == [(2 * math.pi - 1e-14,)]
 
 
 SAME = 10 * ANGLE_TOL
-EDGE = 5 * ANGLE_CELL
 TWO_PI = 2 * math.pi
+# (grid angles, refined ends, collected): grid angles lie a grid step apart,
+# so each near-duplicate is a refined end, matched against a grid angle or an earlier end
 COLLECT_CASES = {
-    "0.99-apart-merge": ([(1.0,), (1.0 + 0.99 * SAME,)], [(1.0,)]),
-    "1.01-apart-stay": ([(1.0,), (1.0 + 1.01 * SAME,)], [(1.0,), (1.0 + 1.01 * SAME,)]),
-    "0.99-across-edge": ([(EDGE - 0.5 * SAME,), (EDGE + 0.49 * SAME,)], [(EDGE - 0.5 * SAME,)]),
-    "1.01-across-edge": ([(EDGE - 0.5 * SAME,), (EDGE + 0.51 * SAME,)], [(EDGE - 0.5 * SAME,), (EDGE + 0.51 * SAME,)]),
-    "theta-0.99-across-edge": ([(EDGE - 0.01 * SAME, 2.0), (EDGE + 0.98 * SAME, 2.0)], [(EDGE - 0.01 * SAME, 2.0)]),
-    "theta-1.01-across-edge": (
-        [(EDGE + 0.01 * SAME, 2.0), (EDGE - SAME, 2.0)],
-        [(EDGE - SAME, 2.0), (EDGE + 0.01 * SAME, 2.0)],
-    ),
-    "phi-exactly-2pi": ([(1.0, TWO_PI), (1.0, 5e-8), (1.0, 0.0)], [(1.0, TWO_PI)]),
-    "phi-0-before-2pi": ([(0.0,), (TWO_PI,)], [(0.0,)]),
-    "seam-kept-first": ([(TWO_PI - 9e-7,), (5e-8,)], [(TWO_PI - 9e-7,)]),
-    "seam-1.01-apart": ([(TWO_PI - 9.6e-7,), (5e-8,)], [(5e-8,), (TWO_PI - 9.6e-7,)]),
+    "0.99-apart-merge": ([(1.0,)], [(1.0 + 0.99 * SAME,)], [(1.0,)]),
+    "1.01-apart-stay": ([(1.0,)], [(1.0 + 1.01 * SAME,)], [(1.0,), (1.0 + 1.01 * SAME,)]),
+    "theta-0.99-apart-merge": ([(1.0, 2.0)], [(1.0 + 0.99 * SAME, 2.0)], [(1.0, 2.0)]),
+    "theta-1.01-apart-stay": ([(1.0, 2.0)], [(1.0 - 1.01 * SAME, 2.0)], [(1.0 - 1.01 * SAME, 2.0), (1.0, 2.0)]),
+    "ends-0.99-apart-merge": ([], [(1.0,), (1.0 + 0.99 * SAME,)], [(1.0,)]),
+    "exact-repeats": ([(1.0, 2.0), (1.0, 3.0)], [(1.0, 3.0), (1.0, 2.0), (1.0, 3.0)], [(1.0, 2.0), (1.0, 3.0)]),
+    "phi-exactly-2pi": ([], [(1.0, TWO_PI), (1.0, 5e-8), (1.0, 0.0)], [(1.0, TWO_PI)]),
+    "phi-0-before-2pi": ([(0.0,)], [(TWO_PI,)], [(0.0,)]),
+    "seam-kept-first": ([(TWO_PI - 9e-7,)], [(5e-8,)], [(TWO_PI - 9e-7,)]),
+    "seam-1.01-apart": ([(TWO_PI - 9.6e-7,)], [(5e-8,)], [(5e-8,), (TWO_PI - 9.6e-7,)]),
 }
 
 
-@pytest.mark.parametrize("angles, want", COLLECT_CASES.values(), ids=COLLECT_CASES.keys())
-def test_collect_planted_cases(angles, want):
-    evaluated = [(a, 0.0) for a in angles]
-    assert _collect(evaluated, 0.0) == collect_reference(evaluated, 0.0) == want
+@pytest.mark.parametrize("grid, refined, want", COLLECT_CASES.values(), ids=COLLECT_CASES.keys())
+def test_collect_planted_cases(grid, refined, want):
+    grid = [(a, 0.0) for a in grid]
+    refined = [(a, 0.0) for a in refined]
+    assert _collect(grid, refined, 0.0) == collect_reference(grid + refined, 0.0) == want
 
 
 def test_collect_keeps_values_within_value_tol():
     """At best = 0.5, best + VALUE_TOL rounds to within VALUE_TOL and best - VALUE_TOL to just outside."""
     evaluated = [((1.0,), 0.5 + VALUE_TOL), ((2.0,), 0.5 - VALUE_TOL), ((3.0,), 0.5), ((4.0,), 0.5 + 2 * VALUE_TOL)]
-    assert _collect(evaluated, 0.5) == collect_reference(evaluated, 0.5) == [(1.0,), (3.0,)]
+    want = [(1.0,), (3.0,)]
+    assert _collect(evaluated, [], 0.5) == _collect([], evaluated, 0.5) == collect_reference(evaluated, 0.5) == want
+
+
+COLLECT_GRIDS = {grid: [_angles(d) for d in sweep_directions(*grid)] for grid in [
+    (2, 8), (2, 360), (2, 4096), (3, (4, 8)), (3, (12, 24)), (3, (36, 72)),
+]}
 
 
 @st.composite
 def attaining_lists(draw):
-    """(angles, value) lists of one or two angles, drawn near shared anchors so that matches and misses both occur."""
-    k = draw(st.integers(1, 2))
+    """A real sweep grid's (angles, value) pairs and up to MAX_REFINE refined ends drawn near its angles.
+
+    Up to 24 grid angles get a value near best, the rest one far from it; each
+    end sits a drawn multiple of _same_angles' tolerance from a grid angle (0
+    is an exact repeat), phi taken round the circle into [0, 2 pi].
+    """
+    angles = COLLECT_GRIDS[draw(st.sampled_from(list(COLLECT_GRIDS)))]
     best = draw(st.floats(-10.0, 10.0))
-    thetas = st.sampled_from([0.0, math.pi, EDGE, 1.0]) | st.floats(0.0, math.pi)
-    phis = st.sampled_from([0.0, TWO_PI, TWO_PI - 9e-7, 5e-8, EDGE, TWO_PI - ANGLE_CELL]) | st.floats(0.0, TWO_PI)
-    steps = st.sampled_from([0.0, 0.49, -0.49, 0.5, 0.99, -0.99, 1.01, -1.01, 2.0]) | st.floats(-3.0, 3.0)
     values = st.sampled_from([0.0, VALUE_TOL, -VALUE_TOL, 2 * VALUE_TOL]) | st.floats(-2 * VALUE_TOL, 2 * VALUE_TOL)
-    anchors = draw(st.lists(st.tuples(*[thetas] * (k - 1), phis), min_size=1, max_size=4))
-    out = []
-    for _ in range(draw(st.integers(0, 24))):
-        anchor = draw(st.sampled_from(anchors))
-        angles = tuple(a + draw(steps) * SAME for a in anchor)
-        # keep phi in the [0, 2 pi] the library emits
-        angles = (*angles[:-1], min(max(angles[-1], 0.0), TWO_PI))
-        out.append((angles, best + draw(values)))
-    return out, best
+    steps = st.sampled_from([0.0, 0.49, -0.49, 0.5, 0.99, -0.99, 1.01, -1.01, 2.0]) | st.floats(-3.0, 3.0)
+    near = draw(st.lists(st.integers(0, len(angles) - 1), max_size=24, unique=True))
+    grid_values = [best + 1.0] * len(angles)
+    for i in near:
+        grid_values[i] = best + draw(values)
+    anchors = near or [0]
+    refined = []
+    for _ in range(draw(st.integers(0, MAX_REFINE))):
+        *theta, phi = angles[draw(st.sampled_from(anchors))]
+        theta = [min(max(t + draw(steps) * SAME, 0.0), math.pi) for t in theta]
+        refined.append(((*theta, (phi + draw(steps) * SAME) % TWO_PI), best + draw(values)))
+    return list(zip(angles, grid_values)), refined, best
 
 
 @given(attaining_lists())
 @settings(max_examples=400, deadline=None)
 def test_collect_matches_the_full_scan(case):
-    evaluated, best = case
-    assert _collect(evaluated, best) == collect_reference(evaluated, best)
+    grid, refined, best = case
+    assert _collect(grid, refined, best) == collect_reference(grid + refined, best)
 
 
-def test_collect_tests_each_candidate_against_its_cells_only(monkeypatch):
-    """u2 is flat on the anticomm j = 3/2 ball, so every grid face of 36x72 attains it.
+@pytest.mark.parametrize("n, grid", [(2, 360), (2, 4096), (3, (12, 24)), (3, (36, 72)), (3, (180, 360))], ids=str)
+def test_grid_angles_never_match(n, grid):
+    """_collect's precondition: no two directions of a sweep grid match under _same_angles.
 
-    A scan of every kept angle makes about 3.19e6 _same_angles calls for the
-    2538 candidates; the cell index makes at most two a candidate.
+    Along a row phi ascends and down a column theta does, so a matching pair
+    would include a neighbouring pair: columns of a row (the seam, column 0
+    against the last, included), rows of a column, or a pole against row 1.
     """
-    vec = anticomm_vec(HalfInt(3), 1)
-    mesh = boundary3d(vec, 36, 72)
-    calls = candidates = 0
+    angles = [_angles(d) for d in sweep_directions(n, grid)]
+    if n == 2:
+        rows, poles = [angles], []
+    else:
+        kp = grid[1]
+        rows = [angles[k : k + kp] for k in range(1, len(angles) - 1, kp)]
+        poles = [(angles[0], rows[0]), (angles[-1], rows[-1])]
+    pairs = [(u, v) for row in rows for u, v in zip(row, row[1:] + row[:1])]
+    pairs += [(u, v) for upper, lower in zip(rows, rows[1:]) for u, v in zip(upper, lower)]
+    pairs += [(pole, v) for pole, row in poles for v in row]
+    assert not any(bounds._same_angles(u, v) for u, v in pairs)
+
+
+def _recording(monkeypatch):
+    """Record each _collect call's (grid, refined) lists and each _same_angles call's arguments."""
+    collects, calls = [], []
     same, collect = bounds._same_angles, bounds._collect
 
-    def counted_same(u, v):
-        nonlocal calls
-        calls += 1
+    def recorded_same(u, v):
+        calls.append((u, v))
         return same(u, v)
 
-    def counted_collect(evaluated, best):
-        nonlocal candidates
-        candidates += len(evaluated)
-        return collect(evaluated, best)
+    def recorded_collect(grid, refined, best):
+        grid = list(grid)
+        collects.append(([a for a, _ in grid], [a for a, _ in refined]))
+        return collect(grid, refined, best)
 
-    monkeypatch.setattr(bounds, "_same_angles", counted_same)
-    monkeypatch.setattr(bounds, "_collect", counted_collect)
+    monkeypatch.setattr(bounds, "_same_angles", recorded_same)
+    monkeypatch.setattr(bounds, "_collect", recorded_collect)
+    return collects, calls
+
+
+def test_collect_compares_only_refined_ends(monkeypatch):
+    """Every _same_angles call of _collect tests a refined end; a list of grid angles alone makes none."""
+    collects, calls = _recording(monkeypatch)
+    vec = anticomm_vec(HalfInt(4), 1)
+    optimize_bounds(vec, boundary3d(vec, 12, 24), ["h", "u0.5", "u2", "umax"])
+    vec = jsq_pair(HalfInt(7))
+    optimize_bounds(vec, boundary2d(vec, 360), ["h", "u0.5", "u2", "umax"])
+    refined = {a for _, ends in collects for a in ends}
+    assert calls and all(u in refined for u, _ in calls)
+    calls.clear()
+    grid = [(a, 0.0) for a in collects[0][0]]
+    assert bounds._collect(grid, [], 0.0) == sorted(a for a, _ in grid)
+    assert not calls
+
+
+def test_collect_u2_ball_makes_no_same_angles_call(monkeypatch):
+    """u2 is flat on the anticomm j = 3/2 ball, so every grid face of 36x72 attains it.
+
+    Every ascent stays on its grid face, so each refined end is an exact
+    repeat of a kept grid angle and no _same_angles call is made.
+    """
+    collects, calls = _recording(monkeypatch)
+    vec = anticomm_vec(HalfInt(3), 1)
+    mesh = boundary3d(vec, 36, 72)
     (result,) = optimize_bounds(vec, mesh, ["u2"]).results
-    assert candidates >= len(mesh.faces)
+    assert len(collects[0][0]) == len(mesh.faces)
     assert len(result.angles) > 2000
-    assert calls <= 2 * candidates
+    assert calls == []
 
 
 def test_jpow3_scaled_18x36_reaches_reference():

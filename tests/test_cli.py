@@ -216,11 +216,36 @@ def test_check_non_finite_point_is_numeric_failure(capsys):
         "sweep --family jpow --gamma 2 --quantity mean_eta1 --j-list 1",
         "sweep --family anticomm --quantity am --j-list 0",
         "sweep --family jpow --quantity lmin_eta1 --j-list 0",
+        "sweep --family anticomm --quantity mean_eta1 --j-list 1/2",
     ],
 )
 def test_sweep_unsupported_j_is_numeric_failure(args, capsys):
     assert run_cli(args.split()) == 1
     assert "numeric failure" in capsys.readouterr().err
+
+
+# one command line per subcommand (and per sweep quantity) on tiny grids, with {j} to fill in
+SMALL_J_COMMANDS = {
+    "ops": "ops --set anticomm --j {j}",
+    "boundary": "boundary --set ladder --format json --phi-steps 8 --j {j}",
+    "mesh": "mesh --set anticomm --format svg --theta-steps 8 --phi-steps 8 --j {j}",
+    "bounds-2d": "bounds --set jsq2d --phi-steps 8 --j {j}",
+    "bounds-3d": "bounds --set anticomm --theta-steps 8 --phi-steps 8 --j {j}",
+    "check": "check --set anticomm --point 0,0,0 --theta-steps 8 --phi-steps 8 --j {j}",
+    "gaps": "gaps --set jpow --theta-steps 8 --phi-steps 8 --j {j}",
+    "surface": "surface --family anticomm --mu-steps 2 --nu-steps 4",
+    **{
+        f"sweep-{q}": f"sweep --family anticomm --quantity {q} --j-list {{j}}"
+        for q in ("am", "am_min", "lmax_eta1", "lmin_eta1", "mean_eta1")
+    },
+}
+
+
+@pytest.mark.parametrize("command", SMALL_J_COMMANDS.values(), ids=SMALL_J_COMMANDS.keys())
+def test_small_j_exits_with_a_code(command, tmp_path):
+    """At j = 0, 1/2 and 1 every subcommand returns 0, 1 or 2 and raises nothing."""
+    for j in ("0", "1/2", "1"):
+        assert run_cli([*command.format(j=j).split(), "--out", str(tmp_path / "out")]) in (0, 1, 2), j
 
 
 def readme_cli_examples():

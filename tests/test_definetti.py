@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CI_LONG
+from specrange import definetti
 from specrange.definetti import (
     bloch_grid,
     convergence_sweep,
@@ -12,7 +13,7 @@ from specrange.definetti import (
     surface_anticomm,
     surface_jpow,
 )
-from specrange.errors import DimensionMismatch, UnsupportedFamily
+from specrange.errors import DimensionMismatch, UnsupportedFamily, UnsupportedJ
 from specrange.numrange import boundary3d, diag_directions
 from specrange.spinops import HalfInt, anticomm_vec, scale_uniform
 
@@ -143,7 +144,7 @@ def test_limit_region_roman_hull_membership():
         assert not limit_region_contains("ANTICOMM", 1, bad)
 
 
-def test_limit_region_roman_hull_honours_tol():
+def test_limit_region_roman_hull_honours_tol(monkeypatch):
     # walk out along a ray to the hull boundary, then step 1e-6 past it
     ray = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
     lo, hi = 0.0, 2.0
@@ -155,7 +156,8 @@ def test_limit_region_roman_hull_honours_tol():
             hi = mid
     past = (hi + 1e-6) * ray
     assert not limit_region_contains("ANTICOMM", 1, past)
-    assert limit_region_contains("ANTICOMM", 1, past, tol=1e-5)
+    monkeypatch.setattr(definetti, "LIMIT_REGION_TOL", 1e-5)
+    assert limit_region_contains("ANTICOMM", 1, past)
 
 
 def _roman_matrix(eta) -> np.ndarray:
@@ -266,6 +268,12 @@ def test_convergence_lmax_eta1_jpow():
 def test_convergence_mean_eta1():
     series = convergence_sweep("ANTICOMM", 1, [HalfInt(100)], "MEAN_ETA1")
     assert series[0][1] == pytest.approx(0.665502, abs=1e-5)
+
+
+def test_convergence_mean_eta1_rejects_a_zero_operator():
+    """At j = 1/2 the Pauli matrices anticommute, so every anticommutator is 0 and has no mean to normalize."""
+    with pytest.raises(UnsupportedJ, match="zero"):
+        convergence_sweep("ANTICOMM", 1, [HalfInt(1)], "MEAN_ETA1")
 
 
 def test_convergence_am_to_limits():

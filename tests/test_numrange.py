@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import membership_reference
 from specrange import numrange
-from specrange.errors import DimensionMismatch, NonFinite, NonHermitian, NotCommuting
+from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian, NotCommuting
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
 from specrange.numrange import (
     Direction,
@@ -604,6 +605,30 @@ def test_membership_solves_one_direction_per_pair(monkeypatch):
     assert rows == [134, 360]
 
 
+def test_membership_builds_each_grid_once(monkeypatch):
+    """Repeated queries on one grid build its directions once, as a read-only array; bad grids raise every time."""
+    built = []
+    build = numrange.sweep_directions
+
+    def counted(n, grid):
+        built.append((n, grid))
+        return build(n, grid)
+
+    monkeypatch.setattr(numrange, "sweep_directions", counted)
+    numrange._grid_etas.cache_clear()
+    vec = anticomm_vec(HalfInt(4), 1)
+    margins = [membership(vec, [0.1, 0.2, 0.3], (12, 24)) for _ in range(3)]
+    margins.append(membership(vec, [0.1, 0.2, 0.3], (np.int64(12), 24)))
+    membership(vec, [0.1, 0.2, 0.3], (13, 24))
+    assert built == [(3, (12, 24)), (3, (13, 24))]
+    assert len(set(margins)) == 1
+    assert not numrange._grid_etas(3, (12, 24)).flags.writeable
+    for bad in [(12.0, 24), [12, 24], (3, 24)] * 2:
+        with pytest.raises(ValueError, match="grid"):
+            membership(vec, [0.1, 0.2, 0.3], bad)
+    numrange._grid_etas.cache_clear()
+
+
 # --- commuting polytope ----------------------------------------------------
 
 
@@ -615,6 +640,17 @@ def test_commuting_polytope_triangle():
 def test_commuting_polytope_rejects_noncommuting():
     with pytest.raises(NotCommuting):
         commuting_polytope(jsq_pair(HalfInt(4)))
+
+
+def test_commuting_polytope_rejects_an_unconverged_basis(monkeypatch):
+    """A basis that diagonalizes no combination raises instead of being used."""
+
+    def identity_basis(mat):
+        return dataclasses.replace(eig_hermitian(mat), vectors=np.eye(len(mat)))
+
+    monkeypatch.setattr(numrange, "eig_hermitian", identity_basis)
+    with pytest.raises(NoConvergence):
+        commuting_polytope(jsq_pair(HalfInt(2)))
 
 
 def test_commuting_polytope_coplanar_set():
