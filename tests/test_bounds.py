@@ -272,12 +272,17 @@ def test_collect_wraps_phi():
 
 
 SAME = 10 * ANGLE_TOL
+# a round angle where a binned index of kept angles would put a cell edge: a
+# pair straddling it is still matched by distance alone
+EDGE = 1e-5
 TWO_PI = 2 * math.pi
 # (grid angles, refined ends, collected): grid angles lie a grid step apart,
 # so each near-duplicate is a refined end, matched against a grid angle or an earlier end
 COLLECT_CASES = {
     "0.99-apart-merge": ([(1.0,)], [(1.0 + 0.99 * SAME,)], [(1.0,)]),
     "1.01-apart-stay": ([(1.0,)], [(1.0 + 1.01 * SAME,)], [(1.0,), (1.0 + 1.01 * SAME,)]),
+    "0.99-across-edge": ([(EDGE - 0.5 * SAME,)], [(EDGE + 0.49 * SAME,)], [(EDGE - 0.5 * SAME,)]),
+    "1.01-across-edge": ([(EDGE - 0.5 * SAME,)], [(EDGE + 0.51 * SAME,)], [(EDGE - 0.5 * SAME,), (EDGE + 0.51 * SAME,)]),
     "theta-0.99-apart-merge": ([(1.0, 2.0)], [(1.0 + 0.99 * SAME, 2.0)], [(1.0, 2.0)]),
     "theta-1.01-apart-stay": ([(1.0, 2.0)], [(1.0 - 1.01 * SAME, 2.0)], [(1.0 - 1.01 * SAME, 2.0), (1.0, 2.0)]),
     "ends-0.99-apart-merge": ([], [(1.0,), (1.0 + 0.99 * SAME,)], [(1.0,)]),
