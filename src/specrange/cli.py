@@ -47,6 +47,7 @@ HALF_INT = _arg(HalfInt.parse)
 HALF_INTS = _arg(_list(HalfInt.parse))
 GAMMA = _arg(int, lambda g: g >= 1, ">= 1")
 STEPS = _arg(int, lambda n: n >= 8, ">= 8")
+THETA_STEPS = _arg(int, lambda n: n >= 4, ">= 4")
 COUNT = _arg(int, lambda n: n >= 0, ">= 0")
 TOL = _arg(float, lambda x: x > 0, "positive")
 MEASURES = _arg(_list(MeasureKind.parse))
@@ -84,7 +85,7 @@ def _add_common(p, grid: int = 0, deg_tol: bool = True):
     if grid:
         p.add_argument("--phi-steps", type=STEPS, default=360)
     if grid == 3:
-        p.add_argument("--theta-steps", type=STEPS, default=36)
+        p.add_argument("--theta-steps", type=THETA_STEPS, default=36)
     p.add_argument("--out", default="-")
 
 

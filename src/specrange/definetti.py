@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedFamily, UnsupportedJ
+from .errors import DimensionMismatch, GammaOutOfRange, UnsupportedFamily, UnsupportedJ
 from .numrange import diag_directions, direction3, face, support
 from .spinops import HalfInt, ObservableVec, anticomm_vec, power_vec
 
@@ -125,9 +125,12 @@ def limit_region_contains(family: str, gamma: int, p) -> bool:
     gamma = 1, gauge from ``_roman_gauge``), LIMIT_REGION_TOL bounds the
     gauge: p is inside when its gauge is at most 1 + LIMIT_REGION_TOL. The
     other regions allow LIMIT_REGION_TOL of slack in each defining inequality.
+    GammaOutOfRange for gamma < 1 in either family.
     """
     p = _point3(p)
     tol = LIMIT_REGION_TOL
+    if family in (FAMILY_JPOW, FAMILY_ANTICOMM) and gamma < 1:
+        raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
     if family == FAMILY_JPOW:
         if gamma == 1:
             return float(np.linalg.norm(p)) <= 1.0 + tol

@@ -124,8 +124,8 @@ def reversal_image(grid, signs) -> np.ndarray:
     when S flips z, and the poles swap. S eta_k matches the grid's
     direction at the image to rounding. The identity when signs is None
     (ObservableVec.reversal of a set with no such symmetry) or all +1, and
-    when S turns the plane by a half turn, which an odd phi count does not
-    map onto itself.
+    when S flips x on an odd phi count, which phi -> pi - phi and
+    phi -> phi + pi do not map onto itself.
     """
     steps = grid[1] if isinstance(grid, tuple) else grid
     count = steps if not isinstance(grid, tuple) else 2 + (grid[0] - 1) * steps
@@ -605,23 +605,31 @@ def membership(vec: ObservableVec, r, grid) -> float:
 
     grid is a sweep_directions grid: a step count for two operators,
     (theta_steps, phi_steps) for three. The min runs over every direction of
-    the grid, but lambda_max comes from one solve per pair {eta_k, S eta_k}
-    (S = vec.reversal, the pair's image from reversal_image): the smaller
-    index of each pair is solved, in grid order, and its value is given to
-    both. The symmetry is exact, lambda_max(S eta) = lambda_max(eta), so the
-    shared value is the image direction's own up to the rounding of the
-    grid's angles, and a negative margin still certifies r outside. With no
-    grid-aligned S every direction is solved. The grid's unit vectors are
-    built once per (n, grid) and kept read-only (_grid_etas).
+    the grid, but lambda_max comes from one solve per orbit of
+    vec.sign_group, the signs S = diag(+-1) that complex conjugation and the
+    pi rotations about z and y generate, with lambda_max(S eta) =
+    lambda_max(eta). Each grid index's representative is the smallest of its
+    images reversal_image(grid, S) over the group (a group element that does
+    not map the grid onto itself gives the identity); the representatives
+    are solved in grid order, in one call, and each orbit shares its value.
+    The symmetry holds to within the group's verified residual, so a shared
+    value is the image direction's own up to the rounding of the grid's
+    angles plus that residual, and a negative margin still certifies r
+    outside. On a 12x24 grid the anticomm gamma = 1 set (a group of order 4)
+    solves 68 of the 266 directions, and the J triple and jpow gamma = 3
+    (order 8) 43; a set whose group is the identity alone solves every
+    direction. The grid's unit vectors are built once per (n, grid) and kept
+    read-only (_grid_etas).
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
         raise DimensionMismatch(f"point has shape {r.shape}, expected ({vec.n},)")
     if not np.all(np.isfinite(r)):
         raise NonFinite(f"point {r.tolist()} is not finite")
-    etas = _grid_etas(vec.n, _checked_grid(vec.n, grid))
-    pair = np.minimum(np.arange(len(etas)), reversal_image(grid, vec.reversal))
-    solved, solution = np.unique(pair, return_inverse=True)  # solved ascends: grid order
+    grid = _checked_grid(vec.n, grid)
+    etas = _grid_etas(vec.n, grid)
+    orbit = np.min([reversal_image(grid, signs) for signs in vec.sign_group], axis=0)
+    solved, solution = np.unique(orbit, return_inverse=True)  # solved ascends: grid order
     return float(np.min(block_top_eigenvalues(etas[solved], vec.blocks)[solution] - etas @ r))
 
 

@@ -23,6 +23,10 @@ KIND_JSQ2D = "JSQ2D"
 KIND_LADDER = "LADDER"
 KIND_ANTICOMM = "ANTICOMM"
 
+# a rotation generates ObservableVec.sign_group when it maps every operator
+# to +-itself within this fraction of the operators' largest |eigenvalue|
+SIGN_GROUP_TOL = 1e-12
+
 
 @dataclass(frozen=True, order=True)
 class HalfInt:
@@ -117,6 +121,44 @@ class ObservableVec:
             else:
                 return None
         return tuple(signs)
+
+    @cached_property
+    def sign_group(self) -> tuple[tuple[int, ...], ...]:
+        """Every S = diag(+-1) with lambda_max(S eta) = lambda_max(eta) that three symmetries generate, identity first.
+
+        A unitary or antiunitary g with g A_i g^-1 = s_i A_i for every
+        operator maps states to states and eta.A to (S eta).A, so S maps the
+        allowed region onto itself. The generators, in the Jz basis:
+        complex conjugation K (the exact ``reversal``), e^{-i pi Jz} =
+        diag((-1)^a) and e^{-i pi Jy}, the basis reversal a -> d-1-a with
+        sign (-1)^a; both rotations take A_ab to (-1)^(a+b) A_ab, the second
+        at the reversed indices. A rotation is kept only when it sends every
+        operator to +itself or -itself within SIGN_GROUP_TOL of the
+        operators' largest |eigenvalue| (a zero operator takes +1): matmul-built
+        powers are not mapped bitwise. The group is the generators' closure
+        under elementwise product; a set with no such symmetry gets the
+        identity alone.
+        """
+        generators = [] if self.reversal is None else [self.reversal]  # reversal validates the operators first
+        d = self.dim
+        checker = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+        tol = SIGN_GROUP_TOL * float(np.abs(self.spectral_ends[0]).max())
+        for turn in (lambda m: checker * m, lambda m: checker * m[::-1, ::-1]):
+            signs = []
+            for mat in self.mats:
+                image = turn(mat)
+                if np.max(np.abs(image - mat)) <= tol:
+                    signs.append(1)
+                elif np.max(np.abs(image + mat)) <= tol:
+                    signs.append(-1)
+                else:
+                    break
+            else:
+                generators.append(tuple(signs))
+        group = {(1,) * self.n}
+        for g in generators:  # the elements commute and square to the identity, so H u gH is closed
+            group |= {tuple(a * b for a, b in zip(g, s)) for s in group}
+        return tuple(sorted(group, reverse=True))
 
     @cached_property
     def spectral_ends(self) -> tuple[np.ndarray, np.ndarray]:

@@ -176,6 +176,15 @@ def test_usage_error_exit_code():
     assert run_cli(["boundary", "--j", "2", "--set", "jsq2d", "--phi-steps", "4"]) == 2
 
 
+def test_theta_steps_takes_what_the_grid_takes(tmp_path):
+    """--theta-steps accepts any count >= 4, as the 3D grid does; --phi-steps keeps its >= 8."""
+    out = tmp_path / "m.json"
+    assert run_cli(["mesh", "--j", "1", "--set", "j", "--theta-steps", "4", "--phi-steps", "8", "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+    assert run_cli(["mesh", "--j", "1", "--set", "j", "--theta-steps", "3", "--phi-steps", "8"]) == 2
+    assert run_cli(["mesh", "--j", "1", "--set", "j", "--theta-steps", "4", "--phi-steps", "7"]) == 2
+
+
 def test_numeric_failure_exit_code(tmp_path):
     out = tmp_path / "x.json"
     code = run_cli(["bounds", "--j", "1/2", "--set", "jsq2d", "--phi-steps", "16", "--out", str(out)])

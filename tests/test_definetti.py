@@ -13,7 +13,7 @@ from specrange.definetti import (
     surface_anticomm,
     surface_jpow,
 )
-from specrange.errors import DimensionMismatch, UnsupportedFamily, UnsupportedJ
+from specrange.errors import DimensionMismatch, GammaOutOfRange, UnsupportedFamily, UnsupportedJ
 from specrange.numrange import boundary3d, diag_directions
 from specrange.spinops import HalfInt, anticomm_vec, scale_uniform
 
@@ -210,6 +210,17 @@ def test_limit_region_unsupported():
         limit_region_contains("ANTICOMM", 2, [0.1, 0.1, 0.1])
     with pytest.raises(UnsupportedFamily):
         limit_region_contains("OTHER", 3, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "family, gamma",
+    [("JPOW", 0), ("JPOW", -1), ("JPOW", -2), ("ANTICOMM", 0), ("ANTICOMM", -1)],
+    ids=["jpow0", "jpow-1", "jpow-2", "anticomm0", "anticomm-1"],
+)
+def test_limit_region_rejects_gamma_below_one(family, gamma):
+    """gamma = 0 used to divide by zero (JPOW) or name gamma=2 (ANTICOMM); negative JPOW gammas returned True."""
+    with pytest.raises(GammaOutOfRange, match=f"got {gamma}"):
+        limit_region_contains(family, gamma, [0.1, 0.1, 0.1])
 
 
 @pytest.mark.parametrize(

@@ -497,7 +497,7 @@ def test_membership_rejects_non_finite_point(bad):
         membership(j_triple(HalfInt(2)), [bad, 0.0, 0.0], (12, 24))
 
 
-# --- complex conjugation: the grid image and membership over pairs --------------
+# --- the sign group: the grid image and membership over orbits ----------------
 
 # the grid's angles are rounded at up to 2 pi, so a reflected direction and
 # the grid direction it maps to agree to a few ulps of 2 pi
@@ -539,7 +539,7 @@ def test_reversal_image_2d(signs, parity, steps):
     check_image(2, steps, signs)
 
 
-# (label, vector, grid, whether S is None or all +1, so that no pair is shared)
+# (label, vector, grid, whether the group is trivial, so that no direction shares a value)
 MEMBERSHIP_SETS = [
     ("j 5/2", j_triple(HalfInt(5)), (12, 24), False),
     ("j 2 odd phi", j_triple(HalfInt(4)), (7, 15), False),
@@ -575,22 +575,22 @@ def membership_points(vec, rng):
     return points, scale
 
 
-@pytest.mark.parametrize("label, vec, grid, unpaired", MEMBERSHIP_SETS, ids=[c[0] for c in MEMBERSHIP_SETS])
-def test_membership_matches_the_full_grid_oracle(label, vec, grid, unpaired):
-    assert unpaired == (vec.reversal is None or all(s == 1 for s in vec.reversal))
+@pytest.mark.parametrize("label, vec, grid, trivial", MEMBERSHIP_SETS, ids=[c[0] for c in MEMBERSHIP_SETS])
+def test_membership_matches_the_full_grid_oracle(label, vec, grid, trivial):
+    assert trivial == (len(vec.sign_group) == 1)
     points, scale = membership_points(vec, np.random.default_rng(17))
     for r in points:
         got, want = membership(vec, r, grid), membership_reference(vec, r, grid)
-        if unpaired:
+        if trivial:
             assert got == want
         else:
             assert abs(got - want) <= 1e-12 * scale
 
 
 def test_membership_solves_one_direction_per_pair(monkeypatch):
-    """anticomm S = (1, -1, -1) on 12x24: 264 directions pair up, two are their own images.
+    """One solve per orbit of the sign group on 12x24: 68 of 266 for anticomm (order 4), 43 for J and jpow 3 (order 8).
 
-    The two are on the equator at phi = 0 and pi; jsq2d has S all +1, so every direction is solved.
+    jsq2d's group is the identity alone, so every direction of its ring is solved.
     """
     rows = []
     solve = numrange.block_top_eigenvalues
@@ -601,8 +601,10 @@ def test_membership_solves_one_direction_per_pair(monkeypatch):
 
     monkeypatch.setattr(numrange, "block_top_eigenvalues", counted)
     membership(anticomm_vec(HalfInt(40), 1), [0.0, 0.0, 0.0], (12, 24))
+    membership(j_triple(HalfInt(5)), [0.0, 0.0, 0.0], (12, 24))
+    membership(power_vec(HalfInt(7), 3), [0.0, 0.0, 0.0], (12, 24))
     membership(jsq_pair(HalfInt(6)), [0.0, 0.0], 360)
-    assert rows == [134, 360]
+    assert rows == [68, 43, 43, 360]
 
 
 def test_membership_builds_each_grid_once(monkeypatch):

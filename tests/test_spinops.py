@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -309,24 +310,29 @@ def spectral_scale(vec) -> float:
     return max(1.0, float(np.abs(ends).max()))
 
 
-@pytest.mark.parametrize(
-    "vec, signs",
-    [
-        (j_triple(HalfInt(3)), (1, -1, 1)),
-        (power_vec(HalfInt(5), 2), (1, 1, 1)),
-        (power_vec(HalfInt(5), 3), (1, -1, 1)),
-        (jsq_pair(HalfInt(4)), (1, 1)),
-        (ladder_combo(HalfInt(4), 2), (1, -1)),
-        (ladder_combo(HalfInt(1), 2), (1, 1)),  # gamma >= d: the null pair
-        (anticomm_vec(HalfInt(3), 1), (1, -1, -1)),
-        (anticomm_vec(HalfInt(1), 1), (1, 1, 1)),  # Pauli matrices anticommute: the null triple
-        (anticomm_vec(HalfInt(4), 2), (1, 1, 1)),
-    ],
-    ids=str,
-)
-def test_reversal_signs(vec, signs):
+# (family, twice j, gamma, reversal signs)
+REVERSAL_SIGNS = [
+    ("j", 3, 1, (1, -1, 1)),
+    ("jpow", 5, 2, (1, 1, 1)),
+    ("jpow", 5, 3, (1, -1, 1)),
+    ("jsq2d", 4, 2, (1, 1)),
+    ("ladder", 4, 2, (1, -1)),
+    ("ladder", 1, 2, (1, 1)),  # gamma >= d: the null pair
+    ("anticomm", 3, 1, (1, -1, -1)),
+    ("anticomm", 1, 1, (1, 1, 1)),  # Pauli matrices anticommute: the null triple
+    ("anticomm", 4, 2, (1, 1, 1)),
+]
+
+
+def family_ids(cases):
+    """Short test ids 'family g<gamma> j=<j>' for (family, twice j, gamma, ...) cases."""
+    return [f"{family} g{gamma} j={HalfInt(twice)}" for family, twice, gamma, *_ in cases]
+
+
+@pytest.mark.parametrize("family, twice, gamma, signs", REVERSAL_SIGNS, ids=family_ids(REVERSAL_SIGNS))
+def test_reversal_signs(family, twice, gamma, signs):
     """Jx and Jz are real and Jy imaginary in the Jz basis, and so are their products' parities."""
-    assert vec.reversal == signs
+    assert FAMILIES[family](HalfInt(twice), gamma).reversal == signs
 
 
 @given(
@@ -353,3 +359,76 @@ def test_reversal_is_none_without_the_symmetry():
     mixed = make_hermitian(raw + raw.conj().T, "H")
     vec = ObservableVec(ops=(angular_momentum(HalfInt(3)).jz, mixed), j=HalfInt(3), kind="J")
     assert vec.reversal is None
+
+
+# --- the sign group: K and the pi rotations about z and y ----------------------
+
+ALL_SIGNS3 = tuple(itertools.product((1, -1), repeat=3))  # identity first, as sign_group orders them
+ANTICOMM_GROUP = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+# (family, twice j, gamma, sign group)
+SIGN_GROUPS = [
+    ("anticomm", 3, 1, ANTICOMM_GROUP),
+    ("anticomm", 40, 1, ANTICOMM_GROUP),
+    ("anticomm", 6, 3, ANTICOMM_GROUP),
+    ("anticomm", 6, 2, ((1, 1, 1),)),
+    ("anticomm", 1, 1, ((1, 1, 1),)),  # the null triple
+    ("j", 5, 1, ALL_SIGNS3),
+    ("j", 0, 1, ((1, 1, 1),)),  # j = 0: every operator is zero
+    ("jpow", 7, 3, ALL_SIGNS3),
+    ("jpow", 40, 3, ALL_SIGNS3),
+    ("jpow", 7, 2, ((1, 1, 1),)),
+    ("jsq2d", 6, 2, ((1, 1),)),
+    ("ladder", 5, 1, ((1, 1), (1, -1), (-1, 1), (-1, -1))),
+    ("ladder", 5, 2, ((1, 1), (1, -1))),
+]
+
+
+@pytest.mark.parametrize("family, twice, gamma, group", SIGN_GROUPS, ids=family_ids(SIGN_GROUPS))
+def test_sign_group_orders(family, twice, gamma, group):
+    """anticomm gamma = 1 has order 4, the J triple and jpow gamma = 3 order 8, jsq2d the identity alone."""
+    assert FAMILIES[family](HalfInt(twice), gamma).sign_group == group
+
+
+def test_sign_group_keeps_the_rotations_that_matmul_powers_map_to_rounding():
+    """e^{-i pi Jy} maps jpow gamma = 3 to +-itself only to rounding, and the group still keeps it."""
+    vec = power_vec(HalfInt(7), 3)
+    signs = (-1, 1, -1)
+    flip = (-1.0) ** np.add.outer(np.arange(vec.dim), np.arange(vec.dim))
+    residuals = [flip * m[::-1, ::-1] - s * m for s, m in zip(signs, vec.mats)]
+    assert any(np.any(res) for res in residuals)
+    assert max(float(np.max(np.abs(res))) for res in residuals) <= 1e-12 * spectral_scale(vec)
+    assert signs in vec.sign_group
+
+
+@pytest.mark.parametrize("family, twice, gamma", [("j", 5, 1), ("jpow", 7, 3), ("anticomm", 6, 1), ("ladder", 5, 1)])
+def test_sign_group_is_trivial_after_a_generic_perturbation(family, twice, gamma):
+    """A Hermitian perturbation of 1e-6 breaks every generator, so the group is the identity alone."""
+    vec = FAMILIES[family](HalfInt(twice), gamma)
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(vec.dim, vec.dim)) + 1j * rng.normal(size=(vec.dim, vec.dim))
+    noise = 1e-6 * (raw + raw.conj().T)
+    ops = tuple(make_hermitian(m + noise, f"A{i}") for i, m in enumerate(vec.mats))
+    perturbed = ObservableVec(ops=ops, j=vec.j, kind=vec.kind, gamma=vec.gamma)
+    assert len(vec.sign_group) > 1
+    assert perturbed.reversal is None
+    assert perturbed.sign_group == ((1,) * vec.n,)
+
+
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_sign_group_keeps_lambda_max(family, twice, gamma, coeffs):
+    """Every element S of the group keeps lambda_max(S eta) = lambda_max(eta) within 1e-12 of the spectral scale."""
+    vec = FAMILIES[family](HalfInt(twice), gamma)
+    eta = np.array(coeffs[: vec.n])
+    assume(np.linalg.norm(eta) > 1e-3)
+    eta /= np.linalg.norm(eta)
+    group = vec.sign_group
+    assert group[0] == (1,) * vec.n and len(set(group)) == len(group)
+    tops = block_top_eigenvalues(np.array(group) * eta, vec.blocks)
+    assert np.max(np.abs(tops - tops[0])) <= 1e-12 * spectral_scale(vec)
