@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GammaOutOfRange, UnsupportedFamily, UnsupportedJ
+from .errors import DimensionMismatch, UnsupportedFamily, UnsupportedJ
 from .numrange import diag_directions, direction3, face, support
-from .spinops import HalfInt, ObservableVec, anticomm_vec, power_vec
+from .spinops import HalfInt, ObservableVec, anticomm_vec, checked_gamma, power_vec
 
 FAMILY_JPOW = "JPOW"
 FAMILY_ANTICOMM = "ANTICOMM"
@@ -57,27 +57,24 @@ def bloch_grid(mu_steps: int, nu_steps: int) -> list[BlochPoint]:
     return out
 
 
+def _surface(family: str, gamma, mu_steps: int, nu_steps: int, base) -> LimitSurface:
+    """The (N, 3) images of bloch_grid's points under b -> base(b)^gamma, componentwise."""
+    gamma = checked_gamma(gamma)
+    grid = bloch_grid(mu_steps, nu_steps)
+    pts = np.array([[c**gamma for c in base(b)] for b in grid], dtype=float).reshape(-1, 3)
+    return LimitSurface(family=family, gamma=gamma, points=pts, bloch=grid)
+
+
 def surface_jpow(gamma: int, mu_steps: int, nu_steps: int) -> LimitSurface:
     """Image of the Bloch sphere under (x^g, y^g, z^g)."""
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    grid = bloch_grid(mu_steps, nu_steps)
-    pts = np.array([[b.x**gamma, b.y**gamma, b.z**gamma] for b in grid])
-    return LimitSurface(family=FAMILY_JPOW, gamma=gamma, points=pts, bloch=grid)
+    return _surface(FAMILY_JPOW, gamma, mu_steps, nu_steps, lambda b: (b.x, b.y, b.z))
 
 
 def surface_anticomm(gamma: int, mu_steps: int, nu_steps: int) -> LimitSurface:
     """Image of the Bloch sphere under ((2xz)^g, (2yz)^g, (2xy)^g)."""
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    grid = bloch_grid(mu_steps, nu_steps)
-    pts = np.array(
-        [
-            [(2 * b.x * b.z) ** gamma, (2 * b.y * b.z) ** gamma, (2 * b.x * b.y) ** gamma]
-            for b in grid
-        ]
+    return _surface(
+        FAMILY_ANTICOMM, gamma, mu_steps, nu_steps, lambda b: (2 * b.x * b.z, 2 * b.y * b.z, 2 * b.x * b.y)
     )
-    return LimitSurface(family=FAMILY_ANTICOMM, gamma=gamma, points=pts, bloch=grid)
 
 
 def _point3(p) -> np.ndarray:
@@ -125,12 +122,12 @@ def limit_region_contains(family: str, gamma: int, p) -> bool:
     gamma = 1, gauge from ``_roman_gauge``), LIMIT_REGION_TOL bounds the
     gauge: p is inside when its gauge is at most 1 + LIMIT_REGION_TOL. The
     other regions allow LIMIT_REGION_TOL of slack in each defining inequality.
-    GammaOutOfRange for gamma < 1 in either family.
+    GammaOutOfRange unless gamma is an integer >= 1, in either family.
     """
     p = _point3(p)
     tol = LIMIT_REGION_TOL
-    if family in (FAMILY_JPOW, FAMILY_ANTICOMM) and gamma < 1:
-        raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
+    if family in (FAMILY_JPOW, FAMILY_ANTICOMM):
+        gamma = checked_gamma(gamma)
     if family == FAMILY_JPOW:
         if gamma == 1:
             return float(np.linalg.norm(p)) <= 1.0 + tol
@@ -178,7 +175,8 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
     face coordinate at eta_1 divided by the extreme eigenvalue. Raises
     UnsupportedJ at j = 0 (all operators vanish), for MEAN_ETA1 when the first
     operator is zero (anticommutators at j = 1/2, where the Pauli matrices
-    anticommute) and for a non-point MEAN_ETA1 face.
+    anticommute) and for a non-point MEAN_ETA1 face; GammaOutOfRange unless
+    gamma is an integer >= 1.
     """
     if family == FAMILY_JPOW:
         build, power = power_vec, lambda j: j.j**gamma
@@ -186,6 +184,7 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
         build, power = anticomm_vec, lambda j: j.j ** (2 * gamma)
     else:
         raise UnsupportedFamily(f"unknown family {family!r}")
+    gamma = checked_gamma(gamma)
     eta1 = _eta1()
     out = []
     for j in j_list:

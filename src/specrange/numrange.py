@@ -108,28 +108,19 @@ def sweep_directions(n: int, grid) -> list[Direction]:
     return [*dirs, direction3(math.pi, 0.0)]
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_etas(n: int, grid) -> np.ndarray:
-    """The read-only (N, n) array of sweep_directions(n, grid)'s unit vectors; grid as _checked_grid returns it."""
-    etas = np.array([d.eta for d in sweep_directions(n, grid)])
-    etas.flags.writeable = False
-    return etas
-
-
-def reversal_image(grid, signs) -> np.ndarray:
+def sign_image(grid, signs) -> np.ndarray:
     """For each index k of the sweep_directions grid, the index of S eta_k, S = diag(signs).
 
     Integer arithmetic only: the phi column c goes to c, -c, steps/2 - c or
     c + steps/2 (mod steps) as S keeps or flips x and y, the row r to K - r
     when S flips z, and the poles swap. S eta_k matches the grid's
-    direction at the image to rounding. The identity when signs is None
-    (ObservableVec.reversal of a set with no such symmetry) or all +1, and
-    when S flips x on an odd phi count, which phi -> pi - phi and
+    direction at the image to rounding. The identity when signs are all +1,
+    and when S flips x on an odd phi count, which phi -> pi - phi and
     phi -> phi + pi do not map onto itself.
     """
     steps = grid[1] if isinstance(grid, tuple) else grid
     count = steps if not isinstance(grid, tuple) else 2 + (grid[0] - 1) * steps
-    if signs is None or all(s == 1 for s in signs) or (signs[0] < 0 and steps % 2):
+    if all(s == 1 for s in signs) or (signs[0] < 0 and steps % 2):
         return np.arange(count)
     cols = (signs[0] * signs[1] * np.arange(steps) + (steps // 2 if signs[0] < 0 else 0)) % steps
     if not isinstance(grid, tuple):
@@ -139,6 +130,23 @@ def reversal_image(grid, signs) -> np.ndarray:
     if signs[2] < 0:
         rows, poles = rows[::-1], poles[::-1]
     return np.concatenate([poles[:1], 1 + (rows[:, None] * steps + cols).ravel(), poles[1:]])
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_orbits(n: int, grid, group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's unit vectors, one index per orbit of the sign group, and each index's orbit number.
+
+    grid as _checked_grid returns it, group as ObservableVec.sign_group.
+    An orbit's representative is the smallest of an index's images
+    sign_image(grid, S) over the group; the representatives ascend, so they
+    are in grid order. Every array is read-only, as the cache shares it.
+    """
+    etas = np.array([d.eta for d in sweep_directions(n, grid)])
+    orbit = np.min([sign_image(grid, signs) for signs in group], axis=0)
+    solved, solution = np.unique(orbit, return_inverse=True)
+    for array in (etas, solved, solution):
+        array.flags.writeable = False
+    return etas, solved, solution
 
 
 @dataclass
@@ -605,21 +613,11 @@ def membership(vec: ObservableVec, r, grid) -> float:
 
     grid is a sweep_directions grid: a step count for two operators,
     (theta_steps, phi_steps) for three. The min runs over every direction of
-    the grid, but lambda_max comes from one solve per orbit of
-    vec.sign_group, the signs S = diag(+-1) that complex conjugation and the
-    pi rotations about z and y generate, with lambda_max(S eta) =
-    lambda_max(eta). Each grid index's representative is the smallest of its
-    images reversal_image(grid, S) over the group (a group element that does
-    not map the grid onto itself gives the identity); the representatives
-    are solved in grid order, in one call, and each orbit shares its value.
-    The symmetry holds to within the group's verified residual, so a shared
-    value is the image direction's own up to the rounding of the grid's
-    angles plus that residual, and a negative margin still certifies r
-    outside. On a 12x24 grid the anticomm gamma = 1 set (a group of order 4)
-    solves 68 of the 266 directions, and the J triple and jpow gamma = 3
-    (order 8) 43; a set whose group is the identity alone solves every
-    direction. The grid's unit vectors are built once per (n, grid) and kept
-    read-only (_grid_etas).
+    the grid, with lambda_max solved in one call at one direction per orbit
+    of vec.sign_group (_grid_orbits, built once per grid and group). A
+    shared value is the image direction's own up to the rounding of the
+    grid's angles plus the group's verified residual, so a negative margin
+    still certifies r outside.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
@@ -627,9 +625,7 @@ def membership(vec: ObservableVec, r, grid) -> float:
     if not np.all(np.isfinite(r)):
         raise NonFinite(f"point {r.tolist()} is not finite")
     grid = _checked_grid(vec.n, grid)
-    etas = _grid_etas(vec.n, grid)
-    orbit = np.min([reversal_image(grid, signs) for signs in vec.sign_group], axis=0)
-    solved, solution = np.unique(orbit, return_inverse=True)  # solved ascends: grid order
+    etas, solved, solution = _grid_orbits(vec.n, grid, vec.sign_group)
     return float(np.min(block_top_eigenvalues(etas[solved], vec.blocks)[solution] - etas @ r))
 
 

@@ -9,6 +9,7 @@ products.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,7 @@ KIND_JSQ2D = "JSQ2D"
 KIND_LADDER = "LADDER"
 KIND_ANTICOMM = "ANTICOMM"
 
-# a rotation generates ObservableVec.sign_group when it maps every operator
+# a symmetry generates ObservableVec.sign_group when it maps every operator
 # to +-itself within this fraction of the operators' largest |eigenvalue|
 SIGN_GROUP_TOL = 1e-12
 
@@ -102,48 +103,25 @@ class ObservableVec:
         return split_blocks(self.mats)
 
     @cached_property
-    def reversal(self) -> tuple[int, ...] | None:
-        """The signs S with conj(eta.A) = (S eta).A, or None when an operator is neither real nor imaginary.
-
-        Complex conjugation in this basis maps states to states, so S maps
-        the allowed region onto itself and lambda_max(S eta) = lambda_max(eta).
-        Read from the validated bands (so an invalid operator raises first):
-        +1 for an operator whose bands have zero imaginary part in every
-        block, -1 for one whose bands have zero real part. The test is exact.
-        """
-        signs = []
-        for i in range(self.n):
-            bands = [block.bands[i] for block in self.blocks]
-            if not any(np.any(band.imag) for band in bands):
-                signs.append(1)
-            elif not any(np.any(band.real) for band in bands):
-                signs.append(-1)
-            else:
-                return None
-        return tuple(signs)
-
-    @cached_property
     def sign_group(self) -> tuple[tuple[int, ...], ...]:
         """Every S = diag(+-1) with lambda_max(S eta) = lambda_max(eta) that three symmetries generate, identity first.
 
         A unitary or antiunitary g with g A_i g^-1 = s_i A_i for every
-        operator maps states to states and eta.A to (S eta).A, so S maps the
-        allowed region onto itself. The generators, in the Jz basis:
-        complex conjugation K (the exact ``reversal``), e^{-i pi Jz} =
-        diag((-1)^a) and e^{-i pi Jy}, the basis reversal a -> d-1-a with
-        sign (-1)^a; both rotations take A_ab to (-1)^(a+b) A_ab, the second
-        at the reversed indices. A rotation is kept only when it sends every
-        operator to +itself or -itself within SIGN_GROUP_TOL of the
-        operators' largest |eigenvalue| (a zero operator takes +1): matmul-built
-        powers are not mapped bitwise. The group is the generators' closure
-        under elementwise product; a set with no such symmetry gets the
-        identity alone.
+        operator maps the allowed region onto itself by S = diag(s). The
+        generators, in the Jz basis: complex conjugation K, e^{-i pi Jz}, which
+        takes A_ab to (-1)^(a+b) A_ab, and e^{-i pi Jy}, which does the same
+        at the reversed indices a -> d-1-a. A generator is kept when it sends
+        every operator to +itself or -itself within SIGN_GROUP_TOL of the
+        operators' largest |eigenvalue| (a zero operator takes +1), since
+        matmul-built powers are not mapped bitwise. The group is the kept
+        generators' closure under elementwise product.
         """
-        generators = [] if self.reversal is None else [self.reversal]  # reversal validates the operators first
+        self.blocks  # validates the operators, so an invalid one raises before any test
         d = self.dim
         checker = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
         tol = SIGN_GROUP_TOL * float(np.abs(self.spectral_ends[0]).max())
-        for turn in (lambda m: checker * m, lambda m: checker * m[::-1, ::-1]):
+        generators = []
+        for turn in (np.conj, lambda m: checker * m, lambda m: checker * m[::-1, ::-1]):
             signs = []
             for mat in self.mats:
                 image = turn(mat)
@@ -205,10 +183,16 @@ def angular_momentum(j: HalfInt) -> SpinOperators:
     )
 
 
+def checked_gamma(gamma) -> int:
+    """gamma as an int, or GammaOutOfRange unless it is an integer >= 1."""
+    if not isinstance(gamma, numbers.Integral) or gamma < 1:
+        raise GammaOutOfRange(f"gamma must be an integer >= 1, got {gamma!r}")
+    return int(gamma)
+
+
 def ladder_combo(j: HalfInt, gamma: int) -> ObservableVec:
     """The pair (J+^g + J-^g, i(J+^g - J-^g)); the null pair when g >= d."""
-    if gamma < 1:
-        raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
+    gamma = checked_gamma(gamma)
     ops = angular_momentum(j)
     plus_pow = np.linalg.matrix_power(ops.jplus, gamma)
     x = plus_pow + plus_pow.conj().T
@@ -223,8 +207,7 @@ def ladder_combo(j: HalfInt, gamma: int) -> ObservableVec:
 
 def power_vec(j: HalfInt, gamma: int) -> ObservableVec:
     """Entrywise matrix powers (Jx^g, Jy^g, Jz^g)."""
-    if gamma < 1:
-        raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
+    gamma = checked_gamma(gamma)
     ops = angular_momentum(j)
     triple = tuple(
         make_hermitian(np.linalg.matrix_power(base.mat, gamma), f"{base.label}^{gamma}")
@@ -244,8 +227,7 @@ def jsq_pair(j: HalfInt) -> ObservableVec:
 
 def anticomm_vec(j: HalfInt, gamma: int = 1) -> ObservableVec:
     """Anticommutators of gamma-th powers: (Jx^g Jz^g + Jz^g Jx^g, ...)."""
-    if gamma < 1:
-        raise GammaOutOfRange(f"gamma must be >= 1, got {gamma}")
+    gamma = checked_gamma(gamma)
     ops = angular_momentum(j)
     xg, yg, zg = (np.linalg.matrix_power(o.mat, gamma) for o in (ops.jx, ops.jy, ops.jz))
     pairs = [(xg, zg, "A1"), (yg, zg, "A2"), (xg, yg, "A3")]

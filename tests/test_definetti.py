@@ -15,7 +15,7 @@ from specrange.definetti import (
 )
 from specrange.errors import DimensionMismatch, GammaOutOfRange, UnsupportedFamily, UnsupportedJ
 from specrange.numrange import boundary3d, diag_directions
-from specrange.spinops import HalfInt, anticomm_vec, scale_uniform
+from specrange.spinops import HalfInt, anticomm_vec, ladder_combo, power_vec, scale_uniform
 
 SQ3 = math.sqrt(3.0)
 
@@ -78,6 +78,43 @@ def test_surface_anticomm_even_power_in_unit_box():
     surf = surface_anticomm(2, 30, 60)
     assert np.all(surf.points >= -1e-15)
     assert np.all(surf.points <= 1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("build", [surface_jpow, surface_anticomm], ids=["jpow", "anticomm"])
+@pytest.mark.parametrize("mu_steps, nu_steps", [(2, 0), (0, 4), (3, 5)])
+def test_limit_surface_points_are_n_by_3(build, mu_steps, nu_steps):
+    """An empty grid still gives an (0, 3) array; each row is one Bloch point's real image."""
+    surf = build(3, mu_steps, nu_steps)
+    assert surf.points.shape == (len(surf.bloch), 3)
+    assert surf.points.dtype == np.float64
+    assert len(surf.bloch) == (mu_steps + 1) * nu_steps
+
+
+GAMMA_ENTRY_POINTS = {
+    "ladder_combo": lambda g: ladder_combo(HalfInt(4), g),
+    "power_vec": lambda g: power_vec(HalfInt(4), g),
+    "anticomm_vec": lambda g: anticomm_vec(HalfInt(4), g),
+    "surface_jpow": lambda g: surface_jpow(g, 2, 8),
+    "surface_anticomm": lambda g: surface_anticomm(g, 2, 8),
+    "limit_jpow": lambda g: limit_region_contains("JPOW", g, [0.1, 0.1, 0.1]),
+    "limit_anticomm": lambda g: limit_region_contains("ANTICOMM", g, [0.1, 0.1, 0.1]),
+    "sweep_jpow": lambda g: convergence_sweep("JPOW", g, ["1"], "AM"),
+    "sweep_anticomm": lambda g: convergence_sweep("ANTICOMM", g, ["1"], "AM"),
+}
+
+
+@pytest.mark.parametrize("gamma", [0, -1, 1.5, 2.5, 2.0], ids=str)
+@pytest.mark.parametrize("entry", sorted(GAMMA_ENTRY_POINTS))
+def test_every_gamma_entry_point_requires_an_integer_at_least_one(entry, gamma):
+    """One check: a non-integer or gamma < 1 raises GammaOutOfRange everywhere, never ValueError, TypeError or an answer."""
+    with pytest.raises(GammaOutOfRange, match=f"got {gamma!r}"):
+        GAMMA_ENTRY_POINTS[entry](gamma)
+
+
+def test_gamma_entry_points_take_numpy_integers():
+    assert power_vec(HalfInt(4), np.int64(3)).gamma == 3
+    assert surface_jpow(np.int64(2), 2, 8).gamma == 2
+    assert limit_region_contains("JPOW", np.int64(3), [0.1, 0.1, 0.1])
 
 
 def test_finite_j_roman_surface():

@@ -22,7 +22,7 @@ from specrange.numrange import (
     face,
     hyperrect,
     membership,
-    reversal_image,
+    sign_image,
     support,
     sweep_directions,
 )
@@ -505,9 +505,9 @@ IMAGE_TOL = 4 * np.spacing(2 * math.pi)
 
 
 def check_image(n, grid, signs):
-    """reversal_image is an involution onto S eta_k, or the identity exactly when S is not grid-aligned."""
+    """sign_image is an involution onto S eta_k, or the identity exactly when S is not grid-aligned."""
     etas = np.array([d.eta for d in sweep_directions(n, grid)])
-    image = reversal_image(grid, signs)
+    image = sign_image(grid, signs)
     index = np.arange(len(etas))
     steps = grid[1] if n == 3 else grid
     aligned = not (signs[0] < 0 and steps % 2)
@@ -608,7 +608,7 @@ def test_membership_solves_one_direction_per_pair(monkeypatch):
 
 
 def test_membership_builds_each_grid_once(monkeypatch):
-    """Repeated queries on one grid build its directions once, as a read-only array; bad grids raise every time."""
+    """Repeated queries build a grid's directions and orbits once per (grid, group), read-only; bad grids raise every time."""
     built = []
     build = numrange.sweep_directions
 
@@ -617,18 +617,22 @@ def test_membership_builds_each_grid_once(monkeypatch):
         return build(n, grid)
 
     monkeypatch.setattr(numrange, "sweep_directions", counted)
-    numrange._grid_etas.cache_clear()
+    numrange._grid_orbits.cache_clear()
     vec = anticomm_vec(HalfInt(4), 1)
     margins = [membership(vec, [0.1, 0.2, 0.3], (12, 24)) for _ in range(3)]
     margins.append(membership(vec, [0.1, 0.2, 0.3], (np.int64(12), 24)))
     membership(vec, [0.1, 0.2, 0.3], (13, 24))
-    assert built == [(3, (12, 24)), (3, (13, 24))]
+    membership(j_triple(HalfInt(4)), [0.1, 0.2, 0.3], (12, 24))  # same grid, another group
+    membership(j_triple(HalfInt(6)), [0.1, 0.2, 0.3], (12, 24))  # same grid and group
+    assert built == [(3, (12, 24)), (3, (13, 24)), (3, (12, 24))]
     assert len(set(margins)) == 1
-    assert not numrange._grid_etas(3, (12, 24)).flags.writeable
+    assert numrange._grid_orbits.cache_info().misses == 3
+    for group in (vec.sign_group, j_triple(HalfInt(4)).sign_group):
+        assert not any(array.flags.writeable for array in numrange._grid_orbits(3, (12, 24), group))
     for bad in [(12.0, 24), [12, 24], (3, 24)] * 2:
         with pytest.raises(ValueError, match="grid"):
             membership(vec, [0.1, 0.2, 0.3], bad)
-    numrange._grid_etas.cache_clear()
+    numrange._grid_orbits.cache_clear()
 
 
 # --- commuting polytope ----------------------------------------------------

@@ -293,7 +293,7 @@ def test_oracle_agrees_with_eigensolver(twice):
         assert abs(top - oracle) <= 1e-9 * max(1.0, abs(top))
 
 
-# --- complex conjugation: reversal ---------------------------------------------
+# --- complex conjugation K ------------------------------------------------------
 
 # every built-in family as (j, gamma) -> ObservableVec
 FAMILIES = {
@@ -310,7 +310,20 @@ def spectral_scale(vec) -> float:
     return max(1.0, float(np.abs(ends).max()))
 
 
-# (family, twice j, gamma, reversal signs)
+def conjugation_signs(vec) -> tuple[int, ...] | None:
+    """K's signs read from the matrices: +1 for a real operator, -1 for an imaginary one, else None."""
+    signs = []
+    for mat in vec.mats:
+        if not np.any(mat.imag):
+            signs.append(1)
+        elif not np.any(mat.real):
+            signs.append(-1)
+        else:
+            return None
+    return tuple(signs)
+
+
+# (family, twice j, gamma, K's signs)
 REVERSAL_SIGNS = [
     ("j", 3, 1, (1, -1, 1)),
     ("jpow", 5, 2, (1, 1, 1)),
@@ -332,7 +345,9 @@ def family_ids(cases):
 @pytest.mark.parametrize("family, twice, gamma, signs", REVERSAL_SIGNS, ids=family_ids(REVERSAL_SIGNS))
 def test_reversal_signs(family, twice, gamma, signs):
     """Jx and Jz are real and Jy imaginary in the Jz basis, and so are their products' parities."""
-    assert FAMILIES[family](HalfInt(twice), gamma).reversal == signs
+    vec = FAMILIES[family](HalfInt(twice), gamma)
+    assert conjugation_signs(vec) == signs
+    assert signs in vec.sign_group
 
 
 @given(
@@ -343,22 +358,27 @@ def test_reversal_signs(family, twice, gamma, signs):
 )
 @settings(max_examples=100, deadline=None)
 def test_reversal_keeps_lambda_max(family, twice, gamma, coeffs):
+    """Every built set is exactly real or imaginary per operator, so K keeps lambda_max to 1e-13."""
     vec = FAMILIES[family](HalfInt(twice), gamma)
     eta = np.array(coeffs[: vec.n])
     assume(np.linalg.norm(eta) > 1e-3)
     eta /= np.linalg.norm(eta)
-    assert vec.reversal is not None
-    tops = block_top_eigenvalues(np.array([eta, np.array(vec.reversal) * eta]), vec.blocks)
+    signs = conjugation_signs(vec)
+    assert signs is not None and signs in vec.sign_group
+    tops = block_top_eigenvalues(np.array([eta, np.array(signs) * eta]), vec.blocks)
     assert abs(tops[0] - tops[1]) <= 1e-13 * spectral_scale(vec)
 
 
-def test_reversal_is_none_without_the_symmetry():
-    assert rotate_frame(j_triple(HalfInt(3)), 0.7, 2.1).reversal is None
+def test_sign_group_is_trivial_without_the_symmetry():
+    """A rotated frame and a set with a generic complex operator keep no generator, K included."""
+    rotated = rotate_frame(j_triple(HalfInt(3)), 0.7, 2.1)
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     mixed = make_hermitian(raw + raw.conj().T, "H")
     vec = ObservableVec(ops=(angular_momentum(HalfInt(3)).jz, mixed), j=HalfInt(3), kind="J")
-    assert vec.reversal is None
+    for trivial in (rotated, vec):
+        assert conjugation_signs(trivial) is None
+        assert trivial.sign_group == ((1,) * trivial.n,)
 
 
 # --- the sign group: K and the pi rotations about z and y ----------------------
@@ -411,7 +431,7 @@ def test_sign_group_is_trivial_after_a_generic_perturbation(family, twice, gamma
     ops = tuple(make_hermitian(m + noise, f"A{i}") for i, m in enumerate(vec.mats))
     perturbed = ObservableVec(ops=ops, j=vec.j, kind=vec.kind, gamma=vec.gamma)
     assert len(vec.sign_group) > 1
-    assert perturbed.reversal is None
+    assert conjugation_signs(perturbed) is None
     assert perturbed.sign_group == ((1,) * vec.n,)
 
 
