@@ -33,7 +33,7 @@ from .numrange import (
     boundary2d,
     boundary3d,
     commuting_polytope,
-    convex_hull_2d,
+    convex_hull,
     diag_directions,
     direction2,
     direction3,

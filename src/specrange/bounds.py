@@ -413,7 +413,12 @@ def _angles(direction) -> tuple[float, ...]:
 
 
 def region_contains(kind: MeasureKind, bound: float, sense: str, r, rect: Hyperrect) -> bool:
-    """Membership in the bound region R = {r : combined respects the bound}, with REGION_TOL relative slack."""
+    """Membership in the bound region R = {r : combined respects the bound}, with REGION_TOL relative slack.
+
+    sense is MIN (R is where combined >= bound) or MAX (combined <= bound); any other raises ValueError.
+    """
+    if sense not in (MIN, MAX):
+        raise ValueError(f"sense is {MIN!r} or {MAX!r}, got {sense!r}")
     value = combined(kind, r, rect)
     slack = REGION_TOL * max(1.0, abs(bound))
     if sense == MIN:

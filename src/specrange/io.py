@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .bounds import BoundReport
-from .numrange import Boundary, convex_hull_2d
+from .numrange import Boundary, convex_hull
 from .spinops import HalfInt, ObservableVec
 
 SVG_SIZE = 480
@@ -83,7 +83,7 @@ def boundary_json(boundary: Boundary, j: HalfInt, set_name: str, gamma: int) -> 
             }
             for f in boundary.faces
         ],
-        "hull": [[float(c) for c in v] for v in convex_hull_2d(boundary.all_vertices())],
+        "hull": [[float(c) for c in v] for v in convex_hull(boundary.all_vertices())],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -156,9 +156,9 @@ def svg_polyline(points: np.ndarray) -> str:
 
 
 def boundary_svg(boundary: Boundary) -> str:
-    return svg_polyline(convex_hull_2d(boundary.all_vertices()))
+    return svg_polyline(convex_hull(boundary.all_vertices()))
 
 
 def mesh_svg(mesh: Boundary) -> str:
     """Outline of the mesh vertices projected onto the first two coordinates: their 2D hull."""
-    return svg_polyline(convex_hull_2d(mesh.all_vertices()[:, :2]))
+    return svg_polyline(convex_hull(mesh.all_vertices()[:, :2]))

@@ -513,71 +513,35 @@ def face(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_DEFA
     return faces(vec, [direction], deg_tol)[0]
 
 
-def _cross2(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Hull vertices of a 2D or 3D point cloud, hulled in its affine span.
 
-
-def _between_chord(a, c, b, tol: float) -> bool:
-    """True when b lies on the segment a-c within distance tol."""
-    chord = c - a
-    length2 = float(chord @ chord)
-    if length2 == 0.0:
-        return float(np.linalg.norm(b - a)) <= tol
-    t = float((b - a) @ chord) / length2
-    if t < -1e-12 or t > 1.0 + 1e-12:
-        return False
-    dist = abs(_cross2(a, c, b)) / math.sqrt(length2)
-    return dist <= tol
-
-
-def convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, CCW, with collinear vertices pruned.
-
-    The chain itself runs with exact comparisons (a toleranced chain can drop
-    a far corner when near-duplicate extremes create e-16-long edges); the
-    collinearity tolerance COLLINEAR_TOL is then applied as a chord-distance
-    prune, scaled by max(1, max|coordinate|) so it applies at unit scale.
+    Points within 1e-9 of the scale max(1, max|coordinate|) merge into their
+    cell's first (_first_in_cell). The span is the SVD axes along which some
+    point lies past COLLINEAR_TOL of the scale: with none the cloud gives its
+    first point, with one its two ends (_reduce_collinear) in lexicographic
+    order, else Qhull's vertices (a flat 3D cloud hulled in its plane),
+    near-collinear ones kept. A 2D hull runs counter-clockwise from its
+    lowest leftmost vertex; a 3D hull keeps input order.
     """
+    from scipy.spatial import ConvexHull  # deferred: scipy.spatial loads only once a hull is asked for
+
     pts = np.asarray(points, dtype=float)
     scale = max(1.0, float(np.max(np.abs(pts))))
-    # merge floating-point noise clusters so duplicates cannot seed the chain
     pts = _first_in_cell(pts, 1e-9 * scale)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    if len(pts) == 1:
-        return pts
-
-    def half(seq):
-        out: list[np.ndarray] = []
-        for p in seq:
-            while len(out) >= 2 and _cross2(out[-2], out[-1], p) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) <= 2:
-        return np.array(hull) if hull else pts[:1]
-    # prune interior points of straight runs (the anchor hull[0] itself can
-    # be a mid-edge point displaced by e-16, so finish with a ring pass)
     tol = COLLINEAR_TOL * scale
-    out = [hull[0]]
-    for p in hull[1:]:
-        while len(out) >= 2 and _between_chord(out[-2], p, out[-1], tol):
-            out.pop()
-        out.append(p)
-    while len(out) >= 3 and _between_chord(out[-2], out[0], out[-1], tol):
-        out.pop()
-    while len(out) > 2:
-        n = len(out)
-        for i in range(n):
-            if _between_chord(out[(i - 1) % n], out[(i + 1) % n], out[i], tol):
-                out.pop(i)
-                break
-        else:
-            break
-    return np.array(out)
+    centered = pts - pts.mean(axis=0)
+    axes = np.linalg.svd(centered, full_matrices=False)[2]
+    span = axes[np.max(np.abs(centered @ axes.T), axis=0) > tol]
+    if not len(span):
+        return pts[:1]
+    if len(span) == 1:
+        ends = _reduce_collinear(pts, tol)
+        return ends[np.lexsort(ends.T[::-1])]
+    hull = ConvexHull(pts if len(span) == pts.shape[1] else centered @ span.T).vertices
+    if pts.shape[1] == 3:
+        return pts[np.sort(hull)]
+    return pts[np.roll(hull, -np.lexsort(pts[hull].T[::-1])[0])]
 
 
 def boundary2d(vec: ObservableVec, steps: int = 360, deg_tol: float = DEG_TOL_DEFAULT) -> Boundary:
@@ -630,7 +594,7 @@ def membership(vec: ObservableVec, r, grid) -> float:
 
 
 def commuting_polytope(vec: ObservableVec) -> np.ndarray:
-    """Hull vertices of the diagonal mean vectors in a common eigenbasis.
+    """convex_hull of the diagonal mean vectors in a common eigenbasis.
 
     A random real combination is diagonalized to produce the simultaneous
     eigenbasis; the seed COMM_SEED is fixed so results are deterministic.
@@ -658,16 +622,4 @@ def commuting_polytope(vec: ObservableVec) -> np.ndarray:
             break
     else:
         raise NoConvergence("no random combination of the operators diagonalized them all")
-    points = np.array([_expectations(mats, basis[:, l]) for l in range(basis.shape[1])])
-    if vec.n == 2:
-        return convex_hull_2d(points)
-    from scipy.spatial import ConvexHull, QhullError  # deferred: only 3-op polytopes need it
-
-    pts = _dedupe(points, 1e-10 * max(1.0, float(np.max(np.abs(points)))))
-    if len(pts) <= 3:
-        return pts
-    try:
-        return pts[ConvexHull(pts).vertices]
-    except QhullError:
-        return pts  # degenerate (coplanar) clouds are returned as-is
-
+    return convex_hull(np.array([_expectations(mats, basis[:, l]) for l in range(basis.shape[1])]))

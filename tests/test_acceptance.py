@@ -20,7 +20,7 @@ from specrange.numrange import (
     boundary2d,
     boundary3d,
     commuting_polytope,
-    convex_hull_2d,
+    convex_hull,
     diag_directions,
     direction2,
     direction3,
@@ -81,7 +81,7 @@ def test_criterion_02_sphere_disk_ball_radii():
         vec = ladder_combo(HalfInt(twice), gamma)
         b = boundary2d(vec, steps=180)
         lam = ref.LADDER_LAMBDA_MAX[(gamma, twice)]
-        radii = np.linalg.norm(convex_hull_2d(b.all_vertices()), axis=1)
+        radii = np.linalg.norm(convex_hull(b.all_vertices()), axis=1)
         assert np.max(np.abs(radii - lam)) <= 1e-8 * max(1.0, lam)
     for twice, radius in ((3, SQ3), (4, math.sqrt(12.0))):
         mesh = boundary3d(anticomm_vec(HalfInt(twice), 1), 18, 36)
@@ -90,15 +90,15 @@ def test_criterion_02_sphere_disk_ball_radii():
 
 
 def test_criterion_03_ellipse_constraints():
-    hull32 = convex_hull_2d(boundary2d(jsq_pair(HalfInt(3)), steps=360).all_vertices())
+    hull32 = convex_hull(boundary2d(jsq_pair(HalfInt(3)), steps=360).all_vertices())
     res32 = (hull32[:, 0] + hull32[:, 1] - 2.5) ** 2 + (hull32[:, 0] - hull32[:, 1]) ** 2 / 3 - 1
     assert np.max(np.abs(res32)) <= 1e-8
 
-    hull2 = convex_hull_2d(boundary2d(jsq_pair(HalfInt(4)), steps=360).all_vertices())
+    hull2 = convex_hull(boundary2d(jsq_pair(HalfInt(4)), steps=360).all_vertices())
     res2 = ((hull2[:, 0] + hull2[:, 1] - 4) / 2) ** 2 + (hull2[:, 0] - hull2[:, 1]) ** 2 / 12 - 1
     assert np.max(np.abs(res2)) <= 1e-8
 
-    hull3 = convex_hull_2d(boundary2d(jsq_pair(HalfInt(6)), steps=360).all_vertices())
+    hull3 = convex_hull(boundary2d(jsq_pair(HalfInt(6)), steps=360).all_vertices())
     for a, b in hull3:
         branches = (
             ((a + b - 10) / 2) ** 2 + ((a - b) / (2 * math.sqrt(15))) ** 2 - 1,
@@ -365,7 +365,7 @@ def test_criterion_11_property_suites():
     xsq = make_hermitian(ops.jx.mat @ ops.jx.mat, "Jx^2")
     pair = ObservableVec(ops=(ops.jx, xsq), j=j, kind="JPOW", gamma=1)
     poly = commuting_polytope(pair)
-    swept = convex_hull_2d(boundary2d(pair, steps=360).all_vertices())
+    swept = convex_hull(boundary2d(pair, steps=360).all_vertices())
     for p in poly:
         assert np.min(np.linalg.norm(swept - p, axis=1)) <= 1e-8
     for p in swept:

@@ -728,6 +728,20 @@ def test_ascent_retires_when_its_value_only_ties(monkeypatch):
     assert ascent.value == value
 
 
+@pytest.mark.parametrize("kind", [MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.umax()])
+def test_ascent_retires_where_the_gradient_vanishes(monkeypatch, kind):
+    """Weights 1/2 in every coordinate, the centre of the hyperrect, zero every measure's gradient: no faces call."""
+    vec = anticomm_vec(HalfInt(2), 1)
+    start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
+    half = np.full(vec.n, 0.5)
+    ascent = bounds._Ascent(0, start.direction, 1.0, half, half.copy())
+    calls = []
+    monkeypatch.setattr(bounds, "faces", lambda *args: calls.append(args))
+    bounds._refine(vec, [kind], [ascent], hyperrect(vec), DEG_TOL_DEFAULT)
+    assert calls == []
+    assert (ascent.direction, ascent.value) == (start.direction, 1.0)
+
+
 @pytest.mark.parametrize("where", [0, -1])
 @pytest.mark.parametrize("shift", [2.0, math.nan])
 def test_bad_vertex_in_a_round_raises_from_weights(monkeypatch, where, shift):
@@ -772,6 +786,18 @@ def test_region_contains_basics():
     rect = Hyperrect(lo=(0.0, 0.0), hi=(1.0, 1.0))
     assert region_contains(MeasureKind.h(), 2 * LN2, MIN, [0.5, 0.5], rect)
     assert not region_contains(MeasureKind.h(), 0.1, MIN, [0.0, 0.0], rect)
+
+
+def test_region_contains_reads_both_senses():
+    """At the (lo, lo) corner of jsq2d j = 2, h is 0: outside the MIN region of 0.5 and inside its MAX region."""
+    vec = jsq_pair(HalfInt(4))
+    rect = hyperrect(vec)
+    corner = list(rect.lo)
+    assert not region_contains(MeasureKind.h(), 0.5, MIN, corner, rect)
+    assert region_contains(MeasureKind.h(), 0.5, MAX, corner, rect)
+    for sense in ("MIN", "nonsense", None):
+        with pytest.raises(ValueError, match="sense"):
+            region_contains(MeasureKind.h(), 0.5, sense, corner, rect)
 
 
 def test_region_contains_boundary_vertices():

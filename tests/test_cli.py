@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from specrange.cli import run
-from specrange.numrange import boundary3d, convex_hull_2d
+from specrange.numrange import boundary3d, convex_hull
 from specrange.spinops import HalfInt, anticomm_vec
 
 
@@ -157,10 +157,10 @@ def test_svg_output(tmp_path):
 
 def test_mesh_svg_draws_the_projected_hull(tmp_path):
     # anticomm j = 2 on 12x24: 266 vertices project onto the (v1, v2) plane,
-    # and the polyline visits the 24 of them that convex_hull_2d keeps, then closes
+    # and the polyline visits the 24 of them that convex_hull keeps, then closes
     vec = anticomm_vec(HalfInt(4), 1)
     pts = boundary3d(vec, 12, 24).all_vertices()[:, :2]
-    hull = convex_hull_2d(pts)
+    hull = convex_hull(pts)
     assert (len(pts), len(hull)) == (266, 24)
     out = tmp_path / "m.svg"
     args = ["mesh", "--j", "2", "--set", "anticomm", "--theta-steps", "12", "--phi-steps", "24"]
@@ -265,7 +265,7 @@ def readme_cli_examples():
 
 def test_readme_cli_examples(tmp_path):
     examples = readme_cli_examples()
-    assert len(examples) == 9
+    assert len(examples) == 10
     for i, args in enumerate(examples):
         out = tmp_path / f"example{i}.out"
         if "--out" in args:

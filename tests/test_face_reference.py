@@ -38,7 +38,7 @@ def assert_close_vertices(vec, got: np.ndarray, want: np.ndarray):
 
 # --- dedupe ------------------------------------------------------------------
 
-# 1e-10 is commuting_polytope's tolerance, 1e-8 the face's at unit scale
+# 1e-8 is the face's tolerance at unit scale; 1e-10 and 0.3 are a finer and a coarser cell
 TOLS = (1e-8, 1e-10, 0.3)
 
 

@@ -15,7 +15,7 @@ from specrange.numrange import (
     boundary2d,
     boundary3d,
     commuting_polytope,
-    convex_hull_2d,
+    convex_hull,
     diag_directions,
     direction2,
     direction3,
@@ -340,7 +340,7 @@ def test_ring_states_realize_their_vertices(gamma, twice):
 
 
 def hull_of(boundary):
-    return convex_hull_2d(boundary.all_vertices())
+    return convex_hull(boundary.all_vertices())
 
 
 def test_boundary2d_point_region():
@@ -696,6 +696,73 @@ def test_commuting_polytope_matches_sweep(case):
     match_point_sets(poly, swept, 1e-8)
 
 
+def test_commuting_polytope_of_a_collinear_triple_is_its_two_ends():
+    """(Jz, Jz, Jz) at j = 1 lies on a line, as (Jz, Jz) does: both give the two ends, not the middle eigenpoint."""
+    j = HalfInt(2)
+    jz = angular_momentum(j).jz
+    for ops in ((jz, jz, jz), (jz, jz)):
+        poly = commuting_polytope(ObservableVec(ops=ops, j=j, kind="JPOW", gamma=1))
+        assert poly.tolist() == [[-1.0] * len(ops), [1.0] * len(ops)]
+
+
+def test_commuting_polytope_of_a_flat_triple_drops_its_interior_point():
+    """A = diag(0, 1, 0, 1/4), B = diag(0, 0, 1, 1/4), C = 0: the eigenpoint (1/4, 1/4, 0) is inside the triangle."""
+    diagonals = {"A": [0.0, 1.0, 0.0, 0.25], "B": [0.0, 0.0, 1.0, 0.25], "C": [0.0] * 4}
+    ops = tuple(make_hermitian(np.diag(d).astype(complex), label) for label, d in diagonals.items())
+    poly = commuting_polytope(ObservableVec(ops=ops, j=HalfInt(3), kind="JPOW", gamma=1))
+    match_point_sets(poly, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1e-12)
+
+
+# --- convex hull -----------------------------------------------------------
+
+
+def test_convex_hull_2d_runs_counter_clockwise_from_the_lowest_leftmost_vertex():
+    square = [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.5, 0.0]]
+    assert convex_hull(np.array(square)).tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    hull = hull_of(boundary2d(jsq_pair(HalfInt(5)), steps=90))
+    assert hull[0].tolist() == min(hull.tolist())
+    edges = np.roll(hull, -1, axis=0) - hull
+    after = np.roll(edges, -1, axis=0)
+    turns = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
+    assert len(hull) > 3 and np.all(turns > 0.0)
+
+
+def test_convex_hull_merges_near_duplicate_points():
+    """Points within 1e-9 of the scale merge into the first one given; each corner sits mid-cell."""
+    corners = 0.1 + 0.5e-9 + 0.75 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cloud = np.vstack([corners + 1e-13, corners, corners - 3e-13])
+    assert convex_hull(cloud).tolist() == (corners + 1e-13).tolist()
+
+
+def test_convex_hull_of_a_point_is_the_point():
+    cloud = np.array([[0.3, -0.4], [0.3 + 1e-13, -0.4], [0.3, -0.4 - 1e-13]])
+    assert convex_hull(cloud).tolist() == [[0.3, -0.4]]
+    assert convex_hull(np.array([[1.0, 2.0, 3.0]])).tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_convex_hull_of_a_segment_is_its_ends_in_lexicographic_order():
+    t = np.array([0.5, 1.0, -2.0, 0.25, 3.0])
+    assert convex_hull(np.column_stack([t, -t])).tolist() == [[-2.0, 2.0], [3.0, -3.0]]
+    assert convex_hull(np.column_stack([-t, 2 * t, t])).tolist() == [[-3.0, 6.0, 3.0], [2.0, -4.0, -2.0]]
+    assert convex_hull(np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.5]])).tolist() == [[0.0, -1.0], [0.0, 1.0]]
+
+
+def test_convex_hull_of_a_flat_3d_cloud_is_its_in_plane_hull():
+    """A square and its centre on a tilted plane: the four corners, in input order."""
+    u, w = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), np.array([0.0, 0.6, 0.8])
+    plane = [[0.5, 0.5], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0]]
+    cloud = np.array([[0.1, 0.2, 0.3] + a * u + b * w for a, b in plane])
+    assert convex_hull(cloud).tolist() == cloud[1:5].tolist()
+
+
+def test_convex_hull_keeps_a_near_collinear_run():
+    """A convex run bulging below the chord (0, 0)-(1, 0) by less than COLLINEAR_TOL is kept, not pruned."""
+    sag = 0.4 * numrange.COLLINEAR_TOL
+    run = [[t, -sag * 4 * t * (1 - t)] for t in (0.25, 0.5, 0.75)]
+    cloud = np.array([[0.0, 1.0], [0.5, 0.1], [0.0, 0.0], *run, [1.0, 0.0], [0.5, 1e-12]])
+    assert convex_hull(cloud).tolist() == [[0.0, 0.0], *run, [1.0, 0.0], [0.0, 1.0]]
+
+
 # --- block union: the range of a direct sum --------------------------------
 
 
@@ -720,7 +787,7 @@ def test_block_union_adds_lowest_corner():
     union = hull_of(boundary2d(direct_sum(parts), steps=120))
     top_only = boundary2d(jsq_pair(HalfInt(7)), steps=120)
     expected = np.vstack([top_only.all_vertices(), [[0.25, 0.25]]])
-    expected_hull = convex_hull_2d(expected)
+    expected_hull = convex_hull(expected)
     match_point_sets(union, expected_hull, 1e-9)
     assert np.min(np.linalg.norm(union - np.array([0.25, 0.25]), axis=1)) <= 1e-9
 

@@ -40,6 +40,14 @@ def test_halfint_parsing_and_props():
         HalfInt(-1)
 
 
+def test_halfint_parse_reads_a_denominator_of_one_and_rejects_others():
+    assert HalfInt.parse("6/1") == HalfInt(12)
+    assert HalfInt.parse(" 6/2 ") == HalfInt(6)
+    for text in ("3/4", "1/3"):
+        with pytest.raises(ValueError, match="half-integer"):
+            HalfInt.parse(text)
+
+
 def test_spin_half_is_half_pauli():
     ops = angular_momentum(HalfInt(1))
     assert np.allclose(ops.jx.mat, np.array([[0, 0.5], [0.5, 0]]))
