@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DegenerateRange, EmptyBoundary
 # face is not called here; the benchmark's tracer (perfbench/tracer.py) wraps bounds.face by name
 from .numrange import Boundary, Direction, Hyperrect, direction2, direction3, face, faces, hyperrect  # noqa: F401
+from .numrange import local_optima
 from .spinops import ObservableVec
 
 MIN = "min"
@@ -313,31 +314,14 @@ def _refine(vec, kinds, ascents: list[_Ascent], rect: Hyperrect, deg_tol: float)
             first = last
 
 
-def _local_optima(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]:
-    """Grid nodes no worse than their neighbours; columns wrap around, rows do not.
-
-    Column kp of a row is read modulo that row's length, so a row of one face
-    meets each neighbouring row at its column 0.
-    """
-    cmp = np.less_equal if sense == MIN else np.greater_equal
-    out = []
-    for k, row in enumerate(values):
-        ok = cmp(row, np.roll(row, 1)) & cmp(row, np.roll(row, -1))
-        cols = np.arange(len(row))
-        for i in (k - 1, k + 1):
-            if 0 <= i < len(values):
-                ok &= cmp(row, values[i][cols % len(values[i])])
-        out.extend((k, int(kp)) for kp in np.flatnonzero(ok))
-    return out
-
-
 def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
     The sweep's vertices are weighted once and scored in one call per
     measure, in grid order; each face's value is its best vertex's, and the
-    local optima are found on the rows view (one row of phi in 2D, rows of
-    theta in 3D). Each measure's best MAX_REFINE grid optima start an ascent
+    grid's local optima come from numrange.local_optima (ties kept, a pole
+    compared with its whole ring). Each measure's best MAX_REFINE grid
+    optima, the first in grid order among equal values, start an ascent
     from their best vertex, and all ascents of the table are refined together
     (_refine): round by round, the face at each live ascent's gradient gives
     its next vertex while its value strictly improves. Every grid angle and
@@ -349,9 +333,7 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
         raise EmptyBoundary("boundary carries no faces")
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
-    rows = boundary.rows()
     starts = np.cumsum([0] + [len(f.vertices) for f in boundary.faces[:-1]])
-    row_starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
     dot, ring = _weights(boundary.all_vertices(), rect.lo, rect.hi)
     grids, ascents = [], []
     for m, kind in enumerate(kinds):
@@ -359,12 +341,11 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
         scores = _scores(kind, dot, ring)
         best = _best_rows(scores, starts, sense)
         flat = scores[best]
-        values = np.split(flat, row_starts[1:])
-        candidates = _local_optima(values, sense)
-        candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == MAX))
-        for k, kp in candidates[:MAX_REFINE]:
-            i = best[row_starts[k] + kp]
-            ascents.append(_Ascent(m, rows[k][kp].direction, float(scores[i]), dot[i], ring[i]))
+        candidates = local_optima(flat, boundary.grid, np.less_equal if sense == MIN else np.greater_equal)
+        ranked = candidates[np.argsort(flat[candidates] if sense == MIN else -flat[candidates], kind="stable")]
+        for k in ranked[:MAX_REFINE]:
+            i = best[k]
+            ascents.append(_Ascent(m, boundary.faces[k].direction, float(scores[i]), dot[i], ring[i]))
         grids.append((flat.tolist(), float(flat.min() if sense == MIN else flat.max())))
     _refine(vec, kinds, ascents, rect, boundary.deg_tol)
     grid = [_angles(f.direction) for f in boundary.faces]

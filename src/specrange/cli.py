@@ -85,7 +85,7 @@ def _add_common(p, grid: int = 0, deg_tol: bool = True):
     if grid:
         p.add_argument("--phi-steps", type=STEPS, default=360)
     if grid == 3:
-        p.add_argument("--theta-steps", type=THETA_STEPS, default=36)
+        p.add_argument("--theta-steps", type=THETA_STEPS, default=36, help="3D sets only; a 2D set ignores it")
     p.add_argument("--out", default="-")
 
 

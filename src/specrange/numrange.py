@@ -108,12 +108,19 @@ def sweep_directions(n: int, grid) -> list[Direction]:
     return [*dirs, direction3(math.pi, 0.0)]
 
 
+def split_grid(values: np.ndarray, grid: tuple[int, int]):
+    """A 3D grid's per-direction array (first axis in sweep_directions order) as
+    (north pole, its (K-1, K') block of rows k = 1..K-1 in phi order, south pole)."""
+    K, Kp = grid
+    return values[0], values[1:-1].reshape(K - 1, Kp, *values.shape[1:]), values[-1]
+
+
 def sign_image(grid, signs) -> np.ndarray:
     """For each index k of the sweep_directions grid, the index of S eta_k, S = diag(signs).
 
     Integer arithmetic only: the phi column c goes to c, -c, steps/2 - c or
-    c + steps/2 (mod steps) as S keeps or flips x and y, the row r to K - r
-    when S flips z, and the poles swap. S eta_k matches the grid's
+    c + steps/2 (mod steps) as S keeps or flips x and y, and when S flips z
+    the poles swap and the rows reverse. S eta_k matches the grid's
     direction at the image to rounding. The identity when signs are all +1,
     and when S flips x on an odd phi count, which phi -> pi - phi and
     phi -> phi + pi do not map onto itself.
@@ -125,11 +132,30 @@ def sign_image(grid, signs) -> np.ndarray:
     cols = (signs[0] * signs[1] * np.arange(steps) + (steps // 2 if signs[0] < 0 else 0)) % steps
     if not isinstance(grid, tuple):
         return cols
-    rows = np.arange(grid[0] - 1)  # row r = 1..K-1 at rows[r - 1]
-    poles = [0, count - 1]
+    north, rows, south = split_grid(np.arange(count), grid)
     if signs[2] < 0:
-        rows, poles = rows[::-1], poles[::-1]
-    return np.concatenate([poles[:1], 1 + (rows[:, None] * steps + cols).ravel(), poles[1:]])
+        north, rows, south = south, rows[::-1], north
+    return np.concatenate([[north], rows[:, cols].ravel(), [south]])
+
+
+def local_optima(values: np.ndarray, grid, cmp) -> np.ndarray:
+    """The indices, ascending, of the grid directions whose value is cmp-no-worse than each neighbour's.
+
+    values holds one value per direction of the sweep_directions grid; cmp is
+    np.less_equal for minima or np.greater_equal for maxima, so ties count.
+    Neighbours wrap in phi, adjacent rows meet at the same column, and a pole
+    meets its whole adjacent row.
+    """
+    if not isinstance(grid, tuple):
+        return np.flatnonzero(cmp(values, np.roll(values, 1)) & cmp(values, np.roll(values, -1)))
+    north, rows, south = split_grid(values, grid)
+    ok = cmp(rows, np.roll(rows, 1, axis=1)) & cmp(rows, np.roll(rows, -1, axis=1))
+    ok[0] &= cmp(rows[0], north)
+    ok[1:] &= cmp(rows[1:], rows[:-1])
+    ok[:-1] &= cmp(rows[:-1], rows[1:])
+    ok[-1] &= cmp(rows[-1], south)
+    poles = cmp(north, rows[0]).all(), cmp(south, rows[-1]).all()
+    return np.flatnonzero(np.concatenate([poles[:1], ok.ravel(), poles[1:]]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -158,9 +184,12 @@ class SupportFace:
     multiplicity: int
     eigenbasis: np.ndarray  # (d, multiplicity)
     vertices: np.ndarray | None = None  # (k, n) mean vectors
-    is_point: bool = False
     gap: float | None = None  # lambda_max minus next eigenvalue below the cluster
     exhausted: bool = False  # never set (every face is resolved); perfbench/tracer.py's census reads it
+
+    @property
+    def is_point(self) -> bool:  # False while vertices are unset, as in a support record
+        return self.vertices is not None and len(self.vertices) == 1
 
 
 @dataclass
@@ -170,17 +199,6 @@ class Boundary:
     faces: list[SupportFace]
     grid: int | tuple[int, int]  # the sweep_directions grid, as membership takes it
     deg_tol: float = DEG_TOL_DEFAULT
-
-    def rows(self) -> list[list[SupportFace]]:
-        """The faces as grid rows, columns in phi order.
-
-        The 2D ring is one row; the 3D grid runs from the north pole to the
-        south pole, and each pole row holds its one face.
-        """
-        if not isinstance(self.grid, tuple):
-            return [self.faces]
-        f, kp = self.faces, self.grid[1]
-        return [f[:1], *(f[k : k + kp] for k in range(1, len(f) - 1, kp)), f[-1:]]
 
     def all_vertices(self) -> np.ndarray:
         return np.vstack([f.vertices for f in self.faces])
@@ -504,7 +522,6 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
         if len(points) > 1:
             points = _reduce_collinear(_dedupe(points, tol), tol)
         sf.vertices = points
-        sf.is_point = len(points) == 1
     return records
 
 

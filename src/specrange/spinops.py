@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GammaOutOfRange, WrongKind
+from .errors import DimensionMismatch, GammaOutOfRange, WrongKind
 from .linalg import Block, HermObservable, make_hermitian, split_blocks
 
 KIND_J = "J"
@@ -80,10 +80,9 @@ class ObservableVec:
 
     def __post_init__(self):
         if len(self.ops) not in (2, 3):
-            raise ValueError("ObservableVec holds 2 or 3 operators")
-        dims = {op.dim for op in self.ops}
-        if len(dims) != 1:
-            raise ValueError("operators differ in dimension")
+            raise DimensionMismatch("ObservableVec holds 2 or 3 operators")
+        if len({op.dim for op in self.ops}) != 1:
+            raise DimensionMismatch("operators differ in dimension")
 
     @property
     def n(self) -> int:

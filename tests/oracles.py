@@ -15,8 +15,9 @@ blocks' bands, so the library's faces match them to a tolerance.
 ``normalize_mean_reference`` through ``local_optima_reference`` are the
 scoring layer as per-vertex Python loops: one ``normalize_mean`` and one
 ``math`` call per coordinate, summed vertex by vertex, and the grid's local
-optima found node by node. ``bounds`` scores in array code with the same
-``math`` calls, so its values match them bitwise.
+optima found node by node against explicit neighbour sets (``grid_neighbors``).
+``bounds`` scores in array code with the same ``math`` calls, so its values
+match them bitwise.
 
 ``collect_reference`` is the attaining-angle list as the scan that tests each
 candidate against every angle kept so far. ``bounds._collect`` keeps every
@@ -35,6 +36,7 @@ direction; ``numrange.membership`` solves one direction of each pair
 {eta, S eta} of the grid and gives the other the same value.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -338,21 +340,40 @@ def best_vertex_reference(kind, f, rect, sense: str) -> tuple[np.ndarray, float]
     return f.vertices[i], vals[i]
 
 
-def local_optima_reference(values: list[np.ndarray], sense: str) -> list[tuple[int, int]]:
-    """Grid nodes no worse than their neighbours; columns wrap around, rows do not.
+def grid_nodes(grid) -> list[tuple[int, int]]:
+    """The (theta step, phi step) of each direction of a grid, in sweep_directions order.
 
-    Column kp of a row is read modulo that row's length, so a row of one face
-    meets each neighbouring row at its column 0.
+    A ring of K' steps is (0, 0) .. (0, K'-1); a (K, K') grid runs from the
+    north pole (0, 0) through rows t = 1..K-1 of K' steps to the south pole
+    (K, 0).
     """
+    if not isinstance(grid, tuple):
+        return [(0, p) for p in range(grid)]
+    K, Kp = grid
+    return [(0, 0), *((t, p) for t in range(1, K) for p in range(Kp)), (K, 0)]
+
+
+@functools.lru_cache(maxsize=16)
+def grid_neighbors(grid) -> list[list[int]]:
+    """Each grid direction's neighbour indices: one phi step either way round its ring,
+    and one theta step at the same phi; a pole neighbours every direction of its ring."""
+    nodes = grid_nodes(grid)
+    K, Kp = grid if isinstance(grid, tuple) else (None, grid)
+    poles = {0, K} if K else set()
+
+    def adjacent(a, b):
+        (t, p), (u, q) = a, b
+        if t == u:
+            return t not in poles and (q - p) % Kp in (1, Kp - 1)
+        return abs(t - u) == 1 and (p == q or t in poles or u in poles)
+
+    return [[i for i, b in enumerate(nodes) if adjacent(a, b)] for a in nodes]
+
+
+def local_optima_reference(values, grid, sense: str) -> list[int]:
+    """The grid directions whose value is no worse than every neighbour's, node by node."""
     cmp = (lambda u, v: u <= v) if sense == bounds.MIN else (lambda u, v: u >= v)
-    out = []
-    for k, row in enumerate(values):
-        for kp, v in enumerate(row):
-            neighbors = [row[kp - 1], row[(kp + 1) % len(row)]]
-            neighbors += [values[i][kp % len(values[i])] for i in (k - 1, k + 1) if 0 <= i < len(values)]
-            if all(cmp(v, w) for w in neighbors):
-                out.append((k, kp))
-    return out
+    return [k for k, near in enumerate(grid_neighbors(grid)) if all(cmp(values[k], values[i]) for i in near)]
 
 
 def collect_reference(evaluated, best: float):
@@ -402,7 +423,6 @@ def ascend_reference(vec, start, kind, rect, deg_tol: float, solve=numrange.face
 def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
     """optimize_bounds' results, each measure scored and refined on its own, one ascent after another."""
     rect = numrange.hyperrect(vec)
-    rows = boundary.rows()
     points = boundary.all_vertices()
     starts = np.cumsum([0] + [len(f.vertices) for f in boundary.faces[:-1]])
     results = []
@@ -410,22 +430,17 @@ def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
         sense = kind.sense
         scores = bounds._scores(kind, *bounds._weights(points, rect.lo, rect.hi))
         flat = (np.minimum if sense == bounds.MIN else np.maximum).reduceat(scores, starts)
-        values = np.split(flat, np.cumsum([len(row) for row in rows])[:-1])
-        candidates = bounds._local_optima(values, sense)
-        candidates.sort(key=lambda idx: values[idx[0]][idx[1]], reverse=(sense == bounds.MAX))
+        candidates = local_optima_reference(flat, boundary.grid, sense)
+        candidates.sort(key=lambda k: flat[k], reverse=(sense == bounds.MAX))
         best = float(flat.min() if sense == bounds.MIN else flat.max())
         refined = []
-        for k, kp in candidates[: bounds.MAX_REFINE]:
-            angles, v = ascend_reference(vec, rows[k][kp], kind, rect, boundary.deg_tol, solve)
+        for k in candidates[: bounds.MAX_REFINE]:
+            angles, v = ascend_reference(vec, boundary.faces[k], kind, rect, boundary.deg_tol, solve)
             refined.append((angles, v))
             if bounds._better(v, best, sense):
                 best = v
-        near = [
-            (bounds._angles(f.direction), v)
-            for row, vals in zip(rows, values)
-            for f, v in zip(row, vals)
-            if abs(v - best) <= bounds.VALUE_TOL
-        ]
+        grid = [(bounds._angles(f.direction), v) for f, v in zip(boundary.faces, flat)]
+        near = [(angles, v) for angles, v in grid if abs(v - best) <= bounds.VALUE_TOL]
         results.append(bounds.MeasureResult(kind, best, sense, collect_reference(near + refined, best)))
     return results
 

@@ -23,6 +23,7 @@ from specrange.numrange import (
     hyperrect,
     membership,
     sign_image,
+    split_grid,
     support,
     sweep_directions,
 )
@@ -203,6 +204,15 @@ def test_face_degenerate_single_point():
     assert f.multiplicity == 2
     assert f.is_point
     assert np.allclose(f.vertices[0], [2.25, 0.75], atol=1e-10)
+
+
+def test_is_point_follows_the_vertices():
+    record = support(jsq_pair(HalfInt(3)), direction2(0.0))
+    assert not record.is_point  # no vertices yet
+    record.vertices = np.zeros((1, 2))
+    assert record.is_point
+    record.vertices = np.zeros((2, 2))
+    assert not record.is_point
 
 
 def test_face_segment():
@@ -398,12 +408,22 @@ def test_mesh_anticomm_spheres(twice, radius):
 
 def test_mesh_faces_on_their_hyperplanes():
     mesh = boundary3d(anticomm_vec(HalfInt(2), 1), 8, 16)
-    # representative node points satisfy their own face hyperplane
-    rows = mesh.rows()
-    for k in (0, len(rows) // 2, len(rows) - 1):
-        f = rows[k][0]
+    # every face's vertex mean satisfies its own face hyperplane
+    for f in mesh.faces:
         rep = f.vertices.mean(axis=0)
         assert abs(float(f.direction.eta @ rep) - f.lambda_max) <= 1e-8
+
+
+@pytest.mark.parametrize("grid", [(4, 8), (5, 9), (12, 24)], ids=str)
+def test_split_grid_is_the_sweep_layout(grid):
+    """split_grid gives the poles and the (K-1, K') rows of sweep_directions: one theta a row, phi ascending."""
+    K, Kp = grid
+    angles = np.array([(d.theta, d.phi) for d in sweep_directions(3, grid)])
+    north, rows, south = split_grid(angles, grid)
+    assert north.tolist() == [0.0, 0.0] and south.tolist() == [math.pi, 0.0]
+    assert rows.shape == (K - 1, Kp, 2)
+    assert np.allclose(rows[:, :, 0], np.arange(1, K)[:, None] * math.pi / K, rtol=0.0, atol=1e-15)
+    assert np.allclose(rows[:, :, 1], np.arange(Kp) * 2 * math.pi / Kp, rtol=0.0, atol=1e-15)
 
 
 def test_antipodal_symmetry():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     best_vertex_reference,
     combined_reference,
+    grid_nodes,
     local_optima_reference,
     measure_reference,
     normalize_mean_reference,
@@ -19,14 +20,13 @@ from specrange.bounds import (
     MIN,
     MeasureKind,
     _best_rows,
-    _local_optima,
     _scores,
     _weights,
     combined,
     measure,
     normalize_mean,
 )
-from specrange.numrange import Hyperrect, SupportFace, direction2
+from specrange.numrange import Hyperrect, SupportFace, direction2, local_optima
 
 KINDS = [MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.u(3.0), MeasureKind.umax()]
 SUBNORMAL_MAX = np.nextafter(np.finfo(float).tiny, 0.0)
@@ -144,32 +144,54 @@ def test_array_scoring_raises_as_the_per_vertex_loop(x, lo, width):
     assert _raised(lambda: normalize_mean(x, lo, hi)) == _raised(lambda: normalize_mean_reference(x, lo, hi))
 
 
+POOL = st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0]) | st.floats(-1.0, 1.0)  # few distinct values, for ties
+CMP = {MIN: np.less_equal, MAX: np.greater_equal}
+
+
 @st.composite
 def grid_values(draw):
-    """A 2D ring (one row) or a 3D grid (a one-face pole row at each end), few distinct values for ties."""
-    pool = st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0]) | st.floats(-1.0, 1.0)
+    """A grid, a ring of K' steps or a (K, K') lat-long grid with K >= 2, and one value per direction."""
     if draw(st.booleans()):
-        lengths = [draw(st.integers(1, 40))]
+        grid = draw(st.integers(8, 40))
     else:
-        # rows of unequal length too, so the modulo read of a neighbour row shows
-        lengths = [1, *draw(st.lists(st.integers(1, 12), max_size=6)), 1]
-    return [np.array([draw(pool) for _ in range(k)]) for k in lengths]
+        grid = (draw(st.integers(2, 7)), draw(st.integers(8, 12)))
+    return grid, np.array([draw(POOL) for _ in grid_nodes(grid)])
 
 
 @given(grid_values(), st.sampled_from([MIN, MAX]))
 @settings(max_examples=300, deadline=None)
-def test_local_optima_match_the_double_loop(values, sense):
-    assert _local_optima(values, sense) == local_optima_reference(values, sense)
+def test_local_optima_match_the_double_loop(case, sense):
+    grid, values = case
+    assert local_optima(values, grid, CMP[sense]).tolist() == local_optima_reference(values, grid, sense)
 
 
 @pytest.mark.parametrize("sense", [MIN, MAX])
 def test_local_optima_flat_grid_keeps_every_node(sense):
-    values = [np.zeros(1), np.zeros(4), np.zeros(4), np.zeros(1)]
-    want = [(0, 0), *[(k, kp) for k in (1, 2) for kp in range(4)], (3, 0)]
-    assert _local_optima(values, sense) == local_optima_reference(values, sense) == want
+    for grid in (8, (4, 8)):
+        values = np.zeros(len(grid_nodes(grid)))
+        want = list(range(len(values)))
+        assert local_optima(values, grid, CMP[sense]).tolist() == local_optima_reference(values, grid, sense) == want
 
 
-@given(grid_values(), st.sampled_from([MIN, MAX]))
+def test_local_optima_compare_a_pole_with_its_whole_ring():
+    """A pole below column 0 of its ring but above another column of it is no minimum."""
+    grid = (4, 8)
+    values = np.full(len(grid_nodes(grid)), 3.0)
+    values[0] = 1.0
+    values[1:9] = 2.0
+    values[1 + 4] = 0.0
+    got = local_optima(values, grid, np.less_equal).tolist()
+    assert 0 not in got and 5 in got
+    assert got == local_optima_reference(values, grid, MIN)
+
+
+@st.composite
+def segments(draw):
+    """Score segments of 1 to 12 values each, as a sweep's faces hold vertices."""
+    return [np.array([draw(POOL) for _ in range(draw(st.integers(1, 12)))]) for _ in range(draw(st.integers(1, 8)))]
+
+
+@given(segments(), st.sampled_from([MIN, MAX]))
 @settings(max_examples=300, deadline=None)
 def test_best_rows_is_each_segments_first_argmin_or_argmax(values, sense):
     scores = np.concatenate(values)

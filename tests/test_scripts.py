@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts on small inputs: each exits 0 and writes output."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,8 +10,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# lines a script must print once: table_digests.py digests the benchmark's query set
-EXPECTED_LINES = {"table_digests.py": re.compile(r"^[0-9a-f]{64}  point_queries: queries seed 0$", re.M)}
+
+
+def digest_lines() -> list[re.Pattern]:
+    """The lines table_digests.py must print once each: one per table of every
+    workload in perfbench/workloads.py (loaded, not edited), and one per query set."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the file runs
+    spec.loader.exec_module(module)
+    names = []
+    for name, workload in module.WORKLOADS.items():
+        names.extend(f"{name}: {table.label}" for table in workload.tables)
+        if workload.queries is not None:
+            names.append(f"{name}: queries seed 0")
+    return [re.compile(rf"^[0-9a-f]{{64}}  {re.escape(name)}$", re.M) for name in names]
 
 
 @pytest.mark.parametrize(
@@ -36,7 +50,8 @@ def test_script_runs(script, args, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
-    if script in EXPECTED_LINES:
-        assert len(EXPECTED_LINES[script].findall(proc.stdout)) == 1, proc.stdout
+    if script == "table_digests.py":
+        for line in digest_lines():
+            assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
     for path in tmp_path.iterdir():
         assert path.stat().st_size > 0, path.name
