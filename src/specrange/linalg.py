@@ -26,6 +26,7 @@ top clusters into one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +216,14 @@ def split_blocks(mats) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
+@functools.cache
+def _bevx(kind: str):
+    """LAPACK's ?hbevx for a complex band (dtype kind "c"), ?sbevx for a real one, resolved once per kind."""
+    from scipy.linalg.lapack import dsbevx, zhbevx  # deferred: scipy.linalg takes longer to import than specrange
+
+    return zhbevx if kind == "c" else dsbevx
+
+
 def band_top(band: np.ndarray, k: int, vectors: bool = True):
     """The top k eigenvalues, ascending, of one band-stored Hermitian matrix.
 
@@ -224,9 +233,7 @@ def band_top(band: np.ndarray, k: int, vectors: bool = True):
     the same ?hbevx/?sbevx call, at the same abstol. The band must be
     finite; a LAPACK failure raises NoConvergence.
     """
-    from scipy.linalg.lapack import dsbevx, zhbevx  # deferred: scipy.linalg takes longer to import than specrange
-
-    bevx = zhbevx if np.iscomplexobj(band) else dsbevx
+    bevx = _bevx(band.dtype.kind)
     m = band.shape[1]
     values, vecs, found, _, info = bevx(
         band, 0.0, 0.0, m - k + 1, m, compute_v=int(vectors), range=2, abstol=BEVX_ABSTOL, overwrite_ab=0

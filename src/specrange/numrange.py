@@ -4,13 +4,19 @@ For each unit direction eta the top eigenvalue of eta.E gives a supporting
 hyperplane of the allowed region of mean vectors; the states attaining it
 generate the touching face. A sweep is one call of ``faces`` over all its
 directions: each block of the operator set forms and solves every direction's
-band, the blocks' top clusters merge per direction (``support`` is that step
-at one direction), and the operators are compressed onto each cluster from
-the blocks' stored diagonals (``linalg.Block.compress``). Every face is built
-from those small compressed operators alone, by its number of free
-directions (_cluster_vertices): a point when they are scalar, a segment
-when one direction is free, and with two the analytic range of a pair or a
-ring of segments. ``face`` is ``faces`` at one direction.
+band, and the blocks' top values merge as arrays over all directions, with
+only a direction whose block needs more values re-solved in a loop
+(``support`` is that step at one direction). Each block compresses the
+operators onto its part of every cluster from its stored diagonals
+(``linalg.Block.compress``), and the faces are built by cluster kind. A
+one-state face is its state's mean, and those points are gathered in bulk.
+No operator couples two blocks, so a cluster of one state in each of
+several blocks is a direct sum whose vertices are those states' means, built
+in bulk with no matrix. A cluster with several states in one block is built
+from its compressed operators by its number of free directions
+(_cluster_vertices): a point when they are scalar, a segment when one
+direction is free, and with two the analytic range of a pair or a ring of
+segments. ``face`` is ``faces`` at one direction.
 """
 
 from __future__ import annotations
@@ -225,87 +231,102 @@ def support(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_D
     return _solve(vec, [direction], deg_tol)[0][0]
 
 
+@dataclass(frozen=True)
+class _Clusters:
+    """The blocks' parts of the top clusters of one _solve call over N directions.
+
+    counts[i, k] is block i's number of states in direction k's cluster;
+    owners[k, c] the block of merged cluster column c (c < the multiplicity);
+    tops[i] block i's cluster eigenvectors as rows, (N, max_k counts[i, k],
+    block size), right-aligned: direction k's are the last counts[i, k] rows.
+    """
+
+    counts: np.ndarray
+    owners: np.ndarray
+    tops: list[np.ndarray]
+
+
+def _last_rows(array: np.ndarray, width: int, fill: float) -> np.ndarray:
+    """array's last `width` entries along axis 1, left-padded with fill where it has fewer."""
+    pad = width - array.shape[1]
+    if pad > 0:
+        array = np.pad(array, [(0, 0), (pad, 0)] + [(0, 0)] * (array.ndim - 2), constant_values=fill)
+    return array[:, array.shape[1] - width :]
+
+
 def _solve(vec: ObservableVec, directions, deg_tol: float):
-    """Support records of many directions, and each block's part of their clusters.
+    """Support records of many directions, and each block's part of their clusters (_Clusters).
 
     vec.blocks holds the operators validated and band-packed once. Each block
     forms the bands of every direction in one call (Block.combine, whose rows
     do not depend on each other), and each band is solved for its top k
-    eigenpairs only: k = min(2, size) at first, doubled while the block's
-    lowest computed value is still inside the cluster, the values within
-    deg_tol*max(1, |lambda_max|) of the largest over all blocks. The blocks
-    then merge as one spectrum: the cluster's eigenvectors are embedded into
-    C^d in ascending order of their values, and the gap runs to the largest
-    computed value below the cluster (None when the cluster fills C^d). Each
-    block whose top does not fill the cluster has a computed value below it,
-    so that value is the spectrum's next one. A cluster that spans blocks has
-    block-pure eigenvectors, which no operator couples.
-
-    Returns the records, in direction order, and per block the list of
-    (direction number, the block's cluster columns in the merged cluster,
-    their eigenvectors in the block's space).
+    eigenpairs only: k = min(2, size) at first. The blocks then merge as
+    arrays over all directions: lambda_max is the largest top value, the
+    cluster the values within deg_tol*max(1, |lambda_max|) of it, and a
+    direction in which a block's lowest computed value is still inside the
+    cluster re-solves that block, doubling k until it is not. The cluster's
+    eigenvectors are scattered into C^d in ascending order of their values,
+    ties by block, and the gap runs to the largest computed value below the
+    cluster (None when the cluster fills C^d). Each block whose top does not
+    fill the cluster has a computed value below it, so that value is the
+    spectrum's next one. A cluster that spans blocks has block-pure
+    eigenvectors, which no operator couples.
     """
     for direction in directions:
         if direction.n != vec.n:
             raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
-    blocks = vec.blocks
-    etas = np.array([direction.eta for direction in directions]).reshape(len(directions), vec.n)
+    blocks, count = vec.blocks, len(directions)
+    if not count:
+        return [], None
+    etas = np.array([direction.eta for direction in directions]).reshape(count, vec.n)
     bands = [block.combine(etas) for block in blocks]
     solved = [[band_top(band, min(2, block.size)) for band in rows] for block, rows in zip(blocks, bands)]
-    records = []
-    members: list[list] = [[] for _ in blocks]
-    for k, direction in enumerate(directions):
-        lam = max(float(rows[k][0][-1]) for rows in solved)
-        floor = lam - deg_tol * max(1.0, abs(lam))
-        cluster = []  # (value, block number, column in the block's solve) of every value in the cluster
-        below = []  # each block's largest value under the cluster
-        for i, block in enumerate(blocks):
-            values, vectors = solved[i][k]
-            while values[0] >= floor and len(values) < block.size:
-                values, vectors = band_top(bands[i][k], min(2 * len(values), block.size))
-            solved[i][k] = values, vectors
-            cut = int(np.searchsorted(values, floor))
-            if cut:
-                below.append(float(values[cut - 1]))
-            cluster.extend((values[c], i, c) for c in range(cut, len(values)))
-        cluster.sort(key=lambda entry: entry[0])
-        basis = np.zeros((vec.dim, len(cluster)), dtype=np.complex128)
-        owners = [i for _, i, _ in cluster]
-        for col, (_, i, c) in enumerate(cluster):
-            basis[blocks[i].index, col] = solved[i][k][1][:, c]
-        for i in set(owners):
-            cols = np.array([col for col, owner in enumerate(owners) if owner == i])
-            # a block's values ascend, so its columns keep their order in the merged cluster
-            members[i].append((k, cols, solved[i][k][1][:, -len(cols) :]))
-        records.append(
-            SupportFace(
-                direction=direction,
-                lambda_max=lam,
-                multiplicity=len(cluster),
-                eigenbasis=basis,
-                gap=lam - max(below) if below else None,
-            )
-        )
-    return records, members
-
-
-def _compressed(vec: ObservableVec, records, members) -> list[np.ndarray]:
-    """Each record's operators compressed onto its cluster, (n, m, m), from the blocks' bands.
-
-    Block.compress runs once per block and column count over every direction
-    with that many of the block's columns; entries between columns of
-    different blocks stay exact zeros.
-    """
-    out = [np.zeros((vec.n, sf.multiplicity, sf.multiplicity), dtype=np.complex128) for sf in records]
-    for block, entries in zip(vec.blocks, members):
-        groups = {}
-        for entry in entries:
-            groups.setdefault(len(entry[1]), []).append(entry)
-        for group in groups.values():
-            pieces = block.compress(np.stack([vectors for _, _, vectors in group]))
-            for (k, cols, _), piece in zip(group, pieces):
-                out[k][:, cols[:, None], cols] = piece
-    return out
+    firsts = [np.array([values for values, _ in rows]).reshape(count, -1) for rows in solved]
+    lam = functools.reduce(np.maximum, [values[:, -1] for values in firsts])
+    floor = lam - deg_tol * np.maximum(1.0, np.abs(lam))
+    counts = np.array([np.sum(values >= floor[:, None], axis=1) for values in firsts]).reshape(len(blocks), count)
+    below = np.array([np.max(values, axis=1, where=values < floor[:, None], initial=-np.inf) for values in firsts])
+    keys, tops = [], []
+    for i, (block, rows, values) in enumerate(zip(blocks, solved, firsts)):
+        grown = {}  # direction -> (values, vectors) of its re-solve
+        for k in np.flatnonzero(counts[i] == values.shape[1]) if values.shape[1] < block.size else ():
+            top, vectors = rows[k]
+            while top[0] >= floor[k] and len(top) < block.size:
+                top, vectors = band_top(bands[i][k], min(2 * len(top), block.size))
+            cut = int(np.searchsorted(top, floor[k]))
+            counts[i, k], below[i, k] = len(top) - cut, top[cut - 1] if cut else -np.inf
+            grown[k] = top, vectors
+        width = int(counts[i].max(initial=0))
+        top_values = _last_rows(values, width, -np.inf)
+        top_vectors = _last_rows(np.stack([vectors.T for _, vectors in rows]), width, 0.0)
+        for k, (top, vectors) in grown.items():
+            c = min(width, len(top))
+            top_values[k, width - c :] = top[len(top) - c :]
+            top_vectors[k, width - c :] = vectors[:, len(top) - c :].T
+        member = np.arange(width) >= width - counts[i][:, None]
+        keys.append(np.where(member, top_values, np.inf))
+        tops.append(top_vectors)
+    widths = [key.shape[1] for key in keys]
+    slots = np.argsort(np.hstack(keys), axis=1, kind="stable")  # the cluster first, ascending, ties by block
+    owners = np.repeat(np.arange(len(blocks)), widths)[slots]
+    columns = np.concatenate([np.arange(w) for w in widths])[slots]  # each slot's row in its block's tops
+    mult = counts.sum(axis=0)
+    bases = [None] * count
+    for m in np.unique(mult):
+        rows = np.flatnonzero(mult == m)
+        basis = np.zeros((len(rows), vec.dim, m), dtype=np.complex128)
+        for c in range(m):
+            for i, block in enumerate(blocks):
+                sel = np.flatnonzero(owners[rows, c] == i)
+                basis[sel[:, None], block.index, c] = tops[i][rows[sel], columns[rows[sel], c]]
+        for k, b in zip(rows.tolist(), basis):
+            bases[k] = b
+    gaps = (lam - below.max(axis=0, initial=-np.inf)).tolist()  # inf where nothing lies below the cluster
+    records = [
+        SupportFace(direction=d, lambda_max=top, multiplicity=m, eigenbasis=b, gap=None if gap == math.inf else gap)
+        for d, top, m, b, gap in zip(directions, lam.tolist(), mult.tolist(), bases, gaps)
+    ]
+    return records, _Clusters(counts=counts, owners=owners, tops=tops)
 
 
 def _top_cluster(spec, deg_tol: float) -> tuple[float, np.ndarray]:
@@ -485,41 +506,144 @@ def _reduce_collinear(points: np.ndarray, tol: float) -> np.ndarray:
     return points
 
 
+def _direct_sum_columns(means: np.ndarray, etas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The vertices of G direct-sum faces as columns of their clusters, in groups [(rows, columns), ...].
+
+    means holds each cluster's states' mean vectors, (G, m, n) with m >= 2,
+    one state per block, in cluster order; etas the faces' directions, (G, n).
+    No operator couples the states, so the compressed operators are diagonal,
+    a face is the hull of the means, and _cluster_vertices' rule picks them
+    without building a matrix:
+    - the first state when every mean is the same within 1e-10 of the scale;
+    - else, with one free direction (n = 2), the states of the least and the
+      greatest projection on the free vector of the same SVD of eta, sign
+      included, ascending with ties by column: the order eig_hermitian gives
+      the diagonal free operator when m = 2;
+    - with two (n = 3) and m = 2, both states in the order of
+      _pair_cluster_vertices' segment, whose first end lies along the sign of
+      the SVD's first Bloch axis; with m >= 3, every state.
+    The SVDs run stacked, one call per group.
+    """
+    m, n = means.shape[1:]
+    scale = np.maximum(1.0, np.max(np.abs(means), axis=(1, 2)))
+    diag = np.ascontiguousarray(means.transpose(0, 2, 1))  # (G, n, m), as _cluster_vertices reads its diagonal
+    centre = diag.sum(axis=2) / m
+    scalar = np.max(np.abs(diag - centre[:, :, None]), axis=(1, 2)) <= 1e-10 * scale
+    spread = np.flatnonzero(~scalar)
+    groups = [(np.flatnonzero(scalar), np.zeros((int(scalar.sum()), 1), dtype=int))]
+    if n == 3 and m == 2:
+        # _pair_cluster_vertices' rows: the means' half difference on Bloch axis z
+        rows = np.zeros((len(spread), n, 3))
+        rows[:, :, 2] = (means[spread, 0] - means[spread, 1]) / 2.0
+        first = (np.linalg.svd(rows)[2][:, 0, 2] < 0).astype(int)
+        groups.append((spread, np.stack([first, 1 - first], axis=1)))
+    elif n == 3:
+        groups.append((spread, np.broadcast_to(np.arange(m), (len(spread), m))))
+    else:
+        free = np.linalg.svd(etas[spread, None, :])[2][:, 1]
+        along = free[:, :1] * means[spread, :, 0] + free[:, 1:] * means[spread, :, 1]
+        order = np.argsort(along, axis=1, kind="stable")
+        groups.append((spread, order[:, [0, -1]]))
+    return groups
+
+
 def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> list[SupportFace]:
     """Support data plus the face's vertex set in mean-value space, for every direction.
 
-    Each direction's top cluster is solved and merged block by block over all
-    directions (_solve), and the operators are compressed onto it from the
-    blocks' bands (_compressed), so a face is built from small compressed
-    operators only (_cluster_vertices). A state becomes a vector of C^d only
-    for a certification residual. Extreme certification is one window test
-    over every vertex; dedupe and collinear reduction act on each face of
-    more than one vertex, at DEDUP_TOL times the operators' spectral scale.
-    A direction's face does not depend on the other directions of the call.
+    Each direction's top cluster is solved and merged over all directions at
+    once (_solve), and each block compresses the operators onto its part of
+    every cluster from its bands, one Block.compress call per column count.
+    No operator couples two blocks, so each face is built by the kind of its
+    cluster:
+
+    - one state: the vertex is its mean, for every such face at once;
+    - one state in each of several blocks: a direct sum, whose vertices are
+      those states' means (_direct_sum_columns), for every such face of one
+      multiplicity at once;
+    - several states in one block: _cluster_vertices, face by face, on the
+      compressed operators, zero between columns of different blocks.
+
+    A state becomes a vector of C^d only for a certification residual.
+    Extreme certification is one window test over every vertex; dedupe and
+    collinear reduction act on each face of more than one vertex, at
+    DEDUP_TOL times the operators' spectral scale. A direction's face does
+    not depend on the other directions of the call.
     """
-    records, members = _solve(vec, directions, deg_tol)
+    records, clusters = _solve(vec, directions, deg_tol)
     if not records:
         return []
-    coords, states = [], []
-    for sf, compressed in zip(records, _compressed(vec, records, members)):
-        face_coords, face_states = _cluster_vertices(compressed, [sf.direction.eta], deg_tol)
-        coords.append(face_coords)
-        states.append(face_states)
-    offsets = np.cumsum([0, *(len(c) for c in coords)])
+    counts, owners = clusters.counts, clusters.owners
+    mult = counts.sum(axis=0)
+    several = {k: [] for k in np.flatnonzero((counts > 1).any(axis=0)).tolist()}  # face -> its (block, part)s
+    means = np.zeros((len(counts), len(records), vec.n))  # each block's mean of its one cluster state, where it has one
+    for i, (block, tops) in enumerate(zip(vec.blocks, clusters.tops)):
+        for c in np.unique(counts[i][counts[i] > 0]).tolist():
+            rows = np.flatnonzero(counts[i] == c)
+            # columns of one state contiguous, as np.stack lays out LAPACK's
+            # Fortran-ordered eigenvectors: the compression rounds by layout
+            parts = block.compress(np.ascontiguousarray(tops[rows, tops.shape[1] - c :]).transpose(0, 2, 1))
+            if c == 1:
+                means[i, rows] = parts[:, :, 0, 0].real
+            for k in set(rows.tolist()) & several.keys():
+                several[k].append((i, parts[np.searchsorted(rows, k)]))
+    built = {}  # face -> (vertices, their states in its cluster's basis), from _cluster_vertices
+    for k, parts in several.items():
+        m = mult[k]
+        compressed = np.zeros((vec.n, m, m), dtype=np.complex128)
+        for i, part in parts:
+            cols = np.flatnonzero(owners[k, :m] == i)
+            compressed[:, cols[:, None], cols] = part
+        built[k] = _cluster_vertices(compressed, [records[k].direction.eta], deg_tol)
+    # every other face's vertices are means of its cluster's states, each a column of its eigenbasis
+    groups = []  # (faces, their states' means (G, m, n), the columns of their vertices (G, e))
+    bulk = np.ones(len(records), dtype=bool)
+    bulk[list(several)] = False
+    for m in np.unique(mult[bulk]).tolist():
+        rows = np.flatnonzero(bulk & (mult == m))
+        states = means[owners[rows, :m], rows[:, None]]
+        if m == 1:
+            groups.append((rows, states, np.zeros((len(rows), 1), dtype=int)))
+            continue
+        etas = np.array([records[k].direction.eta for k in rows])
+        for sel, cols in _direct_sum_columns(states, etas):
+            groups.append((rows[sel], states[sel], cols))
+    nverts = np.zeros(len(records), dtype=int)
+    for rows, _, cols in groups:
+        nverts[rows] = cols.shape[1]
+    for k, (coords, _) in built.items():
+        nverts[k] = len(coords)
+    offsets = np.concatenate([[0], np.cumsum(nverts)])
+    coords = np.empty((offsets[-1], vec.n))
+    column = np.full(offsets[-1], -1)
+    for rows, states, cols in groups:
+        at = offsets[rows][:, None] + np.arange(cols.shape[1])
+        coords[at] = np.take_along_axis(states, cols[:, :, None], axis=1)
+        column[at] = cols
+    for k, (face_coords, _) in built.items():
+        coords[offsets[k] : offsets[k + 1]] = face_coords
 
     def state(v):
         f = int(np.searchsorted(offsets, v, side="right")) - 1
-        return records[f].eigenbasis @ states[f][:, v - offsets[f]]
+        if column[v] >= 0:
+            return records[f].eigenbasis[:, column[v]]
+        return records[f].eigenbasis @ built[f][1][:, v - offsets[f]]
 
-    verts = _certify_extremes(vec, np.vstack(coords), state)
+    verts = _certify_extremes(vec, coords, state)
     # scaled by the operators, not by the face: a scale read from the face's
     # own coordinates puts the largest one on an edge of the dedupe cells,
     # where a rounding-level change moves it across and changes the count
     ends, _ = vec.spectral_ends
     tol = DEDUP_TOL * max(1.0, float(np.abs(ends).max()))
-    for f, sf in enumerate(records):
-        points = verts[offsets[f] : offsets[f + 1]]
-        if len(points) > 1:
+    # two points are one when they share a dedupe cell or lie within tol, as
+    # _dedupe keeps them; only larger faces go through _dedupe itself
+    stops = offsets[1:].copy()
+    pairs = offsets[:-1][nverts == 2]
+    first, second = verts[pairs], verts[pairs + 1]
+    same_cell = np.all(np.floor(first / tol) == np.floor(second / tol), axis=1)
+    stops[np.flatnonzero(nverts == 2)[same_cell | (np.max(np.abs(first - second), axis=1) <= tol)]] -= 1
+    for sf, start, stop in zip(records, offsets[:-1].tolist(), stops.tolist()):
+        points = verts[start:stop]
+        if stop - start > 2:
             points = _reduce_collinear(_dedupe(points, tol), tol)
         sf.vertices = points
     return records

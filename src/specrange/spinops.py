@@ -161,8 +161,12 @@ def m_values(j: HalfInt) -> np.ndarray:
     return (j.twice - 2 * np.arange(j.dim)) / 2.0
 
 
-def angular_momentum(j: HalfInt) -> SpinOperators:
-    """Jx, Jy, Jz as observables plus the raw (non-Hermitian) ladder matrices."""
+def _spin_matrices(j: HalfInt) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Jx, Jy, Jz and J+ as plain complex matrices, for builders that only multiply them.
+
+    Each equals its validated observable's matrix (angular_momentum) bitwise:
+    the symmetrisation there halves an exact doubling.
+    """
     d = j.dim
     jz = np.diag(m_values(j)).astype(np.complex128)
     jplus = np.zeros((d, d), dtype=np.complex128)
@@ -171,14 +175,18 @@ def angular_momentum(j: HalfInt) -> SpinOperators:
         prod = (j.twice - twice_m) * (j.twice + twice_m + 2)  # 4(j-m)(j+m+1)
         jplus[i - 1, i] = math.sqrt(prod) / 2.0
     jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2.0
-    jy = (jplus - jminus) / 2.0j
+    return (jplus + jminus) / 2.0, (jplus - jminus) / 2.0j, jz, jplus
+
+
+def angular_momentum(j: HalfInt) -> SpinOperators:
+    """Jx, Jy, Jz as observables plus the raw (non-Hermitian) ladder matrices."""
+    jx, jy, jz, jplus = _spin_matrices(j)
     return SpinOperators(
         jx=make_hermitian(jx, "Jx"),
         jy=make_hermitian(jy, "Jy"),
         jz=make_hermitian(jz, "Jz"),
         jplus=jplus,
-        jminus=jminus,
+        jminus=jplus.conj().T,
     )
 
 
@@ -192,8 +200,7 @@ def checked_gamma(gamma) -> int:
 def ladder_combo(j: HalfInt, gamma: int) -> ObservableVec:
     """The pair (J+^g + J-^g, i(J+^g - J-^g)); the null pair when g >= d."""
     gamma = checked_gamma(gamma)
-    ops = angular_momentum(j)
-    plus_pow = np.linalg.matrix_power(ops.jplus, gamma)
+    plus_pow = np.linalg.matrix_power(_spin_matrices(j)[3], gamma)
     x = plus_pow + plus_pow.conj().T
     y = 1j * (plus_pow - plus_pow.conj().T)
     return ObservableVec(
@@ -207,28 +214,23 @@ def ladder_combo(j: HalfInt, gamma: int) -> ObservableVec:
 def power_vec(j: HalfInt, gamma: int) -> ObservableVec:
     """Entrywise matrix powers (Jx^g, Jy^g, Jz^g)."""
     gamma = checked_gamma(gamma)
-    ops = angular_momentum(j)
     triple = tuple(
-        make_hermitian(np.linalg.matrix_power(base.mat, gamma), f"{base.label}^{gamma}")
-        for base in (ops.jx, ops.jy, ops.jz)
+        make_hermitian(np.linalg.matrix_power(base, gamma), f"{name}^{gamma}")
+        for base, name in zip(_spin_matrices(j), ("Jx", "Jy", "Jz"))
     )
     return ObservableVec(ops=triple, j=j, kind=KIND_JPOW, gamma=gamma)
 
 
 def jsq_pair(j: HalfInt) -> ObservableVec:
     """The planar pair (Jx^2, Jy^2)."""
-    ops = angular_momentum(j)
-    pair = tuple(
-        make_hermitian(base.mat @ base.mat, f"{base.label}^2") for base in (ops.jx, ops.jy)
-    )
+    pair = tuple(make_hermitian(base @ base, f"{name}^2") for base, name in zip(_spin_matrices(j), ("Jx", "Jy")))
     return ObservableVec(ops=pair, j=j, kind=KIND_JSQ2D, gamma=2)
 
 
 def anticomm_vec(j: HalfInt, gamma: int = 1) -> ObservableVec:
     """Anticommutators of gamma-th powers: (Jx^g Jz^g + Jz^g Jx^g, ...)."""
     gamma = checked_gamma(gamma)
-    ops = angular_momentum(j)
-    xg, yg, zg = (np.linalg.matrix_power(o.mat, gamma) for o in (ops.jx, ops.jy, ops.jz))
+    xg, yg, zg = (np.linalg.matrix_power(base, gamma) for base in _spin_matrices(j)[:3])
     pairs = [(xg, zg, "A1"), (yg, zg, "A2"), (xg, yg, "A3")]
     trip = []
     for a, b, name in pairs:

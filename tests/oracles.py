@@ -12,6 +12,16 @@ direction, and one extreme-certification pass per vertex. They compress
 the dense operators, while the library reads its compressions from the
 blocks' bands, so the library's faces match them to a tolerance.
 
+``faces_reference`` is ``numrange.faces`` one direction at a time: each
+block's top values merged per direction in a Python loop that re-solves a
+block while its lowest computed value is still in the cluster
+(``solve_reference``), every cluster's operators compressed into a dense
+(n, m, m) array with exact zeros between the columns of different blocks
+(``compressed_reference``), and every face built by
+``numrange._cluster_vertices``. ``numrange.faces`` merges the blocks' values
+as arrays and builds one-state and one-state-per-block faces in bulk from
+the blocks' compressions; its faces equal these bitwise for two operators.
+
 ``normalize_mean_reference`` through ``local_optima_reference`` are the
 scoring layer as per-vertex Python loops: one ``normalize_mean`` and one
 ``math`` call per coordinate, summed vertex by vertex, and the grid's local
@@ -42,8 +52,8 @@ import math
 import numpy as np
 
 from specrange import bounds, numrange
-from specrange.errors import DegenerateRange, UnsupportedJ
-from specrange.linalg import HermObservable, block_top_eigenvalues, combine_matrix, eig_hermitian
+from specrange.errors import DegenerateRange, DimensionMismatch, UnsupportedJ
+from specrange.linalg import HermObservable, band_top, block_top_eigenvalues, combine_matrix, eig_hermitian
 from specrange.spinops import KIND_JSQ2D, HalfInt
 
 # --- closed-form top eigenvalues of cos(phi) Jx^2 + sin(phi) Jy^2 -----------
@@ -287,6 +297,114 @@ def face_vertices_reference(vec, direction, deg_tol: float = numrange.DEG_TOL_DE
     scale = max(1.0, max(max(abs(op.eig_min), abs(op.eig_max)) for op in vec.ops))
     points = dedupe_reference(np.array(verts), numrange.DEDUP_TOL * scale)
     return numrange._reduce_collinear(points, numrange.DEDUP_TOL * scale)
+
+
+# --- the face layer's per-direction path ----------------------------------------
+
+
+def solve_reference(vec, directions, deg_tol: float):
+    """Support records of many directions, and each block's part of their clusters, one direction at a time.
+
+    Each block solves every direction's band for its top k = min(2, size)
+    eigenpairs, doubling k while the block's lowest computed value is still
+    within deg_tol*max(1, |lambda_max|) of the largest over all blocks. The
+    cluster's columns ascend in value, ties by block, and the gap runs to the
+    largest computed value below the cluster. Returns the records and, per
+    block, the list of (direction number, the block's columns in the merged
+    cluster, their eigenvectors in the block's space).
+    """
+    for direction in directions:
+        if direction.n != vec.n:
+            raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
+    blocks = vec.blocks
+    etas = np.array([direction.eta for direction in directions]).reshape(len(directions), vec.n)
+    bands = [block.combine(etas) for block in blocks]
+    solved = [[band_top(band, min(2, block.size)) for band in rows] for block, rows in zip(blocks, bands)]
+    records = []
+    members: list[list] = [[] for _ in blocks]
+    for k, direction in enumerate(directions):
+        lam = max(float(rows[k][0][-1]) for rows in solved)
+        floor = lam - deg_tol * max(1.0, abs(lam))
+        cluster = []  # (value, block number, column in the block's solve) of every value in the cluster
+        below = []  # each block's largest value under the cluster
+        for i, block in enumerate(blocks):
+            values, vectors = solved[i][k]
+            while values[0] >= floor and len(values) < block.size:
+                values, vectors = band_top(bands[i][k], min(2 * len(values), block.size))
+            solved[i][k] = values, vectors
+            cut = int(np.searchsorted(values, floor))
+            if cut:
+                below.append(float(values[cut - 1]))
+            cluster.extend((values[c], i, c) for c in range(cut, len(values)))
+        cluster.sort(key=lambda entry: entry[0])
+        basis = np.zeros((vec.dim, len(cluster)), dtype=np.complex128)
+        owners = [i for _, i, _ in cluster]
+        for col, (_, i, c) in enumerate(cluster):
+            basis[blocks[i].index, col] = solved[i][k][1][:, c]
+        for i in set(owners):
+            cols = np.array([col for col, owner in enumerate(owners) if owner == i])
+            members[i].append((k, cols, solved[i][k][1][:, -len(cols) :]))
+        records.append(
+            numrange.SupportFace(
+                direction=direction,
+                lambda_max=lam,
+                multiplicity=len(cluster),
+                eigenbasis=basis,
+                gap=lam - max(below) if below else None,
+            )
+        )
+    return records, members
+
+
+def compressed_reference(vec, records, members) -> list[np.ndarray]:
+    """Each record's operators compressed onto its cluster, (n, m, m), zeros between blocks' columns.
+
+    Block.compress runs once per block and column count over every direction
+    with that many of the block's columns.
+    """
+    out = [np.zeros((vec.n, sf.multiplicity, sf.multiplicity), dtype=np.complex128) for sf in records]
+    for block, entries in zip(vec.blocks, members):
+        groups = {}
+        for entry in entries:
+            groups.setdefault(len(entry[1]), []).append(entry)
+        for group in groups.values():
+            pieces = block.compress(np.stack([vectors for _, _, vectors in group]))
+            for (k, cols, _), piece in zip(group, pieces):
+                out[k][:, cols[:, None], cols] = piece
+    return out
+
+
+def cluster_compressions(vec, directions, deg_tol: float = numrange.DEG_TOL_DEFAULT):
+    """The records of solve_reference and their compressed operators, one (n, m, m) array per record."""
+    records, members = solve_reference(vec, directions, deg_tol)
+    return records, compressed_reference(vec, records, members)
+
+
+def faces_reference(vec, directions, deg_tol: float = numrange.DEG_TOL_DEFAULT) -> list:
+    """numrange.faces with every face built by _cluster_vertices from its dense compression."""
+    records, compressed = cluster_compressions(vec, directions, deg_tol)
+    if not records:
+        return []
+    coords, states = [], []
+    for sf, ops in zip(records, compressed):
+        face_coords, face_states = numrange._cluster_vertices(ops, [sf.direction.eta], deg_tol)
+        coords.append(face_coords)
+        states.append(face_states)
+    offsets = np.cumsum([0, *(len(c) for c in coords)])
+
+    def state(v):
+        f = int(np.searchsorted(offsets, v, side="right")) - 1
+        return records[f].eigenbasis @ states[f][:, v - offsets[f]]
+
+    verts = numrange._certify_extremes(vec, np.vstack(coords), state)
+    ends, _ = vec.spectral_ends
+    tol = numrange.DEDUP_TOL * max(1.0, float(np.abs(ends).max()))
+    for f, sf in enumerate(records):
+        points = verts[offsets[f] : offsets[f + 1]]
+        if len(points) > 1:
+            points = numrange._reduce_collinear(numrange._dedupe(points, tol), tol)
+        sf.vertices = points
+    return records
 
 
 # --- the scoring layer's per-vertex path ---------------------------------------

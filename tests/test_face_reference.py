@@ -16,11 +16,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cells_reference, cluster_pairs_reference, dedupe_reference, face_vertices_reference
+from oracles import (
+    cells_reference,
+    cluster_compressions,
+    cluster_pairs_reference,
+    dedupe_reference,
+    faces_reference,
+    face_vertices_reference,
+)
 from specrange import numrange
 from specrange.linalg import make_hermitian
 from specrange.numrange import diag_directions, direction2, direction3, face, support, sweep_directions
-from specrange.spinops import HalfInt, ObservableVec, anticomm_vec, j_triple, jsq_pair, power_vec
+from specrange.spinops import (
+    HalfInt,
+    ObservableVec,
+    anticomm_vec,
+    j_triple,
+    jsq_pair,
+    ladder_combo,
+    power_vec,
+    scale_uniform,
+)
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray):
@@ -123,6 +139,109 @@ def test_dedupe_keeps_first_signed_zero():
     assert_same_bits(got[0], np.array([-0.0, 0.0]))
 
 
+# --- faces against the per-direction path --------------------------------------
+
+# sets whose faces must equal oracles.faces_reference bitwise, each on its
+# sweep grid: jsq2d has cross-block doublets, in-block doublets at phi in
+# (pi, 3 pi/2) whose block re-solves with more values, and doublets whose
+# segment collapses to a point; ladder gamma = 3 has three blocks
+BITWISE_SETS = {
+    **{f"jsq2d-{t}": (lambda t=t: jsq_pair(HalfInt(t)), 360) for t in (3, 5, 20, 60, 100)},
+    "ladder2-9": (lambda: ladder_combo(HalfInt(9), 2), 360),
+    "ladder3-12": (lambda: ladder_combo(HalfInt(12), 3), 360),
+    "jpow3-20": (lambda: scale_uniform(power_vec(HalfInt(20), 3), 1e-3), (12, 24)),
+    **{f"anticomm-{t}": (lambda t=t: anticomm_vec(HalfInt(t), 1), (12, 24)) for t in (2, 3, 20)},
+    "J-5": (lambda: j_triple(HalfInt(5)), (12, 24)),
+}
+_BUILT = {}
+
+
+def bitwise_set(label: str):
+    """The set and its sweep directions, built once per process."""
+    if label not in _BUILT:
+        build, grid = BITWISE_SETS[label]
+        vec = build()
+        _BUILT[label] = vec, sweep_directions(vec.n, grid)
+    return _BUILT[label]
+
+
+def assert_same_support(got, want):
+    """lambda_max, multiplicity, gap and eigenbasis equal bitwise."""
+    mine, theirs = ((repr(sf.lambda_max), sf.multiplicity, repr(sf.gap)) for sf in (got, want))
+    assert mine == theirs
+    assert_same_bits(got.eigenbasis, want.eigenbasis)
+
+
+def assert_same_faces(got, want):
+    """Equal support data, and vertices equal bitwise."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_support(g, w)
+        assert_same_bits(g.vertices, w.vertices)
+
+
+def cluster_kinds(vec, records) -> list[str]:
+    """Each record's cluster kind: "one" state, one state in each of "several blocks", or "in-block" several."""
+    owners = np.zeros(vec.dim, dtype=int)
+    for k, block in enumerate(vec.blocks):
+        owners[block.index] = k
+    kinds = []
+    for sf in records:
+        homes = [int(owners[np.flatnonzero(col)[0]]) for col in sf.eigenbasis.T]
+        kinds.append("one" if len(homes) == 1 else "several blocks" if len(set(homes)) == len(homes) else "in-block")
+    return kinds
+
+
+@pytest.mark.parametrize("label", list(BITWISE_SETS))
+def test_faces_match_per_direction_path_bitwise(label):
+    vec, directions = bitwise_set(label)
+    assert_same_faces(numrange.faces(vec, directions), faces_reference(vec, directions))
+
+
+def test_bitwise_sets_cover_every_cluster_kind():
+    """The jsq2d sweeps hold every kind, and doublets whose segment collapses to a point.
+
+    An in-block doublet fills its block's first two values, so the block
+    re-solves with more; they lie at phi in (pi, 3 pi/2).
+    """
+    found = []
+    for t in (20, 60, 100):
+        vec, directions = bitwise_set(f"jsq2d-{t}")
+        records = numrange.faces(vec, directions)
+        found += [(kind, sf.direction.phi, len(sf.vertices)) for kind, sf in zip(cluster_kinds(vec, records), records)]
+    assert {kind for kind, _, _ in found} == {"one", "several blocks", "in-block"}
+    assert all(math.pi < phi < 1.5 * math.pi for kind, phi, _ in found if kind == "in-block")
+    assert any(kind != "one" and count == 1 for kind, _, count in found)
+
+
+@given(st.sampled_from(list(BITWISE_SETS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_faces_of_any_direction_subset_match_bitwise(label, data):
+    """A face does not depend on the other directions of its call, down to the bits."""
+    vec, directions = bitwise_set(label)
+    picks = data.draw(st.lists(st.integers(0, len(directions) - 1), min_size=1, max_size=24))
+    subset = [directions[k] for k in picks]
+    assert_same_faces(numrange.faces(vec, subset), faces_reference(vec, subset))
+
+
+@pytest.mark.parametrize("gamma", [2, 4])
+@pytest.mark.parametrize("twice", [4, 8, 16, 20])
+def test_block_spanning_3d_faces_match_pair_path(gamma, twice):
+    """jpow gamma even: a doublet across the parity blocks is a direct sum whose ends are its states' means.
+
+    The pair path takes center +- half the difference, so the vertices match
+    within 1e-13 of each operator's spectral scale, with equal counts and
+    in the same order; the support data and eigenbases match bitwise.
+    """
+    vec = power_vec(HalfInt(twice), gamma)
+    directions = sweep_directions(3, (12, 24))
+    got, want = numrange.faces(vec, directions), faces_reference(vec, directions)
+    assert "several blocks" in cluster_kinds(vec, got)
+    for g, w in zip(got, want):
+        assert_same_support(g, w)
+        assert_close_vertices(vec, g.vertices, w.vertices)
+
+
 # --- face vertices -----------------------------------------------------------
 
 # anticomm gamma = 1, j = 2: ring faces that refinement solves near the body
@@ -219,10 +338,9 @@ def test_ring_states_match_reference(vec, direction):
     state must also realize its vertex under the dense operators.
     """
     sf = support(vec, direction)
-    records, members = numrange._solve(vec, [direction], numrange.DEG_TOL_DEFAULT)
-    compressed = numrange._compressed(vec, records, members)[0]
+    _, compressed = cluster_compressions(vec, [direction])
     fixed = [direction.eta]
-    coords, states = numrange._cluster_vertices(compressed, fixed, numrange.DEG_TOL_DEFAULT)
+    coords, states = numrange._cluster_vertices(compressed[0], fixed, numrange.DEG_TOL_DEFAULT)
     pairs = cluster_pairs_reference(vec.mats, sf.eigenbasis, fixed, numrange.DEG_TOL_DEFAULT)
     assert len(pairs) == numrange.INNER_STEPS
     assert_close_vertices(vec, coords, np.array([point for point, _ in pairs]))

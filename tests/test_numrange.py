@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import membership_reference
+from oracles import cluster_compressions, membership_reference
 from specrange import numrange
 from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian, NotCommuting
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
@@ -338,9 +338,8 @@ def test_ring_states_realize_their_vertices(gamma, twice):
     """
     vec = power_vec(HalfInt(twice), gamma)
     for d in diag_directions():
-        records, members = numrange._solve(vec, [d], numrange.DEG_TOL_DEFAULT)
-        compressed = numrange._compressed(vec, records, members)[0]
-        coords, states = numrange._cluster_vertices(compressed, [d.eta], numrange.DEG_TOL_DEFAULT)
+        records, compressed = cluster_compressions(vec, [d])
+        coords, states = numrange._cluster_vertices(compressed[0], [d.eta], numrange.DEG_TOL_DEFAULT)
         for vertex, psi in zip(coords, (records[0].eigenbasis @ states).T):
             err = float(np.max(np.abs(numrange._expectations(vec.mats, psi) - vertex)))
             assert err <= 1e-12 * max(1.0, float(np.linalg.norm(vertex)))

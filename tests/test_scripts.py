@@ -12,19 +12,35 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def digest_lines() -> list[re.Pattern]:
-    """The lines table_digests.py must print once each: one per table of every
-    workload in perfbench/workloads.py (loaded, not edited), and one per query set."""
+def benchmark_names() -> tuple[list[str], list[str]]:
+    """"workload: label" of every table of every workload in perfbench/workloads.py
+    (loaded, not edited), and "workload: queries seed 0" of every query set."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while the file runs
     spec.loader.exec_module(module)
-    names = []
+    tables, queries = [], []
     for name, workload in module.WORKLOADS.items():
-        names.extend(f"{name}: {table.label}" for table in workload.tables)
+        tables.extend(f"{name}: {table.label}" for table in workload.tables)
         if workload.queries is not None:
-            names.append(f"{name}: queries seed 0")
-    return [re.compile(rf"^[0-9a-f]{{64}}  {re.escape(name)}$", re.M) for name in names]
+            queries.append(f"{name}: queries seed 0")
+    return tables, queries
+
+
+def digest_lines() -> list[re.Pattern]:
+    """The lines table_digests.py must print once each: one per table and one per query set."""
+    tables, queries = benchmark_names()
+    return [re.compile(rf"^[0-9a-f]{{64}}  {re.escape(name)}$", re.M) for name in tables + queries]
+
+
+def split_lines() -> list[re.Pattern]:
+    """The lines sweep_split.py must print once each: one per table."""
+    number = r"[0-9]+(?:\.[0-9]+)?"
+    fields = (
+        rf"  faces {number} ms  band_top {number} ms \({number} calls\)"
+        rf"  one {number}  per block {number}  in block {number}"
+    )
+    return [re.compile(rf"^{re.escape(name)}{fields}$", re.M) for name in benchmark_names()[0]]
 
 
 @pytest.mark.parametrize(
@@ -35,6 +51,7 @@ def digest_lines() -> list[re.Pattern]:
         ("reproduce_bound_tables.py", ["--j-list", "5/2", "--phi-steps", "36"]),
         ("readme_outputs.py", []),
         ("table_digests.py", []),
+        ("sweep_split.py", ["--repeats", "1"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -52,6 +69,9 @@ def test_script_runs(script, args, tmp_path):
     assert proc.stdout.strip()
     if script == "table_digests.py":
         for line in digest_lines():
+            assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
+    if script == "sweep_split.py":
+        for line in split_lines():
             assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
     for path in tmp_path.iterdir():
         assert path.stat().st_size > 0, path.name

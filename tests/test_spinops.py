@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import CI_LONG
 from oracles import analytic_lambda_oracle
 from specrange.errors import GammaOutOfRange, UnsupportedJ, WrongKind
+from specrange import spinops
 from specrange.linalg import block_top_eigenvalues, eig_hermitian, expectation, make_hermitian
 from specrange.spinops import (
     HalfInt,
@@ -93,6 +94,15 @@ def test_casimir_multiple_j(j):
 def test_ladders_are_mutual_adjoints():
     ops = angular_momentum(HalfInt(5))
     assert np.array_equal(ops.jminus, ops.jplus.conj().T)
+
+
+def test_raw_spin_matrices_equal_the_validated_ones_bitwise():
+    """The family builders multiply the raw matrices, so their sets are what the observables' would give."""
+    for twice in range(120):
+        ops = angular_momentum(HalfInt(twice))
+        raw = spinops._spin_matrices(HalfInt(twice))
+        for got, want in zip(raw, (ops.jx.mat, ops.jy.mat, ops.jz.mat, ops.jplus)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), twice
 
 
 def test_ladder_combo_gamma1():
