@@ -176,7 +176,7 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
     UnsupportedJ at j = 0 (all operators vanish), for MEAN_ETA1 when the first
     operator is zero (anticommutators at j = 1/2, where the Pauli matrices
     anticommute) and for a non-point MEAN_ETA1 face; GammaOutOfRange unless
-    gamma is an integer >= 1.
+    gamma is an integer >= 1, and ValueError for any other quantity.
     """
     if family == FAMILY_JPOW:
         build, power = power_vec, lambda j: j.j**gamma
@@ -185,6 +185,8 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
     else:
         raise UnsupportedFamily(f"unknown family {family!r}")
     gamma = checked_gamma(gamma)
+    if quantity not in (AM, AM_MIN, LMAX_ETA1, LMIN_ETA1, MEAN_ETA1):
+        raise ValueError(f"unknown quantity {quantity!r}")
     eta1 = _eta1()
     out = []
     for j in j_list:
@@ -203,15 +205,13 @@ def convergence_sweep(family: str, gamma: int, j_list, quantity: str):
             # lambda_max of the antipodal direction is -lambda_min of this one
             anti = direction3(math.pi - eta1.theta, (math.pi + eta1.phi) % (2 * math.pi))
             value = -support(vec, anti).lambda_max / scale
-        elif quantity == MEAN_ETA1:
+        else:  # MEAN_ETA1
             if vec.ops[0].eig_max == 0.0:
                 raise UnsupportedJ(f"j={j}: the first operator is zero, so its mean cannot be normalized")
             f = face(vec, eta1)
             if not f.is_point:
                 raise UnsupportedJ(f"face at eta_1 is not a point for j={j}")
             value = float(f.vertices[0][0]) / vec.ops[0].eig_max
-        else:
-            raise ValueError(f"unknown quantity {quantity!r}")
         out.append((j, float(value)))
     return out
 

@@ -47,9 +47,9 @@ BEVX_ABSTOL = 2 * np.finfo(np.float64).tiny
 
 
 def as_cmatrix(entries) -> np.ndarray:
-    """Coerce to a finite square complex matrix."""
+    """Coerce to a finite square complex matrix, or a stack of them (..., m, m)."""
     mat = np.asarray(entries, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise NonFinite("matrix has non-finite entries")
@@ -57,22 +57,20 @@ def as_cmatrix(entries) -> np.ndarray:
 
 
 def check_hermitian(mat: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-    asym = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if asym > HERMITICITY_RTOL * scale:
-        raise NonHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.0e}*{scale:.3e}")
+    """NonHermitian unless each matrix of mat (..., m, m) is Hermitian within HERMITICITY_RTOL of its own scale."""
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1), initial=0.0))
+    asym = np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj()), axis=(-2, -1), initial=0.0)
+    if np.any(asym > HERMITICITY_RTOL * scale):
+        worst = np.unravel_index(np.argmax(asym / scale), scale.shape)
+        raise NonHermitian(f"max asymmetry {asym[worst]:.3e} exceeds {HERMITICITY_RTOL:.0e}*{scale[worst]:.3e}")
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full ascending spectrum with orthonormal eigenvector columns."""
+    """Full ascending spectrum with orthonormal eigenvector columns, or one per matrix of a stack."""
 
-    values: np.ndarray  # (d,), nondecreasing
-    vectors: np.ndarray  # (d, d), column k pairs with values[k]
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
+    values: np.ndarray  # (..., d), nondecreasing
+    vectors: np.ndarray  # (..., d, d), column k pairs with values[..., k]
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,8 @@ class HermObservable:
 def make_hermitian(entries, label: str = "") -> HermObservable:
     """Validate and wrap a Hermitian matrix, caching its extreme eigenvalues."""
     mat = as_cmatrix(entries)
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     check_hermitian(mat)
     mat = (mat + mat.conj().T) / 2.0  # bitwise Hermitian from here on
     mat.setflags(write=False)
@@ -103,7 +103,7 @@ def make_hermitian(entries, label: str = "") -> HermObservable:
 
 
 def eig_hermitian(mat) -> Spectrum:
-    """Full ascending eigendecomposition of a Hermitian matrix."""
+    """Full ascending eigendecomposition of a Hermitian matrix, or of each of a stack (..., m, m) as if alone."""
     mat = as_cmatrix(mat)
     check_hermitian(mat)
     try:
@@ -116,10 +116,11 @@ def eig_hermitian(mat) -> Spectrum:
 
 
 def combine_matrix(coeffs, mats) -> np.ndarray:
-    """Real-linear combination of matrices (no validation; hot path)."""
-    out = np.zeros_like(mats[0])
-    for c, m in zip(coeffs, mats):
-        out += float(c) * m
+    """sum_i coeffs[..., i] * mats[..., i, :, :], stacks broadcast, each as if alone (no validation; hot path)."""
+    coeffs, mats = np.asarray(coeffs, dtype=float), np.asarray(mats)
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], mats.shape[:-3]) + mats.shape[-2:], dtype=mats.dtype)
+    for i in range(coeffs.shape[-1]):
+        out += coeffs[..., i, None, None] * mats[..., i, :, :]
     return out
 
 
@@ -162,8 +163,12 @@ class Block:
         main diagonal and U_k the k-th superdiagonal, V^H A V = H + H^H for
         H = V^H (D/2) V + sum_k V[:m-k]^H U_k V[k:], so every result is
         Hermitian bitwise. Each entry is one sum over the block's positions,
-        so a row's result does not depend on the other rows of the call.
+        so a row's result does not depend on the other rows of the call. The
+        sums run in an order set by the memory layout, so vectors is first
+        laid out with each column contiguous (a copy unless it already is):
+        the result depends on the values alone.
         """
+        vectors = np.swapaxes(np.ascontiguousarray(np.swapaxes(vectors, -1, -2)), -1, -2)
         b = self.bands.shape[1] - 1
         left = vectors.conj()[..., None, :, :, None]  # (..., 1, m, c, 1)
         right = vectors[..., None, :, None, :]  # (..., 1, m, 1, c)

@@ -7,16 +7,13 @@ directions: each block of the operator set forms and solves every direction's
 band, and the blocks' top values merge as arrays over all directions, with
 only a direction whose block needs more values re-solved in a loop
 (``support`` is that step at one direction). Each block compresses the
-operators onto its part of every cluster from its stored diagonals
-(``linalg.Block.compress``), and the faces are built by cluster kind. A
-one-state face is its state's mean, and those points are gathered in bulk.
-No operator couples two blocks, so a cluster of one state in each of
-several blocks is a direct sum whose vertices are those states' means, built
-in bulk with no matrix. A cluster with several states in one block is built
-from its compressed operators by its number of free directions
-(_cluster_vertices): a point when they are scalar, a segment when one
-direction is free, and with two the analytic range of a pair or a ring of
-segments. ``face`` is ``faces`` at one direction.
+operators onto its part of every cluster (``linalg.Block.compress``); no
+operator couples two blocks, so the compression is block diagonal. A
+one-state face is its state's mean, gathered in bulk; every other face is
+built from its compression by its number of free directions, all faces of
+one cluster size at once (_cluster_faces): a point when the operators are
+scalar, a segment when one direction is free, and with two the analytic
+range of a pair or a ring of segments. ``face`` is ``faces`` at one direction.
 """
 
 from __future__ import annotations
@@ -270,8 +267,11 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
     cluster (None when the cluster fills C^d). Each block whose top does not
     fill the cluster has a computed value below it, so that value is the
     spectrum's next one. A cluster that spans blocks has block-pure
-    eigenvectors, which no operator couples.
+    eigenvectors, which no operator couples. ValueError unless deg_tol is
+    finite and >= 0.
     """
+    if not 0.0 <= deg_tol < math.inf:
+        raise ValueError(f"deg_tol must be finite and >= 0, got {deg_tol!r}")
     for direction in directions:
         if direction.n != vec.n:
             raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
@@ -329,13 +329,6 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
     return records, _Clusters(counts=counts, owners=owners, tops=tops)
 
 
-def _top_cluster(spec, deg_tol: float) -> tuple[float, np.ndarray]:
-    """lambda_max and the eigenvectors of the eigenvalues within deg_tol*max(1, |lambda_max|)."""
-    lam = float(spec.values[-1])
-    mult = int(np.sum(spec.values >= lam - deg_tol * max(1.0, abs(lam))))
-    return lam, spec.vectors[:, spec.dim - mult :]
-
-
 def _expectations(mats, psi: np.ndarray) -> np.ndarray:
     return np.array([float(np.real(psi.conj() @ (m @ psi))) for m in mats])
 
@@ -389,42 +382,59 @@ def _pair_cluster_vertices(pair: np.ndarray, free: np.ndarray):
     return coords, spinors / np.sqrt(2.0 * (1.0 + np.abs(nz)))
 
 
-def _cluster_vertices(compressed: np.ndarray, fixed: list, deg_tol: float):
-    """Vertices (k, n) of a cluster's face, and their states (m, k) in the cluster's basis.
+def _cluster_faces(compressed: np.ndarray, fixed: np.ndarray, deg_tol: float) -> list:
+    """Each of G clusters' face: its vertices (k, n) and their states (m, k) in the cluster's basis.
 
-    compressed holds the operators compressed onto the cluster, (n, m, m).
-    Every state of the cluster attains the hyperplane of each unit direction
-    in `fixed`, so the face lies in their orthogonal complement and is built
-    by its number of free directions: a point when the cluster is one state
-    or every compressed operator is scalar; with one, the segment between
-    the extreme eigenvectors of the free operator, for any m; with two, the
-    analytic range of a pair when m = 2, else a convex set
-    (Toeplitz-Hausdorff) swept on _RING in the free plane, whose every top
-    cluster, compressed once more with its direction fixed, has one free
-    direction: the recursion is one level deep.
+    compressed holds the operators compressed onto each cluster, (G, n, m, m).
+    Every state of cluster g attains the hyperplane of each unit direction in
+    fixed[g], (G, f, n), so the face lies in their orthogonal complement and
+    is built by its number of free directions, n - f: a point when the
+    cluster is one state or every compressed operator is scalar; with one,
+    the segment between the extreme eigenvectors of the free operator, for
+    any m; with two, the analytic range of a pair when m = 2, else a convex
+    set (Toeplitz-Hausdorff) swept on _RING in the free plane, whose every
+    top cluster, compressed once more with its direction fixed, has one free
+    direction: the recursion is one level deep. Every step but the pair (one
+    call per cluster) and the ring's inner compressions (one per direction)
+    runs stacked, each cluster rounding as a stack of one would.
     """
-    m = compressed.shape[1]
-    if m == 1:
-        return compressed[:, 0, 0].real[None], np.ones((1, 1))
-    scale = max(1.0, float(np.max(np.abs(compressed))))
-    diag = compressed[:, np.arange(m), np.arange(m)].real
-    means = diag.sum(axis=1) / m
-    if float(np.max(np.abs(compressed - means[:, None, None] * np.eye(m)))) <= 1e-10 * scale:
-        # every cluster state maps to the same mean vector: an exposed point
-        return diag[:, 0][None], np.eye(m, 1)
-    free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
-    if len(free) == 1:
-        ends = eig_hermitian(combine_matrix(free[0], compressed)).vectors[:, [0, -1]]
-        return np.real(np.sum(ends.conj() * (compressed @ ends), axis=1)).T, ends
-    if m == 2:
-        return _pair_cluster_vertices(compressed, free)
-    parts = []
-    for eta in _RING @ free:
-        _, top = _top_cluster(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
-        inner = top.conj().T @ compressed @ top
-        coords, states = _cluster_vertices((inner + inner.conj().transpose(0, 2, 1)) / 2.0, [*fixed, eta], deg_tol)
-        parts.append((coords, top @ states))
-    return np.vstack([coords for coords, _ in parts]), np.hstack([states for _, states in parts])
+    m = compressed.shape[2]
+    scale = np.maximum(1.0, np.max(np.abs(compressed), axis=(1, 2, 3)))
+    diag = compressed[:, :, np.arange(m), np.arange(m)].real
+    means = diag.sum(axis=2) / m
+    spread = np.max(np.abs(compressed - means[:, :, None, None] * np.eye(m)), axis=(1, 2, 3))
+    out = [(point[None], np.eye(m, 1)) for point in diag[:, :, 0]]  # kept where the operators are scalar
+    rest = np.flatnonzero(spread > 1e-10 * scale)
+    if not len(rest):
+        return out
+    compressed, fixed = compressed[rest], fixed[rest]
+    free = np.linalg.svd(fixed)[2][:, fixed.shape[1] :]
+    if free.shape[1] == 1:
+        ends = eig_hermitian(combine_matrix(free[:, 0], compressed)).vectors[..., [0, -1]]
+        coords = np.real(np.sum(ends.conj()[:, None] * (compressed @ ends[:, None]), axis=2))
+        built = zip(coords.transpose(0, 2, 1), ends)
+    elif m == 2:
+        built = map(_pair_cluster_vertices, compressed, free)
+    else:
+        etas = _RING @ free  # (G, INNER_STEPS, n)
+        spectra = eig_hermitian(combine_matrix(etas, compressed[:, None]))
+        lam = spectra.values[..., -1:]
+        sizes = np.sum(spectra.values >= lam - deg_tol * np.maximum(1.0, np.abs(lam)), axis=-1).ravel()
+        tops = [vectors[:, m - k :] for vectors, k in zip(spectra.vectors.reshape(-1, m, m), sizes.tolist())]
+        inners = [top.conj().T @ compressed[t // INNER_STEPS] @ top for t, top in enumerate(tops)]
+        deeper = np.concatenate([np.repeat(fixed, INNER_STEPS, axis=0), etas.reshape(len(tops), 1, -1)], axis=1)
+        parts = [None] * len(tops)  # each direction's sub-face, from one call per sub-cluster size
+        for k in np.unique(sizes).tolist():
+            at = np.flatnonzero(sizes == k)
+            inner = np.stack([inners[t] for t in at])
+            inner = (inner + inner.conj().swapaxes(-1, -2)) / 2.0
+            for t, (coords, states) in zip(at.tolist(), _cluster_faces(inner, deeper[at], deg_tol)):
+                parts[t] = coords, tops[t] @ states
+        rings = [zip(*parts[g : g + INNER_STEPS]) for g in range(0, len(parts), INNER_STEPS)]
+        built = [(np.vstack(coords), np.hstack(states)) for coords, states in rings]
+    for g, face in zip(rest.tolist(), built):
+        out[g] = face
+    return out
 
 
 EXTREME_WINDOW = 1e-10
@@ -506,62 +516,18 @@ def _reduce_collinear(points: np.ndarray, tol: float) -> np.ndarray:
     return points
 
 
-def _direct_sum_columns(means: np.ndarray, etas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The vertices of G direct-sum faces as columns of their clusters, in groups [(rows, columns), ...].
-
-    means holds each cluster's states' mean vectors, (G, m, n) with m >= 2,
-    one state per block, in cluster order; etas the faces' directions, (G, n).
-    No operator couples the states, so the compressed operators are diagonal,
-    a face is the hull of the means, and _cluster_vertices' rule picks them
-    without building a matrix:
-    - the first state when every mean is the same within 1e-10 of the scale;
-    - else, with one free direction (n = 2), the states of the least and the
-      greatest projection on the free vector of the same SVD of eta, sign
-      included, ascending with ties by column: the order eig_hermitian gives
-      the diagonal free operator when m = 2;
-    - with two (n = 3) and m = 2, both states in the order of
-      _pair_cluster_vertices' segment, whose first end lies along the sign of
-      the SVD's first Bloch axis; with m >= 3, every state.
-    The SVDs run stacked, one call per group.
-    """
-    m, n = means.shape[1:]
-    scale = np.maximum(1.0, np.max(np.abs(means), axis=(1, 2)))
-    diag = np.ascontiguousarray(means.transpose(0, 2, 1))  # (G, n, m), as _cluster_vertices reads its diagonal
-    centre = diag.sum(axis=2) / m
-    scalar = np.max(np.abs(diag - centre[:, :, None]), axis=(1, 2)) <= 1e-10 * scale
-    spread = np.flatnonzero(~scalar)
-    groups = [(np.flatnonzero(scalar), np.zeros((int(scalar.sum()), 1), dtype=int))]
-    if n == 3 and m == 2:
-        # _pair_cluster_vertices' rows: the means' half difference on Bloch axis z
-        rows = np.zeros((len(spread), n, 3))
-        rows[:, :, 2] = (means[spread, 0] - means[spread, 1]) / 2.0
-        first = (np.linalg.svd(rows)[2][:, 0, 2] < 0).astype(int)
-        groups.append((spread, np.stack([first, 1 - first], axis=1)))
-    elif n == 3:
-        groups.append((spread, np.broadcast_to(np.arange(m), (len(spread), m))))
-    else:
-        free = np.linalg.svd(etas[spread, None, :])[2][:, 1]
-        along = free[:, :1] * means[spread, :, 0] + free[:, 1:] * means[spread, :, 1]
-        order = np.argsort(along, axis=1, kind="stable")
-        groups.append((spread, order[:, [0, -1]]))
-    return groups
-
-
 def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> list[SupportFace]:
     """Support data plus the face's vertex set in mean-value space, for every direction.
 
     Each direction's top cluster is solved and merged over all directions at
     once (_solve), and each block compresses the operators onto its part of
     every cluster from its bands, one Block.compress call per column count.
-    No operator couples two blocks, so each face is built by the kind of its
-    cluster:
-
-    - one state: the vertex is its mean, for every such face at once;
-    - one state in each of several blocks: a direct sum, whose vertices are
-      those states' means (_direct_sum_columns), for every such face of one
-      multiplicity at once;
-    - several states in one block: _cluster_vertices, face by face, on the
-      compressed operators, zero between columns of different blocks.
+    No operator couples two blocks, so a cluster's compressed operators are
+    block diagonal: each block's part sits on its columns of the cluster,
+    zero between blocks, in one (G, n, m, m) stack per multiplicity m. A
+    one-state face is its state's mean, for every such face at once; the
+    faces of each multiplicity m >= 2 are built by one _cluster_faces call,
+    whether their states lie in one block or in several.
 
     A state becomes a vector of C^d only for a certification residual.
     Extreme certification is one window test over every vertex; dedupe and
@@ -574,59 +540,35 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
         return []
     counts, owners = clusters.counts, clusters.owners
     mult = counts.sum(axis=0)
-    several = {k: [] for k in np.flatnonzero((counts > 1).any(axis=0)).tolist()}  # face -> its (block, part)s
-    means = np.zeros((len(counts), len(records), vec.n))  # each block's mean of its one cluster state, where it has one
+    groups = {m: np.flatnonzero(mult == m) for m in np.unique(mult).tolist()}
+    stacks = {m: np.zeros((len(rows), vec.n, m, m), dtype=np.complex128) for m, rows in groups.items()}
     for i, (block, tops) in enumerate(zip(vec.blocks, clusters.tops)):
         for c in np.unique(counts[i][counts[i] > 0]).tolist():
             rows = np.flatnonzero(counts[i] == c)
-            # columns of one state contiguous, as np.stack lays out LAPACK's
-            # Fortran-ordered eigenvectors: the compression rounds by layout
-            parts = block.compress(np.ascontiguousarray(tops[rows, tops.shape[1] - c :]).transpose(0, 2, 1))
-            if c == 1:
-                means[i, rows] = parts[:, :, 0, 0].real
-            for k in set(rows.tolist()) & several.keys():
-                several[k].append((i, parts[np.searchsorted(rows, k)]))
-    built = {}  # face -> (vertices, their states in its cluster's basis), from _cluster_vertices
-    for k, parts in several.items():
-        m = mult[k]
-        compressed = np.zeros((vec.n, m, m), dtype=np.complex128)
-        for i, part in parts:
-            cols = np.flatnonzero(owners[k, :m] == i)
-            compressed[:, cols[:, None], cols] = part
-        built[k] = _cluster_vertices(compressed, [records[k].direction.eta], deg_tol)
-    # every other face's vertices are means of its cluster's states, each a column of its eigenbasis
-    groups = []  # (faces, their states' means (G, m, n), the columns of their vertices (G, e))
-    bulk = np.ones(len(records), dtype=bool)
-    bulk[list(several)] = False
-    for m in np.unique(mult[bulk]).tolist():
-        rows = np.flatnonzero(bulk & (mult == m))
-        states = means[owners[rows, :m], rows[:, None]]
-        if m == 1:
-            groups.append((rows, states, np.zeros((len(rows), 1), dtype=int)))
-            continue
-        etas = np.array([records[k].direction.eta for k in rows])
-        for sel, cols in _direct_sum_columns(states, etas):
-            groups.append((rows[sel], states[sel], cols))
-    nverts = np.zeros(len(records), dtype=int)
-    for rows, _, cols in groups:
-        nverts[rows] = cols.shape[1]
-    for k, (coords, _) in built.items():
-        nverts[k] = len(coords)
+            parts = block.compress(tops[rows, tops.shape[1] - c :].transpose(0, 2, 1)).transpose(0, 2, 3, 1)
+            for m in np.unique(mult[rows]).tolist():
+                sel = mult[rows] == m
+                at = np.searchsorted(groups[m], rows[sel])[:, None, None]  # the faces' places in their stack
+                cols = np.nonzero(owners[rows[sel], :m] == i)[1].reshape(-1, c)  # the block's columns in each cluster
+                stacks[m][at, :, cols[:, :, None], cols[:, None, :]] = parts[sel]
+    built = {}  # face -> (vertices, their states in its cluster's basis), for clusters of several states
+    for m, rows in groups.items():
+        if m > 1:
+            fixed = np.array([records[k].direction.eta for k in rows])[:, None]
+            built.update(zip(rows.tolist(), _cluster_faces(stacks[m], fixed, deg_tol)))
+    nverts = np.ones(len(records), dtype=int)
+    nverts[list(built)] = [len(face_coords) for face_coords, _ in built.values()]
     offsets = np.concatenate([[0], np.cumsum(nverts)])
     coords = np.empty((offsets[-1], vec.n))
-    column = np.full(offsets[-1], -1)
-    for rows, states, cols in groups:
-        at = offsets[rows][:, None] + np.arange(cols.shape[1])
-        coords[at] = np.take_along_axis(states, cols[:, :, None], axis=1)
-        column[at] = cols
+    if 1 in groups:
+        coords[offsets[groups[1]]] = stacks[1][:, :, 0, 0].real
     for k, (face_coords, _) in built.items():
         coords[offsets[k] : offsets[k + 1]] = face_coords
 
     def state(v):
         f = int(np.searchsorted(offsets, v, side="right")) - 1
-        if column[v] >= 0:
-            return records[f].eigenbasis[:, column[v]]
-        return records[f].eigenbasis @ built[f][1][:, v - offsets[f]]
+        _, states = built.get(f, (None, np.ones((1, 1))))
+        return records[f].eigenbasis @ states[:, v - offsets[f]]
 
     verts = _certify_extremes(vec, coords, state)
     # scaled by the operators, not by the face: a scale read from the face's

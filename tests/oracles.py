@@ -17,10 +17,12 @@ block's top values merged per direction in a Python loop that re-solves a
 block while its lowest computed value is still in the cluster
 (``solve_reference``), every cluster's operators compressed into a dense
 (n, m, m) array with exact zeros between the columns of different blocks
-(``compressed_reference``), and every face built by
-``numrange._cluster_vertices``. ``numrange.faces`` merges the blocks' values
-as arrays and builds one-state and one-state-per-block faces in bulk from
-the blocks' compressions; its faces equal these bitwise for two operators.
+(``compressed_reference``), and every face built on its own by
+``cluster_vertices_reference``: the face builder one cluster at a time, with
+one eigensolve per ring direction and one recursive call per sub-face.
+``numrange.faces`` merges the blocks' values as arrays, gathers one-state
+faces in bulk and builds every other face of one cluster size in one stacked
+``numrange._cluster_faces`` call; its faces equal these bitwise.
 
 ``normalize_mean_reference`` through ``local_optima_reference`` are the
 scoring layer as per-vertex Python loops: one ``normalize_mean`` and one
@@ -241,6 +243,49 @@ def _pair_cluster_pairs(lift: np.ndarray, compressed, free: np.ndarray, steps: i
     return pairs
 
 
+def top_cluster_reference(spec, deg_tol: float) -> tuple[float, np.ndarray]:
+    """lambda_max and the eigenvectors of the eigenvalues within deg_tol*max(1, |lambda_max|)."""
+    lam = float(spec.values[-1])
+    mult = int(np.sum(spec.values >= lam - deg_tol * max(1.0, abs(lam))))
+    return lam, spec.vectors[:, len(spec.values) - mult :]
+
+
+def cluster_vertices_reference(compressed: np.ndarray, fixed: list, deg_tol: float):
+    """Vertices (k, n) of one cluster's face, and their states (m, k) in the cluster's basis.
+
+    numrange._cluster_faces for a single cluster, face by face and direction
+    by direction: compressed holds the operators compressed onto the
+    cluster, (n, m, m), and fixed the unit directions whose hyperplane every
+    state of it attains. A point when the cluster is one state or every
+    compressed operator is scalar; with one free direction, the segment
+    between the extreme eigenvectors of the free operator; with two, the
+    analytic range of a pair when m = 2, else a ring of INNER_STEPS
+    directions in the free plane, each top cluster compressed once more with
+    its direction fixed and built by this function.
+    """
+    m = compressed.shape[1]
+    if m == 1:
+        return compressed[:, 0, 0].real[None], np.ones((1, 1))
+    scale = max(1.0, float(np.max(np.abs(compressed))))
+    diag = compressed[:, np.arange(m), np.arange(m)].real
+    means = diag.sum(axis=1) / m
+    if float(np.max(np.abs(compressed - means[:, None, None] * np.eye(m)))) <= 1e-10 * scale:
+        return diag[:, 0][None], np.eye(m, 1)
+    free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
+    if len(free) == 1:
+        ends = eig_hermitian(combine_matrix(free[0], compressed)).vectors[:, [0, -1]]
+        return np.real(np.sum(ends.conj() * (compressed @ ends), axis=1)).T, ends
+    if m == 2:
+        return numrange._pair_cluster_vertices(compressed, free)
+    parts = []
+    for eta in numrange._RING @ free:
+        _, top = top_cluster_reference(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
+        inner = top.conj().T @ compressed @ top
+        coords, states = cluster_vertices_reference((inner + inner.conj().transpose(0, 2, 1)) / 2.0, [*fixed, eta], deg_tol)
+        parts.append((coords, top @ states))
+    return np.vstack([coords for coords, _ in parts]), np.hstack([states for _, states in parts])
+
+
 def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float) -> list:
     """(vertex, state) pairs of the face spanned by lift, one list entry per vertex."""
     m = lift.shape[1]
@@ -267,7 +312,7 @@ def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float)
     pairs = []
     for direction in numrange.sweep_directions(2, numrange.INNER_STEPS):
         eta = direction.eta @ free
-        _, top = numrange._top_cluster(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
+        _, top = top_cluster_reference(eig_hermitian(combine_matrix(eta, compressed)), deg_tol)
         pairs.extend(cluster_pairs_reference(mats, lift @ top, [*fixed, eta], deg_tol))
     return pairs
 
@@ -381,13 +426,13 @@ def cluster_compressions(vec, directions, deg_tol: float = numrange.DEG_TOL_DEFA
 
 
 def faces_reference(vec, directions, deg_tol: float = numrange.DEG_TOL_DEFAULT) -> list:
-    """numrange.faces with every face built by _cluster_vertices from its dense compression."""
+    """numrange.faces with every face built by cluster_vertices_reference from its dense compression."""
     records, compressed = cluster_compressions(vec, directions, deg_tol)
     if not records:
         return []
     coords, states = [], []
     for sf, ops in zip(records, compressed):
-        face_coords, face_states = numrange._cluster_vertices(ops, [sf.direction.eta], deg_tol)
+        face_coords, face_states = cluster_vertices_reference(ops, [sf.direction.eta], deg_tol)
         coords.append(face_coords)
         states.append(face_states)
     offsets = np.cumsum([0, *(len(c) for c in coords)])

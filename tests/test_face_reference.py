@@ -227,19 +227,37 @@ def test_faces_of_any_direction_subset_match_bitwise(label, data):
 @pytest.mark.parametrize("gamma", [2, 4])
 @pytest.mark.parametrize("twice", [4, 8, 16, 20])
 def test_block_spanning_3d_faces_match_pair_path(gamma, twice):
-    """jpow gamma even: a doublet across the parity blocks is a direct sum whose ends are its states' means.
+    """jpow gamma even: a doublet across the parity blocks is a direct sum, built by the pair path as in one block.
 
-    The pair path takes center +- half the difference, so the vertices match
-    within 1e-13 of each operator's spectral scale, with equal counts and
-    in the same order; the support data and eigenbases match bitwise.
+    Its compressed operators are diagonal, and the library builds them with
+    the same pair rule as the reference, so every face matches bitwise.
     """
     vec = power_vec(HalfInt(twice), gamma)
     directions = sweep_directions(3, (12, 24))
-    got, want = numrange.faces(vec, directions), faces_reference(vec, directions)
+    got = numrange.faces(vec, directions)
     assert "several blocks" in cluster_kinds(vec, got)
+    assert_same_faces(got, faces_reference(vec, directions))
+
+
+@pytest.mark.parametrize("twice", range(2, 21))
+def test_body_diagonal_rings_match_per_direction_path(twice):
+    """jpow gamma = 2 at the body diagonals: at the first, eta.E is scalar, so the cluster is all of C^d.
+
+    That cluster has two free directions and d >= 3 states, so its face is
+    swept on a ring of INNER_STEPS segments (the ring recursion): the ring's
+    directions are solved in one stacked call, and its segments of each size
+    in one more. At 2j = 2 the ring's vertices dedupe to three. Every face
+    has the reference's vertex count and vertices within 1e-13 of the
+    spectral scale, and equals it bitwise.
+    """
+    vec = power_vec(HalfInt(twice), 2)
+    directions = diag_directions()
+    got, want = numrange.faces(vec, directions), faces_reference(vec, directions)
+    assert got[0].multiplicity == vec.dim
+    assert twice == 2 or len(got[0].vertices) >= numrange.INNER_STEPS
     for g, w in zip(got, want):
-        assert_same_support(g, w)
         assert_close_vertices(vec, g.vertices, w.vertices)
+    assert_same_faces(got, want)
 
 
 # --- face vertices -----------------------------------------------------------
@@ -340,7 +358,7 @@ def test_ring_states_match_reference(vec, direction):
     sf = support(vec, direction)
     _, compressed = cluster_compressions(vec, [direction])
     fixed = [direction.eta]
-    coords, states = numrange._cluster_vertices(compressed[0], fixed, numrange.DEG_TOL_DEFAULT)
+    [(coords, states)] = numrange._cluster_faces(compressed[0][None], np.array([fixed]), numrange.DEG_TOL_DEFAULT)
     pairs = cluster_pairs_reference(vec.mats, sf.eigenbasis, fixed, numrange.DEG_TOL_DEFAULT)
     assert len(pairs) == numrange.INNER_STEPS
     assert_close_vertices(vec, coords, np.array([point for point, _ in pairs]))

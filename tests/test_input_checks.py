@@ -12,8 +12,8 @@ import pytest
 from specrange.bounds import MeasureKind, combined, optimize_bounds
 from specrange.definetti import AM, FAMILY_JPOW, convergence_sweep
 from specrange.errors import DimensionMismatch, EmptyBoundary, UnsupportedFamily
-from specrange.linalg import as_cmatrix, block_top_eigenvalues, expectation, split_blocks
-from specrange.numrange import Boundary, boundary2d, boundary3d, hyperrect, membership
+from specrange.linalg import as_cmatrix, block_top_eigenvalues, expectation, make_hermitian, split_blocks
+from specrange.numrange import Boundary, boundary2d, boundary3d, direction3, face, faces, hyperrect, membership, support
 from specrange.spinops import HalfInt, ObservableVec, angular_momentum, j_triple, jsq_pair
 
 ONE = HalfInt(2)
@@ -35,7 +35,9 @@ CASES = [
     ),
     ("sweep-family", lambda: convergence_sweep("nope", 1, [1], AM), UnsupportedFamily, "unknown family"),
     ("sweep-quantity", lambda: convergence_sweep(FAMILY_JPOW, 1, [1], "nope"), ValueError, "unknown quantity"),
+    ("sweep-quantity-no-j", lambda: convergence_sweep(FAMILY_JPOW, 1, [], "nope"), ValueError, "unknown quantity"),
     ("cmatrix-shape", lambda: as_cmatrix(np.zeros((2, 3))), DimensionMismatch, "square matrix"),
+    ("hermitian-stack", lambda: make_hermitian(np.zeros((2, 2, 2))), DimensionMismatch, "square matrix"),
     ("blocks-dims", lambda: split_blocks([np.eye(2), np.eye(3)]), DimensionMismatch, "differ in dimension"),
     (
         "top-coeffs",
@@ -51,6 +53,13 @@ CASES = [
     ),
     ("boundary2d-triple", lambda: boundary2d(j_triple(ONE)), DimensionMismatch, "2-operator"),
     ("boundary3d-pair", lambda: boundary3d(jsq_pair(ONE), 4, 8), DimensionMismatch, "3-operator"),
+    ("faces-deg-tol", lambda: faces(j_triple(ONE), [direction3(0.5, 0.5)], -1.0), ValueError, "deg_tol"),
+    ("faces-deg-tol-no-direction", lambda: faces(j_triple(ONE), [], math.nan), ValueError, "deg_tol"),
+    ("face-deg-tol", lambda: face(j_triple(ONE), direction3(0.5, 0.5), math.nan), ValueError, "deg_tol"),
+    ("boundary2d-deg-tol", lambda: boundary2d(jsq_pair(ONE), 16, -1.0), ValueError, "deg_tol"),
+    ("boundary3d-deg-tol", lambda: boundary3d(j_triple(ONE), 4, 8, math.nan), ValueError, "deg_tol"),
+    ("support-deg-tol", lambda: support(j_triple(ONE), direction3(0.5, 0.5), -1.0), ValueError, "deg_tol"),
+    ("support-deg-tol-inf", lambda: support(j_triple(ONE), direction3(0.5, 0.5), math.inf), ValueError, "deg_tol"),
     ("membership-point", lambda: membership(j_triple(ONE), [0.0, 0.0], (4, 8)), DimensionMismatch, "point has shape"),
     ("vec-count", lambda: _observable_vec(angular_momentum(ONE).jz), DimensionMismatch, "2 or 3 operators"),
     (

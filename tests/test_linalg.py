@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import char_coeffs
-from specrange.errors import NonHermitian, NotNormalized
+from specrange.errors import DimensionMismatch, NonHermitian, NotNormalized
 from specrange.linalg import (
     Block,
+    as_cmatrix,
     block_top_eigenvalues,
     combine_matrix,
     eig_hermitian,
@@ -91,6 +92,44 @@ def test_eig_determinism():
     b = eig_hermitian(mat)
     assert a.values.tobytes() == b.values.tobytes()
     assert a.vectors.tobytes() == b.vectors.tobytes()
+
+
+def test_stacked_eig_and_combination_match_per_matrix_calls_bitwise():
+    """A (5, 7) stack of combinations of five 3-operator sets, against each formed and solved alone.
+
+    The one formed alone is bitwise the sum of float(c) * A_i, one operator at a time.
+    """
+    rng = np.random.default_rng(11)
+    mats = np.stack([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(5)])
+    coeffs = rng.normal(size=(5, 7, 3))
+    combined = combine_matrix(coeffs, mats[:, None])
+    spectra = eig_hermitian(combined)
+    assert combined.shape == (5, 7, 4, 4) and spectra.vectors.shape == (5, 7, 4, 4)
+    for g in range(5):
+        for s in range(7):
+            alone = combine_matrix(coeffs[g, s], list(mats[g]))
+            summed = np.zeros((4, 4), dtype=complex)
+            for c, mat in zip(coeffs[g, s], mats[g]):
+                summed += float(c) * mat
+            assert alone.tobytes() == summed.tobytes() == combined[g, s].tobytes()
+            spec = eig_hermitian(alone)
+            assert spec.values.tobytes() == spectra.values[g, s].tobytes()
+            assert spec.vectors.tobytes() == spectra.vectors[g, s].tobytes()
+
+
+def test_stacked_eig_rejects_a_non_hermitian_member():
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    eig_hermitian(stack)
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(NonHermitian):
+        eig_hermitian(stack)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 2, 3)])
+def test_as_cmatrix_rejects_non_square_input(shape):
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        as_cmatrix(np.zeros(shape))
 
 
 def test_combine_identity_and_cancellation():
@@ -212,6 +251,16 @@ def test_block_combine_rows_do_not_depend_on_the_batch(case):
         for row, band in zip(coeffs, batch):
             assert block.combine(row).tobytes() == band.tobytes()
             assert block.combine(row[None])[0].tobytes() == band.tobytes()
+
+
+def test_block_compress_does_not_depend_on_the_input_layout():
+    """C-ordered, Fortran-ordered and column-contiguous copies of the same vectors compress to the same bytes."""
+    rng = np.random.default_rng(7)
+    [block] = split_blocks(anticomm_vec(HalfInt(40), 1).mats)
+    vectors = rng.normal(size=(50, block.size, 2)) + 1j * rng.normal(size=(50, block.size, 2))
+    want = block.compress(np.ascontiguousarray(vectors.transpose(0, 2, 1)).transpose(0, 2, 1)).tobytes()
+    for copy in (np.ascontiguousarray(vectors), np.asfortranarray(vectors)):
+        assert block.compress(copy).tobytes() == want
 
 
 def _diagonal_set():

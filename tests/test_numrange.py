@@ -339,7 +339,7 @@ def test_ring_states_realize_their_vertices(gamma, twice):
     vec = power_vec(HalfInt(twice), gamma)
     for d in diag_directions():
         records, compressed = cluster_compressions(vec, [d])
-        coords, states = numrange._cluster_vertices(compressed[0], [d.eta], numrange.DEG_TOL_DEFAULT)
+        [(coords, states)] = numrange._cluster_faces(compressed[0][None], d.eta[None, None], numrange.DEG_TOL_DEFAULT)
         for vertex, psi in zip(coords, (records[0].eigenbasis @ states).T):
             err = float(np.max(np.abs(numrange._expectations(vec.mats, psi) - vertex)))
             assert err <= 1e-12 * max(1.0, float(np.linalg.norm(vertex)))
