@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRange, EmptyBoundary
+from .errors import DegenerateRange, DimensionMismatch, EmptyBoundary
 # face is not called here; the benchmark's tracer (perfbench/tracer.py) wraps bounds.face by name
 from .numrange import Boundary, Direction, Hyperrect, direction2, direction3, face, faces, hyperrect  # noqa: F401
 from .numrange import local_optima
@@ -331,6 +331,7 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     """
     if not boundary.faces:
         raise EmptyBoundary("boundary carries no faces")
+    _check_boundary(vec, boundary)
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
     starts = np.cumsum([0] + [len(f.vertices) for f in boundary.faces[:-1]])
@@ -407,11 +408,20 @@ def region_contains(kind: MeasureKind, bound: float, sense: str, r, rect: Hyperr
     return value <= bound + slack
 
 
+def _check_boundary(vec: ObservableVec, boundary) -> None:
+    """DimensionMismatch unless every face's direction has vec.n components and its eigenbasis vec.dim rows."""
+    for f in boundary.faces:
+        n, d = f.direction.n, len(f.eigenbasis)
+        if (n, d) != (vec.n, vec.dim):
+            raise DimensionMismatch(f"face of {n} operators on C^{d}, not {vec.n} on C^{vec.dim}")
+
+
 def triviality_check(vec: ObservableVec, boundary, rect: Hyperrect | None = None):
     """Flag (plus witnessing corner) when a hyperrect corner is a boundary vertex within TRIVIAL_TOL (relative).
 
-    A shared corner makes every bound of this family trivial.
+    A shared corner makes every bound of this family trivial. DimensionMismatch for another set's boundary.
     """
+    _check_boundary(vec, boundary)
     if rect is None:
         rect = hyperrect(vec)
     verts = boundary.all_vertices()

@@ -9,7 +9,7 @@ from . import io
 from .bounds import MeasureKind, optimize_bounds
 from .definetti import convergence_sweep, surface_anticomm, surface_jpow
 from .errors import SpecRangeError
-from .numrange import boundary2d, boundary3d, membership
+from .numrange import DEG_TOL_DEFAULT, boundary2d, boundary3d, membership
 from .spinops import (
     HalfInt,
     ObservableVec,
@@ -81,7 +81,7 @@ def _add_common(p, grid: int = 0, deg_tol: bool = True):
     p.add_argument("--j", required=True, type=HALF_INT, help="quantum number, e.g. 3/2 or 2")
     p.add_argument("--gamma", type=GAMMA, default=1)
     if grid and deg_tol:
-        p.add_argument("--deg-tol", type=TOL, default=1e-8)
+        p.add_argument("--deg-tol", type=TOL, default=DEG_TOL_DEFAULT)
     if grid:
         p.add_argument("--phi-steps", type=STEPS, default=360)
     if grid == 3:

@@ -6,9 +6,10 @@ generate the touching face. A sweep is one call of ``faces`` over all its
 directions: each block of the operator set forms and solves every direction's
 band, and the blocks' top values merge as arrays over all directions, with
 only a direction whose block needs more values re-solved in a loop
-(``support`` is that step at one direction). Each block compresses the
-operators onto its part of every cluster (``linalg.Block.compress``); no
-operator couples two blocks, so the compression is block diagonal. A
+(``support`` is that step at one direction). The clusters' bases are
+stacked by multiplicity; each block compresses the operators onto the rows
+of a basis it holds (``linalg.Block.compress``), and the blocks' parts add:
+no operator couples two blocks, so the compression is block diagonal. A
 one-state face is its state's mean, gathered in bulk; every other face is
 built from its compression by its number of free directions, all faces of
 one cluster size at once (_cluster_faces): a point when the operators are
@@ -228,21 +229,6 @@ def support(vec: ObservableVec, direction: Direction, deg_tol: float = DEG_TOL_D
     return _solve(vec, [direction], deg_tol)[0][0]
 
 
-@dataclass(frozen=True)
-class _Clusters:
-    """The blocks' parts of the top clusters of one _solve call over N directions.
-
-    counts[i, k] is block i's number of states in direction k's cluster;
-    owners[k, c] the block of merged cluster column c (c < the multiplicity);
-    tops[i] block i's cluster eigenvectors as rows, (N, max_k counts[i, k],
-    block size), right-aligned: direction k's are the last counts[i, k] rows.
-    """
-
-    counts: np.ndarray
-    owners: np.ndarray
-    tops: list[np.ndarray]
-
-
 def _last_rows(array: np.ndarray, width: int, fill: float) -> np.ndarray:
     """array's last `width` entries along axis 1, left-padded with fill where it has fewer."""
     pad = width - array.shape[1]
@@ -252,7 +238,7 @@ def _last_rows(array: np.ndarray, width: int, fill: float) -> np.ndarray:
 
 
 def _solve(vec: ObservableVec, directions, deg_tol: float):
-    """Support records of many directions, and each block's part of their clusters (_Clusters).
+    """Support records of many directions, and their cluster bases stacked by multiplicity.
 
     vec.blocks holds the operators validated and band-packed once. Each block
     forms the bands of every direction in one call (Block.combine, whose rows
@@ -267,7 +253,9 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
     cluster (None when the cluster fills C^d). Each block whose top does not
     fill the cluster has a computed value below it, so that value is the
     spectrum's next one. A cluster that spans blocks has block-pure
-    eigenvectors, which no operator couples. ValueError unless deg_tol is
+    eigenvectors, which no operator couples. Per multiplicity m, the stacks
+    pair the directions whose cluster has m states with their (G, d, m)
+    bases, which the records' eigenbases view. ValueError unless deg_tol is
     finite and >= 0.
     """
     if not 0.0 <= deg_tol < math.inf:
@@ -277,7 +265,7 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
             raise DimensionMismatch(f"direction has {direction.n} components, vector has {vec.n}")
     blocks, count = vec.blocks, len(directions)
     if not count:
-        return [], None
+        return [], []
     etas = np.array([direction.eta for direction in directions]).reshape(count, vec.n)
     bands = [block.combine(etas) for block in blocks]
     solved = [[band_top(band, min(2, block.size)) for band in rows] for block, rows in zip(blocks, bands)]
@@ -311,22 +299,22 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
     owners = np.repeat(np.arange(len(blocks)), widths)[slots]
     columns = np.concatenate([np.arange(w) for w in widths])[slots]  # each slot's row in its block's tops
     mult = counts.sum(axis=0)
-    bases = [None] * count
+    bases, stacks = [None] * count, []
     for m in np.unique(mult):
         rows = np.flatnonzero(mult == m)
         basis = np.zeros((len(rows), vec.dim, m), dtype=np.complex128)
-        for c in range(m):
-            for i, block in enumerate(blocks):
-                sel = np.flatnonzero(owners[rows, c] == i)
-                basis[sel[:, None], block.index, c] = tops[i][rows[sel], columns[rows[sel], c]]
+        for i, block in enumerate(blocks):
+            sel, c = np.nonzero(owners[rows, :m] == i)  # the block's (face, column) places in the stack
+            basis[sel[:, None], block.index, c[:, None]] = tops[i][rows[sel], columns[rows[sel], c]]
         for k, b in zip(rows.tolist(), basis):
             bases[k] = b
+        stacks.append((rows, basis))
     gaps = (lam - below.max(axis=0, initial=-np.inf)).tolist()  # inf where nothing lies below the cluster
     records = [
         SupportFace(direction=d, lambda_max=top, multiplicity=m, eigenbasis=b, gap=None if gap == math.inf else gap)
         for d, top, m, b, gap in zip(directions, lam.tolist(), mult.tolist(), bases, gaps)
     ]
-    return records, _Clusters(counts=counts, owners=owners, tops=tops)
+    return records, stacks
 
 
 def _expectations(mats, psi: np.ndarray) -> np.ndarray:
@@ -520,14 +508,14 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
     """Support data plus the face's vertex set in mean-value space, for every direction.
 
     Each direction's top cluster is solved and merged over all directions at
-    once (_solve), and each block compresses the operators onto its part of
-    every cluster from its bands, one Block.compress call per column count.
-    No operator couples two blocks, so a cluster's compressed operators are
-    block diagonal: each block's part sits on its columns of the cluster,
-    zero between blocks, in one (G, n, m, m) stack per multiplicity m. A
-    one-state face is its state's mean, for every such face at once; the
-    faces of each multiplicity m >= 2 are built by one _cluster_faces call,
-    whether their states lie in one block or in several.
+    once (_solve), which stacks the clusters' bases by multiplicity m. Their
+    states are block-pure, so a block holds the columns nonzero on its
+    positions; it compresses the rows of a stack that hold a column in it,
+    over only the columns some row holds (a real block the real part; a
+    column it does not hold compresses to zero). No operator couples two
+    blocks, so the parts add into one zeroed (G, n, m, m) stack per m. A
+    one-state face is its stack entry, all at once; the faces of each
+    m >= 2 go through one _cluster_faces call.
 
     A state becomes a vector of C^d only for a certification residual.
     Extreme certification is one window test over every vertex; dedupe and
@@ -535,33 +523,28 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
     DEDUP_TOL times the operators' spectral scale. A direction's face does
     not depend on the other directions of the call.
     """
-    records, clusters = _solve(vec, directions, deg_tol)
-    if not records:
-        return []
-    counts, owners = clusters.counts, clusters.owners
-    mult = counts.sum(axis=0)
-    groups = {m: np.flatnonzero(mult == m) for m in np.unique(mult).tolist()}
-    stacks = {m: np.zeros((len(rows), vec.n, m, m), dtype=np.complex128) for m, rows in groups.items()}
-    for i, (block, tops) in enumerate(zip(vec.blocks, clusters.tops)):
-        for c in np.unique(counts[i][counts[i] > 0]).tolist():
-            rows = np.flatnonzero(counts[i] == c)
-            parts = block.compress(tops[rows, tops.shape[1] - c :].transpose(0, 2, 1)).transpose(0, 2, 3, 1)
-            for m in np.unique(mult[rows]).tolist():
-                sel = mult[rows] == m
-                at = np.searchsorted(groups[m], rows[sel])[:, None, None]  # the faces' places in their stack
-                cols = np.nonzero(owners[rows[sel], :m] == i)[1].reshape(-1, c)  # the block's columns in each cluster
-                stacks[m][at, :, cols[:, :, None], cols[:, None, :]] = parts[sel]
+    records, stacks = _solve(vec, directions, deg_tol)
     built = {}  # face -> (vertices, their states in its cluster's basis), for clusters of several states
-    for m, rows in groups.items():
-        if m > 1:
+    singles, means = [], np.empty((0, vec.n))  # the one-state faces and their points
+    for rows, basis in stacks:
+        m = basis.shape[2]
+        compressed = np.zeros((len(rows), vec.n, m, m), dtype=np.complex128)
+        for block in vec.blocks:
+            held = basis[:, block.index].any(axis=1)  # (G, m): block-pure states, so nonzero here means held
+            at, cols = np.flatnonzero(held.any(axis=1))[:, None, None], np.flatnonzero(held.any(axis=0))
+            part = basis[at, block.index[:, None], cols]
+            part = part if block.bands.dtype.kind == "c" else part.real
+            compressed[at[..., None], np.arange(vec.n)[:, None, None], cols[:, None], cols] += block.compress(part)
+        if m == 1:
+            singles, means = rows, compressed[:, :, 0, 0].real
+        else:
             fixed = np.array([records[k].direction.eta for k in rows])[:, None]
-            built.update(zip(rows.tolist(), _cluster_faces(stacks[m], fixed, deg_tol)))
+            built.update(zip(rows.tolist(), _cluster_faces(compressed, fixed, deg_tol)))
     nverts = np.ones(len(records), dtype=int)
     nverts[list(built)] = [len(face_coords) for face_coords, _ in built.values()]
     offsets = np.concatenate([[0], np.cumsum(nverts)])
     coords = np.empty((offsets[-1], vec.n))
-    if 1 in groups:
-        coords[offsets[groups[1]]] = stacks[1][:, :, 0, 0].real
+    coords[offsets[singles]] = means
     for k, (face_coords, _) in built.items():
         coords[offsets[k] : offsets[k + 1]] = face_coords
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specrange.cli import run
-from specrange.numrange import boundary3d, convex_hull
+from specrange.cli import make_parser, run
+from specrange.numrange import DEG_TOL_DEFAULT, boundary3d, convex_hull
 from specrange.spinops import HalfInt, anticomm_vec
 
 
@@ -168,6 +168,12 @@ def test_mesh_svg_draws_the_projected_hull(tmp_path):
     points = re.search(r'<polyline points="([^"]*)"', out.read_text()).group(1).split()
     assert len(points) == len(hull) + 1
     assert points[0] == points[-1]
+
+
+@pytest.mark.parametrize("command", ["boundary", "mesh", "bounds", "gaps"])
+def test_deg_tol_default_is_the_library_default(command):
+    args = make_parser().parse_args([command, "--j", "2", "--set", "jsq2d" if command == "boundary" else "j"])
+    assert args.deg_tol == DEG_TOL_DEFAULT
 
 
 def test_usage_error_exit_code():

@@ -144,11 +144,15 @@ def test_dedupe_keeps_first_signed_zero():
 # sets whose faces must equal oracles.faces_reference bitwise, each on its
 # sweep grid: jsq2d has cross-block doublets, in-block doublets at phi in
 # (pi, 3 pi/2) whose block re-solves with more values, and doublets whose
-# segment collapses to a point; ladder gamma = 3 has three blocks
+# segment collapses to a point; ladder gamma = 3 has three blocks, gamma = 25
+# at 2j = 40 has 25; the null ladder pair (gamma >= d, every operator zero)
+# has one block per position, and every cluster is the whole space
 BITWISE_SETS = {
     **{f"jsq2d-{t}": (lambda t=t: jsq_pair(HalfInt(t)), 360) for t in (3, 5, 20, 60, 100)},
     "ladder2-9": (lambda: ladder_combo(HalfInt(9), 2), 360),
     "ladder3-12": (lambda: ladder_combo(HalfInt(12), 3), 360),
+    "ladder25-40": (lambda: ladder_combo(HalfInt(40), 25), 360),
+    "ladder-null-6": (lambda: ladder_combo(HalfInt(6), 9), 360),
     "jpow3-20": (lambda: scale_uniform(power_vec(HalfInt(20), 3), 1e-3), (12, 24)),
     **{f"anticomm-{t}": (lambda t=t: anticomm_vec(HalfInt(t), 1), (12, 24)) for t in (2, 3, 20)},
     "J-5": (lambda: j_triple(HalfInt(5)), (12, 24)),
@@ -236,6 +240,19 @@ def test_block_spanning_3d_faces_match_pair_path(gamma, twice):
     directions = sweep_directions(3, (12, 24))
     got = numrange.faces(vec, directions)
     assert "several blocks" in cluster_kinds(vec, got)
+    assert_same_faces(got, faces_reference(vec, directions))
+
+
+def test_faces_of_mixed_multiplicities_match_bitwise():
+    """One call whose clusters hold 1, 2 and 9 states: jpow gamma = 2 at 2j = 8 on its grid and the body diagonals.
+
+    Each multiplicity has its own basis stack, and every face matches the
+    per-direction path bitwise whatever else the call holds.
+    """
+    vec = power_vec(HalfInt(8), 2)
+    directions = sweep_directions(3, (12, 24)) + diag_directions()
+    got = numrange.faces(vec, directions)
+    assert {1, 2, 9} <= {sf.multiplicity for sf in got}
     assert_same_faces(got, faces_reference(vec, directions))
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from specrange.bounds import MeasureKind, combined, optimize_bounds
+from specrange.bounds import MeasureKind, combined, optimize_bounds, triviality_check
 from specrange.definetti import AM, FAMILY_JPOW, convergence_sweep
 from specrange.errors import DimensionMismatch, EmptyBoundary, UnsupportedFamily
 from specrange.linalg import as_cmatrix, block_top_eigenvalues, expectation, make_hermitian, split_blocks
@@ -32,6 +32,30 @@ CASES = [
         lambda: optimize_bounds(jsq_pair(ONE), Boundary(faces=[], grid=16), [MeasureKind.h()]),
         EmptyBoundary,
         "no faces",
+    ),
+    (
+        "optimize-boundary-count",
+        lambda: optimize_bounds(j_triple(ONE), boundary2d(jsq_pair(ONE), 16), [MeasureKind.h()]),
+        DimensionMismatch,
+        "face of 2 operators on",
+    ),
+    (
+        "optimize-boundary-dim",
+        lambda: optimize_bounds(jsq_pair(HalfInt(5)), boundary2d(jsq_pair(HalfInt(3)), 16), [MeasureKind.h()]),
+        DimensionMismatch,
+        "face of 2 operators on C\\^4, not 2 on C\\^6",
+    ),
+    (
+        "triviality-boundary-count",
+        lambda: triviality_check(jsq_pair(ONE), boundary3d(j_triple(ONE), 4, 8)),
+        DimensionMismatch,
+        "face of 3 operators on",
+    ),
+    (
+        "triviality-boundary-dim",
+        lambda: triviality_check(jsq_pair(HalfInt(5)), boundary2d(jsq_pair(HalfInt(3)), 16)),
+        DimensionMismatch,
+        "face of 2 operators on C\\^4, not 2 on C\\^6",
     ),
     ("sweep-family", lambda: convergence_sweep("nope", 1, [1], AM), UnsupportedFamily, "unknown family"),
     ("sweep-quantity", lambda: convergence_sweep(FAMILY_JPOW, 1, [1], "nope"), ValueError, "unknown quantity"),

@@ -263,6 +263,30 @@ def test_block_compress_does_not_depend_on_the_input_layout():
         assert block.compress(copy).tobytes() == want
 
 
+@pytest.mark.parametrize("zeros", [1, 2, 5])
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("case", [("jsq2d", 2), ("anticomm", 1)], ids=["real", "complex"])
+def test_block_compress_of_own_columns_ignores_zero_columns(case, c, zeros):
+    """A block's c own columns compress to the same bytes whatever zero columns sit before, between or after them.
+
+    numrange.faces compresses each block over every column that some cluster
+    of a stack holds in it, so a cluster's own columns sit among zero columns
+    of other blocks' states, and must round as they would alone.
+    """
+    vec = BUILDERS[case[0]](HalfInt(20), case[1])
+    rng = np.random.default_rng(10 * c + zeros)
+    for block in split_blocks(vec.mats):
+        own = np.stack([_orthonormal(rng, block.size, c, block.bands.dtype.type) for _ in range(4)])
+        want = block.compress(own).tobytes()
+        blank = np.zeros((4, block.size, zeros), dtype=own.dtype)
+        for full, at in (
+            (np.concatenate([blank, own], axis=2), np.arange(zeros, zeros + c)),
+            (np.concatenate([own[..., :1], blank, own[..., 1:]], axis=2), np.r_[0, zeros + 1 : zeros + c]),
+            (np.concatenate([own, blank], axis=2), np.arange(c)),
+        ):
+            assert block.compress(full)[..., at[:, None], at].tobytes() == want
+
+
 def _diagonal_set():
     jz = angular_momentum(HalfInt(20)).jz
     return ObservableVec(ops=(jz, make_hermitian(jz.mat @ jz.mat, "Jz^2")), j=HalfInt(20), kind="J")

@@ -43,6 +43,10 @@ def split_lines() -> list[re.Pattern]:
     return [re.compile(rf"^{re.escape(name)}{fields}$", re.M) for name in benchmark_names()[0]]
 
 
+# the families face_digests.py prints one line for each
+FACE_FAMILIES = ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow2", "jpow3", "jpow4", "anticomm1", "anticomm2")
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -51,6 +55,7 @@ def split_lines() -> list[re.Pattern]:
         ("reproduce_bound_tables.py", ["--j-list", "5/2", "--phi-steps", "36"]),
         ("readme_outputs.py", []),
         ("table_digests.py", []),
+        ("face_digests.py", []),
         ("sweep_split.py", ["--repeats", "1"]),
     ],
 )
@@ -70,6 +75,8 @@ def test_script_runs(script, args, tmp_path):
     if script == "table_digests.py":
         for line in digest_lines():
             assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
+    if script == "face_digests.py":
+        assert re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M) == list(FACE_FAMILIES), proc.stdout
     if script == "sweep_split.py":
         for line in split_lines():
             assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
