@@ -55,8 +55,8 @@ FACE_FAMILIES = ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow
         ("reproduce_bound_tables.py", ["--j-list", "5/2", "--phi-steps", "36"]),
         ("readme_outputs.py", []),
         ("table_digests.py", []),
-        ("face_digests.py", []),
         ("sweep_split.py", ["--repeats", "1"]),
+        ("face_digests.py", []),
     ],
 )
 def test_script_runs(script, args, tmp_path):
