@@ -32,7 +32,6 @@ from .numrange import (
     SupportFace,
     boundary2d,
     boundary3d,
-    commuting_polytope,
     convex_hull,
     diag_directions,
     direction2,

@@ -115,7 +115,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
     p.add_argument("--measures", type=MEASURES, default="h,u0.5,u2,umax")
 
-    p = sub.add_parser("check", help="membership margin of a mean vector")
+    p = sub.add_parser(
+        "check",
+        help="membership margin of a mean vector: it certifies the point outside only below "
+        "-(rounding + 3*d*sqrt(n)*1e-12*s), s the operators' largest |eigenvalue|",
+    )
     _add_common(p, grid=3, deg_tol=False)  # membership reads lambda_max only
     p.add_argument("--set", required=True, choices=SETS_2D + SETS_3D)
     p.add_argument("--point", required=True, type=POINT, help="comma-separated coordinates")

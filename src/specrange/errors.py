@@ -45,9 +45,5 @@ class EmptyBoundary(SpecRangeError):
     """Boundary object carries no faces."""
 
 
-class NotCommuting(SpecRangeError):
-    """Operators do not mutually commute within tolerance."""
-
-
 class UnsupportedFamily(SpecRangeError):
     """No limit-region description exists for this family/power."""

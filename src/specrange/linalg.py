@@ -17,11 +17,17 @@ is the same whatever else the call forms), and ``band_top`` computes only a
 band's top eigenpairs with LAPACK ?hbevx (?sbevx for a real block):
 band-to-tridiagonal reduction, bisection for the selected eigenvalues,
 inverse iteration for their vectors.
+Every request is sized so that its index range never ends inside a
+degenerate pair: ?stebz must place an index boundary between the last value
+asked for and the next one down, and when those two agree to rounding it
+bisects to full precision to split them. So a request asks for at least the
+top two values (a doublet on top then lies wholly inside it), and
+``numrange`` asks a block whose levels are all Kramers pairs for four.
 ``Block.compress`` reads V^H A_i V for columns V of the block's space from the
 stored diagonals, so the face layer never forms a dense operator.
 ``block_top_eigenvalues`` is the max over blocks of each block's top
-eigenvalue, for many combinations at once; ``numrange`` merges the blocks'
-top clusters into one.
+eigenvalue, for many combinations at once, from the same top-two request a
+sweep makes first; ``numrange`` merges the blocks' top clusters into one.
 """
 
 from __future__ import annotations
@@ -237,6 +243,11 @@ def band_top(band: np.ndarray, k: int, vectors: bool = True):
     argument checks, which cost three times LAPACK's own work at d <= 5:
     the same ?hbevx/?sbevx call, at the same abstol. The band must be
     finite; a LAPACK failure raises NoConvergence.
+
+    The cost depends on where the index range ends: when the k-th value from
+    the top and the one below it agree to rounding, ?stebz bisects to full
+    precision to split them. Callers choose k so that the range does not end
+    inside a degenerate pair: two rather than one, four on a Kramers block.
     """
     bevx = _bevx(band.dtype.kind)
     m = band.shape[1]
@@ -249,7 +260,14 @@ def band_top(band: np.ndarray, k: int, vectors: bool = True):
 
 
 def block_top_eigenvalues(coeffs, blocks) -> np.ndarray:
-    """lambda_max of sum_i coeffs[k, i] * op_i for every row k, from the set's blocks."""
+    """lambda_max of sum_i coeffs[k, i] * op_i for every row k, from the set's blocks.
+
+    Each block is asked for its top min(2, size) values, without vectors, and
+    the largest is kept. A top-one request would end its index range between
+    lambda_1 and lambda_2, which bisection must split to full precision when
+    they form a doublet (anticomm at integer j has one on top in most
+    directions), so two values cost less than one.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     n_ops = len(blocks[0].bands)
     if coeffs.ndim != 2 or coeffs.shape[1] != n_ops:
@@ -257,7 +275,8 @@ def block_top_eigenvalues(coeffs, blocks) -> np.ndarray:
     tops = np.full(len(coeffs), -np.inf)
     for block in blocks:
         rows = block.combine(coeffs)
-        tops = np.maximum(tops, [band_top(row, 1, vectors=False)[0] for row in rows])
+        k = min(2, block.size)
+        tops = np.maximum(tops, [band_top(row, k, vectors=False)[-1] for row in rows])
     return tops
 
 

@@ -26,17 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonFinite, NotCommuting
+from .errors import DimensionMismatch, NonFinite
 from .linalg import band_top, block_top_eigenvalues, combine_matrix, eig_hermitian
 from .spinops import ObservableVec
 
 DEG_TOL_DEFAULT = 1e-8
 DEDUP_TOL = 1e-8
 COLLINEAR_TOL = 1e-10
-# commuting-polytope test: relative commutator tolerance, and the seed of the
-# random combination diagonalized for the common eigenbasis
-COMM_TOL = 1e-10
-COMM_SEED = 20
 # degenerate-face reconstruction: the ring of directions a 2D face is swept on
 # in its free plane, and the ring of Bloch directions of a doublet ellipse
 INNER_STEPS = 64
@@ -243,11 +239,19 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
     vec.blocks holds the operators validated and band-packed once. Each block
     forms the bands of every direction in one call (Block.combine, whose rows
     do not depend on each other), and each band is solved for its top k
-    eigenpairs only: k = min(2, size) at first. The blocks then merge as
-    arrays over all directions: lambda_max is the largest top value, the
-    cluster the values within deg_tol*max(1, |lambda_max|) of it, and a
-    direction in which a block's lowest computed value is still inside the
-    cluster re-solves that block, doubling k until it is not. The cluster's
+    eigenpairs only. The first k is sized so that its index range does not
+    end inside a degenerate pair, where LAPACK's bisection must split two
+    values equal to rounding: min(2, size), or min(4, size) on a block whose
+    levels are all Kramers pairs (vec.kramers_blocks), whose top two always
+    lie in the cluster. Structure only sizes the first request; the values
+    decide the cluster. The blocks then merge as arrays over all directions:
+    the cluster is the values within deg_tol*max(1, |lambda|) of the largest
+    top value lambda, and a direction in which a block's lowest computed
+    value is still inside the cluster re-solves that block, doubling k until
+    it is not. The record's lambda_max is the largest top value of each
+    block's last request, the one whose vectors the cluster holds, so a
+    direction's record does not depend on the other directions of the call
+    (two requests of one band can differ in the last bits). The cluster's
     eigenvectors are scattered into C^d in ascending order of their values,
     ties by block, and the gap runs to the largest computed value below the
     cluster (None when the cluster fills C^d). Each block whose top does not
@@ -268,9 +272,11 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
         return [], []
     etas = np.array([direction.eta for direction in directions]).reshape(count, vec.n)
     bands = [block.combine(etas) for block in blocks]
-    solved = [[band_top(band, min(2, block.size)) for band in rows] for block, rows in zip(blocks, bands)]
+    asks = [min(4 if kramers else 2, block.size) for block, kramers in zip(blocks, vec.kramers_blocks)]
+    solved = [[band_top(band, k) for band in rows] for k, rows in zip(asks, bands)]
     firsts = [np.array([values for values, _ in rows]).reshape(count, -1) for rows in solved]
-    lam = functools.reduce(np.maximum, [values[:, -1] for values in firsts])
+    ends = np.array([values[:, -1] for values in firsts]).reshape(len(blocks), count)  # each block's top value
+    lam = ends.max(axis=0)
     floor = lam - deg_tol * np.maximum(1.0, np.abs(lam))
     counts = np.array([np.sum(values >= floor[:, None], axis=1) for values in firsts]).reshape(len(blocks), count)
     below = np.array([np.max(values, axis=1, where=values < floor[:, None], initial=-np.inf) for values in firsts])
@@ -283,7 +289,7 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
                 top, vectors = band_top(bands[i][k], min(2 * len(top), block.size))
             cut = int(np.searchsorted(top, floor[k]))
             counts[i, k], below[i, k] = len(top) - cut, top[cut - 1] if cut else -np.inf
-            grown[k] = top, vectors
+            grown[k], ends[i, k] = (top, vectors), top[-1]
         width = int(counts[i].max(initial=0))
         top_values = _last_rows(values, width, -np.inf)
         top_vectors = _last_rows(np.stack([vectors.T for _, vectors in rows]), width, 0.0)
@@ -309,16 +315,13 @@ def _solve(vec: ObservableVec, directions, deg_tol: float):
         for k, b in zip(rows.tolist(), basis):
             bases[k] = b
         stacks.append((rows, basis))
+    lam = ends.max(axis=0)  # from each block's last request, whose vectors the cluster holds
     gaps = (lam - below.max(axis=0, initial=-np.inf)).tolist()  # inf where nothing lies below the cluster
     records = [
         SupportFace(direction=d, lambda_max=top, multiplicity=m, eigenbasis=b, gap=None if gap == math.inf else gap)
         for d, top, m, b, gap in zip(directions, lam.tolist(), mult.tolist(), bases, gaps)
     ]
     return records, stacks
-
-
-def _expectations(mats, psi: np.ndarray) -> np.ndarray:
-    return np.array([float(np.real(psi.conj() @ (m @ psi))) for m in mats])
 
 
 # sweep_directions(2, INNER_STEPS) as (cos t, sin t) rows: the ring a free
@@ -639,15 +642,21 @@ def hyperrect(vec: ObservableVec) -> Hyperrect:
 
 
 def membership(vec: ObservableVec, r, grid) -> float:
-    """Signed margin min_eta (lambda_max(eta) - eta.r); negative certifies r outside.
+    """Signed margin min_eta (lambda_max(eta) - eta.r) over a grid; only a margin below a bound certifies r outside.
 
     grid is a sweep_directions grid: a step count for two operators,
     (theta_steps, phi_steps) for three. The min runs over every direction of
     the grid, with lambda_max solved in one call at one direction per orbit
     of vec.sign_group (_grid_orbits, built once per grid and group). A
-    shared value is the image direction's own up to the rounding of the
-    grid's angles plus the group's verified residual, so a negative margin
-    still certifies r outside.
+    shared value is the image direction's own only up to the rounding of the
+    grid's angles and of lambda_max (a few ulps of s, the operators' largest
+    |eigenvalue|) plus the group's verified residual: each mapped operator
+    matches +-itself within spinops.SIGN_GROUP_TOL * s entrywise, which moves
+    lambda_max by at most d sqrt(n) SIGN_GROUP_TOL * s per generator, and a
+    group element is a product of at most three. So a margin certifies
+    r outside only when it lies below minus that rounding and residual; a
+    negative margin inside them certifies nothing, and a positive one never
+    certifies r inside, since the region may bulge between grid directions.
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (vec.n,):
@@ -657,35 +666,3 @@ def membership(vec: ObservableVec, r, grid) -> float:
     grid = _checked_grid(vec.n, grid)
     etas, solved, solution = _grid_orbits(vec.n, grid, vec.sign_group)
     return float(np.min(block_top_eigenvalues(etas[solved], vec.blocks)[solution] - etas @ r))
-
-
-def commuting_polytope(vec: ObservableVec) -> np.ndarray:
-    """convex_hull of the diagonal mean vectors in a common eigenbasis.
-
-    A random real combination is diagonalized to produce the simultaneous
-    eigenbasis; the seed COMM_SEED is fixed so results are deterministic.
-    NoConvergence when none of 8 combinations diagonalizes every operator.
-    """
-    mats = vec.mats
-    for i in range(len(mats)):
-        for k in range(i + 1, len(mats)):
-            a, b = mats[i], mats[k]
-            scale = max(1.0, float(np.max(np.abs(a))) * float(np.max(np.abs(b))))
-            if float(np.max(np.abs(a @ b - b @ a))) > COMM_TOL * scale:
-                raise NotCommuting(
-                    f"{vec.ops[i].label!r} and {vec.ops[k].label!r} do not commute"
-                )
-    rng = np.random.default_rng(COMM_SEED)
-    for _ in range(8):
-        coeffs = rng.normal(size=len(mats))
-        spec = eig_hermitian(combine_matrix(coeffs, mats))
-        basis = spec.vectors
-        offdiag = max(
-            float(np.max(np.abs(b - np.diag(np.diag(b)))))
-            for b in (basis.conj().T @ (m @ basis) for m in mats)
-        )
-        if offdiag <= 1e-8 * max(1.0, max(float(np.max(np.abs(m))) for m in mats)):
-            break
-    else:
-        raise NoConvergence("no random combination of the operators diagonalized them all")
-    return convex_hull(np.array([_expectations(mats, basis[:, l]) for l in range(basis.shape[1])]))

@@ -102,18 +102,16 @@ class ObservableVec:
         return split_blocks(self.mats)
 
     @cached_property
-    def sign_group(self) -> tuple[tuple[int, ...], ...]:
-        """Every S = diag(+-1) with lambda_max(S eta) = lambda_max(eta) that three symmetries generate, identity first.
+    def generator_signs(self) -> tuple[tuple[int, ...] | None, ...]:
+        """The sign tuple s of each of three symmetries g with g A_i g^-1 = s_i A_i, or None where g is not one.
 
-        A unitary or antiunitary g with g A_i g^-1 = s_i A_i for every
-        operator maps the allowed region onto itself by S = diag(s). The
-        generators, in the Jz basis: complex conjugation K, e^{-i pi Jz}, which
-        takes A_ab to (-1)^(a+b) A_ab, and e^{-i pi Jy}, which does the same
-        at the reversed indices a -> d-1-a. A generator is kept when it sends
-        every operator to +itself or -itself within SIGN_GROUP_TOL of the
-        operators' largest |eigenvalue| (a zero operator takes +1), since
-        matmul-built powers are not mapped bitwise. The group is the kept
-        generators' closure under elementwise product.
+        The generators, in the Jz basis and in this order: complex
+        conjugation K, e^{-i pi Jz}, which takes A_ab to (-1)^(a+b) A_ab, and
+        e^{-i pi Jy}, which does the same at the reversed indices
+        a -> d-1-a. A generator is kept when it sends every operator to
+        +itself or -itself within SIGN_GROUP_TOL of the operators' largest
+        |eigenvalue| (a zero operator takes +1), since matmul-built powers
+        are not mapped bitwise.
         """
         self.blocks  # validates the operators, so an invalid one raises before any test
         d = self.dim
@@ -129,13 +127,45 @@ class ObservableVec:
                 elif np.max(np.abs(image + mat)) <= tol:
                     signs.append(-1)
                 else:
+                    generators.append(None)
                     break
             else:
                 generators.append(tuple(signs))
+        return tuple(generators)
+
+    @cached_property
+    def sign_group(self) -> tuple[tuple[int, ...], ...]:
+        """Every S = diag(+-1) with lambda_max(S eta) = lambda_max(eta) that three symmetries generate, identity first.
+
+        A unitary or antiunitary g with g A_i g^-1 = s_i A_i for every
+        operator maps the allowed region onto itself by S = diag(s). The
+        group is the closure of the kept generators (generator_signs) under
+        elementwise product.
+        """
         group = {(1,) * self.n}
-        for g in generators:  # the elements commute and square to the identity, so H u gH is closed
+        for g in filter(None, self.generator_signs):  # the elements commute and square to the identity, so H u gH is closed
             group |= {tuple(a * b for a, b in zip(g, s)) for s in group}
         return tuple(sorted(group, reverse=True))
+
+    @cached_property
+    def kramers_blocks(self) -> tuple[bool, ...]:
+        """Per block of self.blocks, whether every level of the block is a Kramers pair.
+
+        Theta = e^{-i pi Jy} K maps each operator to s_K s_Y times itself, so
+        it fixes every operator when K and e^{-i pi Jy} are both kept with
+        equal signs (generator_signs; no second tolerance test). Theta maps
+        basis index a to d-1-a, so it maps a block onto itself when the
+        block's positions are symmetric under that reversal, and at even d,
+        Theta^2 = -1. Then every real combination of the operators commutes
+        with Theta on the block, and each of its levels is doubly degenerate.
+        A set whose levels pair across blocks (jsq2d at half-integer j) has
+        no closed block.
+        """
+        conj, _, flip = self.generator_signs
+        d = self.dim
+        if conj is None or conj != flip or d % 2:
+            return (False,) * len(self.blocks)
+        return tuple(bool(np.array_equal(block.index, d - 1 - block.index[::-1])) for block in self.blocks)
 
     @cached_property
     def spectral_ends(self) -> tuple[np.ndarray, np.ndarray]:

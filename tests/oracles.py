@@ -46,6 +46,10 @@ bitwise where this one does.
 ``membership_reference`` is the margin with lambda_max solved at every grid
 direction; ``numrange.membership`` solves one direction of each pair
 {eta, S eta} of the grid and gives the other the same value.
+
+``commuting_polytope`` is the allowed region of a commuting set in closed
+form: the hull of the joint eigenvalues' mean vectors, which a sweep of any
+commuting set must reproduce.
 """
 
 import functools
@@ -54,7 +58,7 @@ import math
 import numpy as np
 
 from specrange import bounds, numrange
-from specrange.errors import DegenerateRange, DimensionMismatch, UnsupportedJ
+from specrange.errors import DegenerateRange, DimensionMismatch, NoConvergence, SpecRangeError, UnsupportedJ
 from specrange.linalg import HermObservable, band_top, block_top_eigenvalues, combine_matrix, eig_hermitian
 from specrange.spinops import KIND_JSQ2D, HalfInt
 
@@ -291,7 +295,7 @@ def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float)
     m = lift.shape[1]
     if m == 1:
         psi = lift[:, 0]
-        return [(numrange._expectations(mats, psi), psi)]
+        return [(expectations(mats, psi), psi)]
     compressed = [lift.conj().T @ (mat @ lift) for mat in mats]
     compressed = [(b + b.conj().T) / 2.0 for b in compressed]
     scale = max(1.0, max(float(np.max(np.abs(b))) for b in compressed))
@@ -301,12 +305,12 @@ def cluster_pairs_reference(mats, lift: np.ndarray, fixed: list, deg_tol: float)
         for b, mu in zip(compressed, means)
     ):
         psi = lift[:, 0]
-        return [(numrange._expectations(mats, psi), psi)]
+        return [(expectations(mats, psi), psi)]
     free = np.linalg.svd(np.array(fixed))[2][len(fixed) :]
     if len(free) == 1:
         vectors = eig_hermitian(combine_matrix(free[0], compressed)).vectors
         ends = (lift @ vectors[:, 0], lift @ vectors[:, -1])
-        return [(numrange._expectations(mats, psi), psi) for psi in ends]
+        return [(expectations(mats, psi), psi) for psi in ends]
     if m == 2:
         return _pair_cluster_pairs(lift, compressed, free, numrange.INNER_STEPS)
     pairs = []
@@ -353,10 +357,12 @@ def solve_reference(vec, directions, deg_tol: float):
     Each block solves every direction's band for its top k = min(2, size)
     eigenpairs, doubling k while the block's lowest computed value is still
     within deg_tol*max(1, |lambda_max|) of the largest over all blocks. The
-    cluster's columns ascend in value, ties by block, and the gap runs to the
-    largest computed value below the cluster. Returns the records and, per
-    block, the list of (direction number, the block's columns in the merged
-    cluster, their eigenvectors in the block's space).
+    record's lambda_max is then the largest top value of each block's last
+    solve, the one its vectors come from. The cluster's columns ascend in
+    value, ties by block, and the gap runs to the largest computed value below
+    the cluster. Returns the records and, per block, the list of (direction
+    number, the block's columns in the merged cluster, their eigenvectors in
+    the block's space).
     """
     for direction in directions:
         if direction.n != vec.n:
@@ -381,6 +387,7 @@ def solve_reference(vec, directions, deg_tol: float):
             if cut:
                 below.append(float(values[cut - 1]))
             cluster.extend((values[c], i, c) for c in range(cut, len(values)))
+        lam = max(float(solved[i][k][0][-1]) for i in range(len(blocks)))
         cluster.sort(key=lambda entry: entry[0])
         basis = np.zeros((vec.dim, len(cluster)), dtype=np.complex128)
         owners = [i for _, i, _ in cluster]
@@ -615,3 +622,50 @@ def membership_reference(vec, r, grid) -> float:
     """min over the grid of lambda_max(eta) - eta.r, one solve per direction."""
     etas = np.array([d.eta for d in numrange.sweep_directions(vec.n, grid)])
     return float(np.min(block_top_eigenvalues(etas, vec.blocks) - etas @ np.asarray(r, dtype=float)))
+
+
+# --- the commuting polytope -----------------------------------------------------
+
+# relative commutator tolerance, and the seed of the random combination
+# diagonalized for the common eigenbasis
+COMM_TOL = 1e-10
+COMM_SEED = 20
+
+
+class NotCommuting(SpecRangeError):
+    """Operators do not mutually commute within tolerance."""
+
+
+def expectations(mats, psi: np.ndarray) -> np.ndarray:
+    """<psi|A_i|psi> for every matrix, one matrix-vector product each."""
+    return np.array([float(np.real(psi.conj() @ (m @ psi))) for m in mats])
+
+
+def commuting_polytope(vec) -> np.ndarray:
+    """numrange.convex_hull of the diagonal mean vectors in a common eigenbasis.
+
+    A random real combination is diagonalized to produce the simultaneous
+    eigenbasis; the seed COMM_SEED is fixed so results are deterministic.
+    NotCommuting when two operators do not commute within COMM_TOL of their
+    scale, NoConvergence when none of 8 combinations diagonalizes every
+    operator.
+    """
+    mats = vec.mats
+    for i in range(len(mats)):
+        for k in range(i + 1, len(mats)):
+            a, b = mats[i], mats[k]
+            scale = max(1.0, float(np.max(np.abs(a))) * float(np.max(np.abs(b))))
+            if float(np.max(np.abs(a @ b - b @ a))) > COMM_TOL * scale:
+                raise NotCommuting(f"{vec.ops[i].label!r} and {vec.ops[k].label!r} do not commute")
+    rng = np.random.default_rng(COMM_SEED)
+    for _ in range(8):
+        coeffs = rng.normal(size=len(mats))
+        basis = eig_hermitian(combine_matrix(coeffs, mats)).vectors
+        offdiag = max(
+            float(np.max(np.abs(b - np.diag(np.diag(b))))) for b in (basis.conj().T @ (m @ basis) for m in mats)
+        )
+        if offdiag <= 1e-8 * max(1.0, max(float(np.max(np.abs(m))) for m in mats)):
+            break
+    else:
+        raise NoConvergence("no random combination of the operators diagonalized them all")
+    return numrange.convex_hull(np.array([expectations(mats, basis[:, l]) for l in range(basis.shape[1])]))

@@ -12,6 +12,7 @@ import pytest
 
 import reference_values as ref
 from conftest import CI_LONG
+from oracles import commuting_polytope
 from specrange.bounds import MeasureKind, combined, optimize_bounds, region_contains, triviality_check
 from specrange.definetti import convergence_sweep, surface_anticomm, surface_jpow
 from specrange.linalg import eig_hermitian, combine_matrix, make_hermitian
@@ -19,7 +20,6 @@ from specrange.numrange import (
     Direction,
     boundary2d,
     boundary3d,
-    commuting_polytope,
     convex_hull,
     diag_directions,
     direction2,

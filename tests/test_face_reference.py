@@ -154,7 +154,7 @@ BITWISE_SETS = {
     "ladder25-40": (lambda: ladder_combo(HalfInt(40), 25), 360),
     "ladder-null-6": (lambda: ladder_combo(HalfInt(6), 9), 360),
     "jpow3-20": (lambda: scale_uniform(power_vec(HalfInt(20), 3), 1e-3), (12, 24)),
-    **{f"anticomm-{t}": (lambda t=t: anticomm_vec(HalfInt(t), 1), (12, 24)) for t in (2, 3, 20)},
+    **{f"anticomm-{t}": (lambda t=t: anticomm_vec(HalfInt(t), 1), (12, 24)) for t in (2, 3, 20, 21)},
     "J-5": (lambda: j_triple(HalfInt(5)), (12, 24)),
 }
 _BUILT = {}
@@ -226,6 +226,21 @@ def test_faces_of_any_direction_subset_match_bitwise(label, data):
     picks = data.draw(st.lists(st.integers(0, len(directions) - 1), min_size=1, max_size=24))
     subset = [directions[k] for k in picks]
     assert_same_faces(numrange.faces(vec, subset), faces_reference(vec, subset))
+
+
+@pytest.mark.parametrize("deg_tol", [0.15, 0.25])
+def test_support_does_not_depend_on_a_wider_cluster_elsewhere_in_the_call(deg_tol):
+    """lambda_max and the gap come from the band's last request whatever the call's widest cluster.
+
+    At these loose tolerances anticomm j = 21/2 has clusters of 2 and of 4
+    or 6 states on one grid, so some directions re-solve with more values
+    than others; two requests of one band can differ in the last bits.
+    """
+    vec, directions = bitwise_set("anticomm-21")
+    records = numrange.faces(vec, directions, deg_tol)
+    assert {2, 4} <= {sf.multiplicity for sf in records}
+    for sf, direction in zip(records, directions):
+        assert_same_support(sf, support(vec, direction, deg_tol))
 
 
 @pytest.mark.parametrize("gamma", [2, 4])

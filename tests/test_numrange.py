@@ -6,15 +6,15 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import cluster_compressions, membership_reference
-from specrange import numrange
-from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian, NotCommuting
+import oracles
+from oracles import NotCommuting, cluster_compressions, commuting_polytope, expectations, membership_reference
+from specrange import linalg, numrange
+from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian
 from specrange.linalg import HermObservable, combine_matrix, eig_hermitian, make_hermitian
 from specrange.numrange import (
     Direction,
     boundary2d,
     boundary3d,
-    commuting_polytope,
     convex_hull,
     diag_directions,
     direction2,
@@ -341,7 +341,7 @@ def test_ring_states_realize_their_vertices(gamma, twice):
         records, compressed = cluster_compressions(vec, [d])
         [(coords, states)] = numrange._cluster_faces(compressed[0][None], d.eta[None, None], numrange.DEG_TOL_DEFAULT)
         for vertex, psi in zip(coords, (records[0].eigenbasis @ states).T):
-            err = float(np.max(np.abs(numrange._expectations(vec.mats, psi) - vertex)))
+            err = float(np.max(np.abs(expectations(vec.mats, psi) - vertex)))
             assert err <= 1e-12 * max(1.0, float(np.linalg.norm(vertex)))
 
 
@@ -626,6 +626,66 @@ def test_membership_solves_one_direction_per_pair(monkeypatch):
     assert rows == [68, 43, 43, 360]
 
 
+def recorded_band_top(monkeypatch, module):
+    """Replace module.band_top with a wrapper; returns the list of each call's (band length, k, vectors)."""
+    calls = []
+    solve = module.band_top
+
+    def recorded(band, k, vectors=True):
+        calls.append((band.shape[-1], k, vectors))
+        return solve(band, k, vectors)
+
+    monkeypatch.setattr(module, "band_top", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "vec, grid",
+    [
+        (anticomm_vec(HalfInt(40), 1), (12, 24)),  # one block, d = 41: a doublet on top in most directions
+        (anticomm_vec(HalfInt(21), 1), (12, 24)),  # one Kramers block: two requested all the same
+        (jsq_pair(HalfInt(21)), 36),  # two blocks of 11
+        (ladder_combo(HalfInt(6), 9), 36),  # the null pair: seven blocks of one position
+    ],
+    ids=["anticomm-40", "anticomm-21", "jsq2d-21", "ladder-null-6"],
+)
+def test_membership_asks_every_block_for_its_top_two_values(monkeypatch, vec, grid):
+    """One request per (orbit direction, block), for min(2, size) values and no vectors."""
+    calls = recorded_band_top(monkeypatch, linalg)
+    membership(vec, np.zeros(vec.n), grid)
+    _, solved, _ = numrange._grid_orbits(vec.n, grid, vec.sign_group)
+    assert sorted(calls) == sorted((b.size, min(2, b.size), False) for b in vec.blocks for _ in solved)
+
+
+@pytest.mark.parametrize(
+    "vec, first",
+    [
+        (anticomm_vec(HalfInt(21), 1), [4]),  # Kramers-closed: every level a pair
+        (anticomm_vec(HalfInt(3), 1), [4]),  # d = 4: the whole block
+        (anticomm_vec(HalfInt(20), 1), [2]),  # odd d
+        (jsq_pair(HalfInt(21)), [2, 2]),  # levels paired across the two blocks
+        (power_vec(HalfInt(21), 2), [2, 2]),
+        (j_triple(HalfInt(21)), [2]),  # Theta flips every operator
+    ],
+    ids=["anticomm-21", "anticomm-3", "anticomm-20", "jsq2d-21", "jpow2-21", "J-21"],
+)
+def test_solve_starts_a_kramers_block_at_four(monkeypatch, vec, first):
+    """_solve's first request is min(4, size) values on a Kramers-closed block and min(2, size) elsewhere.
+
+    The first requests are every block's, direction by direction; only
+    re-solves come after them, each asking for more than the block's first.
+    """
+    calls = recorded_band_top(monkeypatch, numrange)
+    directions = sweep_directions(vec.n, 24 if vec.n == 2 else (6, 12))
+    records = numrange.faces(vec, directions)
+    count = len(directions)
+    assert calls[: count * len(first)] == [(b.size, k, True) for k, b in zip(first, vec.blocks) for _ in range(count)]
+    resolved = calls[count * len(first) :]
+    assert all(k > min(first) for _, k, _ in resolved)
+    if first == [4] and vec.blocks[0].size > 4:  # a Kramers block's top pair no longer forces a re-solve
+        assert not resolved and all(sf.multiplicity == 2 for sf in records)
+
+
 def test_membership_builds_each_grid_once(monkeypatch):
     """Repeated queries build a grid's directions and orbits once per (grid, group), read-only; bad grids raise every time."""
     built = []
@@ -673,7 +733,7 @@ def test_commuting_polytope_rejects_an_unconverged_basis(monkeypatch):
     def identity_basis(mat):
         return dataclasses.replace(eig_hermitian(mat), vectors=np.eye(len(mat)))
 
-    monkeypatch.setattr(numrange, "eig_hermitian", identity_basis)
+    monkeypatch.setattr(oracles, "eig_hermitian", identity_basis)
     with pytest.raises(NoConvergence):
         commuting_polytope(jsq_pair(HalfInt(2)))
 

@@ -57,6 +57,7 @@ FACE_FAMILIES = ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow
         ("table_digests.py", []),
         ("sweep_split.py", ["--repeats", "1"]),
         ("face_digests.py", []),
+        ("retained_per_pass.py", ["--passes", "1", "--workload", "point_queries"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -77,6 +78,11 @@ def test_script_runs(script, args, tmp_path):
             assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
     if script == "face_digests.py":
         assert re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M) == list(FACE_FAMILIES), proc.stdout
+    if script == "retained_per_pass.py":
+        assert re.fullmatch(
+            r"point_queries: pass [0-9.]+ s  kept [0-9.]+ kB/pass  run [0-9.]+ MB \([0-9]+ passes in [0-9.]+ s\)\n",
+            proc.stdout,
+        ), proc.stdout
     if script == "sweep_split.py":
         for line in split_lines():
             assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)

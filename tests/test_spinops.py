@@ -470,3 +470,57 @@ def test_sign_group_keeps_lambda_max(family, twice, gamma, coeffs):
     assert group[0] == (1,) * vec.n and len(set(group)) == len(group)
     tops = block_top_eigenvalues(np.array(group) * eta, vec.blocks)
     assert np.max(np.abs(tops - tops[0])) <= 1e-12 * spectral_scale(vec)
+
+
+# --- Kramers blocks: Theta = e^{-i pi Jy} K fixes every operator and squares to -1 ---
+
+# (label, set, whether Theta maps every operator to itself, kramers_blocks)
+KRAMERS_CASES = [
+    ("anticomm g1 j=3/2", lambda: anticomm_vec(HalfInt(3), 1), True, (True,)),
+    ("anticomm g1 j=21/2", lambda: anticomm_vec(HalfInt(21), 1), True, (True,)),
+    ("anticomm g1 j=10", lambda: anticomm_vec(HalfInt(20), 1), True, (False,)),  # odd d: Theta^2 = +1
+    # Theta swaps the two parity blocks: levels pair across blocks
+    ("jsq2d j=21/2", lambda: jsq_pair(HalfInt(21)), True, (False, False)),
+    ("jpow g2 j=21/2", lambda: power_vec(HalfInt(21), 2), True, (False, False)),
+    ("ladder g2 j=21/2", lambda: ladder_combo(HalfInt(21), 2), True, (False, False)),
+    # Theta flips the sign of every operator
+    ("J j=21/2", lambda: j_triple(HalfInt(21)), False, (False,)),
+    ("jpow g3 j=21/2", lambda: power_vec(HalfInt(21), 3), False, (False,)),
+]
+
+
+@pytest.mark.parametrize("label, build, fixed, closed", KRAMERS_CASES, ids=[c[0] for c in KRAMERS_CASES])
+def test_kramers_blocks_truth_table(label, build, fixed, closed):
+    """A block is Kramers-closed when K and e^{-i pi Jy} keep equal signs, d is even and the block is symmetric."""
+    vec = build()
+    conj, _, flip = vec.generator_signs
+    assert (conj is not None and conj == flip) == fixed
+    assert vec.kramers_blocks == closed
+
+
+def test_kramers_blocks_need_every_operator_fixed_to_the_sign_tolerance():
+    """One operator perturbed by 1e-6 breaks both generators, so no block is closed."""
+    vec = anticomm_vec(HalfInt(21), 1)
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(vec.dim, vec.dim)) + 1j * rng.normal(size=(vec.dim, vec.dim))
+    ops = (make_hermitian(vec.mats[0] + 1e-6 * (raw + raw.conj().T), "A1"), *vec.ops[1:])
+    perturbed = ObservableVec(ops=ops, j=vec.j, kind=vec.kind, gamma=vec.gamma)
+    assert vec.kramers_blocks == (True,)
+    assert perturbed.generator_signs[0] is None and perturbed.generator_signs[2] is None
+    assert perturbed.kramers_blocks == (False,)
+
+
+@pytest.mark.parametrize("label, build, fixed, closed", KRAMERS_CASES, ids=[c[0] for c in KRAMERS_CASES])
+def test_kramers_closed_blocks_have_paired_levels(label, build, fixed, closed):
+    """Every level of a closed block is doubly degenerate; an open block of these sets has simple levels."""
+    vec = build()
+    rng = np.random.default_rng(9)
+    eta = rng.normal(size=vec.n)
+    eta /= np.linalg.norm(eta)
+    for block, kramers in zip(vec.blocks, vec.kramers_blocks):
+        mat = sum(c * m[np.ix_(block.index, block.index)] for c, m in zip(eta, vec.mats))
+        splits = np.diff(eig_hermitian(mat).values) <= 1e-12 * spectral_scale(vec)
+        if kramers:
+            assert splits[::2].all()
+        else:
+            assert not splits.any()
