@@ -3,15 +3,17 @@
 Each coordinate x with spectral interval [lo, hi] is mapped to the pair
 dot = (hi-x)/(hi-lo), ring = (x-lo)/(hi-lo); concave measures (entropy-like h,
 u_kappa for kappa < 1) are minimized over the boundary, convex ones
-(u_kappa for kappa > 1, u_max) maximized. Optima found on the sweep grid are
-refined by successive linearization: each step solves the face at the
-measure's gradient, whose best vertex is the next point. Every ascent of a
-table, over all its measures, advances in lockstep rounds: a round solves
-the faces of all live ascents in one numrange.faces call and scores their
-vertices together.
+(u_kappa for kappa > 1, u_max) maximized. Only MeasureKind knows which: every
+search maximizes the exactly negated oriented score sign * value, so ties and
+orders are unchanged, and a bound is turned back only when reported. Optima
+found on the sweep grid are refined by successive linearization: each step
+solves the face at the measure's gradient, whose best vertex is the next
+point. Every ascent of a table, over all its measures, advances in lockstep
+rounds: a round solves the faces of all live ascents in one numrange.faces
+call and scores their vertices together.
 
 Scoring is array code. _weights maps a (V, n) vertex array to its (dot, ring)
-weights, and _scores sums each vertex's per-coordinate measures in coordinate
+weights, and _scores sums each vertex's MeasureKind.terms in coordinate
 order, so a whole sweep is scored in one call per measure and each face's
 best value is a reduceat over its vertex range. Logarithms and powers are
 taken element by element with math.log and Python's float power, not with
@@ -74,11 +76,32 @@ class MeasureKind:
             raise ValueError(f"{self.tag} takes no kappa")
 
     @property
+    def sign(self) -> float:
+        """-1.0 for a concave measure, bounded from below, and +1.0 for a convex one; the search maximizes sign * value."""
+        return -1.0 if self.tag == "h" or (self.tag == "u" and self.kappa < 1) else 1.0
+
+    @property
     def sense(self) -> str:
         """Concave measures bound from below (MIN), convex from above (MAX)."""
-        if self.tag == "h" or (self.tag == "u" and self.kappa < 1):
-            return MIN
-        return MAX
+        return MIN if self.sign < 0 else MAX
+
+    def terms(self, dot: np.ndarray, ring: np.ndarray) -> np.ndarray:
+        """The per-coordinate measure of each (dot, ring) weight pair; h's w ln w is 0 at w = 0."""
+        if self.tag == "h":
+            dot_log = dot * _map(math.log, np.where(dot > 0.0, dot, 1.0))
+            ring_log = ring * _map(math.log, np.where(ring > 0.0, ring, 1.0))
+            return (0.0 - dot_log) - ring_log
+        if self.tag == "u":
+            return _map(pow, dot, self.kappa) + _map(pow, ring, self.kappa)
+        return np.maximum(dot, ring)
+
+    def slopes(self, dot: np.ndarray, ring: np.ndarray) -> np.ndarray:
+        """d term / d ring with dot = 1 - ring; a minimized measure's is unbounded, and undefined, at a zero weight."""
+        if self.tag == "h":
+            return _map(math.log, dot / ring)
+        if self.tag == "u":
+            return self.kappa * (_map(pow, ring, self.kappa - 1.0) - _map(pow, dot, self.kappa - 1.0))
+        return np.sign(ring - dot)
 
     @classmethod
     def h(cls) -> "MeasureKind":
@@ -145,21 +168,10 @@ def _map(fn, w: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(values, dtype=float, count=w.size).reshape(w.shape)
 
 
-def _measures(kind: MeasureKind, dot: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """The per-coordinate measure of each (dot, ring) weight pair; h's w ln w is 0 at w = 0."""
-    if kind.tag == "h":
-        dot_log = dot * _map(math.log, np.where(dot > 0.0, dot, 1.0))
-        ring_log = ring * _map(math.log, np.where(ring > 0.0, ring, 1.0))
-        return (0.0 - dot_log) - ring_log
-    if kind.tag == "u":
-        return _map(pow, dot, kind.kappa) + _map(pow, ring, kind.kappa)
-    return np.maximum(dot, ring)
-
-
 def _scores(kind: MeasureKind, dot: np.ndarray, ring: np.ndarray) -> np.ndarray:
     """combined at each row of (V, n) weights: 0 + m_0 + m_1 + ..., coordinates in order."""
     total = np.zeros(len(dot))
-    for column in _measures(kind, dot, ring).T:
+    for column in kind.terms(dot, ring).T:
         total = total + column
     return total
 
@@ -171,7 +183,7 @@ def normalize_mean(x: float, lo: float, hi: float) -> tuple[float, float]:
 
 
 def measure(kind: MeasureKind, x: float, lo: float, hi: float) -> float:
-    return float(_measures(kind, *_weights([[x]], [lo], [hi]))[0, 0])
+    return float(kind.terms(*_weights([[x]], [lo], [hi]))[0, 0])
 
 
 def combined(kind: MeasureKind, r, rect: Hyperrect) -> float:
@@ -197,44 +209,27 @@ class BoundReport:
     rect: Hyperrect
 
 
-def _best_rows(scores: np.ndarray, starts, sense: str) -> np.ndarray:
-    """The index of each segment's best score, segment k running from starts[k] to the next start.
+def _best_rows(scores: np.ndarray, starts) -> np.ndarray:
+    """The index of each segment's largest oriented score, segment k running from starts[k] to the next start.
 
-    On ties the first index wins, as argmin and argmax break them.
+    On ties the first index wins, as argmax breaks them.
     """
     starts = np.asarray(starts)
-    best = (np.minimum if sense == MIN else np.maximum).reduceat(scores, starts)
+    best = np.maximum.reduceat(scores, starts)
     hits = np.flatnonzero(scores == np.repeat(best, np.diff(starts, append=len(scores))))
     return hits[np.searchsorted(hits, starts)]
-
-
-def _better(u: float, v: float, sense: str) -> bool:
-    return u < v if sense == MIN else u > v
 
 
 def _gradient(kind: MeasureKind, dots: np.ndarray, rings: np.ndarray, rect: Hyperrect) -> np.ndarray:
     """The gradient of combined at the point of weights (dots, rings), or its limit direction where a slope is unbounded.
 
-    Per coordinate, with w = hi - lo: h gives ln(dot/ring)/w, u_kappa gives
-    kappa (ring^(kappa-1) - dot^(kappa-1))/w and umax sign(ring - dot)/w. At an
-    exact endpoint h and u_kappa with kappa < 1 have unbounded slope; there the
-    direction is the signs of the unbounded coordinates (+1 where ring = 0,
-    -1 where dot = 0) and 0 everywhere else.
+    Per coordinate: the term's slope over hi - lo. A minimized measure's slope
+    is unbounded at an exact endpoint; where a coordinate sits at one, the
+    direction is +1 where ring = 0, -1 where dot = 0 and 0 everywhere else.
     """
-    grad = np.zeros(rect.n)
-    steep = np.zeros(rect.n)
-    unbounded = kind.tag == "h" or (kind.tag == "u" and kind.kappa < 1.0)
-    for i, (dot, ring, lo, hi) in enumerate(zip(dots.tolist(), rings.tolist(), rect.lo, rect.hi)):
-        width = hi - lo
-        if unbounded and (dot == 0.0 or ring == 0.0):
-            steep[i] = 1.0 if ring == 0.0 else -1.0
-        elif kind.tag == "h":
-            grad[i] = math.log(dot / ring) / width
-        elif kind.tag == "u":
-            grad[i] = kind.kappa * (ring ** (kind.kappa - 1.0) - dot ** (kind.kappa - 1.0)) / width
-        else:
-            grad[i] = np.sign(ring - dot) / width
-    return steep if steep.any() else grad
+    if kind.sign < 0 and not (dots.all() and rings.all()):
+        return (rings == 0.0).astype(float) - (dots == 0.0)
+    return kind.slopes(dots, rings) / np.subtract(rect.hi, rect.lo)
 
 
 def _phi(eta: np.ndarray) -> float:
@@ -254,7 +249,7 @@ def _direction(eta: np.ndarray):
 
 @dataclass
 class _Ascent:
-    """One refinement from a grid optimum of measure kinds[measure]: its current direction, value and weights."""
+    """One refinement from a grid optimum of measure kinds[measure]: its current direction, oriented score and weights."""
 
     measure: int
     direction: Direction
@@ -268,9 +263,9 @@ def _refine(vec, kinds, ascents: list[_Ascent], rect: Hyperrect, deg_tol: float)
     conditional-gradient step of Frank & Wolfe, Naval Res. Logist. Q. 3, 1956).
 
     A step solves the face at the measure's gradient g at the ascent's
-    current best vertex x, eta = +g/|g| to maximize and -g/|g| to minimize,
-    and moves to that face's best vertex x' only if its value is strictly
-    better. The step is monotone: a convex measure gains
+    current best vertex x, eta = sign g/|g| (+g to maximize, -g to
+    minimize), and moves to that face's best vertex x' only if its oriented
+    score is strictly larger. The step is monotone: a convex measure gains
     f(x') >= f(x) + g.(x' - x) >= f(x), since x' maximizes g.y over the
     region; a concave one mirrors this. An ascent retires when its value does
     not improve, when g vanishes, when eta repeats within ANGLE_TOL, or after
@@ -289,7 +284,7 @@ def _refine(vec, kinds, ascents: list[_Ascent], rect: Hyperrect, deg_tol: float)
             norm = float(np.linalg.norm(g))
             if norm == 0.0:
                 continue
-            eta = g / norm if kind.sense == MAX else -g / norm
+            eta = kind.sign * g / norm
             if np.linalg.norm(eta - a.direction.eta) <= ANGLE_TOL:
                 continue
             moving.append(a)
@@ -305,10 +300,9 @@ def _refine(vec, kinds, ascents: list[_Ascent], rect: Hyperrect, deg_tol: float)
             group = list(group)
             last = first + len(group)
             begin, end = offsets[first], offsets[last]
-            sense = kinds[m].sense
-            scores = _scores(kinds[m], dot[begin:end], ring[begin:end])
-            for a, step, i in zip(group, steps[first:last], _best_rows(scores, offsets[first:last] - begin, sense)):
-                if _better(scores[i], a.value, sense):
+            scores = kinds[m].sign * _scores(kinds[m], dot[begin:end], ring[begin:end])
+            for a, step, i in zip(group, steps[first:last], _best_rows(scores, offsets[first:last] - begin)):
+                if scores[i] > a.value:
                     a.direction, a.value, a.dot, a.ring = step, float(scores[i]), dot[begin + i], ring[begin + i]
                     live.append(a)
             first = last
@@ -318,7 +312,8 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     """Tight bound of each measure over the boundary, with attaining angles.
 
     The sweep's vertices are weighted once and scored in one call per
-    measure, in grid order; each face's value is its best vertex's, and the
+    measure, in grid order, as oriented scores (every optimum below is a
+    maximum); each face's value is its best vertex's, and the
     grid's local optima come from numrange.local_optima (ties kept, a pole
     compared with its whole ring). Each measure's best MAX_REFINE grid
     optima, the first in grid order among equal values, start an ascent
@@ -338,23 +333,22 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
     dot, ring = _weights(boundary.all_vertices(), rect.lo, rect.hi)
     grids, ascents = [], []
     for m, kind in enumerate(kinds):
-        sense = kind.sense
-        scores = _scores(kind, dot, ring)
-        best = _best_rows(scores, starts, sense)
+        scores = kind.sign * _scores(kind, dot, ring)
+        best = _best_rows(scores, starts)
         flat = scores[best]
-        candidates = local_optima(flat, boundary.grid, np.less_equal if sense == MIN else np.greater_equal)
-        ranked = candidates[np.argsort(flat[candidates] if sense == MIN else -flat[candidates], kind="stable")]
+        candidates = local_optima(flat, boundary.grid)
+        ranked = candidates[np.argsort(-flat[candidates], kind="stable")]
         for k in ranked[:MAX_REFINE]:
             i = best[k]
             ascents.append(_Ascent(m, boundary.faces[k].direction, float(scores[i]), dot[i], ring[i]))
-        grids.append((flat.tolist(), float(flat.min() if sense == MIN else flat.max())))
+        grids.append((flat.tolist(), float(flat.max())))
     _refine(vec, kinds, ascents, rect, boundary.deg_tol)
     grid = [_angles(f.direction) for f in boundary.faces]
     results = []
     for m, (kind, (grid_values, best)) in enumerate(zip(kinds, grids)):
         refined = [(_angles(a.direction), a.value) for a in ascents if a.measure == m]
-        best = (min if kind.sense == MIN else max)([best, *(v for _, v in refined)])
-        results.append(MeasureResult(kind, best, kind.sense, _collect(zip(grid, grid_values), refined, best)))
+        best = max([best, *(v for _, v in refined)])
+        results.append(MeasureResult(kind, kind.sign * best, kind.sense, _collect(zip(grid, grid_values), refined, best)))
     trivial, _ = triviality_check(vec, boundary, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
 

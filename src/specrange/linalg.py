@@ -281,10 +281,12 @@ def block_top_eigenvalues(coeffs, blocks) -> np.ndarray:
 
 
 def expectation(obs: HermObservable, psi) -> float:
-    """Born-rule mean value <psi|A|psi> for a unit vector psi."""
+    """Born-rule mean value <psi|A|psi> for a unit vector psi; NonFinite for a state with a NaN or inf entry."""
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.shape[0] != obs.dim:
         raise DimensionMismatch(f"state length {psi.shape[0]} != dim {obs.dim}")
+    if not np.all(np.isfinite(psi)):
+        raise NonFinite(f"state {psi.tolist()} is not finite")
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > NORM_TOL:
         raise NotNormalized(f"|psi| = {nrm!r}")

@@ -138,23 +138,23 @@ def sign_image(grid, signs) -> np.ndarray:
     return np.concatenate([[north], rows[:, cols].ravel(), [south]])
 
 
-def local_optima(values: np.ndarray, grid, cmp) -> np.ndarray:
-    """The indices, ascending, of the grid directions whose value is cmp-no-worse than each neighbour's.
+def local_optima(values: np.ndarray, grid) -> np.ndarray:
+    """The indices, ascending, of the grid directions whose value is >= each neighbour's.
 
-    values holds one value per direction of the sweep_directions grid; cmp is
-    np.less_equal for minima or np.greater_equal for maxima, so ties count.
-    Neighbours wrap in phi, adjacent rows meet at the same column, and a pole
-    meets its whole adjacent row.
+    values holds one value per direction of the sweep_directions grid, an
+    oriented score (negated to find minima); ties count. Neighbours wrap in
+    phi, adjacent rows meet at the same column, and a pole meets its whole
+    adjacent row.
     """
     if not isinstance(grid, tuple):
-        return np.flatnonzero(cmp(values, np.roll(values, 1)) & cmp(values, np.roll(values, -1)))
+        return np.flatnonzero((values >= np.roll(values, 1)) & (values >= np.roll(values, -1)))
     north, rows, south = split_grid(values, grid)
-    ok = cmp(rows, np.roll(rows, 1, axis=1)) & cmp(rows, np.roll(rows, -1, axis=1))
-    ok[0] &= cmp(rows[0], north)
-    ok[1:] &= cmp(rows[1:], rows[:-1])
-    ok[:-1] &= cmp(rows[:-1], rows[1:])
-    ok[-1] &= cmp(rows[-1], south)
-    poles = cmp(north, rows[0]).all(), cmp(south, rows[-1]).all()
+    ok = (rows >= np.roll(rows, 1, axis=1)) & (rows >= np.roll(rows, -1, axis=1))
+    ok[0] &= rows[0] >= north
+    ok[1:] &= rows[1:] >= rows[:-1]
+    ok[:-1] &= rows[:-1] >= rows[1:]
+    ok[-1] &= rows[-1] >= south
+    poles = (north >= rows[0]).all(), (south >= rows[-1]).all()
     return np.flatnonzero(np.concatenate([poles[:1], ok.ravel(), poles[1:]]))
 
 

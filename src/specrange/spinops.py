@@ -103,12 +103,13 @@ class ObservableVec:
 
     @cached_property
     def generator_signs(self) -> tuple[tuple[int, ...] | None, ...]:
-        """The sign tuple s of each of three symmetries g with g A_i g^-1 = s_i A_i, or None where g is not one.
+        """The sign tuple s of each of four symmetries g with g A_i g^-1 = s_i A_i, or None where g is not one.
 
-        The generators, in the Jz basis and in this order: complex
-        conjugation K, e^{-i pi Jz}, which takes A_ab to (-1)^(a+b) A_ab, and
-        e^{-i pi Jy}, which does the same at the reversed indices
-        a -> d-1-a. A generator is kept when it sends every operator to
+        The symmetries, in the Jz basis and in this order: complex
+        conjugation K, e^{-i pi Jz}, which takes A_ab to (-1)^(a+b) A_ab,
+        e^{-i pi Jy}, which does the same at the reversed indices a -> d-1-a,
+        and Theta = e^{-i pi Jy} K, antiunitary like K, which may fix a set
+        that neither factor keeps. One is kept when it sends every operator to
         +itself or -itself within SIGN_GROUP_TOL of the operators' largest
         |eigenvalue| (a zero operator takes +1), since matmul-built powers
         are not mapped bitwise.
@@ -118,7 +119,8 @@ class ObservableVec:
         checker = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
         tol = SIGN_GROUP_TOL * float(np.abs(self.spectral_ends[0]).max())
         generators = []
-        for turn in (np.conj, lambda m: checker * m, lambda m: checker * m[::-1, ::-1]):
+        flip = lambda m: checker * m[::-1, ::-1]  # noqa: E731
+        for turn in (np.conj, lambda m: checker * m, flip, lambda m: flip(np.conj(m))):
             signs = []
             for mat in self.mats:
                 image = turn(mat)
@@ -139,11 +141,11 @@ class ObservableVec:
 
         A unitary or antiunitary g with g A_i g^-1 = s_i A_i for every
         operator maps the allowed region onto itself by S = diag(s). The
-        group is the closure of the kept generators (generator_signs) under
-        elementwise product.
+        group is the closure of the first three kept generators
+        (generator_signs) under elementwise product.
         """
         group = {(1,) * self.n}
-        for g in filter(None, self.generator_signs):  # the elements commute and square to the identity, so H u gH is closed
+        for g in filter(None, self.generator_signs[:3]):  # the elements commute and square to the identity, so H u gH is closed
             group |= {tuple(a * b for a, b in zip(g, s)) for s in group}
         return tuple(sorted(group, reverse=True))
 
@@ -151,19 +153,18 @@ class ObservableVec:
     def kramers_blocks(self) -> tuple[bool, ...]:
         """Per block of self.blocks, whether every level of the block is a Kramers pair.
 
-        Theta = e^{-i pi Jy} K maps each operator to s_K s_Y times itself, so
-        it fixes every operator when K and e^{-i pi Jy} are both kept with
-        equal signs (generator_signs; no second tolerance test). Theta maps
-        basis index a to d-1-a, so it maps a block onto itself when the
-        block's positions are symmetric under that reversal, and at even d,
+        It needs Theta = e^{-i pi Jy} K to fix every operator: its signs in
+        generator_signs are all +1. Theta maps basis index a to d-1-a, so it
+        maps a block onto itself when the block's positions are symmetric
+        under that reversal, and at even d,
         Theta^2 = -1. Then every real combination of the operators commutes
         with Theta on the block, and each of its levels is doubly degenerate.
         A set whose levels pair across blocks (jsq2d at half-integer j) has
         no closed block.
         """
-        conj, _, flip = self.generator_signs
+        theta = self.generator_signs[3]
         d = self.dim
-        if conj is None or conj != flip or d % 2:
+        if theta is None or -1 in theta or d % 2:
             return (False,) * len(self.blocks)
         return tuple(bool(np.array_equal(block.index, d - 1 - block.index[::-1])) for block in self.blocks)
 

@@ -8,6 +8,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 CI_LONG = os.environ.get("SPECRANGE_CI_LONG", "") == "1"
 
+from specrange.linalg import make_hermitian  # noqa: E402
+from specrange.spinops import ObservableVec, anticomm_vec  # noqa: E402
+
+
+def anticomm_sum_pair(j):
+    """(A1 + A2, A3) of anticomm gamma = 1: Theta = e^{-i pi Jy} K fixes both, yet
+    neither K nor e^{-i pi Jy} maps A1 + A2 to +-itself."""
+    vec = anticomm_vec(j, 1)
+    ops = (make_hermitian(vec.mats[0] + vec.mats[1], "A1+A2"), vec.ops[2])
+    return ObservableVec(ops=ops, j=j, kind=vec.kind, gamma=1)
+
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _criterion_outcomes: dict[int, str] = {}
 

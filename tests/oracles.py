@@ -31,6 +31,10 @@ optima found node by node against explicit neighbour sets (``grid_neighbors``).
 ``bounds`` scores in array code with the same ``math`` calls, so its values
 match them bitwise.
 
+``gradient_reference`` is ``bounds._gradient`` one coordinate at a time,
+with a test of the measure's tag in each; ``bounds`` reads whole slope
+arrays from ``MeasureKind.slopes`` and gives the same bits.
+
 ``collect_reference`` is the attaining-angle list as the scan that tests each
 candidate against every angle kept so far. ``bounds._collect`` keeps every
 grid angle uncompared, since grid angles lie a grid step apart, and tests
@@ -38,8 +42,10 @@ only the refined ends; it returns the same list.
 
 ``optimize_reference`` is ``optimize_bounds`` with each grid optimum refined
 by its own sequential ascent (``ascend_reference``), one ``face`` solve and
-one ``best_vertex`` scoring a step, measure after measure, and its angles
-collected by ``collect_reference``. ``bounds`` advances all ascents of a
+one ``best_vertex`` scoring a step, measure after measure, each step's
+direction from ``gradient_reference``, and its angles collected by
+``collect_reference``. It compares values by their sense, where ``bounds``
+maximizes oriented scores. ``bounds`` advances all ascents of a
 table in lockstep rounds, one ``faces`` call a round, and ends every ascent
 bitwise where this one does.
 
@@ -563,6 +569,37 @@ def best_vertex(kind, f, rect, sense: str) -> tuple[float, np.ndarray, np.ndarra
     return float(vals[i]), dot[i], ring[i]
 
 
+def gradient_reference(kind, dots: np.ndarray, rings: np.ndarray, rect) -> np.ndarray:
+    """The gradient of combined at the point of weights (dots, rings), or its limit direction where a slope is unbounded.
+
+    One coordinate at a time in Python floats, with w = hi - lo: h gives
+    ln(dot/ring)/w, u_kappa gives kappa (ring^(kappa-1) - dot^(kappa-1))/w
+    and umax sign(ring - dot)/w. At an exact endpoint h and u_kappa with
+    kappa < 1 have unbounded slope; there the direction is the signs of the
+    unbounded coordinates (+1 where ring = 0, -1 where dot = 0) and 0
+    everywhere else.
+    """
+    grad = np.zeros(rect.n)
+    steep = np.zeros(rect.n)
+    unbounded = kind.tag == "h" or (kind.tag == "u" and kind.kappa < 1.0)
+    for i, (dot, ring, lo, hi) in enumerate(zip(dots.tolist(), rings.tolist(), rect.lo, rect.hi)):
+        width = hi - lo
+        if unbounded and (dot == 0.0 or ring == 0.0):
+            steep[i] = 1.0 if ring == 0.0 else -1.0
+        elif kind.tag == "h":
+            grad[i] = math.log(dot / ring) / width
+        elif kind.tag == "u":
+            grad[i] = kind.kappa * (ring ** (kind.kappa - 1.0) - dot ** (kind.kappa - 1.0)) / width
+        else:
+            grad[i] = np.sign(ring - dot) / width
+    return steep if steep.any() else grad
+
+
+def better(u: float, v: float, sense: str) -> bool:
+    """u strictly better than v for a bound of this sense."""
+    return u < v if sense == bounds.MIN else u > v
+
+
 def ascend_reference(vec, start, kind, rect, deg_tol: float, solve=numrange.face):
     """Successive linearization from the grid face start, one solve(vec, direction, deg_tol) a step.
 
@@ -575,7 +612,7 @@ def ascend_reference(vec, start, kind, rect, deg_tol: float, solve=numrange.face
     direction = start.direction
     value, dot, ring = best_vertex(kind, start, rect, sense)
     for _ in range(bounds.MAX_STEPS):
-        g = bounds._gradient(kind, dot, ring, rect)
+        g = gradient_reference(kind, dot, ring, rect)
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
             break
@@ -584,7 +621,7 @@ def ascend_reference(vec, start, kind, rect, deg_tol: float, solve=numrange.face
             break
         step = bounds._direction(eta)
         found, dot_new, ring_new = best_vertex(kind, solve(vec, step, deg_tol), rect, sense)
-        if not bounds._better(found, value, sense):
+        if not better(found, value, sense):
             break
         direction, value, dot, ring = step, found, dot_new, ring_new
     return bounds._angles(direction), value
@@ -607,7 +644,7 @@ def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
         for k in candidates[: bounds.MAX_REFINE]:
             angles, v = ascend_reference(vec, boundary.faces[k], kind, rect, boundary.deg_tol, solve)
             refined.append((angles, v))
-            if bounds._better(v, best, sense):
+            if better(v, best, sense):
                 best = v
         grid = [(bounds._angles(f.direction), v) for f, v in zip(boundary.faces, flat)]
         near = [(angles, v) for angles, v in grid if abs(v - best) <= bounds.VALUE_TOL]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
 from conftest import CI_LONG
-from oracles import collect_reference, optimize_reference
+from oracles import collect_reference, gradient_reference, optimize_reference
 from specrange import bounds
 from specrange.bounds import (
     ANGLE_TOL,
@@ -616,12 +616,43 @@ def test_gradient_at_exact_endpoints_is_sign_only():
     assert list(gradient_at(MeasureKind.u(2.0), [0.0, 0.5, 1.0], rect)) == [-2.0, 0.0, 2.0]
 
 
+@st.composite
+def gradient_points(draw):
+    """A 3-coordinate hyperrect and a point whose coordinates are interior, at an exact endpoint or one float off it."""
+    lo = [draw(st.floats(-5.0, 5.0)) for _ in range(3)]
+    rect = Hyperrect(lo=tuple(lo), hi=tuple(a + draw(st.floats(0.01, 10.0)) for a in lo))
+    ends = (st.sampled_from([a, b, float(np.nextafter(a, b)), float(np.nextafter(b, a))]) for a, b in zip(rect.lo, rect.hi))
+    return rect, np.array([draw(end | st.floats(a, b)) for end, a, b in zip(ends, rect.lo, rect.hi)])
+
+
+@given(gradient_points())
+@settings(max_examples=300, deadline=None)
+def test_gradient_is_bitwise_the_per_coordinate_loop(case):
+    rect, r = case
+    dot, ring = _weights(r[None], rect.lo, rect.hi)
+    for kind in (MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.umax()):
+        got = _gradient(kind, dot[0], ring[0], rect)
+        assert got.tobytes() == gradient_reference(kind, dot[0], ring[0], rect).tobytes(), kind
+
+
+def test_gradient_is_bitwise_the_loop_on_many_interior_points():
+    """numpy's vectorized log and power differ from libm's in the last ulp on a
+    small share of arguments, so bitwise equality needs many points."""
+    rng = np.random.default_rng(17)
+    rect = Hyperrect(lo=(-1.0, 0.0, 2.0), hi=(2.0, 0.5, 6.0))
+    lo, hi = np.array(rect.lo), np.array(rect.hi)
+    dot, ring = _weights(lo + rng.uniform(size=(10000, 3)) * (hi - lo), rect.lo, rect.hi)
+    for kind in (MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.umax()):
+        got = [_gradient(kind, d, r, rect).tobytes() for d, r in zip(dot, ring)]
+        assert got == [gradient_reference(kind, d, r, rect).tobytes() for d, r in zip(dot, ring)], kind
+
+
 def _ascent_from(vec, start, kind):
-    """An ascent of the one measure kind from the best vertex of the face start, as optimize_bounds starts one."""
+    """An ascent of the one measure kind from the best vertex of the face start, as optimize_bounds starts one (oriented score)."""
     rect = hyperrect(vec)
     dot, ring = _weights(start.vertices, rect.lo, rect.hi)
-    scores = _scores(kind, dot, ring)
-    (i,) = _best_rows(scores, [0], kind.sense)
+    scores = kind.sign * _scores(kind, dot, ring)
+    (i,) = _best_rows(scores, [0])
     return bounds._Ascent(0, start.direction, float(scores[i]), dot[i], ring[i])
 
 

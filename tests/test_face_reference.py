@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import anticomm_sum_pair
 from oracles import (
     cells_reference,
     cluster_compressions,
@@ -146,7 +147,8 @@ def test_dedupe_keeps_first_signed_zero():
 # (pi, 3 pi/2) whose block re-solves with more values, and doublets whose
 # segment collapses to a point; ladder gamma = 3 has three blocks, gamma = 25
 # at 2j = 40 has 25; the null ladder pair (gamma >= d, every operator zero)
-# has one block per position, and every cluster is the whole space
+# has one block per position, and every cluster is the whole space; the
+# anticomm pair (A1 + A2, A3) has one Kramers block that only Theta closes
 BITWISE_SETS = {
     **{f"jsq2d-{t}": (lambda t=t: jsq_pair(HalfInt(t)), 360) for t in (3, 5, 20, 60, 100)},
     "ladder2-9": (lambda: ladder_combo(HalfInt(9), 2), 360),
@@ -155,6 +157,7 @@ BITWISE_SETS = {
     "ladder-null-6": (lambda: ladder_combo(HalfInt(6), 9), 360),
     "jpow3-20": (lambda: scale_uniform(power_vec(HalfInt(20), 3), 1e-3), (12, 24)),
     **{f"anticomm-{t}": (lambda t=t: anticomm_vec(HalfInt(t), 1), (12, 24)) for t in (2, 3, 20, 21)},
+    "anticomm-pair-21": (lambda: anticomm_sum_pair(HalfInt(21)), 360),
     "J-5": (lambda: j_triple(HalfInt(5)), (12, 24)),
 }
 _BUILT = {}

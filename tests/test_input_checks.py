@@ -11,7 +11,7 @@ import pytest
 
 from specrange.bounds import MeasureKind, combined, optimize_bounds, triviality_check
 from specrange.definetti import AM, FAMILY_JPOW, convergence_sweep
-from specrange.errors import DimensionMismatch, EmptyBoundary, UnsupportedFamily
+from specrange.errors import DimensionMismatch, EmptyBoundary, NonFinite, UnsupportedFamily
 from specrange.linalg import as_cmatrix, block_top_eigenvalues, expectation, make_hermitian, split_blocks
 from specrange.numrange import Boundary, boundary2d, boundary3d, direction3, face, faces, hyperrect, membership, support
 from specrange.spinops import HalfInt, ObservableVec, angular_momentum, j_triple, jsq_pair
@@ -74,6 +74,12 @@ CASES = [
         lambda: expectation(angular_momentum(ONE).jz, np.ones(2) / math.sqrt(2.0)),
         DimensionMismatch,
         "state length",
+    ),
+    (
+        "expectation-nonfinite",
+        lambda: expectation(angular_momentum(ONE).jz, np.array([math.nan, 0.0, 0.0])),
+        NonFinite,
+        "not finite",
     ),
     ("boundary2d-triple", lambda: boundary2d(j_triple(ONE)), DimensionMismatch, "2-operator"),
     ("boundary3d-pair", lambda: boundary3d(jsq_pair(ONE), 4, 8), DimensionMismatch, "3-operator"),

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from conftest import anticomm_sum_pair
 from oracles import NotCommuting, cluster_compressions, commuting_polytope, expectations, membership_reference
 from specrange import linalg, numrange
 from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian
@@ -663,11 +664,12 @@ def test_membership_asks_every_block_for_its_top_two_values(monkeypatch, vec, gr
         (anticomm_vec(HalfInt(21), 1), [4]),  # Kramers-closed: every level a pair
         (anticomm_vec(HalfInt(3), 1), [4]),  # d = 4: the whole block
         (anticomm_vec(HalfInt(20), 1), [2]),  # odd d
+        (anticomm_sum_pair(HalfInt(21)), [4]),  # Theta alone fixes the pair
         (jsq_pair(HalfInt(21)), [2, 2]),  # levels paired across the two blocks
         (power_vec(HalfInt(21), 2), [2, 2]),
         (j_triple(HalfInt(21)), [2]),  # Theta flips every operator
     ],
-    ids=["anticomm-21", "anticomm-3", "anticomm-20", "jsq2d-21", "jpow2-21", "J-21"],
+    ids=["anticomm-21", "anticomm-3", "anticomm-20", "anticomm-pair-21", "jsq2d-21", "jpow2-21", "J-21"],
 )
 def test_solve_starts_a_kramers_block_at_four(monkeypatch, vec, first):
     """_solve's first request is min(4, size) values on a Kramers-closed block and min(2, size) elsewhere.

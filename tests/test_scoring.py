@@ -97,7 +97,7 @@ def test_array_scoring_is_bitwise_the_per_vertex_loop(case):
         f = SupportFace(direction2(0.0), 0.0, 1, np.zeros((1, 1)), vertices=points)
         dot, ring = _weights(f.vertices, rect.lo, rect.hi)
         scores = _scores(kind, dot, ring)
-        (i,) = _best_rows(scores, [0], kind.sense)
+        (i,) = _best_rows(kind.sign * scores, [0])
         value, dot, ring = float(scores[i]), dot[i], ring[i]
         vertex, want_value = best_vertex_reference(kind, f, rect, kind.sense)
         want_dot, want_ring = _weights(vertex[None], rect.lo, rect.hi)
@@ -145,7 +145,7 @@ def test_array_scoring_raises_as_the_per_vertex_loop(x, lo, width):
 
 
 POOL = st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0]) | st.floats(-1.0, 1.0)  # few distinct values, for ties
-CMP = {MIN: np.less_equal, MAX: np.greater_equal}
+SIGN = {MIN: -1.0, MAX: 1.0}  # local_optima and _best_rows take oriented values
 
 
 @st.composite
@@ -162,7 +162,7 @@ def grid_values(draw):
 @settings(max_examples=300, deadline=None)
 def test_local_optima_match_the_double_loop(case, sense):
     grid, values = case
-    assert local_optima(values, grid, CMP[sense]).tolist() == local_optima_reference(values, grid, sense)
+    assert local_optima(SIGN[sense] * values, grid).tolist() == local_optima_reference(values, grid, sense)
 
 
 @pytest.mark.parametrize("sense", [MIN, MAX])
@@ -170,7 +170,7 @@ def test_local_optima_flat_grid_keeps_every_node(sense):
     for grid in (8, (4, 8)):
         values = np.zeros(len(grid_nodes(grid)))
         want = list(range(len(values)))
-        assert local_optima(values, grid, CMP[sense]).tolist() == local_optima_reference(values, grid, sense) == want
+        assert local_optima(SIGN[sense] * values, grid).tolist() == local_optima_reference(values, grid, sense) == want
 
 
 def test_local_optima_compare_a_pole_with_its_whole_ring():
@@ -180,7 +180,7 @@ def test_local_optima_compare_a_pole_with_its_whole_ring():
     values[0] = 1.0
     values[1:9] = 2.0
     values[1 + 4] = 0.0
-    got = local_optima(values, grid, np.less_equal).tolist()
+    got = local_optima(-values, grid).tolist()
     assert 0 not in got and 5 in got
     assert got == local_optima_reference(values, grid, MIN)
 
@@ -198,4 +198,4 @@ def test_best_rows_is_each_segments_first_argmin_or_argmax(values, sense):
     starts = np.cumsum([0] + [len(v) for v in values[:-1]])
     pick = np.argmin if sense == MIN else np.argmax
     want = [int(start + pick(v)) for start, v in zip(starts, values)]
-    assert _best_rows(scores, starts, sense).tolist() == want
+    assert _best_rows(SIGN[sense] * scores, starts).tolist() == want

@@ -43,8 +43,11 @@ def split_lines() -> list[re.Pattern]:
     return [re.compile(rf"^{re.escape(name)}{fields}$", re.M) for name in benchmark_names()[0]]
 
 
-# the families face_digests.py prints one line for each
-FACE_FAMILIES = ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow2", "jpow3", "jpow4", "anticomm1", "anticomm2")
+# the families each digest script prints one line for, in order
+DIGEST_FAMILIES = {
+    "face_digests.py": ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow2", "jpow3", "jpow4", "anticomm1", "anticomm2"),
+    "bound_digests.py": ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "jpow2", "jpow3", "anticomm1", "anticomm2"),
+}
 
 
 @pytest.mark.parametrize(
@@ -58,6 +61,7 @@ FACE_FAMILIES = ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow
         ("sweep_split.py", ["--repeats", "1"]),
         ("face_digests.py", []),
         ("retained_per_pass.py", ["--passes", "1", "--workload", "point_queries"]),
+        ("bound_digests.py", []),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -76,8 +80,8 @@ def test_script_runs(script, args, tmp_path):
     if script == "table_digests.py":
         for line in digest_lines():
             assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
-    if script == "face_digests.py":
-        assert re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M) == list(FACE_FAMILIES), proc.stdout
+    if script in DIGEST_FAMILIES:
+        assert re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M) == list(DIGEST_FAMILIES[script]), proc.stdout
     if script == "retained_per_pass.py":
         assert re.fullmatch(
             r"point_queries: pass [0-9.]+ s  kept [0-9.]+ kB/pass  run [0-9.]+ MB \([0-9]+ passes in [0-9.]+ s\)\n",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import CI_LONG
+from conftest import CI_LONG, anticomm_sum_pair
 from oracles import analytic_lambda_oracle
 from specrange.errors import GammaOutOfRange, UnsupportedJ, WrongKind
 from specrange import spinops
@@ -479,6 +479,8 @@ KRAMERS_CASES = [
     ("anticomm g1 j=3/2", lambda: anticomm_vec(HalfInt(3), 1), True, (True,)),
     ("anticomm g1 j=21/2", lambda: anticomm_vec(HalfInt(21), 1), True, (True,)),
     ("anticomm g1 j=10", lambda: anticomm_vec(HalfInt(20), 1), True, (False,)),  # odd d: Theta^2 = +1
+    # Theta fixes the pair, though neither K nor e^{-i pi Jy} keeps A1 + A2
+    ("anticomm g1 pair j=21/2", lambda: anticomm_sum_pair(HalfInt(21)), True, (True,)),
     # Theta swaps the two parity blocks: levels pair across blocks
     ("jsq2d j=21/2", lambda: jsq_pair(HalfInt(21)), True, (False, False)),
     ("jpow g2 j=21/2", lambda: power_vec(HalfInt(21), 2), True, (False, False)),
@@ -491,15 +493,20 @@ KRAMERS_CASES = [
 
 @pytest.mark.parametrize("label, build, fixed, closed", KRAMERS_CASES, ids=[c[0] for c in KRAMERS_CASES])
 def test_kramers_blocks_truth_table(label, build, fixed, closed):
-    """A block is Kramers-closed when K and e^{-i pi Jy} keep equal signs, d is even and the block is symmetric."""
+    """A block is Kramers-closed when Theta's signs are all +1, d is even and the block is symmetric.
+
+    K and e^{-i pi Jy} kept with equal signs imply that; the converse fails for the anticomm pair.
+    """
     vec = build()
-    conj, _, flip = vec.generator_signs
-    assert (conj is not None and conj == flip) == fixed
+    conj, _, flip, theta = vec.generator_signs
+    assert (theta is not None and -1 not in theta) == fixed
+    if conj is not None and conj == flip:
+        assert theta == (1,) * vec.n
     assert vec.kramers_blocks == closed
 
 
 def test_kramers_blocks_need_every_operator_fixed_to_the_sign_tolerance():
-    """One operator perturbed by 1e-6 breaks both generators, so no block is closed."""
+    """One operator perturbed by 1e-6 breaks both generators and Theta, so no block is closed."""
     vec = anticomm_vec(HalfInt(21), 1)
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(vec.dim, vec.dim)) + 1j * rng.normal(size=(vec.dim, vec.dim))
@@ -507,6 +514,7 @@ def test_kramers_blocks_need_every_operator_fixed_to_the_sign_tolerance():
     perturbed = ObservableVec(ops=ops, j=vec.j, kind=vec.kind, gamma=vec.gamma)
     assert vec.kramers_blocks == (True,)
     assert perturbed.generator_signs[0] is None and perturbed.generator_signs[2] is None
+    assert perturbed.generator_signs[3] is None
     assert perturbed.kramers_blocks == (False,)
 
 
