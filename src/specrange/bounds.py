@@ -9,8 +9,7 @@ orders are unchanged, and a bound is turned back only when reported. Optima
 found on the sweep grid are refined by successive linearization: each step
 solves the face at the measure's gradient, whose best vertex is the next
 point. Every ascent of a table, over all its measures, advances in lockstep
-rounds: a round solves the faces of all live ascents in one numrange.faces
-call and scores their vertices together.
+rounds of array code (_refine), one numrange.faces call a round.
 
 Scoring is array code. _weights maps a (V, n) vertex array to its (dot, ring)
 weights, and _scores sums each vertex's MeasureKind.terms in coordinate
@@ -34,8 +33,8 @@ import numpy as np
 
 from .errors import DegenerateRange, DimensionMismatch, EmptyBoundary
 # face is not called here; the benchmark's tracer (perfbench/tracer.py) wraps bounds.face by name
-from .numrange import Boundary, Direction, Hyperrect, direction2, direction3, face, faces, hyperrect  # noqa: F401
-from .numrange import local_optima
+from .numrange import Boundary, Hyperrect, direction2, direction3, face, faces, hyperrect  # noqa: F401
+from .numrange import grid_size, local_optima
 from .spinops import ObservableVec
 
 MIN = "min"
@@ -221,15 +220,16 @@ def _best_rows(scores: np.ndarray, starts) -> np.ndarray:
 
 
 def _gradient(kind: MeasureKind, dots: np.ndarray, rings: np.ndarray, rect: Hyperrect) -> np.ndarray:
-    """The gradient of combined at the point of weights (dots, rings), or its limit direction where a slope is unbounded.
+    """The gradient of combined at each row of (A, n) weights (dots, rings), or its limit direction where a slope is unbounded.
 
     Per coordinate: the term's slope over hi - lo. A minimized measure's slope
-    is unbounded at an exact endpoint; where a coordinate sits at one, the
+    is unbounded at an exact endpoint; in a row with a coordinate at one, the
     direction is +1 where ring = 0, -1 where dot = 0 and 0 everywhere else.
     """
-    if kind.sign < 0 and not (dots.all() and rings.all()):
-        return (rings == 0.0).astype(float) - (dots == 0.0)
-    return kind.slopes(dots, rings) / np.subtract(rect.hi, rect.lo)
+    grads = (rings == 0.0).astype(float) - (dots == 0.0)
+    free = (kind.sign > 0) | (dots.all(axis=1) & rings.all(axis=1))
+    grads[free] = kind.slopes(dots[free], rings[free]) / np.subtract(rect.hi, rect.lo)
+    return grads
 
 
 def _phi(eta: np.ndarray) -> float:
@@ -247,109 +247,98 @@ def _direction(eta: np.ndarray):
     return direction3(math.atan2(rho, eta[2]), _phi(eta) if rho > 0.0 else 0.0)
 
 
-@dataclass
-class _Ascent:
-    """One refinement from a grid optimum of measure kinds[measure]: its current direction, oriented score and weights."""
-
-    measure: int
-    direction: Direction
-    value: float
-    dot: np.ndarray
-    ring: np.ndarray
+def _by_measure(fn, kinds, measure: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+    """fn(kinds[m], *rows[run]) over each run of equal measure indices m in measure, the results stacked in order."""
+    edges = [0, *(np.flatnonzero(np.diff(measure)) + 1).tolist(), len(measure)]
+    return np.concatenate([fn(kinds[measure[b]], *(r[b:e] for r in rows)) for b, e in zip(edges, edges[1:])])
 
 
-def _refine(vec, kinds, ascents: list[_Ascent], rect: Hyperrect, deg_tol: float) -> None:
+def _refine(vec, kinds, measure, directions, values, dots, rings, rect: Hyperrect, deg_tol: float) -> None:
     """Successive linearization of every ascent in lockstep rounds (the
     conditional-gradient step of Frank & Wolfe, Naval Res. Logist. Q. 3, 1956).
 
-    A step solves the face at the measure's gradient g at the ascent's
-    current best vertex x, eta = sign g/|g| (+g to maximize, -g to
-    minimize), and moves to that face's best vertex x' only if its oriented
-    score is strictly larger. The step is monotone: a convex measure gains
-    f(x') >= f(x) + g.(x' - x) >= f(x), since x' maximizes g.y over the
-    region; a concave one mirrors this. An ascent retires when its value does
-    not improve, when g vanishes, when eta repeats within ANGLE_TOL, or after
-    MAX_STEPS. Each round solves the steps of all live ascents in one faces
-    call, weights their stacked vertices at once and scores them in one
-    _scores call per measure. A face does not depend on the other directions
-    of its call and a score row only on its vertex, so every ascent ends
-    bitwise where it would alone. Ascents are given in measure order.
+    Ascent a starts at a grid optimum of kinds[measure[a]], measure ascending:
+    its direction directions[a], oriented score values[a] and its best
+    vertex's weights dots[a], rings[a], arrays updated in place. A
+    step solves the face at the measure's gradient g at that vertex x, eta =
+    sign g/|g| (+g to maximize, -g to minimize), and moves to the face's best
+    vertex x' only if its oriented score is strictly larger. The step is
+    monotone: a convex measure gains f(x') >= f(x) + g.(x' - x) >= f(x), since
+    x' maximizes g.y over the region; a concave one mirrors this. An ascent
+    retires when its value does not improve, when g vanishes, when eta
+    repeats within ANGLE_TOL, or after MAX_STEPS. A round makes one _gradient
+    call per measure with a live ascent, one faces call, one _scores call per
+    measure over the stacked vertices and one _best_rows call. A gradient
+    row, a face and a score row depend on their own ascent alone, so every
+    ascent ends bitwise where it would alone.
     """
-    live = ascents
+    live = np.arange(len(measure))
     for _ in range(MAX_STEPS):
+        if not len(live):
+            return
+        grads = _by_measure(lambda k, d, r: _gradient(k, d, r, rect), kinds, measure[live], dots[live], rings[live])
         moving, steps = [], []
-        for a in live:
-            kind = kinds[a.measure]
-            g = _gradient(kind, a.dot, a.ring, rect)
+        for a, g in zip(live.tolist(), grads):
             norm = float(np.linalg.norm(g))
-            if norm == 0.0:
-                continue
-            eta = kind.sign * g / norm
-            if np.linalg.norm(eta - a.direction.eta) <= ANGLE_TOL:
-                continue
-            moving.append(a)
-            steps.append(_direction(eta))
+            eta = kinds[measure[a]].sign * g / (norm or 1.0)  # a zero g stops the ascent below
+            if norm and np.linalg.norm(eta - directions[a].eta) > ANGLE_TOL:
+                moving.append(a)
+                steps.append(_direction(eta))
         if not steps:
             return
         solved = faces(vec, steps, deg_tol)
-        offsets = np.cumsum([0, *(len(f.vertices) for f in solved)])
+        counts = [len(f.vertices) for f in solved]
         dot, ring = _weights(np.vstack([f.vertices for f in solved]), rect.lo, rect.hi)
-        live = []
-        first = 0
-        for m, group in itertools.groupby(moving, key=lambda a: a.measure):
-            group = list(group)
-            last = first + len(group)
-            begin, end = offsets[first], offsets[last]
-            scores = kinds[m].sign * _scores(kinds[m], dot[begin:end], ring[begin:end])
-            for a, step, i in zip(group, steps[first:last], _best_rows(scores, offsets[first:last] - begin)):
-                if scores[i] > a.value:
-                    a.direction, a.value, a.dot, a.ring = step, float(scores[i]), dot[begin + i], ring[begin + i]
-                    live.append(a)
-            first = last
+        scores = _by_measure(lambda k, d, r: k.sign * _scores(k, d, r), kinds, np.repeat(measure[moving], counts), dot, ring)
+        best = _best_rows(scores, np.cumsum([0, *counts[:-1]]))
+        up = scores[best] > values[moving]
+        live, best = np.array(moving)[up], best[up]
+        values[live], dots[live], rings[live] = scores[best], dot[best], ring[best]
+        directions[live] = np.array(steps, dtype=object)[up]
 
 
 def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundReport:
     """Tight bound of each measure over the boundary, with attaining angles.
 
-    The sweep's vertices are weighted once and scored in one call per
-    measure, in grid order, as oriented scores (every optimum below is a
-    maximum); each face's value is its best vertex's, and the
-    grid's local optima come from numrange.local_optima (ties kept, a pole
-    compared with its whole ring). Each measure's best MAX_REFINE grid
-    optima, the first in grid order among equal values, start an ascent
-    from their best vertex, and all ascents of the table are refined together
-    (_refine): round by round, the face at each live ascent's gradient gives
-    its next vertex while its value strictly improves. Every grid angle and
-    refined end angle whose value lies within VALUE_TOL of the optimum is
-    reported (_collect); only the refined ends are compared for repeats, as
-    grid angles lie a grid step apart.
+    The boundary is checked and its vertices stacked and weighted once, then
+    scored in one call per measure, in grid order, as oriented scores (every
+    optimum below is a maximum); each face's value is its best vertex's, and
+    the grid's local optima come from numrange.local_optima (ties kept, a
+    pole compared with its whole ring). Each measure's best MAX_REFINE grid
+    optima, the first in grid order among equal values, start an ascent from
+    their best vertex, and all ascents are refined together (_refine). Every
+    grid angle and refined end angle whose value lies within VALUE_TOL of
+    the optimum is reported (_collect); only the refined ends are compared
+    for repeats, as grid angles lie a grid step apart. The triviality test
+    reads the same stacked vertices.
     """
-    if not boundary.faces:
-        raise EmptyBoundary("boundary carries no faces")
     _check_boundary(vec, boundary)
     rect = hyperrect(vec)
     kinds = [MeasureKind.parse(k) if isinstance(k, str) else k for k in kinds]
     starts = np.cumsum([0] + [len(f.vertices) for f in boundary.faces[:-1]])
-    dot, ring = _weights(boundary.all_vertices(), rect.lo, rect.hi)
-    grids, ascents = [], []
+    verts = boundary.all_vertices()
+    dot, ring = _weights(verts, rect.lo, rect.hi)
+    grids, measure, directions, values, rows = [], [], [], [], []
     for m, kind in enumerate(kinds):
         scores = kind.sign * _scores(kind, dot, ring)
         best = _best_rows(scores, starts)
         flat = scores[best]
         candidates = local_optima(flat, boundary.grid)
-        ranked = candidates[np.argsort(-flat[candidates], kind="stable")]
-        for k in ranked[:MAX_REFINE]:
-            i = best[k]
-            ascents.append(_Ascent(m, boundary.faces[k].direction, float(scores[i]), dot[i], ring[i]))
+        ranked = candidates[np.argsort(-flat[candidates], kind="stable")][:MAX_REFINE]
+        measure += [m] * len(ranked)
+        directions += [boundary.faces[k].direction for k in ranked]
+        values += flat[ranked].tolist()
+        rows += best[ranked].tolist()
         grids.append((flat.tolist(), float(flat.max())))
-    _refine(vec, kinds, ascents, rect, boundary.deg_tol)
+    directions, values = np.array(directions, dtype=object), np.array(values)
+    _refine(vec, kinds, np.array(measure, dtype=int), directions, values, dot[rows], ring[rows], rect, boundary.deg_tol)
     grid = [_angles(f.direction) for f in boundary.faces]
     results = []
     for m, (kind, (grid_values, best)) in enumerate(zip(kinds, grids)):
-        refined = [(_angles(a.direction), a.value) for a in ascents if a.measure == m]
+        refined = [(_angles(d), v) for d, v, k in zip(directions, values.tolist(), measure) if k == m]
         best = max([best, *(v for _, v in refined)])
         results.append(MeasureResult(kind, kind.sign * best, kind.sense, _collect(zip(grid, grid_values), refined, best)))
-    trivial, _ = triviality_check(vec, boundary, rect)
+    trivial, _ = _trivial_corner(verts, rect)
     return BoundReport(results=results, trivial=trivial, rect=rect)
 
 
@@ -403,25 +392,31 @@ def region_contains(kind: MeasureKind, bound: float, sense: str, r, rect: Hyperr
 
 
 def _check_boundary(vec: ObservableVec, boundary) -> None:
-    """DimensionMismatch unless every face's direction has vec.n components and its eigenbasis vec.dim rows."""
+    """EmptyBoundary without faces; DimensionMismatch unless there is one face per grid direction, each of vec.n on C^vec.dim."""
+    if not boundary.faces:
+        raise EmptyBoundary("boundary carries no faces")
+    if len(boundary.faces) != grid_size(boundary.grid):
+        raise DimensionMismatch(f"{len(boundary.faces)} faces on grid {boundary.grid!r} of {grid_size(boundary.grid)} directions")
     for f in boundary.faces:
         n, d = f.direction.n, len(f.eigenbasis)
         if (n, d) != (vec.n, vec.dim):
             raise DimensionMismatch(f"face of {n} operators on C^{d}, not {vec.n} on C^{vec.dim}")
 
 
-def triviality_check(vec: ObservableVec, boundary, rect: Hyperrect | None = None):
-    """Flag (plus witnessing corner) when a hyperrect corner is a boundary vertex within TRIVIAL_TOL (relative).
-
-    A shared corner makes every bound of this family trivial. DimensionMismatch for another set's boundary.
-    """
-    _check_boundary(vec, boundary)
-    if rect is None:
-        rect = hyperrect(vec)
-    verts = boundary.all_vertices()
+def _trivial_corner(verts: np.ndarray, rect: Hyperrect):
+    """(True, corner) for the first hyperrect corner within TRIVIAL_TOL (relative) of a vertex of verts, else (False, None)."""
     scale = max(1.0, max(h - l for l, h in zip(rect.lo, rect.hi)))
     for corner in rect.corners():
         dist = float(np.min(np.linalg.norm(verts - corner, axis=1)))
         if dist <= TRIVIAL_TOL * scale:
             return True, tuple(corner)
     return False, None
+
+
+def triviality_check(vec: ObservableVec, boundary):
+    """Flag (plus witnessing corner) when a hyperrect corner is a boundary vertex within TRIVIAL_TOL (relative).
+
+    A shared corner makes every bound of this family trivial. DimensionMismatch for another set's boundary.
+    """
+    _check_boundary(vec, boundary)
+    return _trivial_corner(boundary.all_vertices(), hyperrect(vec))

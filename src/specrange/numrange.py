@@ -115,6 +115,11 @@ def split_grid(values: np.ndarray, grid: tuple[int, int]):
     return values[0], values[1:-1].reshape(K - 1, Kp, *values.shape[1:]), values[-1]
 
 
+def grid_size(grid) -> int:
+    """The number of directions of the sweep_directions grid: K' in 2D, 2 + (K - 1) K' in 3D."""
+    return 2 + (grid[0] - 1) * grid[1] if isinstance(grid, tuple) else grid
+
+
 def sign_image(grid, signs) -> np.ndarray:
     """For each index k of the sweep_directions grid, the index of S eta_k, S = diag(signs).
 
@@ -126,13 +131,12 @@ def sign_image(grid, signs) -> np.ndarray:
     phi -> phi + pi do not map onto itself.
     """
     steps = grid[1] if isinstance(grid, tuple) else grid
-    count = steps if not isinstance(grid, tuple) else 2 + (grid[0] - 1) * steps
     if all(s == 1 for s in signs) or (signs[0] < 0 and steps % 2):
-        return np.arange(count)
+        return np.arange(grid_size(grid))
     cols = (signs[0] * signs[1] * np.arange(steps) + (steps // 2 if signs[0] < 0 else 0)) % steps
     if not isinstance(grid, tuple):
         return cols
-    north, rows, south = split_grid(np.arange(count), grid)
+    north, rows, south = split_grid(np.arange(grid_size(grid)), grid)
     if signs[2] < 0:
         north, rows, south = south, rows[::-1], north
     return np.concatenate([[north], rows[:, cols].ravel(), [south]])
@@ -350,10 +354,10 @@ def _pair_cluster_vertices(pair: np.ndarray, free: np.ndarray):
     _, sig, vt = np.linalg.svd(rows)
     cut = 1e-12 * max(1.0, float(sig[0]), float(np.max(np.abs(center))))
     rank = int(np.sum(sig > cut))
-    if rank == 1:
-        dirs = np.array([vt[0], -vt[0]])
+    u, w = free
+    if rank == 1:  # the end whose image reaches further along u first, along w on a tie
+        dirs = np.array([vt[0], -vt[0]] if (u @ (rows @ vt[0]), w @ (rows @ vt[0])) >= (0.0, 0.0) else [-vt[0], vt[0]])
     else:
-        u, w = free
         a, b = vt[:2] @ (rows.T @ u)
         norm = math.hypot(a, b)
         start = (a * vt[0] + b * vt[1]) / norm

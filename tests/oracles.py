@@ -230,12 +230,16 @@ def _pair_cluster_pairs(lift: np.ndarray, compressed, free: np.ndarray, steps: i
     u, sig, vt = np.linalg.svd(rows)
     cut = 1e-12 * max(1.0, float(sig[0]), float(np.max(np.abs(center))))
     rank = int(np.sum(sig > cut))
+    u, w = free
     if rank == 1:
-        bloch_dirs = [vt[0], -vt[0]]
+        # the end whose image reaches further along the first free direction
+        # of mean space first, along the second on a tie
+        along_u, along_w = float(u @ (rows @ vt[0])), float(w @ (rows @ vt[0]))
+        first = along_u > 0.0 or (along_u == 0.0 and along_w >= 0.0)
+        bloch_dirs = [vt[0], -vt[0]] if first else [-vt[0], vt[0]]
     else:
         # start at the support point along the first free direction of mean
         # space, turning toward the second
-        u, w = free
         start = rows.T @ u
         start = start - (start @ vt[2]) * vt[2]
         start = start / np.linalg.norm(start)

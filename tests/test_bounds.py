@@ -37,7 +37,7 @@ from specrange.bounds import (
     triviality_check,
 )
 from specrange.errors import DegenerateRange
-from specrange.linalg import block_top_eigenvalues, expectation
+from specrange.linalg import block_top_eigenvalues, expectation, make_hermitian
 from specrange.numrange import (
     DEG_TOL_DEFAULT,
     Hyperrect,
@@ -518,9 +518,9 @@ def test_scale_uniform_laws(build, grid, s):
 
 
 def gradient_at(kind, r, rect):
-    """_gradient at the point r, from r's weights."""
+    """_gradient at the point r, from r's weights as a one-row stack."""
     dot, ring = _weights(np.array([r], dtype=float), rect.lo, rect.hi)
-    return _gradient(kind, dot[0], ring[0], rect)
+    return _gradient(kind, dot, ring, rect)[0]
 
 
 @pytest.mark.parametrize(
@@ -559,6 +559,62 @@ def test_operator_permutation_laws(build):
             assert np.max(np.min(gaps, axis=1)) <= 1e-12
         values_p = [r.value for r in optimize_bounds(permuted, mesh, kinds).results]
         assert np.allclose(values_p, values, rtol=0.0, atol=1e-12), perm
+
+
+UNITARY_FAMILIES = {
+    "J": (j_triple, (12, 24)),
+    "jsq2d": (jsq_pair, 180),
+    **{f"ladder{g}": (lambda j, g=g: ladder_combo(j, g), 180) for g in (1, 2)},
+    **{f"jpow{g}": (lambda j, g=g: power_vec(j, g), (12, 24)) for g in (2, 3, 4)},
+    **{f"anticomm{g}": (lambda j, g=g: anticomm_vec(j, g), (12, 24)) for g in (1, 2)},
+}
+
+
+def _conjugated(vec, seed):
+    """vec with every operator conjugated by one random unitary: the QR of a complex Gaussian, phases fixed."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((vec.dim, vec.dim)) + 1j * rng.standard_normal((vec.dim, vec.dim))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return dataclasses.replace(vec, ops=tuple(make_hermitian(q @ op.mat @ q.conj().T, op.label) for op in vec.ops))
+
+
+@pytest.mark.parametrize("twice", [2, 5, 10, 20])
+@pytest.mark.parametrize("family", UNITARY_FAMILIES)
+def test_unitary_conjugation_keeps_faces_and_bounds(family, twice):
+    """U A_i U^dagger has the same region, so every face: lambda_max within 1e-12 of the spectral scale,
+    the same vertex count and vertex sets within 1e-10 of it (Hausdorff distance, the scalar test's cut).
+
+    The bounds agree to 1e-9, not closer: anticomm2 at 2j = 5 gives u0.5 1.5e-11 apart.
+    """
+    build, grid = UNITARY_FAMILIES[family]
+    vec = build(HalfInt(twice))
+    turned = _conjugated(vec, 3)
+    scale = max(1.0, float(np.abs(vec.spectral_ends[0]).max()))
+
+    def sweep(v):
+        return boundary2d(v, grid) if isinstance(grid, int) else boundary3d(v, *grid)
+
+    region, region_u = sweep(vec), sweep(turned)
+    for f, f_u in zip(region.faces, region_u.faces, strict=True):
+        assert abs(f_u.lambda_max - f.lambda_max) <= 1e-12 * scale
+        assert len(f_u.vertices) == len(f.vertices)
+        gaps = np.linalg.norm(f.vertices[:, None] - f_u.vertices[None], axis=2)
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-10 * scale, f.direction
+    kinds = ["h", "u0.5", "u2", "umax"]
+    values = [r.value for r in optimize_bounds(vec, region, kinds).results]
+    values_u = [r.value for r in optimize_bounds(turned, region_u, kinds).results]
+    assert np.allclose(values_u, values, rtol=0.0, atol=1e-9)
+
+
+def test_bloch_ball_bounds_are_the_closed_forms():
+    """(Jx, Jy, Jz) at j = 1/2: the region is the ball of radius 1/2, so h = 2 ln 2, u0.5 = 1 + 2 sqrt2,
+    u2 = 2 and umax = (3 + sqrt3)/2."""
+    vec = j_triple(HalfInt(1))
+    rep = optimize_bounds(vec, boundary3d(vec, 12, 24), ["h", "u0.5", "u2", "umax"])
+    expected = [2 * LN2, 1 + 2 * SQ2, 2.0, (3 + SQ3) / 2]
+    for res, want in zip(rep.results, expected, strict=True):
+        assert res.value == pytest.approx(want, abs=1e-9), res.kind
 
 
 @pytest.mark.parametrize("twice", [2, 3, 4, 7])
@@ -631,29 +687,38 @@ def test_gradient_is_bitwise_the_per_coordinate_loop(case):
     rect, r = case
     dot, ring = _weights(r[None], rect.lo, rect.hi)
     for kind in (MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.umax()):
-        got = _gradient(kind, dot[0], ring[0], rect)
+        got = _gradient(kind, dot, ring, rect)[0]
         assert got.tobytes() == gradient_reference(kind, dot[0], ring[0], rect).tobytes(), kind
 
 
 def test_gradient_is_bitwise_the_loop_on_many_interior_points():
     """numpy's vectorized log and power differ from libm's in the last ulp on a
-    small share of arguments, so bitwise equality needs many points."""
+    small share of arguments, so bitwise equality needs many points. The rows
+    go in one call, with some rows at exact endpoints among them: each row is
+    the loop's at its own point."""
     rng = np.random.default_rng(17)
     rect = Hyperrect(lo=(-1.0, 0.0, 2.0), hi=(2.0, 0.5, 6.0))
     lo, hi = np.array(rect.lo), np.array(rect.hi)
-    dot, ring = _weights(lo + rng.uniform(size=(10000, 3)) * (hi - lo), rect.lo, rect.hi)
+    points = lo + rng.uniform(size=(10000, 3)) * (hi - lo)
+    points[::7, 0], points[::11, 2] = lo[0], hi[2]
+    dot, ring = _weights(points, rect.lo, rect.hi)
     for kind in (MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.umax()):
-        got = [_gradient(kind, d, r, rect).tobytes() for d, r in zip(dot, ring)]
+        got = [row.tobytes() for row in _gradient(kind, dot, ring, rect)]
         assert got == [gradient_reference(kind, d, r, rect).tobytes() for d, r in zip(dot, ring)], kind
 
 
+def _ascent(direction, value, dot, ring):
+    """_refine's (measure, directions, values, dots, rings) arrays for one ascent of measure 0."""
+    return np.array([0]), np.array([direction], dtype=object), np.array([value]), np.array([dot]), np.array([ring])
+
+
 def _ascent_from(vec, start, kind):
-    """An ascent of the one measure kind from the best vertex of the face start, as optimize_bounds starts one (oriented score)."""
+    """One ascent of the measure kind from the best vertex of the face start, as optimize_bounds starts one (oriented score)."""
     rect = hyperrect(vec)
     dot, ring = _weights(start.vertices, rect.lo, rect.hi)
     scores = kind.sign * _scores(kind, dot, ring)
     (i,) = _best_rows(scores, [0])
-    return bounds._Ascent(0, start.direction, float(scores[i]), dot[i], ring[i])
+    return _ascent(start.direction, float(scores[i]), dot[i], ring[i])
 
 
 def test_ascent_ending_at_a_pole_reports_phi_zero():
@@ -664,8 +729,8 @@ def test_ascent_ending_at_a_pole_reports_phi_zero():
     vec = anticomm_vec(HalfInt(2), 1)
     start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
     ascent = _ascent_from(vec, start, MeasureKind.h())
-    bounds._refine(vec, [MeasureKind.h()], [ascent], hyperrect(vec), DEG_TOL_DEFAULT)
-    assert _angles(ascent.direction) == (math.pi, 0.0)
+    bounds._refine(vec, [MeasureKind.h()], *ascent, hyperrect(vec), DEG_TOL_DEFAULT)
+    assert _angles(ascent[1][0]) == (math.pi, 0.0)
 
 
 def test_direction_folds_a_tiny_negative_phi_to_zero():
@@ -698,6 +763,43 @@ def test_refinement_spends_fewer_solves_than_the_sweep(monkeypatch):
     assert 0 < directions < len(mesh.faces) == 266
     assert calls <= MAX_STEPS
     assert single == 0
+
+
+def test_a_round_takes_one_gradient_and_one_scores_call_per_live_measure(monkeypatch):
+    """Each refinement round calls _gradient once per measure with a live ascent, then faces once,
+    then _scores once per measure with a moving ascent: no call per ascent."""
+    vec = anticomm_vec(HalfInt(3), 1)
+    mesh = boundary3d(vec, 12, 24)
+    events = []
+
+    def log(tag, fn):
+        def logged(*args, **kwargs):
+            events.append((tag, str(args[0]) if tag != "faces" else None))
+            return fn(*args, **kwargs)
+
+        return logged
+
+    monkeypatch.setattr(bounds, "_gradient", log("gradient", bounds._gradient))
+    monkeypatch.setattr(bounds, "faces", log("faces", faces))
+    kinds = ["h", "u0.5", "u2", "umax"]
+    optimize_bounds(vec, mesh, kinds)  # the grid's own scoring runs before the first round, unlogged
+    monkeypatch.setattr(bounds, "_scores", log("scores", bounds._scores))
+    events.clear()
+    optimize_bounds(vec, mesh, kinds)
+    rounds, last = [], None
+    for tag, kind in events:
+        if tag == "gradient" and last != "gradient":
+            rounds.append([])
+        if rounds:
+            rounds[-1].append((tag, kind))
+        last = tag
+    assert len(rounds) > 1
+    for calls in rounds:
+        took = {tag: [k for t, k in calls if t == tag] for tag in ("gradient", "faces", "scores")}
+        assert len(took["gradient"]) == len(set(took["gradient"])) <= len(kinds)
+        assert len(took["faces"]) <= 1
+        assert len(took["scores"]) == len(set(took["scores"])) and set(took["scores"]) <= set(took["gradient"])
+        assert took["scores"] == [] or took["faces"] == [None]
 
 
 ORACLE_SETS = [
@@ -745,7 +847,7 @@ def test_ascent_retires_when_its_value_only_ties(monkeypatch):
     h = MeasureKind.h()
     start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
     ascent = _ascent_from(vec, start, h)
-    value = ascent.value
+    value = ascent[2][0]
     rounds = []
 
     def same_face(v, steps, deg_tol):
@@ -753,10 +855,10 @@ def test_ascent_retires_when_its_value_only_ties(monkeypatch):
         return [dataclasses.replace(start, direction=step) for step in steps]
 
     monkeypatch.setattr(bounds, "faces", same_face)
-    bounds._refine(vec, [h], [ascent], hyperrect(vec), DEG_TOL_DEFAULT)
+    bounds._refine(vec, [h], *ascent, hyperrect(vec), DEG_TOL_DEFAULT)
     assert len(rounds) == 1 and len(rounds[0]) == 1
-    assert ascent.direction is start.direction
-    assert ascent.value == value
+    assert ascent[1][0] is start.direction
+    assert ascent[2][0] == value
 
 
 @pytest.mark.parametrize("kind", [MeasureKind.h(), MeasureKind.u(0.5), MeasureKind.u(2.0), MeasureKind.umax()])
@@ -765,12 +867,12 @@ def test_ascent_retires_where_the_gradient_vanishes(monkeypatch, kind):
     vec = anticomm_vec(HalfInt(2), 1)
     start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
     half = np.full(vec.n, 0.5)
-    ascent = bounds._Ascent(0, start.direction, 1.0, half, half.copy())
+    ascent = _ascent(start.direction, 1.0, half, half)
     calls = []
     monkeypatch.setattr(bounds, "faces", lambda *args: calls.append(args))
-    bounds._refine(vec, [kind], [ascent], hyperrect(vec), DEG_TOL_DEFAULT)
+    bounds._refine(vec, [kind], *ascent, hyperrect(vec), DEG_TOL_DEFAULT)
     assert calls == []
-    assert (ascent.direction, ascent.value) == (start.direction, 1.0)
+    assert (ascent[1][0], ascent[2][0]) == (start.direction, 1.0)
 
 
 @pytest.mark.parametrize("where", [0, -1])

@@ -34,6 +34,20 @@ CASES = [
         "no faces",
     ),
     (
+        "optimize-face-count-3d",
+        lambda: optimize_bounds(
+            j_triple(ONE), Boundary(faces=boundary3d(j_triple(ONE), 6, 12).faces[:59], grid=(6, 12)), [MeasureKind.h()]
+        ),
+        DimensionMismatch,
+        "59 faces on grid \\(6, 12\\) of 62 directions",
+    ),
+    (
+        "optimize-face-count-2d",
+        lambda: optimize_bounds(jsq_pair(ONE), Boundary(faces=boundary2d(jsq_pair(ONE), 36).faces[:30], grid=36), ["h"]),
+        DimensionMismatch,
+        "30 faces on grid 36 of 36 directions",
+    ),
+    (
         "optimize-boundary-count",
         lambda: optimize_bounds(j_triple(ONE), boundary2d(jsq_pair(ONE), 16), [MeasureKind.h()]),
         DimensionMismatch,

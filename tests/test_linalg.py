@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import char_coeffs
-from specrange.errors import DimensionMismatch, NonHermitian, NotNormalized
+from specrange import linalg
+from specrange.errors import DimensionMismatch, NoConvergence, NonHermitian, NotNormalized
 from specrange.linalg import (
     Block,
     as_cmatrix,
+    band_top,
     block_top_eigenvalues,
     combine_matrix,
     eig_hermitian,
@@ -413,3 +415,21 @@ def test_expectation_within_spectral_interval(d, seed):
     psi /= np.linalg.norm(psi)
     val = expectation(obs, psi)
     assert obs.eig_min - 1e-10 <= val <= obs.eig_max + 1e-10
+
+
+def test_eig_hermitian_reports_a_lapack_failure_as_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        eig_hermitian(np.eye(2))
+
+
+@pytest.mark.parametrize("info, found", [(1, 2), (0, 1)], ids=["info", "found"])
+def test_band_top_reports_a_lapack_failure_as_no_convergence(monkeypatch, info, found):
+    """A nonzero info, or fewer values found than asked for, raises; neither is returned as a spectrum."""
+    band = j_triple(HalfInt(2)).blocks[0].bands[0]
+    monkeypatch.setattr(linalg, "_bevx", lambda kind: lambda *args, **kwargs: (np.zeros(2), None, found, None, info))
+    with pytest.raises(NoConvergence, match=f"info {info}, {found} of 2 eigenvalues"):
+        band_top(band, 2)
