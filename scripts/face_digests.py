@@ -3,7 +3,9 @@
 
 The families are jsq2d, the J triple, ladder gamma = 1..4, jpow gamma =
 2..4 (gamma = 1 is the J triple) and anticomm gamma = 1, 2, each at 2j =
-1..20, 41, 60 and 100. A 2-operator set is swept on the 48-step ring, a
+1..20, 41, 60 and 100, and last `random`: seeded dense Hermitian pairs and
+triples at d = 2, 3, 4 and 9, three seeds each, built with
+ObservableVec(ops). A 2-operator set is swept on the 48-step ring, a
 3-operator set on the 6x12 grid plus the four body diagonals, one
 `numrange.faces` call per set on this checkout's src. Each family's digest
 covers every face's lambda_max, multiplicity, gap and vertex count (as
@@ -24,8 +26,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from specrange import numrange  # noqa: E402
-from specrange.spinops import HalfInt, anticomm_vec, j_triple, jsq_pair, ladder_combo, power_vec  # noqa: E402
+from specrange.linalg import make_hermitian  # noqa: E402
+from specrange.spinops import (  # noqa: E402
+    HalfInt,
+    ObservableVec,
+    anticomm_vec,
+    j_triple,
+    jsq_pair,
+    ladder_combo,
+    power_vec,
+)
 
 TWICE_J = (*range(1, 21), 41, 60, 100)
 FAMILIES = {
@@ -36,6 +49,27 @@ FAMILIES = {
     **{f"anticomm{g}": (lambda j, g=g: anticomm_vec(j, g)) for g in (1, 2)},
 }
 
+RANDOM_DIMS = (2, 3, 4, 9)
+
+
+def random_sets() -> list[ObservableVec]:
+    """Dense Hermitian pairs, then triples, at each of RANDOM_DIMS, three seeds each."""
+    sets = []
+    for n in (2, 3):
+        for d in RANDOM_DIMS:
+            for seed in range(3):
+                rng = np.random.default_rng([n, d, seed])
+                mats = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n))
+                ops = tuple(make_hermitian((z + z.conj().T) / 2, f"R{i}") for i, z in enumerate(mats))
+                sets.append(ObservableVec(ops))
+    return sets
+
+
+SETS = {
+    **{name: (lambda build=build: [build(HalfInt(twice)) for twice in TWICE_J]) for name, build in FAMILIES.items()},
+    "random": random_sets,
+}
+
 
 def directions(n: int) -> list:
     if n == 2:
@@ -44,10 +78,9 @@ def directions(n: int) -> list:
 
 
 def main():
-    for name, build in FAMILIES.items():
+    for name, sets in SETS.items():
         digest = hashlib.sha256()
-        for twice in TWICE_J:
-            vec = build(HalfInt(twice))
+        for vec in sets():
             for sf in numrange.faces(vec, directions(vec.n)):
                 digest.update(repr((sf.lambda_max, sf.multiplicity, sf.gap, len(sf.vertices))).encode())
                 digest.update(sf.eigenbasis.tobytes())

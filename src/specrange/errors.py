@@ -29,10 +29,6 @@ class GammaOutOfRange(SpecRangeError):
     """Requested operator power is invalid."""
 
 
-class WrongKind(SpecRangeError):
-    """Operator vector has the wrong kind tag for this operation."""
-
-
 class UnsupportedJ(SpecRangeError):
     """The requested quantity has no value, or no closed form, at this quantum number."""
 

@@ -103,7 +103,7 @@ def make_hermitian(entries, label: str = "") -> HermObservable:
     mat.setflags(write=False)
     try:
         vals = np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return HermObservable(mat=mat, label=label, eig_min=float(vals[0]), eig_max=float(vals[-1]))
 

@@ -1,4 +1,4 @@
-"""Angular momentum operator families, coherent kets, and frame transformations.
+"""Operator sets, the angular momentum families, coherent kets, and frame rotations.
 
 Conventions: the basis is ordered m = +j, j-1, ..., -j, so Jz's diagonal
 descends. Half-integers are carried exactly as twice-j integers, and the
@@ -15,14 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, GammaOutOfRange, WrongKind
+from .errors import DimensionMismatch, GammaOutOfRange
 from .linalg import Block, HermObservable, make_hermitian, split_blocks
-
-KIND_J = "J"
-KIND_JPOW = "JPOW"
-KIND_JSQ2D = "JSQ2D"
-KIND_LADDER = "LADDER"
-KIND_ANTICOMM = "ANTICOMM"
 
 # a symmetry generates ObservableVec.sign_group when it maps every operator
 # to +-itself within this fraction of the operators' largest |eigenvalue|
@@ -71,11 +65,12 @@ class HalfInt:
 
 @dataclass(frozen=True)
 class ObservableVec:
-    """Ordered vector of 2 or 3 Hermitian observables on one Hilbert space."""
+    """Ordered vector of 2 or 3 Hermitian observables on one Hilbert space.
+
+    Any Hermitian pair or triple makes one; gamma is a spin family's power, else 1.
+    """
 
     ops: tuple[HermObservable, ...]
-    j: HalfInt
-    kind: str
     gamma: int = 1
 
     def __post_init__(self):
@@ -91,6 +86,11 @@ class ObservableVec:
     @property
     def dim(self) -> int:
         return self.ops[0].dim
+
+    @property
+    def j(self) -> HalfInt:
+        """The quantum number whose multiplet has this dimension, d = 2j + 1."""
+        return HalfInt(self.dim - 1)
 
     @property
     def mats(self) -> list[np.ndarray]:
@@ -234,12 +234,7 @@ def ladder_combo(j: HalfInt, gamma: int) -> ObservableVec:
     plus_pow = np.linalg.matrix_power(_spin_matrices(j)[3], gamma)
     x = plus_pow + plus_pow.conj().T
     y = 1j * (plus_pow - plus_pow.conj().T)
-    return ObservableVec(
-        ops=(make_hermitian(x, f"X_{gamma}"), make_hermitian(y, f"Y_{gamma}")),
-        j=j,
-        kind=KIND_LADDER,
-        gamma=gamma,
-    )
+    return ObservableVec(ops=(make_hermitian(x, f"X_{gamma}"), make_hermitian(y, f"Y_{gamma}")), gamma=gamma)
 
 
 def power_vec(j: HalfInt, gamma: int) -> ObservableVec:
@@ -249,13 +244,13 @@ def power_vec(j: HalfInt, gamma: int) -> ObservableVec:
         make_hermitian(np.linalg.matrix_power(base, gamma), f"{name}^{gamma}")
         for base, name in zip(_spin_matrices(j), ("Jx", "Jy", "Jz"))
     )
-    return ObservableVec(ops=triple, j=j, kind=KIND_JPOW, gamma=gamma)
+    return ObservableVec(ops=triple, gamma=gamma)
 
 
 def jsq_pair(j: HalfInt) -> ObservableVec:
     """The planar pair (Jx^2, Jy^2)."""
     pair = tuple(make_hermitian(base @ base, f"{name}^2") for base, name in zip(_spin_matrices(j), ("Jx", "Jy")))
-    return ObservableVec(ops=pair, j=j, kind=KIND_JSQ2D, gamma=2)
+    return ObservableVec(ops=pair, gamma=2)
 
 
 def anticomm_vec(j: HalfInt, gamma: int = 1) -> ObservableVec:
@@ -268,7 +263,7 @@ def anticomm_vec(j: HalfInt, gamma: int = 1) -> ObservableVec:
         prod = a @ b
         label = name if gamma == 1 else f"{name}_g{gamma}"
         trip.append(make_hermitian(prod + prod.conj().T, label))
-    return ObservableVec(ops=tuple(trip), j=j, kind=KIND_ANTICOMM, gamma=gamma)
+    return ObservableVec(ops=tuple(trip), gamma=gamma)
 
 
 def coherent_ket(j: HalfInt, theta: float, phi: float) -> np.ndarray:
@@ -302,22 +297,24 @@ def rotation_matrix(theta: float, phi: float) -> np.ndarray:
 
 
 def rotate_frame(vec: ObservableVec, theta: float, phi: float) -> ObservableVec:
-    """Rotate an angular momentum triple; the third component becomes eta.J."""
-    if vec.kind != KIND_J:
-        raise WrongKind(f"rotate_frame needs kind {KIND_J!r}, got {vec.kind!r}")
+    """Rotate an operator triple, and so its region, by rotation_matrix(theta, phi).
+
+    The third component becomes eta.A, and each label gains a prime (Jx').
+    """
+    if vec.n != 3:
+        raise DimensionMismatch(f"rotate_frame needs an operator triple, got {vec.n} operators")
     rot = rotation_matrix(theta, phi)
     mats = vec.mats
-    rotated = []
-    for row, name in zip(rot, ("Jx'", "Jy'", "Jz'")):
-        acc = sum(float(c) * m for c, m in zip(row, mats))
-        rotated.append(make_hermitian(acc, name))
-    return ObservableVec(ops=tuple(rotated), j=vec.j, kind=KIND_J, gamma=vec.gamma)
+    rotated = tuple(
+        make_hermitian(sum(float(c) * m for c, m in zip(row, mats)), f"{op.label}'") for row, op in zip(rot, vec.ops)
+    )
+    return ObservableVec(ops=rotated, gamma=vec.gamma)
 
 
 def j_triple(j: HalfInt) -> ObservableVec:
     """(Jx, Jy, Jz) as an observable vector."""
     ops = angular_momentum(j)
-    return ObservableVec(ops=(ops.jx, ops.jy, ops.jz), j=j, kind=KIND_J, gamma=1)
+    return ObservableVec(ops=(ops.jx, ops.jy, ops.jz))
 
 
 def scale_uniform(vec: ObservableVec, s: float) -> ObservableVec:
@@ -333,4 +330,4 @@ def scale_uniform(vec: ObservableVec, s: float) -> ObservableVec:
         )
         for op in vec.ops
     )
-    return ObservableVec(ops=scaled, j=vec.j, kind=vec.kind, gamma=vec.gamma)
+    return ObservableVec(ops=scaled, gamma=vec.gamma)

@@ -66,11 +66,12 @@ import numpy as np
 from specrange import bounds, numrange
 from specrange.errors import DegenerateRange, DimensionMismatch, NoConvergence, SpecRangeError, UnsupportedJ
 from specrange.linalg import HermObservable, band_top, block_top_eigenvalues, combine_matrix, eig_hermitian
-from specrange.spinops import KIND_JSQ2D, HalfInt
+from specrange.spinops import HalfInt
 
 # --- closed-form top eigenvalues of cos(phi) Jx^2 + sin(phi) Jy^2 -----------
 
 _SUPPORTED_ORACLE_TWICE = (2, 3, 4, 5, 6, 7, 8)
+_ORACLE_FAMILY = "JSQ2D"
 
 
 def _fg(phi: float) -> tuple[float, float]:
@@ -147,8 +148,8 @@ def analytic_lambda_oracle(family: str, j: HalfInt, phi: float) -> float:
 
     Supported for j in {1, 3/2, 2, 5/2, 3, 7/2, 4}.
     """
-    if family != KIND_JSQ2D:
-        raise ValueError(f"oracle only covers family {KIND_JSQ2D!r}, got {family!r}")
+    if family != _ORACLE_FAMILY:
+        raise ValueError(f"oracle only covers family {_ORACLE_FAMILY!r}, got {family!r}")
     if j.twice not in _SUPPORTED_ORACLE_TWICE:
         raise UnsupportedJ(f"no closed form for j={j}")
     phi = math.fmod(phi, 2 * math.pi)

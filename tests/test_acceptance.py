@@ -363,7 +363,7 @@ def test_criterion_11_property_suites():
     j = HalfInt(3)
     ops = angular_momentum(j)
     xsq = make_hermitian(ops.jx.mat @ ops.jx.mat, "Jx^2")
-    pair = ObservableVec(ops=(ops.jx, xsq), j=j, kind="JPOW", gamma=1)
+    pair = ObservableVec(ops=(ops.jx, xsq))
     poly = commuting_polytope(pair)
     swept = convex_hull(boundary2d(pair, steps=360).all_vertices())
     for p in poly:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
-from conftest import CI_LONG
+from conftest import CI_LONG, conjugated
 from oracles import collect_reference, gradient_reference, optimize_reference
 from specrange import bounds
 from specrange.bounds import (
@@ -37,7 +37,7 @@ from specrange.bounds import (
     triviality_check,
 )
 from specrange.errors import DegenerateRange
-from specrange.linalg import block_top_eigenvalues, expectation, make_hermitian
+from specrange.linalg import block_top_eigenvalues, expectation
 from specrange.numrange import (
     DEG_TOL_DEFAULT,
     Hyperrect,
@@ -570,15 +570,6 @@ UNITARY_FAMILIES = {
 }
 
 
-def _conjugated(vec, seed):
-    """vec with every operator conjugated by one random unitary: the QR of a complex Gaussian, phases fixed."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((vec.dim, vec.dim)) + 1j * rng.standard_normal((vec.dim, vec.dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return dataclasses.replace(vec, ops=tuple(make_hermitian(q @ op.mat @ q.conj().T, op.label) for op in vec.ops))
-
-
 @pytest.mark.parametrize("twice", [2, 5, 10, 20])
 @pytest.mark.parametrize("family", UNITARY_FAMILIES)
 def test_unitary_conjugation_keeps_faces_and_bounds(family, twice):
@@ -589,7 +580,7 @@ def test_unitary_conjugation_keeps_faces_and_bounds(family, twice):
     """
     build, grid = UNITARY_FAMILIES[family]
     vec = build(HalfInt(twice))
-    turned = _conjugated(vec, 3)
+    turned = conjugated(vec, 3)
     scale = max(1.0, float(np.abs(vec.spectral_ends[0]).max()))
 
     def sweep(v):

@@ -354,7 +354,7 @@ def _generic_doublet_vec() -> ObservableVec:
     rng = np.random.default_rng(5)
     dense = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
     mats = [(a + a.conj().T) / 2 for a in dense] + [np.diag([1.0, 1.0, 0.0]).astype(complex)]
-    return ObservableVec(ops=tuple(make_hermitian(m, f"M{i}") for i, m in enumerate(mats)), j=HalfInt(2), kind="J")
+    return ObservableVec(ops=tuple(make_hermitian(m, f"M{i}") for i, m in enumerate(mats)))
 
 
 def test_face_generic_doublet_matches_reference():
@@ -412,7 +412,7 @@ def test_face_thickened_doublet_matches_reference():
     sy = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
     top = np.diag([1.0, 1.0 - 1e-10, 0.0]).astype(complex)
     ops = tuple(make_hermitian(m, f"M{i}") for i, m in enumerate((sx, sy, top)))
-    vec = ObservableVec(ops=ops, j=HalfInt(2), kind="J")
+    vec = ObservableVec(ops=ops)
     direction = direction3(0.0, 0.0)
     f = face(vec, direction)
     assert f.multiplicity == 2
@@ -436,7 +436,7 @@ def test_face_collision_pushed_inward_matches_reference():
     a = make_hermitian(np.diag([1.0, -1.0]).astype(complex), "A")
     b = make_hermitian(np.array([[1.0, 1e-8], [1e-8, 0.0]], dtype=complex), "B")
     assert b.eig_max == 1.0
-    vec = ObservableVec(ops=(a, b), j=HalfInt(1), kind="J")
+    vec = ObservableVec(ops=(a, b))
     direction = direction2(0.0)
     f = face(vec, direction)
     width = max(1.0, b.eig_max - b.eig_min)

@@ -20,7 +20,7 @@ ONE = HalfInt(2)
 
 
 def _observable_vec(*ops):
-    return ObservableVec(ops=ops, j=ONE, kind="J")
+    return ObservableVec(ops=ops)
 
 
 CASES = [

@@ -186,14 +186,14 @@ def test_top_eigenvalues_match_dense_support(family, twice):
 def test_top_eigenvalues_diagonal_set():
     j = HalfInt(7)
     jz = angular_momentum(j).jz
-    vec = ObservableVec(ops=(jz, make_hermitian(jz.mat @ jz.mat, "Jz^2")), j=j, kind="J")
+    vec = ObservableVec(ops=(jz, make_hermitian(jz.mat @ jz.mat, "Jz^2")))
     assert_top_matches_support(vec, 36)
 
 
 def test_top_eigenvalues_dense_random_set():
     rng = np.random.default_rng(11)
     ops = tuple(make_hermitian(random_hermitian(rng, 17), f"R{i}") for i in range(3))
-    assert_top_matches_support(ObservableVec(ops=ops, j=HalfInt(16), kind="J"), (6, 12))
+    assert_top_matches_support(ObservableVec(ops=ops), (6, 12))
 
 
 # (family, gamma): (block count, block bandwidth or None when not fixed, real)
@@ -291,7 +291,7 @@ def test_block_compress_of_own_columns_ignores_zero_columns(case, c, zeros):
 
 def _diagonal_set():
     jz = angular_momentum(HalfInt(20)).jz
-    return ObservableVec(ops=(jz, make_hermitian(jz.mat @ jz.mat, "Jz^2")), j=HalfInt(20), kind="J")
+    return ObservableVec(ops=(jz, make_hermitian(jz.mat @ jz.mat, "Jz^2")))
 
 
 def _orthonormal(rng, size: int, c: int, dtype) -> np.ndarray:
@@ -424,6 +424,15 @@ def test_eig_hermitian_reports_a_lapack_failure_as_no_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NoConvergence, match="did not converge"):
         eig_hermitian(np.eye(2))
+
+
+def test_make_hermitian_reports_a_lapack_failure_as_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        make_hermitian(np.eye(2))
 
 
 @pytest.mark.parametrize("info, found", [(1, 2), (0, 1)], ids=["info", "found"])

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from conftest import anticomm_sum_pair
+from conftest import anticomm_sum_pair, direct_sum
 from oracles import NotCommuting, cluster_compressions, commuting_polytope, expectations, membership_reference
 from specrange import linalg, numrange
 from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian
@@ -185,7 +185,7 @@ BAD_OPERATORS = [([[0.0, math.inf], [math.inf, 0.0]], NonFinite), ([[0.0, 1.0], 
 def test_support_and_face_reject_bad_operator(solve, entries, error):
     good = angular_momentum(HalfInt(1)).jz
     bad = HermObservable(mat=np.array(entries, dtype=complex), label="bad", eig_min=-1.0, eig_max=1.0)
-    vec = ObservableVec(ops=(good, bad), j=HalfInt(1), kind="J")
+    vec = ObservableVec(ops=(good, bad))
     with pytest.raises(error):
         solve(vec, direction2(0.3))
 
@@ -262,7 +262,7 @@ def _segment_set(n):
     a = 1e-7 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     mats = [a, np.zeros((3, 3)), np.eye(3)] if n == 3 else [a, np.eye(3)]
     ops = tuple(make_hermitian(m, f"M{i}") for i, m in enumerate(mats))
-    return ObservableVec(ops=ops, j=HalfInt(2), kind="J")
+    return ObservableVec(ops=ops)
 
 
 @pytest.mark.parametrize("direction", [direction3(0.0, 0.0), direction2(math.pi / 2)], ids=["3d", "2d"])
@@ -506,7 +506,7 @@ def test_bad_grid_raises_value_error(n, grid):
 def test_membership_rejects_bad_operator(entries, error):
     good = angular_momentum(HalfInt(1)).jz
     bad = HermObservable(mat=np.array(entries, dtype=complex), label="bad", eig_min=-1.0, eig_max=1.0)
-    vec = ObservableVec(ops=(good, bad), j=HalfInt(1), kind="J")
+    vec = ObservableVec(ops=(good, bad))
     with pytest.raises(error):
         membership(vec, [0.0, 0.0], 12)
 
@@ -744,7 +744,7 @@ def test_commuting_polytope_coplanar_set():
     j = HalfInt(3)
     jz = angular_momentum(j).jz
     zsq = make_hermitian(jz.mat @ jz.mat, "Jz^2")
-    poly = commuting_polytope(ObservableVec(ops=(jz, jz, zsq), j=j, kind="JPOW", gamma=1))
+    poly = commuting_polytope(ObservableVec(ops=(jz, jz, zsq)))
     m = np.array([1.5, 0.5, -0.5, -1.5])
     match_point_sets(poly, np.column_stack([m, m, m * m]), 1e-10)
 
@@ -753,7 +753,7 @@ def test_commuting_polytope_diagonal_pair():
     j = HalfInt(2)
     ops = angular_momentum(j)
     zsq = make_hermitian(ops.jz.mat @ ops.jz.mat, "Jz^2")
-    vec = ObservableVec(ops=(ops.jz, zsq), j=j, kind="JPOW", gamma=1)
+    vec = ObservableVec(ops=(ops.jz, zsq))
     hull = commuting_polytope(vec)
     match_point_sets(hull, [[1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]], 1e-10)
 
@@ -766,12 +766,12 @@ def test_commuting_polytope_matches_sweep(case):
         j = HalfInt(2)
         ops = angular_momentum(j)
         zsq = make_hermitian(ops.jz.mat @ ops.jz.mat, "Jz^2")
-        vec = ObservableVec(ops=(ops.jz, zsq), j=j, kind="JPOW", gamma=1)
+        vec = ObservableVec(ops=(ops.jz, zsq))
     else:
         j = HalfInt(3)
         ops = angular_momentum(j)
         xsq = make_hermitian(ops.jx.mat @ ops.jx.mat, "Jx^2")
-        vec = ObservableVec(ops=(ops.jx, xsq), j=j, kind="JPOW", gamma=1)
+        vec = ObservableVec(ops=(ops.jx, xsq))
     poly = commuting_polytope(vec)
     swept = hull_of(boundary2d(vec, steps=360))
     match_point_sets(poly, swept, 1e-8)
@@ -782,7 +782,7 @@ def test_commuting_polytope_of_a_collinear_triple_is_its_two_ends():
     j = HalfInt(2)
     jz = angular_momentum(j).jz
     for ops in ((jz, jz, jz), (jz, jz)):
-        poly = commuting_polytope(ObservableVec(ops=ops, j=j, kind="JPOW", gamma=1))
+        poly = commuting_polytope(ObservableVec(ops=ops))
         assert poly.tolist() == [[-1.0] * len(ops), [1.0] * len(ops)]
 
 
@@ -790,7 +790,7 @@ def test_commuting_polytope_of_a_flat_triple_drops_its_interior_point():
     """A = diag(0, 1, 0, 1/4), B = diag(0, 0, 1, 1/4), C = 0: the eigenpoint (1/4, 1/4, 0) is inside the triangle."""
     diagonals = {"A": [0.0, 1.0, 0.0, 0.25], "B": [0.0, 0.0, 1.0, 0.25], "C": [0.0] * 4}
     ops = tuple(make_hermitian(np.diag(d).astype(complex), label) for label, d in diagonals.items())
-    poly = commuting_polytope(ObservableVec(ops=ops, j=HalfInt(3), kind="JPOW", gamma=1))
+    poly = commuting_polytope(ObservableVec(ops=ops))
     match_point_sets(poly, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1e-12)
 
 
@@ -845,15 +845,6 @@ def test_convex_hull_keeps_a_near_collinear_run():
 
 
 # --- block union: the range of a direct sum --------------------------------
-
-
-def direct_sum(parts):
-    """The 2-operator vector whose operators are block_diag of the parts' operators."""
-    ops = tuple(
-        make_hermitian(scipy.linalg.block_diag(*(part.mats[i] for part in parts)), parts[0].ops[i].label)
-        for i in range(2)
-    )
-    return ObservableVec(ops=ops, j=parts[0].j, kind=parts[0].kind, gamma=parts[0].gamma)
 
 
 def test_block_union_matches_single():

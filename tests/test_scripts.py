@@ -45,7 +45,7 @@ def split_lines() -> list[re.Pattern]:
 
 # the families each digest script prints one line for, in order
 DIGEST_FAMILIES = {
-    "face_digests.py": ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow2", "jpow3", "jpow4", "anticomm1", "anticomm2"),
+    "face_digests.py": ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "ladder4", "jpow2", "jpow3", "jpow4", "anticomm1", "anticomm2", "random"),
     "bound_digests.py": ("jsq2d", "J", "ladder1", "ladder2", "ladder3", "jpow2", "jpow3", "anticomm1", "anticomm2"),
 }
 

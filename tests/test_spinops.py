@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CI_LONG, anticomm_sum_pair
 from oracles import analytic_lambda_oracle
-from specrange.errors import GammaOutOfRange, UnsupportedJ, WrongKind
-from specrange import spinops
+from specrange.errors import DimensionMismatch, GammaOutOfRange, UnsupportedJ
+from specrange import bounds, spinops
 from specrange.linalg import block_top_eigenvalues, eig_hermitian, expectation, make_hermitian
+from specrange.numrange import faces, sweep_directions
 from specrange.spinops import (
     HalfInt,
     ObservableVec,
@@ -21,6 +22,7 @@ from specrange.spinops import (
     ladder_combo,
     power_vec,
     rotate_frame,
+    rotation_matrix,
     scale_uniform,
 )
 
@@ -243,6 +245,7 @@ def test_rotate_frame_identity_and_axis_swap():
     triple = j_triple(j)
     same = rotate_frame(triple, 0.0, 0.0)
     assert np.allclose(same.ops[2].mat, triple.ops[2].mat)
+    assert [op.label for op in same.ops] == ["Jx'", "Jy'", "Jz'"]
     swapped = rotate_frame(triple, math.pi / 2, 0.0)
     assert np.max(np.abs(swapped.ops[2].mat - triple.ops[0].mat)) <= 1e-14
 
@@ -259,8 +262,30 @@ def test_rotate_frame_preserves_spectrum_and_algebra():
 
 
 def test_rotate_frame_wrong_kind():
-    with pytest.raises(WrongKind):
+    with pytest.raises(DimensionMismatch):
         rotate_frame(jsq_pair(HalfInt(3)), 0.1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: anticomm_vec(HalfInt(3), 1), id="anticomm1-3/2"),
+        pytest.param(lambda: power_vec(HalfInt(5), 3), id="jpow3-5/2"),
+        pytest.param(lambda: anticomm_vec(HalfInt(4), 2), id="anticomm2-2"),
+    ],
+)
+def test_rotate_frame_turns_any_triple(build):
+    """The rotated set's lambda_max at eta is the original's at R^T eta, R = rotation_matrix(theta, phi),
+    within 1e-13 of the operators' largest |eigenvalue|."""
+    vec = build()
+    scale = max(1.0, float(np.abs(vec.spectral_ends[0]).max()))
+    dirs = sweep_directions(3, (6, 12))
+    for theta, phi in ((0.7, 2.1), (2.4, 5.3)):
+        rot = rotation_matrix(theta, phi)
+        turned = faces(rotate_frame(vec, theta, phi), dirs)
+        original = faces(vec, [bounds._direction(rot.T @ d.eta) for d in dirs])
+        gaps = [abs(f.lambda_max - g.lambda_max) for f, g in zip(turned, original, strict=True)]
+        assert max(gaps) <= 1e-13 * scale, (theta, phi)
 
 
 def test_scale_uniform():
@@ -393,7 +418,7 @@ def test_sign_group_is_trivial_without_the_symmetry():
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     mixed = make_hermitian(raw + raw.conj().T, "H")
-    vec = ObservableVec(ops=(angular_momentum(HalfInt(3)).jz, mixed), j=HalfInt(3), kind="J")
+    vec = ObservableVec(ops=(angular_momentum(HalfInt(3)).jz, mixed))
     for trivial in (rotated, vec):
         assert conjugation_signs(trivial) is None
         assert trivial.sign_group == ((1,) * trivial.n,)
@@ -447,7 +472,7 @@ def test_sign_group_is_trivial_after_a_generic_perturbation(family, twice, gamma
     raw = rng.normal(size=(vec.dim, vec.dim)) + 1j * rng.normal(size=(vec.dim, vec.dim))
     noise = 1e-6 * (raw + raw.conj().T)
     ops = tuple(make_hermitian(m + noise, f"A{i}") for i, m in enumerate(vec.mats))
-    perturbed = ObservableVec(ops=ops, j=vec.j, kind=vec.kind, gamma=vec.gamma)
+    perturbed = ObservableVec(ops=ops, gamma=vec.gamma)
     assert len(vec.sign_group) > 1
     assert conjugation_signs(perturbed) is None
     assert perturbed.sign_group == ((1,) * vec.n,)
@@ -511,7 +536,7 @@ def test_kramers_blocks_need_every_operator_fixed_to_the_sign_tolerance():
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(vec.dim, vec.dim)) + 1j * rng.normal(size=(vec.dim, vec.dim))
     ops = (make_hermitian(vec.mats[0] + 1e-6 * (raw + raw.conj().T), "A1"), *vec.ops[1:])
-    perturbed = ObservableVec(ops=ops, j=vec.j, kind=vec.kind, gamma=vec.gamma)
+    perturbed = ObservableVec(ops=ops, gamma=vec.gamma)
     assert vec.kramers_blocks == (True,)
     assert perturbed.generator_signs[0] is None and perturbed.generator_signs[2] is None
     assert perturbed.generator_signs[3] is None
