@@ -34,6 +34,7 @@ from .numrange import (
     boundary3d,
     convex_hull,
     diag_directions,
+    direction,
     direction2,
     direction3,
     face,

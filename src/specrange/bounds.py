@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateRange, DimensionMismatch, EmptyBoundary
 # face is not called here; the benchmark's tracer (perfbench/tracer.py) wraps bounds.face by name
-from .numrange import Boundary, Hyperrect, direction2, direction3, face, faces, hyperrect  # noqa: F401
+from .numrange import Boundary, Hyperrect, direction, face, faces, hyperrect  # noqa: F401
 from .numrange import grid_size, local_optima
 from .spinops import ObservableVec
 
@@ -232,21 +232,6 @@ def _gradient(kind: MeasureKind, dots: np.ndarray, rings: np.ndarray, rect: Hype
     return grads
 
 
-def _phi(eta: np.ndarray) -> float:
-    """atan2 of eta's first two coordinates in [0, 2 pi): a tiny negative angle,
-    which % rounds up to exactly 2 pi, is folded to 0."""
-    phi = math.atan2(eta[1], eta[0]) % (2 * math.pi)
-    return 0.0 if phi == 2 * math.pi else phi
-
-
-def _direction(eta: np.ndarray):
-    """The sweep direction of the unit vector eta; phi in [0, 2 pi), and 0 at a pole."""
-    if len(eta) == 2:
-        return direction2(_phi(eta))
-    rho = math.hypot(eta[0], eta[1])
-    return direction3(math.atan2(rho, eta[2]), _phi(eta) if rho > 0.0 else 0.0)
-
-
 def _by_measure(fn, kinds, measure: np.ndarray, *rows: np.ndarray) -> np.ndarray:
     """fn(kinds[m], *rows[run]) over each run of equal measure indices m in measure, the results stacked in order."""
     edges = [0, *(np.flatnonzero(np.diff(measure)) + 1).tolist(), len(measure)]
@@ -283,7 +268,7 @@ def _refine(vec, kinds, measure, directions, values, dots, rings, rect: Hyperrec
             eta = kinds[measure[a]].sign * g / (norm or 1.0)  # a zero g stops the ascent below
             if norm and np.linalg.norm(eta - directions[a].eta) > ANGLE_TOL:
                 moving.append(a)
-                steps.append(_direction(eta))
+                steps.append(direction(eta))
         if not steps:
             return
         solved = faces(vec, steps, deg_tol)
@@ -332,10 +317,10 @@ def optimize_bounds(vec: ObservableVec, boundary: Boundary, kinds) -> BoundRepor
         grids.append((flat.tolist(), float(flat.max())))
     directions, values = np.array(directions, dtype=object), np.array(values)
     _refine(vec, kinds, np.array(measure, dtype=int), directions, values, dot[rows], ring[rows], rect, boundary.deg_tol)
-    grid = [_angles(f.direction) for f in boundary.faces]
+    grid = [f.direction.angles for f in boundary.faces]
     results = []
     for m, (kind, (grid_values, best)) in enumerate(zip(kinds, grids)):
-        refined = [(_angles(d), v) for d, v, k in zip(directions, values.tolist(), measure) if k == m]
+        refined = [(d.angles, v) for d, v, k in zip(directions, values.tolist(), measure) if k == m]
         best = max([best, *(v for _, v in refined)])
         results.append(MeasureResult(kind, kind.sign * best, kind.sense, _collect(zip(grid, grid_values), refined, best)))
     trivial, _ = _trivial_corner(verts, rect)
@@ -373,22 +358,14 @@ def _collect(grid, refined, best: float):
     return sorted(keep)
 
 
-def _angles(direction) -> tuple[float, ...]:
-    return (direction.phi,) if direction.theta is None else (direction.theta, direction.phi)
+def region_contains(kind: MeasureKind, bound: float, r, rect: Hyperrect) -> bool:
+    """Membership in the bound region R of kind's sense, with REGION_TOL relative slack.
 
-
-def region_contains(kind: MeasureKind, bound: float, sense: str, r, rect: Hyperrect) -> bool:
-    """Membership in the bound region R = {r : combined respects the bound}, with REGION_TOL relative slack.
-
-    sense is MIN (R is where combined >= bound) or MAX (combined <= bound); any other raises ValueError.
+    R is where combined >= bound for a concave measure (MIN) and combined <= bound
+    for a convex one (MAX): sign * combined <= sign * bound + slack, as negation is exact.
     """
-    if sense not in (MIN, MAX):
-        raise ValueError(f"sense is {MIN!r} or {MAX!r}, got {sense!r}")
-    value = combined(kind, r, rect)
     slack = REGION_TOL * max(1.0, abs(bound))
-    if sense == MIN:
-        return value >= bound - slack
-    return value <= bound + slack
+    return kind.sign * combined(kind, r, rect) <= kind.sign * bound + slack
 
 
 def _check_boundary(vec: ObservableVec, boundary) -> None:

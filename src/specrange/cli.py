@@ -76,6 +76,11 @@ def _emit(text: str, out_path: str) -> None:
             fh.write(text)
 
 
+def _grid(vec: ObservableVec, args):
+    """The sweep_directions grid of vec from --phi-steps, and --theta-steps for a triple."""
+    return args.phi_steps if vec.n == 2 else (args.theta_steps, args.phi_steps)
+
+
 def _add_common(p, grid: int = 0, deg_tol: bool = True):
     """--j, --gamma and --out; for grid = 2 or 3, the direction grid's step counts and --deg-tol."""
     p.add_argument("--j", required=True, type=HALF_INT, help="quantum number, e.g. 3/2 or 2")
@@ -166,35 +171,22 @@ def _dispatch(args) -> int:
         _emit(io.ops_json(build_set(args), args.set), args.out)
         return 0
 
-    if args.command == "boundary":
+    if args.command in ("boundary", "mesh", "gaps", "bounds"):
         vec = build_set(args)
-        b = boundary2d(vec, steps=args.phi_steps, deg_tol=args.deg_tol)
-        if args.format == "csv":
-            _emit(io.boundary_csv(b), args.out)
-        elif args.format == "json":
-            _emit(io.boundary_json(b, args.j, args.set, vec.gamma), args.out)
-        else:
-            _emit(io.boundary_svg(b), args.out)
-        return 0
-
-    if args.command == "mesh":
-        mesh = boundary3d(build_set(args), args.theta_steps, args.phi_steps, deg_tol=args.deg_tol)
-        _emit(io.mesh_csv(mesh) if args.format == "csv" else io.mesh_svg(mesh), args.out)
-        return 0
-
-    if args.command == "gaps":
-        mesh = boundary3d(build_set(args), args.theta_steps, args.phi_steps, deg_tol=args.deg_tol)
-        _emit(io.gaps_csv(mesh), args.out)
-        return 0
-
-    if args.command == "bounds":
-        vec = build_set(args)
+        grid = _grid(vec, args)
         if vec.n == 2:
-            boundary = boundary2d(vec, steps=args.phi_steps, deg_tol=args.deg_tol)
+            boundary = boundary2d(vec, grid, deg_tol=args.deg_tol)
         else:
-            boundary = boundary3d(vec, args.theta_steps, args.phi_steps, deg_tol=args.deg_tol)
-        report = optimize_bounds(vec, boundary, args.measures)
-        _emit(io.bounds_json(report, args.j, args.set, vec.gamma), args.out)
+            boundary = boundary3d(vec, *grid, deg_tol=args.deg_tol)
+        if args.command == "bounds":
+            text = io.bounds_json(optimize_bounds(vec, boundary, args.measures), args.j, args.set, vec.gamma)
+        elif args.command == "gaps":
+            text = io.gaps_csv(boundary)
+        elif args.format == "json":
+            text = io.boundary_json(boundary, args.j, args.set, vec.gamma)
+        else:
+            text = io.boundary_csv(boundary) if args.format == "csv" else io.boundary_svg(boundary)
+        _emit(text, args.out)
         return 0
 
     if args.command == "check":
@@ -204,9 +196,7 @@ def _dispatch(args) -> int:
             print(err, file=sys.stderr)
             return 2
         vec = build_set(args)
-        grid = args.phi_steps if vec.n == 2 else (args.theta_steps, args.phi_steps)
-        margin = membership(vec, args.point, grid)
-        _emit(io.fmt(margin) + "\n", args.out)
+        _emit(io.fmt(membership(vec, args.point, _grid(vec, args))) + "\n", args.out)
         return 0
 
     if args.command == "surface":

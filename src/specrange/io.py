@@ -30,31 +30,32 @@ def csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _angle_names(n: int) -> tuple[str, ...]:
+    """The names of Direction.angles in n dimensions: (phi,) in 2D, (theta, phi) in 3D."""
+    return ("theta", "phi")[3 - n :]
+
+
 def boundary_csv(boundary: Boundary) -> str:
+    """One row per face vertex, 2D and 3D alike: the face's angles, lambda_max, multiplicity, the vertex, its index."""
     rows = []
     for f in boundary.faces:
-        for idx, v in enumerate(f.vertices):
-            rows.append([f.direction.phi, f.lambda_max, f.multiplicity, v[0], v[1], idx])
-    return csv_text(["phi", "lambda_max", "multiplicity", "v1", "v2", "vertex_index"], rows)
+        head = [*f.direction.angles, f.lambda_max, f.multiplicity]
+        for idx, v in enumerate(f.vertices.tolist()):
+            rows.append([*head, *v, idx])
+    n = boundary.n
+    coords = [f"v{i + 1}" for i in range(n)]
+    return csv_text([*_angle_names(n), "lambda_max", "multiplicity", *coords, "vertex_index"], rows)
 
 
-def mesh_csv(mesh: Boundary) -> str:
+mesh_csv = boundary_csv  # an alias, not a wrapper: a traced mesh table is one io.serialize span
+
+
+def gaps_csv(boundary: Boundary) -> str:
     rows = []
-    for f in mesh.faces:
-        d = f.direction
-        for idx, v in enumerate(f.vertices):
-            rows.append([d.theta, d.phi, f.lambda_max, f.multiplicity, v[0], v[1], v[2], idx])
-    return csv_text(
-        ["theta", "phi", "lambda_max", "multiplicity", "v1", "v2", "v3", "vertex_index"], rows
-    )
-
-
-def gaps_csv(mesh: Boundary) -> str:
-    rows = []
-    for f in mesh.faces:
+    for f in boundary.faces:
         gap = f.gap if f.gap is not None else float("nan")
-        rows.append([f.direction.theta, f.direction.phi, f.lambda_max, gap])
-    return csv_text(["theta", "phi", "lambda_max", "gap"], rows)
+        rows.append([*f.direction.angles, f.lambda_max, gap])
+    return csv_text([*_angle_names(boundary.n), "lambda_max", "gap"], rows)
 
 
 def surface_csv(surface) -> str:
@@ -70,13 +71,14 @@ def sweep_csv(series, quantity: str) -> str:
 
 
 def boundary_json(boundary: Boundary, j: HalfInt, set_name: str, gamma: int) -> str:
+    names = _angle_names(boundary.n)
     doc = {
         "j_twice": j.twice,
         "set": set_name,
         "gamma": gamma,
         "faces": [
             {
-                "phi": f.direction.phi,
+                **dict(zip(names, f.direction.angles)),
                 "lambda_max": f.lambda_max,
                 "multiplicity": f.multiplicity,
                 "vertices": [[float(c) for c in v] for v in f.vertices],
@@ -89,16 +91,14 @@ def boundary_json(boundary: Boundary, j: HalfInt, set_name: str, gamma: int) -> 
 
 
 def bounds_json(report: BoundReport, j: HalfInt, set_name: str, gamma: int) -> str:
-    measures = []
+    measures, names = [], _angle_names(report.rect.n)
     for res in report.results:
         entry: dict = {"kind": res.kind.tag}
         if res.kind.kappa is not None:
             entry["kappa"] = res.kind.kappa
         entry["value"] = res.value
         entry["sense"] = res.sense
-        entry["angles"] = [
-            {"phi": a[0]} if len(a) == 1 else {"theta": a[0], "phi": a[1]} for a in res.angles
-        ]
+        entry["angles"] = [dict(zip(names, a)) for a in res.angles]
         measures.append(entry)
     doc = {
         "j_twice": j.twice,
@@ -156,9 +156,8 @@ def svg_polyline(points: np.ndarray) -> str:
 
 
 def boundary_svg(boundary: Boundary) -> str:
-    return svg_polyline(convex_hull(boundary.all_vertices()))
+    """Outline of the vertices projected onto (v1, v2), 2D and 3D alike: their 2D hull."""
+    return svg_polyline(convex_hull(boundary.all_vertices()[:, :2]))
 
 
-def mesh_svg(mesh: Boundary) -> str:
-    """Outline of the mesh vertices projected onto the first two coordinates: their 2D hull."""
-    return svg_polyline(convex_hull(mesh.all_vertices()[:, :2]))
+mesh_svg = boundary_svg

@@ -54,6 +54,24 @@ class Direction:
     def n(self) -> int:
         return len(self.eta)
 
+    @property
+    def angles(self) -> tuple[float, ...]:
+        """(phi,) in 2D, (theta, phi) in 3D: the angle columns of every output."""
+        return (self.phi,) if self.theta is None else (self.theta, self.phi)
+
+
+def direction(eta: np.ndarray) -> Direction:
+    """The sweep direction of the unit vector eta: phi in [0, 2 pi), and 0 at a pole.
+
+    A tiny negative atan2, which % rounds up to exactly 2 pi, is folded to 0.
+    """
+    phi = math.atan2(eta[1], eta[0]) % (2 * math.pi)
+    phi = 0.0 if phi == 2 * math.pi else phi
+    if len(eta) == 2:
+        return direction2(phi)
+    rho = math.hypot(eta[0], eta[1])
+    return direction3(math.atan2(rho, eta[2]), phi if rho > 0.0 else 0.0)
+
 
 def direction2(phi: float) -> Direction:
     eta = np.array([math.cos(phi), math.sin(phi)])
@@ -203,6 +221,11 @@ class Boundary:
     faces: list[SupportFace]
     grid: int | tuple[int, int]  # the sweep_directions grid, as membership takes it
     deg_tol: float = DEG_TOL_DEFAULT
+
+    @property
+    def n(self) -> int:
+        """The number of operators, read from the grid: a step count in 2D, a pair in 3D."""
+        return 3 if isinstance(self.grid, tuple) else 2
 
     def all_vertices(self) -> np.ndarray:
         return np.vstack([f.vertices for f in self.faces])

@@ -624,12 +624,12 @@ def ascend_reference(vec, start, kind, rect, deg_tol: float, solve=numrange.face
         eta = g / norm if sense == bounds.MAX else -g / norm
         if np.linalg.norm(eta - direction.eta) <= bounds.ANGLE_TOL:
             break
-        step = bounds._direction(eta)
+        step = numrange.direction(eta)
         found, dot_new, ring_new = best_vertex(kind, solve(vec, step, deg_tol), rect, sense)
         if not better(found, value, sense):
             break
         direction, value, dot, ring = step, found, dot_new, ring_new
-    return bounds._angles(direction), value
+    return direction.angles, value
 
 
 def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
@@ -651,7 +651,7 @@ def optimize_reference(vec, boundary, kinds, solve=numrange.face) -> list:
             refined.append((angles, v))
             if better(v, best, sense):
                 best = v
-        grid = [(bounds._angles(f.direction), v) for f, v in zip(boundary.faces, flat)]
+        grid = [(f.direction.angles, v) for f, v in zip(boundary.faces, flat)]
         near = [(angles, v) for angles, v in grid if abs(v - best) <= bounds.VALUE_TOL]
         results.append(bounds.MeasureResult(kind, best, sense, collect_reference(near + refined, best)))
     return results

@@ -377,6 +377,6 @@ def test_criterion_11_property_suites():
     rect2 = hyperrect(vec2)
     bound = 4 * LN2 - SQ3 * math.log(2 + SQ3)
     for v in b2.all_vertices():
-        assert region_contains(MeasureKind.h(), bound, "min", v, rect2)
+        assert region_contains(MeasureKind.h(), bound, v, rect2)
     trivial, _ = triviality_check(vec2, b2)
     assert not trivial

@@ -14,7 +14,7 @@ import sys
 
 from specrange import bounds, io, numrange
 from specrange.bounds import MeasureKind
-from specrange.spinops import HalfInt, jsq_pair
+from specrange.spinops import HalfInt, anticomm_vec, jsq_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -78,3 +78,14 @@ def test_traced_sweep_gives_every_layer_metric():
     assert metrics["numrange.membership_calls"] == 1
     assert metrics["bounds.angles"] >= 1 and metrics["io.bytes"] == len(text)
     assert all(value >= 0.0 for value in metrics.values())
+
+
+def test_traced_mesh_table_is_one_serialize_span():
+    """io.mesh_csv is io.boundary_csv itself: a traced 3D table records one io.serialize span, not one per name."""
+    tracer = _load_tracer()
+    mesh = numrange.boundary3d(anticomm_vec(HalfInt(2), 1), 4, 8)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        text = io.mesh_csv(mesh)
+    assert [s.name for s in recorder.spans] == ["io.serialize"]
+    assert tracer.layer_metrics(recorder.spans)["io.bytes"] == len(text)

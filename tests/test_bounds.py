@@ -22,10 +22,8 @@ from specrange.bounds import (
     MIN,
     VALUE_TOL,
     MeasureKind,
-    _angles,
     _best_rows,
     _collect,
-    _direction,
     _gradient,
     _scores,
     _weights,
@@ -43,6 +41,7 @@ from specrange.numrange import (
     Hyperrect,
     boundary2d,
     boundary3d,
+    direction,
     direction2,
     direction3,
     face,
@@ -102,7 +101,7 @@ def test_nan_coordinate_raises():
     with pytest.raises(ValueError):
         combined(MeasureKind.h(), [math.nan, 0.5], unit)
     with pytest.raises(ValueError):
-        region_contains(MeasureKind.h(), 0.0, MIN, [math.nan, math.nan], unit)
+        region_contains(MeasureKind.h(), 0.0, [math.nan, math.nan], unit)
 
 
 def test_normalize_mean_endpoints_and_midpoint():
@@ -308,7 +307,7 @@ def test_collect_keeps_values_within_value_tol():
     assert _collect(evaluated, [], 0.5) == _collect([], evaluated, 0.5) == collect_reference(evaluated, 0.5) == want
 
 
-COLLECT_GRIDS = {grid: [_angles(d) for d in sweep_directions(*grid)] for grid in [
+COLLECT_GRIDS = {grid: [d.angles for d in sweep_directions(*grid)] for grid in [
     (2, 8), (2, 360), (2, 4096), (3, (4, 8)), (3, (12, 24)), (3, (36, 72)),
 ]}
 
@@ -353,7 +352,7 @@ def test_grid_angles_never_match(n, grid):
     would include a neighbouring pair: columns of a row (the seam, column 0
     against the last, included), rows of a column, or a pole against row 1.
     """
-    angles = [_angles(d) for d in sweep_directions(n, grid)]
+    angles = [d.angles for d in sweep_directions(n, grid)]
     if n == 2:
         rows, poles = [angles], []
     else:
@@ -551,7 +550,7 @@ def test_operator_permutation_laws(build):
         for f in mesh.faces:
             eta = np.zeros(3)
             eta[cols] = f.direction.eta
-            back.append(_direction(eta))
+            back.append(direction(eta))
         for f, g in zip(mesh.faces, faces(vec, back, mesh.deg_tol)):
             want = g.vertices[:, cols]
             assert len(f.vertices) == len(want)
@@ -714,20 +713,20 @@ def _ascent_from(vec, start, kind):
 
 def test_ascent_ending_at_a_pole_reports_phi_zero():
     for eta, angles in (([0.0, 0.0, 1.0], (0.0, 0.0)), ([-0.0, -0.0, -1.0], (math.pi, 0.0))):
-        d = _direction(np.array(eta))
+        d = direction(np.array(eta))
         assert (d.theta, d.phi) == angles
     # the limit direction of h at this face's best vertex is -z
     vec = anticomm_vec(HalfInt(2), 1)
     start = face(vec, direction3(3 * math.pi / 4, 7 * math.pi / 4))
     ascent = _ascent_from(vec, start, MeasureKind.h())
     bounds._refine(vec, [MeasureKind.h()], *ascent, hyperrect(vec), DEG_TOL_DEFAULT)
-    assert _angles(ascent[1][0]) == (math.pi, 0.0)
+    assert ascent[1][0].angles == (math.pi, 0.0)
 
 
 def test_direction_folds_a_tiny_negative_phi_to_zero():
     """atan2 gives -1e-17 here, and -1e-17 % (2 pi) rounds to exactly 2 pi."""
-    assert _direction(np.array([1.0, -1e-17])).phi == 0.0
-    d = _direction(np.array([1.0, -1e-17, 0.0]))
+    assert direction(np.array([1.0, -1e-17])).phi == 0.0
+    d = direction(np.array([1.0, -1e-17, 0.0]))
     assert (d.theta, d.phi) == (math.pi / 2, 0.0)
 
 
@@ -908,20 +907,25 @@ def test_jsq2d_j3_h_is_attained_below_the_frozen_reference():
 
 def test_region_contains_basics():
     rect = Hyperrect(lo=(0.0, 0.0), hi=(1.0, 1.0))
-    assert region_contains(MeasureKind.h(), 2 * LN2, MIN, [0.5, 0.5], rect)
-    assert not region_contains(MeasureKind.h(), 0.1, MIN, [0.0, 0.0], rect)
+    assert region_contains(MeasureKind.h(), 2 * LN2, [0.5, 0.5], rect)
+    assert not region_contains(MeasureKind.h(), 0.1, [0.0, 0.0], rect)
 
 
 def test_region_contains_reads_both_senses():
-    """At the (lo, lo) corner of jsq2d j = 2, h is 0: outside the MIN region of 0.5 and inside its MAX region."""
+    """Each measure's own sense: at the (lo, lo) corner of jsq2d j = 2, h is 0 and umax is 2.
+
+    The corner lies outside h's region of 0.5 (h >= 0.5) and outside umax's
+    region of 1.5 (umax <= 1.5); the centre, where h is 2 ln 2 and umax is 1,
+    lies inside both.
+    """
     vec = jsq_pair(HalfInt(4))
     rect = hyperrect(vec)
-    corner = list(rect.lo)
-    assert not region_contains(MeasureKind.h(), 0.5, MIN, corner, rect)
-    assert region_contains(MeasureKind.h(), 0.5, MAX, corner, rect)
-    for sense in ("MIN", "nonsense", None):
-        with pytest.raises(ValueError, match="sense"):
-            region_contains(MeasureKind.h(), 0.5, sense, corner, rect)
+    corner, centre = list(rect.lo), [(lo + hi) / 2 for lo, hi in zip(rect.lo, rect.hi)]
+    assert not region_contains(MeasureKind.h(), 0.5, corner, rect)
+    assert region_contains(MeasureKind.h(), 0.5, centre, rect)
+    assert not region_contains(MeasureKind.umax(), 1.5, corner, rect)
+    assert region_contains(MeasureKind.umax(), 1.5, centre, rect)
+    assert region_contains(MeasureKind.umax(), 2.0, corner, rect)
 
 
 def test_region_contains_boundary_vertices():
@@ -930,7 +934,7 @@ def test_region_contains_boundary_vertices():
     rect = hyperrect(vec)
     bound = 4 * LN2 - SQ3 * math.log(2 + SQ3)
     for v in b.all_vertices():
-        assert region_contains(MeasureKind.h(), bound, MIN, v, rect)
+        assert region_contains(MeasureKind.h(), bound, v, rect)
 
 
 def test_triviality_flags():

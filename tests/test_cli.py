@@ -271,7 +271,7 @@ def readme_cli_examples():
 
 def test_readme_cli_examples(tmp_path):
     examples = readme_cli_examples()
-    assert len(examples) == 11
+    assert len(examples) == 13
     for i, args in enumerate(examples):
         out = tmp_path / f"example{i}.out"
         if "--out" in args:

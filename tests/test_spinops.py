@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import CI_LONG, anticomm_sum_pair
 from oracles import analytic_lambda_oracle
 from specrange.errors import DimensionMismatch, GammaOutOfRange, UnsupportedJ
-from specrange import bounds, spinops
+from specrange import spinops
 from specrange.linalg import block_top_eigenvalues, eig_hermitian, expectation, make_hermitian
-from specrange.numrange import faces, sweep_directions
+from specrange.numrange import direction, faces, sweep_directions
 from specrange.spinops import (
     HalfInt,
     ObservableVec,
@@ -283,7 +283,7 @@ def test_rotate_frame_turns_any_triple(build):
     for theta, phi in ((0.7, 2.1), (2.4, 5.3)):
         rot = rotation_matrix(theta, phi)
         turned = faces(rotate_frame(vec, theta, phi), dirs)
-        original = faces(vec, [bounds._direction(rot.T @ d.eta) for d in dirs])
+        original = faces(vec, [direction(rot.T @ d.eta) for d in dirs])
         gaps = [abs(f.lambda_max - g.lambda_max) for f, g in zip(turned, original, strict=True)]
         assert max(gaps) <= 1e-13 * scale, (theta, phi)
 
