@@ -3,14 +3,18 @@
 
 Loads `perfbench/workloads.py` read-only and, for every table of every
 workload, builds the table's operator set as `workloads.run_table` does and
-times `numrange.faces` over its sweep grid (the median of --repeats calls).
-It then times the `linalg.band_top` calls of one such sweep alone, replayed
-with the same bands and counts, and prints per table:
+times its sweep as `workloads.run_table` runs it, `numrange.boundary2d` or
+`numrange.boundary3d` over the table's grid (the median of --repeats
+calls). A sweep solves one direction per orbit of the set's sign group and
+maps the rest. It then times the `linalg.band_top` calls of one such sweep
+alone, replayed with the same bands and counts, and prints per table:
 
-    workload: label  faces <ms>  band_top <ms> (<calls> calls)  one <n>  per block <n>  in block <n>
+    workload: label  sweep <ms>  band_top <ms> (<calls> calls)  solved <n>  one <n>  per block <n>  in block <n>
 
-The census sorts each face by its top cluster: one state, one state in each
-of several blocks (a direct sum), or several states in one block.
+`solved` is the number of directions the sweep solves, one per orbit. The
+census sorts each face of the whole grid by its top cluster: one state, one
+state in each of several blocks (a direct sum), or several states in one
+block.
 """
 
 import argparse
@@ -68,8 +72,13 @@ def census(vec, records) -> tuple[int, int, int]:
     return one, per_block, in_block
 
 
-def band_top_calls(vec, directions) -> list[tuple]:
-    """The (band, k, vectors) arguments of every band_top call one faces sweep makes, in order."""
+def sweep(vec, grid) -> numrange.Boundary:
+    """The table's sweep, as workloads.run_table runs it."""
+    return numrange.boundary2d(vec, grid) if vec.n == 2 else numrange.boundary3d(vec, *grid)
+
+
+def band_top_calls(vec, grid) -> list[tuple]:
+    """The (band, k, vectors) arguments of every band_top call one sweep makes, in order."""
     calls = []
     solve = numrange.band_top
 
@@ -79,7 +88,7 @@ def band_top_calls(vec, directions) -> list[tuple]:
 
     numrange.band_top = recording
     try:
-        numrange.faces(vec, directions)
+        sweep(vec, grid)
     finally:
         numrange.band_top = solve
     return calls
@@ -103,10 +112,10 @@ def main():
         for table in workload.tables:
             vec = table_set(table)
             grid = table.grid if isinstance(table.grid, tuple) else int(table.grid)
-            directions = numrange.sweep_directions(vec.n, grid)
-            records = numrange.faces(vec, directions)  # also warms the set's cached blocks
-            faces_s = median_seconds(lambda: numrange.faces(vec, directions), args.repeats)
-            calls = band_top_calls(vec, directions)
+            records = sweep(vec, grid).faces  # also warms the set's cached blocks and the grid's orbits
+            sweep_s = median_seconds(lambda: sweep(vec, grid), args.repeats)
+            calls = band_top_calls(vec, grid)
+            solved = len(numrange._grid_orbits(vec.n, grid, vec.sign_group)[1])
 
             def replay():
                 for band, k, vectors in calls:
@@ -115,8 +124,8 @@ def main():
             solve_s = median_seconds(replay, args.repeats)
             one, per_block, in_block = census(vec, records)
             print(
-                f"{name}: {table.label}  faces {1e3 * faces_s:.1f} ms  band_top {1e3 * solve_s:.1f} ms"
-                f" ({len(calls)} calls)  one {one}  per block {per_block}  in block {in_block}"
+                f"{name}: {table.label}  sweep {1e3 * sweep_s:.1f} ms  band_top {1e3 * solve_s:.1f} ms"
+                f" ({len(calls)} calls)  solved {solved}  one {one}  per block {per_block}  in block {in_block}"
             )
 
 

@@ -2,11 +2,15 @@
 
 For each unit direction eta the top eigenvalue of eta.E gives a supporting
 hyperplane of the allowed region of mean vectors; the states attaining it
-generate the touching face. A sweep is one call of ``faces`` over all its
-directions: each block of the operator set forms and solves every direction's
-band, and the blocks' top values merge as arrays over all directions, with
-only a direction whose block needs more values re-solved in a loop
-(``support`` is that step at one direction). The clusters' bases are
+generate the touching face. A sweep (``boundary2d``, ``boundary3d``) solves
+one direction per orbit of the set's sign group and maps each other grid
+direction's top eigenspace from its orbit's by the (anti)unitary symmetry
+that carries one onto the other (_swept_faces); ``faces`` solves every
+direction it is given. A solve is one call over all its directions: each
+block of the operator set forms and solves every direction's band, and the
+blocks' top values merge as arrays over all directions, with only a
+direction whose block needs more values re-solved in a loop (``support`` is
+that step at one direction). The clusters' bases are
 stacked by multiplicity; each block compresses the operators onto the rows
 of a basis it holds (``linalg.Block.compress``), and the blocks' parts add:
 no operator couples two blocks, so the compression is block diagonal. A
@@ -181,20 +185,25 @@ def local_optima(values: np.ndarray, grid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_orbits(n: int, grid, group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's unit vectors, one index per orbit of the sign group, and each index's orbit number.
+def _grid_orbits(n: int, grid, group) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's unit vectors, one index per orbit of the sign group, each index's orbit, and the element mapping it.
 
     grid as _checked_grid returns it, group as ObservableVec.sign_group.
     An orbit's representative is the smallest of an index's images
     sign_image(grid, S) over the group; the representatives ascend, so they
-    are in grid order. Every array is read-only, as the cache shares it.
+    are in grid order. The mapping element of index k is the position in
+    group of the first S, identity first, whose sign_image takes k's
+    representative to k: the identity at a representative. Every array is
+    read-only, as the cache shares it.
     """
     etas = np.array([d.eta for d in sweep_directions(n, grid)])
-    orbit = np.min([sign_image(grid, signs) for signs in group], axis=0)
+    images = np.array([sign_image(grid, signs) for signs in group])
+    orbit = images.min(axis=0)
     solved, solution = np.unique(orbit, return_inverse=True)
-    for array in (etas, solved, solution):
+    element = np.argmax(images[:, orbit] == np.arange(len(orbit)), axis=0)
+    for array in (etas, solved, solution, element):
         array.flags.writeable = False
-    return etas, solved, solution
+    return etas, solved, solution, element
 
 
 @dataclass
@@ -216,7 +225,12 @@ class SupportFace:
 
 @dataclass
 class Boundary:
-    """One sweep: a face per direction of sweep_directions(n, grid), in that order."""
+    """One sweep: a face per direction of sweep_directions(n, grid), in that order.
+
+    Each face is built from its own direction's record, solved at one
+    direction per orbit of the sign group and mapped exactly to the rest
+    (_swept_faces).
+    """
 
     faces: list[SupportFace]
     grid: int | tuple[int, int]  # the sweep_directions grid, as membership takes it
@@ -553,7 +567,55 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
     DEDUP_TOL times the operators' spectral scale. A direction's face does
     not depend on the other directions of the call.
     """
-    records, stacks = _solve(vec, directions, deg_tol)
+    return _built_faces(vec, *_solve(vec, directions, deg_tol), deg_tol)
+
+
+def _swept_faces(vec: ObservableVec, grid, deg_tol: float) -> list[SupportFace]:
+    """faces over every direction of the sweep_directions grid, solving one direction per orbit of the sign group.
+
+    _solve runs on the orbits' representatives (_grid_orbits). Every grid
+    direction k then takes its representative's record, mapped by the
+    element g of vec.symmetries that carries the representative onto k:
+    lambda_max, multiplicity and gap are copied bitwise, and the eigenbasis
+    is g applied to the representative's, a permutation with +-1 phases and
+    perhaps a conjugation, which rounds nothing. The mapped bases stack by
+    multiplicity as _solve's do, and each direction's face is built from its
+    own record (_built_faces), so a representative's face is bitwise its
+    face alone, and with the identity group the sweep is faces over the grid
+    bit for bit.
+
+    An image's lambda_max is its own only up to the group's verified
+    residual: g maps each operator to +-itself within
+    spinops.SIGN_GROUP_TOL * s entrywise (s the operators' largest
+    |eigenvalue|), which moves lambda_max by at most d sqrt(n)
+    SIGN_GROUP_TOL * s per generator, and an element is a product of at
+    most three. Every image vertex is still the exact mean of a state of
+    the mapped basis, so the region's inner side stays sound.
+    """
+    directions = sweep_directions(vec.n, grid)
+    _, solved, solution, element = _grid_orbits(vec.n, _checked_grid(vec.n, grid), vec.sign_group)
+    if len(solved) == len(directions):  # no direction shares a solve: the group is the identity here
+        return faces(vec, directions, deg_tol)
+    solved_records, solved_stacks = _solve(vec, [directions[k] for k in solved], deg_tol)
+    records, stacks = [None] * len(directions), []
+    for solved_rows, solved_basis in solved_stacks:
+        place = np.zeros(len(solved), dtype=int)
+        place[solved_rows] = np.arange(len(solved_rows))
+        rows = np.flatnonzero(np.isin(solution, solved_rows))
+        sources, elements = place[solution[rows]], element[rows]
+        basis = np.empty((len(rows), *solved_basis.shape[1:]), dtype=np.complex128)
+        for e in np.unique(elements).tolist():
+            at = elements == e
+            basis[at] = vec.symmetries[e].apply(solved_basis[sources[at]])
+        for k, b, orbit in zip(rows.tolist(), basis, solution[rows].tolist()):
+            rep = solved_records[orbit]
+            records[k] = SupportFace(directions[k], rep.lambda_max, rep.multiplicity, b, gap=rep.gap)
+        stacks.append((rows, basis))
+    return _built_faces(vec, records, stacks, deg_tol)
+
+
+def _built_faces(vec: ObservableVec, records: list[SupportFace], stacks, deg_tol: float) -> list[SupportFace]:
+    """Each record with its face's vertices set, from the bases stacked by multiplicity as _solve gives them."""
     built = {}  # face -> (vertices, their states in its cluster's basis), for clusters of several states
     singles, means = [], np.empty((0, vec.n))  # the one-state faces and their points
     for rows, basis in stacks:
@@ -641,10 +703,10 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def boundary2d(vec: ObservableVec, steps: int = 360, deg_tol: float = DEG_TOL_DEFAULT) -> Boundary:
-    """Faces at phi_k = 2 pi k / steps."""
+    """Faces at phi_k = 2 pi k / steps, one direction solved per orbit (_swept_faces)."""
     if vec.n != 2:
         raise DimensionMismatch("boundary2d needs a 2-operator vector")
-    return Boundary(faces=faces(vec, sweep_directions(2, steps), deg_tol), grid=steps, deg_tol=deg_tol)
+    return Boundary(faces=_swept_faces(vec, steps, deg_tol), grid=steps, deg_tol=deg_tol)
 
 
 def boundary3d(
@@ -653,11 +715,11 @@ def boundary3d(
     phi_steps: int,
     deg_tol: float = DEG_TOL_DEFAULT,
 ) -> Boundary:
-    """Lat-long sweep: theta_k = k pi/K (both poles), phi_k' = k' 2pi/K'."""
+    """Lat-long sweep: theta_k = k pi/K (both poles), phi_k' = k' 2pi/K', one solve per orbit (_swept_faces)."""
     if vec.n != 3:
         raise DimensionMismatch("boundary3d needs a 3-operator vector")
     grid = (theta_steps, phi_steps)
-    return Boundary(faces=faces(vec, sweep_directions(3, grid), deg_tol), grid=grid, deg_tol=deg_tol)
+    return Boundary(faces=_swept_faces(vec, grid, deg_tol), grid=grid, deg_tol=deg_tol)
 
 
 def hyperrect(vec: ObservableVec) -> Hyperrect:
@@ -691,5 +753,5 @@ def membership(vec: ObservableVec, r, grid) -> float:
     if not np.all(np.isfinite(r)):
         raise NonFinite(f"point {r.tolist()} is not finite")
     grid = _checked_grid(vec.n, grid)
-    etas, solved, solution = _grid_orbits(vec.n, grid, vec.sign_group)
+    etas, solved, solution, _ = _grid_orbits(vec.n, grid, vec.sign_group)
     return float(np.min(block_top_eigenvalues(etas[solved], vec.blocks)[solution] - etas @ r))

@@ -8,6 +8,7 @@ products.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, GammaOutOfRange
 from .linalg import Block, HermObservable, make_hermitian, split_blocks
 
-# a symmetry generates ObservableVec.sign_group when it maps every operator
+# a symmetry generates ObservableVec.symmetries when it maps every operator
 # to +-itself within this fraction of the operators' largest |eigenvalue|
 SIGN_GROUP_TOL = 1e-12
 
@@ -63,6 +64,40 @@ class HalfInt:
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
 
 
+@dataclass(frozen=True, eq=False)
+class Symmetry:
+    """A unitary or antiunitary g of C^d with g A_i g^-1 = signs_i A_i, as its exact action on states.
+
+    (g v)_a = phases_a v_{perm_a}, with v conjugated first when conjugate is
+    set: a basis permutation, +-1 phases and complex conjugation, so applying
+    g rounds nothing.
+    """
+
+    signs: tuple[int, ...]
+    perm: np.ndarray
+    phases: np.ndarray
+    conjugate: bool
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """g applied to each state of C^d along axis -2: a (d, m) basis or a (G, d, m) stack of them."""
+        states = states.conj() if self.conjugate else states
+        return self.phases[:, None] * states[..., self.perm, :]
+
+    def transform(self, mat: np.ndarray) -> np.ndarray:
+        """g mat g^-1 of a d x d matrix: entry (a, b) is phases_a phases_b mat_{perm_a perm_b}, conjugated when g is."""
+        mat = mat.conj() if self.conjugate else mat
+        return np.multiply.outer(self.phases, self.phases) * mat[np.ix_(self.perm, self.perm)]
+
+    def after(self, other: "Symmetry") -> "Symmetry":
+        """The composition self o other, which realizes the product of the two sign tuples."""
+        return Symmetry(
+            signs=tuple(a * b for a, b in zip(self.signs, other.signs)),
+            perm=other.perm[self.perm],
+            phases=self.phases * other.phases[self.perm],
+            conjugate=self.conjugate != other.conjugate,
+        )
+
+
 @dataclass(frozen=True)
 class ObservableVec:
     """Ordered vector of 2 or 3 Hermitian observables on one Hilbert space.
@@ -102,10 +137,10 @@ class ObservableVec:
         return split_blocks(self.mats)
 
     @cached_property
-    def generator_signs(self) -> tuple[tuple[int, ...] | None, ...]:
-        """The sign tuple s of each of four symmetries g with g A_i g^-1 = s_i A_i, or None where g is not one.
+    def generators(self) -> tuple[Symmetry | None, ...]:
+        """Each of four candidate symmetries g with its signs s, g A_i g^-1 = s_i A_i, or None where g is not one.
 
-        The symmetries, in the Jz basis and in this order: complex
+        The candidates, in the Jz basis and in this order: complex
         conjugation K, e^{-i pi Jz}, which takes A_ab to (-1)^(a+b) A_ab,
         e^{-i pi Jy}, which does the same at the reversed indices a -> d-1-a,
         and Theta = e^{-i pi Jy} K, antiunitary like K, which may fix a set
@@ -116,38 +151,61 @@ class ObservableVec:
         """
         self.blocks  # validates the operators, so an invalid one raises before any test
         d = self.dim
-        checker = (-1.0) ** np.add.outer(np.arange(d), np.arange(d))
+        index, alternating = np.arange(d), (-1.0) ** np.arange(d)
+        reversed_index = index[::-1].copy()
         tol = SIGN_GROUP_TOL * float(np.abs(self.spectral_ends[0]).max())
-        generators = []
-        flip = lambda m: checker * m[::-1, ::-1]  # noqa: E731
-        for turn in (np.conj, lambda m: checker * m, flip, lambda m: flip(np.conj(m))):
+        kept = []
+        for perm, phases, conjugate in (
+            (index, np.ones(d), True),
+            (index, alternating, False),
+            (reversed_index, alternating, False),
+            (reversed_index, alternating, True),
+        ):
+            turn = Symmetry((), perm, phases, conjugate)
             signs = []
             for mat in self.mats:
-                image = turn(mat)
+                image = turn.transform(mat)
                 if np.max(np.abs(image - mat)) <= tol:
                     signs.append(1)
                 elif np.max(np.abs(image + mat)) <= tol:
                     signs.append(-1)
                 else:
-                    generators.append(None)
+                    kept.append(None)
                     break
             else:
-                generators.append(tuple(signs))
-        return tuple(generators)
+                kept.append(dataclasses.replace(turn, signs=tuple(signs)))
+        return tuple(kept)
+
+    @property
+    def generator_signs(self) -> tuple[tuple[int, ...] | None, ...]:
+        """The sign tuple of each of the four generators, or None where the candidate is not a symmetry."""
+        return tuple(None if g is None else g.signs for g in self.generators)
 
     @cached_property
-    def sign_group(self) -> tuple[tuple[int, ...], ...]:
-        """Every S = diag(+-1) with lambda_max(S eta) = lambda_max(eta) that three symmetries generate, identity first.
+    def symmetries(self) -> tuple[Symmetry, ...]:
+        """One symmetry per S = diag(+-1) with lambda_max(S eta) = lambda_max(eta) from three generators, identity first.
 
         A unitary or antiunitary g with g A_i g^-1 = s_i A_i for every
-        operator maps the allowed region onto itself by S = diag(s). The
-        group is the closure of the first three kept generators
-        (generator_signs) under elementwise product.
+        operator maps the allowed region onto itself by S = diag(s), and the
+        top eigenspace at eta onto the one at S eta. The table closes the
+        first three kept generators under composition, keeping the first
+        element found for each sign tuple (the identity for all +1, and two
+        elements with one tuple realize it alike), ordered by sign tuple
+        descending. Theta stays out of the closure; kramers_blocks alone
+        reads it.
         """
-        group = {(1,) * self.n}
-        for g in filter(None, self.generator_signs[:3]):  # the elements commute and square to the identity, so H u gH is closed
-            group |= {tuple(a * b for a, b in zip(g, s)) for s in group}
-        return tuple(sorted(group, reverse=True))
+        identity = Symmetry((1,) * self.n, np.arange(self.dim), np.ones(self.dim), False)
+        table = {identity.signs: identity}
+        for g in filter(None, self.generators[:3]):  # sign tuples commute and square to all +1: the products close
+            for h in list(table.values()):
+                gh = g.after(h)
+                table.setdefault(gh.signs, gh)
+        return tuple(table[signs] for signs in sorted(table, reverse=True))
+
+    @property
+    def sign_group(self) -> tuple[tuple[int, ...], ...]:
+        """The sign tuples of self.symmetries, identity first: the group membership and the sweeps share over."""
+        return tuple(g.signs for g in self.symmetries)
 
     @cached_property
     def kramers_blocks(self) -> tuple[bool, ...]:

@@ -16,6 +16,12 @@ from specrange.linalg import make_hermitian  # noqa: E402
 from specrange.spinops import ObservableVec, anticomm_vec  # noqa: E402
 
 
+def spectral_scale(vec) -> float:
+    """max(1, the operators' largest |eigenvalue|): the scale of every tolerance on a set's values."""
+    ends, _ = vec.spectral_ends
+    return max(1.0, float(np.abs(ends).max()))
+
+
 def anticomm_sum_pair(j):
     """(A1 + A2, A3) of anticomm gamma = 1: Theta = e^{-i pi Jy} K fixes both, yet
     neither K nor e^{-i pi Jy} maps A1 + A2 to +-itself."""

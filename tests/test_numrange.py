@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from conftest import anticomm_sum_pair, direct_sum
+from conftest import anticomm_sum_pair, direct_sum, spectral_scale
 from oracles import NotCommuting, cluster_compressions, commuting_polytope, expectations, membership_reference
 from specrange import linalg, numrange
 from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian
@@ -654,7 +654,7 @@ def test_membership_asks_every_block_for_its_top_two_values(monkeypatch, vec, gr
     """One request per (orbit direction, block), for min(2, size) values and no vectors."""
     calls = recorded_band_top(monkeypatch, linalg)
     membership(vec, np.zeros(vec.n), grid)
-    _, solved, _ = numrange._grid_orbits(vec.n, grid, vec.sign_group)
+    _, solved, _, _ = numrange._grid_orbits(vec.n, grid, vec.sign_group)
     assert sorted(calls) == sorted((b.size, min(2, b.size), False) for b in vec.blocks for _ in solved)
 
 
@@ -914,22 +914,88 @@ def test_boundary_deterministic():
         (lambda: anticomm_vec(HalfInt(3), 1), (12, 24)),
         (lambda: anticomm_vec(HalfInt(20), 1), (12, 24)),
         (lambda: scale_uniform(power_vec(HalfInt(40), 3), 1.0 / 20.0**3), (12, 24)),
+        # odd phi counts, where sign_image keeps every element that flips x at the identity
+        (lambda: ladder_combo(HalfInt(7), 1), 45),
+        (lambda: anticomm_vec(HalfInt(6), 1), (5, 9)),
     ],
-    ids=["jsq2d-j50", "anticomm-j3/2", "anticomm-j10", "jpow3-j20"],
+    ids=["jsq2d-j50", "anticomm-j3/2", "anticomm-j10", "jpow3-j20", "ladder1-j7/2-45", "anticomm-j3-5x9"],
 )
 def test_sweep_faces_match_single_direction_faces(build, grid):
-    """Every face of a sweep is bitwise the face solved at its direction alone."""
+    """A sweep solves one direction per orbit and maps the rest exactly; each face matches its face alone.
+
+    A representative's face is bitwise its face alone. An image copies its
+    representative's lambda_max, multiplicity and gap bitwise, and its
+    eigenbasis is bitwise g applied to the representative's, g the element
+    of vec.symmetries that carries one onto the other. Its vertices match the
+    face solved at its direction alone in count, and in coordinates within
+    1e-13 of the spectral scale plus that direct solve's own symmetry defect
+    |face(S eta) - S face(eta)|, as do S times the representative's where
+    the counts agree: the face layer builds a face's free plane from its own
+    direction, so even two direct solves are S-symmetric only to that defect.
+    """
     vec = build()
     boundary = boundary2d(vec, grid) if vec.n == 2 else boundary3d(vec, *grid)
-    for swept in boundary.faces:
+    _, solved, solution, element = numrange._grid_orbits(vec.n, grid, vec.sign_group)
+    tol = 1e-13 * spectral_scale(vec)
+    assert len(solved) < len(boundary.faces) or len(vec.sign_group) == 1
+    for k, swept in enumerate(boundary.faces):
         alone = face(vec, swept.direction)
-        assert alone.lambda_max == swept.lambda_max
-        assert alone.multiplicity == swept.multiplicity
-        assert alone.gap == swept.gap
-        assert alone.is_point == swept.is_point
-        assert alone.eigenbasis.tobytes() == swept.eigenbasis.tobytes()
+        rep = boundary.faces[solved[solution[k]]]
+        if rep is swept:
+            assert alone.lambda_max == swept.lambda_max
+            assert alone.multiplicity == swept.multiplicity
+            assert alone.gap == swept.gap
+            assert alone.eigenbasis.tobytes() == swept.eigenbasis.tobytes()
+            assert alone.vertices.shape == swept.vertices.shape
+            assert alone.vertices.tobytes() == swept.vertices.tobytes()
+            continue
+        g = vec.symmetries[element[k]]
+        assert (swept.lambda_max, swept.multiplicity, swept.gap) == (rep.lambda_max, rep.multiplicity, rep.gap)
+        assert swept.eigenbasis.tobytes() == g.apply(rep.eigenbasis).tobytes()
         assert alone.vertices.shape == swept.vertices.shape
-        assert alone.vertices.tobytes() == swept.vertices.tobytes()
+        mapped = rep.vertices * np.array(g.signs)
+        defect = np.max(np.abs(alone.vertices - mapped)) if alone.vertices.shape == mapped.shape else 0.0
+        assert np.max(np.abs(swept.vertices - alone.vertices)) <= tol + defect
+        if mapped.shape == swept.vertices.shape:
+            assert np.max(np.abs(swept.vertices - mapped)) <= tol + defect
+
+
+def dense_sets(n: int) -> list[ObservableVec]:
+    """Seeded dense complex Hermitian n-tuples at d = 3, 4 and 6, which no generator keeps."""
+    sets = []
+    for d in (3, 4, 6):
+        rng = np.random.default_rng([n, d])
+        mats = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n))
+        sets.append(ObservableVec(tuple(make_hermitian(m + m.conj().T, f"A{i}") for i, m in enumerate(mats))))
+    return sets
+
+
+def perturbed_anticomm() -> ObservableVec:
+    """anticomm gamma = 1 at 2j = 6 with A1 moved by a 1e-6 Hermitian perturbation."""
+    vec = anticomm_vec(HalfInt(6), 1)
+    rng = np.random.default_rng(29)
+    raw = rng.standard_normal((vec.dim, vec.dim)) + 1j * rng.standard_normal((vec.dim, vec.dim))
+    ops = (make_hermitian(vec.mats[0] + 1e-6 * (raw + raw.conj().T), "A1"), *vec.ops[1:])
+    return ObservableVec(ops, gamma=vec.gamma)
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [*dense_sets(2), *dense_sets(3), perturbed_anticomm()],
+    ids=[*(f"dense{n}-d{d}" for n in (2, 3) for d in (3, 4, 6)), "anticomm-j3-1e-6"],
+)
+def test_sweep_without_symmetry_is_faces_over_the_grid(vec):
+    """A set no generator keeps gets the identity group, and its sweep is faces over every grid direction, bitwise."""
+    grid = 36 if vec.n == 2 else (6, 12)
+    assert vec.sign_group == ((1,) * vec.n,)
+    boundary = boundary2d(vec, grid) if vec.n == 2 else boundary3d(vec, *grid)
+    direct = numrange.faces(vec, sweep_directions(vec.n, grid))
+    assert len(boundary.faces) == len(direct)
+    for swept, alone in zip(boundary.faces, direct):
+        assert swept.direction.eta.tobytes() == alone.direction.eta.tobytes()
+        assert (swept.lambda_max, swept.multiplicity, swept.gap) == (alone.lambda_max, alone.multiplicity, alone.gap)
+        assert swept.eigenbasis.tobytes() == alone.eigenbasis.tobytes()
+        assert swept.vertices.tobytes() == alone.vertices.tobytes()
 
 
 def test_faces_of_no_directions():

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts on small inputs: each exits 0 and writes output."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -37,8 +38,8 @@ def split_lines() -> list[re.Pattern]:
     """The lines sweep_split.py must print once each: one per table."""
     number = r"[0-9]+(?:\.[0-9]+)?"
     fields = (
-        rf"  faces {number} ms  band_top {number} ms \({number} calls\)"
-        rf"  one {number}  per block {number}  in block {number}"
+        rf"  sweep {number} ms  band_top {number} ms \({number} calls\)"
+        rf"  solved {number}  one {number}  per block {number}  in block {number}"
     )
     return [re.compile(rf"^{re.escape(name)}{fields}$", re.M) for name in benchmark_names()[0]]
 
@@ -62,6 +63,7 @@ DIGEST_FAMILIES = {
         ("face_digests.py", []),
         ("retained_per_pass.py", ["--passes", "1", "--workload", "point_queries"]),
         ("bound_digests.py", []),
+        ("bench.py", ["--workload", "point_queries", "--runs", "1", "--seconds", "1", "--out", "BENCH.json"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -90,5 +92,15 @@ def test_script_runs(script, args, tmp_path):
     if script == "sweep_split.py":
         for line in split_lines():
             assert len(line.findall(proc.stdout)) == 1, (line.pattern, proc.stdout)
+    if script == "bench.py":
+        report = json.loads((tmp_path / "BENCH.json").read_text())
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        (label,) = report["labels"]
+        queries = report["labels"][label]["workloads"]["point_queries"]
+        assert label == "change" and list(report["labels"][label]["workloads"]) == ["point_queries"]
+        assert queries["correct"] == 1 and len(queries["passes"]) == 1 and queries["passes"][0] >= 1
+        assert list(queries["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+        for metric in queries["metrics"].values():
+            assert len(metric["values"]) == 1 and metric["median"] == metric["values"][0] and metric["iqr"] == 0.0
     for path in tmp_path.iterdir():
         assert path.stat().st_size > 0, path.name

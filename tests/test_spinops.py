@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import CI_LONG, anticomm_sum_pair
+from conftest import CI_LONG, anticomm_sum_pair, spectral_scale
 from oracles import analytic_lambda_oracle
 from specrange.errors import DimensionMismatch, GammaOutOfRange, UnsupportedJ
 from specrange import spinops
@@ -348,11 +348,6 @@ FAMILIES = {
 }
 
 
-def spectral_scale(vec) -> float:
-    ends, _ = vec.spectral_ends
-    return max(1.0, float(np.abs(ends).max()))
-
-
 def conjugation_signs(vec) -> tuple[int, ...] | None:
     """K's signs read from the matrices: +1 for a real operator, -1 for an imaginary one, else None."""
     signs = []
@@ -495,6 +490,47 @@ def test_sign_group_keeps_lambda_max(family, twice, gamma, coeffs):
     assert group[0] == (1,) * vec.n and len(set(group)) == len(group)
     tops = block_top_eigenvalues(np.array(group) * eta, vec.blocks)
     assert np.max(np.abs(tops - tops[0])) <= 1e-12 * spectral_scale(vec)
+
+
+def symmetry_sets():
+    """(label, set): every family at 2j <= 10 and gamma <= 3, a rotated J frame and the scaled jpow gamma = 3."""
+    sets = [
+        (f"{family} g{gamma} j={HalfInt(twice)}", FAMILIES[family](HalfInt(twice), gamma))
+        for family in sorted(FAMILIES)
+        for twice in range(11)
+        for gamma in (1, 2, 3)
+    ]
+    sets.append(("rotated J j=5/2", rotate_frame(j_triple(HalfInt(5)), 0.7, 2.1)))
+    sets.append(("scaled jpow g3 j=5", scale_uniform(power_vec(HalfInt(10), 3), 1.0 / 5.0**3)))
+    return sets
+
+
+def test_every_symmetry_realizes_its_signs():
+    """Each table element g, as the matrix U with U[a, perm_a] = phases_a (after conjugation when g is antiunitary),
+    maps every operator to s_i A_i within SIGN_GROUP_TOL of the set's scale, acts on states as U, and takes a top
+    eigenvector at eta to one at S eta. The table's sign tuples are sign_group, identity first."""
+    rng = np.random.default_rng(31)
+    for label, vec in symmetry_sets():
+        d = vec.dim
+        tol = spinops.SIGN_GROUP_TOL * float(np.abs(vec.spectral_ends[0]).max())
+        assert tuple(g.signs for g in vec.symmetries) == vec.sign_group, label
+        identity = vec.symmetries[0]
+        assert identity.signs == (1,) * vec.n and not identity.conjugate, label
+        assert np.array_equal(identity.perm, np.arange(d)) and np.all(identity.phases == 1.0), label
+        eta = rng.standard_normal(vec.n)
+        eta /= np.linalg.norm(eta)
+        values, vectors = np.linalg.eigh(sum(c * m for c, m in zip(eta, vec.mats)))
+        top = vectors[:, -1:]
+        for g in vec.symmetries:
+            turn = (lambda x: x.conj()) if g.conjugate else (lambda x: x)
+            unitary = np.zeros((d, d))
+            unitary[np.arange(d), g.perm] = g.phases
+            for sign, mat in zip(g.signs, vec.mats):
+                assert np.max(np.abs(unitary @ turn(mat) @ unitary.T - sign * mat)) <= tol, (label, g.signs)
+            assert np.array_equal(g.apply(top), unitary @ turn(top)), (label, g.signs)
+            mapped = sum(c * s * m for c, s, m in zip(eta, g.signs, vec.mats))
+            residual = mapped @ g.apply(top) - values[-1] * g.apply(top)
+            assert np.linalg.norm(residual) <= 1e-12 * spectral_scale(vec) * max(1, d), (label, g.signs)
 
 
 # --- Kramers blocks: Theta = e^{-i pi Jy} K fixes every operator and squares to -1 ---
