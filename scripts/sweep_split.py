@@ -5,16 +5,17 @@ Loads `perfbench/workloads.py` read-only and, for every table of every
 workload, builds the table's operator set as `workloads.run_table` does and
 times its sweep as `workloads.run_table` runs it, `numrange.boundary2d` or
 `numrange.boundary3d` over the table's grid (the median of --repeats
-calls). A sweep solves one direction per orbit of the set's sign group and
-maps the rest. It then times the `linalg.band_top` calls of one such sweep
+calls). A sweep solves one direction per orbit of the set's symmetry table
+(`ObservableVec.symmetries`, signed permutations of its operators) and maps
+the rest. It then times the `linalg.band_top` calls of one such sweep
 alone, replayed with the same bands and counts, and prints per table:
 
     workload: label  sweep <ms>  band_top <ms> (<calls> calls)  solved <n>  one <n>  per block <n>  in block <n>
 
-`solved` is the number of directions the sweep solves, one per orbit. The
-census sorts each face of the whole grid by its top cluster: one state, one
-state in each of several blocks (a direct sum), or several states in one
-block.
+`solved` is the number of directions the sweep solves, one per orbit of that
+table. The census sorts each face of the whole grid by its top cluster: one
+state, one state in each of several blocks (a direct sum), or several states
+in one block.
 """
 
 import argparse
@@ -115,7 +116,7 @@ def main():
             records = sweep(vec, grid).faces  # also warms the set's cached blocks and the grid's orbits
             sweep_s = median_seconds(lambda: sweep(vec, grid), args.repeats)
             calls = band_top_calls(vec, grid)
-            solved = len(numrange._grid_orbits(vec.n, grid, vec.sign_group)[1])
+            solved = len(numrange._table_orbits(vec, grid)[1])
 
             def replay():
                 for band, k, vectors in calls:

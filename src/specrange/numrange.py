@@ -3,10 +3,10 @@
 For each unit direction eta the top eigenvalue of eta.E gives a supporting
 hyperplane of the allowed region of mean vectors; the states attaining it
 generate the touching face. A sweep (``boundary2d``, ``boundary3d``) solves
-one direction per orbit of the set's sign group and maps each other grid
-direction's top eigenspace from its orbit's by the (anti)unitary symmetry
-that carries one onto the other (_swept_faces); ``faces`` solves every
-direction it is given. A solve is one call over all its directions: each
+one direction per orbit of the set's symmetry table, signed permutations of
+its operators, and maps each other grid direction's top eigenspace from its
+orbit's by the (anti)unitary symmetry that carries one onto the other
+(_swept_faces); ``faces`` solves every direction it is given. A solve is one call over all its directions: each
 block of the operator set forms and solves every direction's band, and the
 blocks' top values merge as arrays over all directions, with only a
 direction whose block needs more values re-solved in a loop (``support`` is
@@ -142,20 +142,28 @@ def grid_size(grid) -> int:
     return 2 + (grid[0] - 1) * grid[1] if isinstance(grid, tuple) else grid
 
 
-def sign_image(grid, signs) -> np.ndarray:
-    """For each index k of the sweep_directions grid, the index of S eta_k, S = diag(signs).
+def sign_image(grid, signs, order=None) -> np.ndarray:
+    """For each index k of the sweep_directions grid, the index of P eta_k, P the signed permutation (order, signs).
 
-    Integer arithmetic only: the phi column c goes to c, -c, steps/2 - c or
-    c + steps/2 (mod steps) as S keeps or flips x and y, and when S flips z
-    the poles swap and the rows reverse. S eta_k matches the grid's
-    direction at the image to rounding. The identity when signs are all +1,
-    and when S flips x on an odd phi count, which phi -> pi - phi and
-    phi -> phi + pi do not map onto itself.
+    (P eta)_order_i = signs_i eta_i, and order None is the identity, so P =
+    diag(signs). Integer arithmetic only. An element that keeps the polar
+    axis acts in the xy plane as phi -> e phi + q pi/2, e = +-1 and q the
+    quarter turns to the image of phi = 0, so the phi column c goes to
+    (e c + q steps/4) mod steps; when it flips z the poles swap and the rows
+    reverse. P eta_k matches the grid's direction at the image to rounding.
+    The image is the identity wherever q steps/4 is not an integer (an
+    element that flips x without swapping x and y, q = 2, on an odd phi
+    count, or one that swaps them, q odd, on a count that 4 does not
+    divide), and for any element that moves the polar axis: neither maps
+    the grid onto itself.
     """
     steps = grid[1] if isinstance(grid, tuple) else grid
-    if all(s == 1 for s in signs) or (signs[0] < 0 and steps % 2):
+    order = tuple(range(len(signs))) if order is None else tuple(order)
+    turns = order[0] + 1 - signs[0]  # P takes the x axis to (cos, sin)(turns pi/2)
+    if order[2:] not in ((), (2,)) or turns * steps % 4:
         return np.arange(grid_size(grid))
-    cols = (signs[0] * signs[1] * np.arange(steps) + (steps // 2 if signs[0] < 0 else 0)) % steps
+    flip = signs[0] * signs[1] * (1 - 2 * order[0])  # the determinant of P in the xy plane
+    cols = (flip * np.arange(steps) + turns * steps // 4) % steps
     if not isinstance(grid, tuple):
         return cols
     north, rows, south = split_grid(np.arange(grid_size(grid)), grid)
@@ -185,25 +193,33 @@ def local_optima(values: np.ndarray, grid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_orbits(n: int, grid, group) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's unit vectors, one index per orbit of the sign group, each index's orbit, and the element mapping it.
+def _grid_orbits(n: int, grid, group, orders=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's unit vectors, one index per orbit of a symmetry group, each index's orbit, and the element mapping it.
 
-    grid as _checked_grid returns it, group as ObservableVec.sign_group.
-    An orbit's representative is the smallest of an index's images
-    sign_image(grid, S) over the group; the representatives ascend, so they
-    are in grid order. The mapping element of index k is the position in
-    group of the first S, identity first, whose sign_image takes k's
-    representative to k: the identity at a representative. Every array is
-    read-only, as the cache shares it.
+    grid as _checked_grid returns it; group holds each element's sign tuple
+    and orders its operator order, or None when every element is a sign
+    diagonal (ObservableVec.sign_group). An orbit's representative is the
+    smallest of an index's images sign_image(grid, signs, order) over the
+    group; the representatives ascend, so they are in grid order. The
+    mapping element of index k is the position in group of the first
+    element, identity first, whose sign_image takes k's representative to
+    k: the identity at a representative. Every array is read-only, as the
+    cache shares it.
     """
     etas = np.array([d.eta for d in sweep_directions(n, grid)])
-    images = np.array([sign_image(grid, signs) for signs in group])
+    images = np.array([sign_image(grid, signs, order) for signs, order in zip(group, orders or (None,) * len(group))])
     orbit = images.min(axis=0)
     solved, solution = np.unique(orbit, return_inverse=True)
     element = np.argmax(images[:, orbit] == np.arange(len(orbit)), axis=0)
     for array in (etas, solved, solution, element):
         array.flags.writeable = False
     return etas, solved, solution, element
+
+
+def _table_orbits(vec: ObservableVec, grid):
+    """_grid_orbits over the signed permutations of vec.symmetries: the orbits a sweep solves over."""
+    table = vec.symmetries
+    return _grid_orbits(vec.n, _checked_grid(vec.n, grid), tuple(g.signs for g in table), tuple(g.order for g in table))
 
 
 @dataclass
@@ -228,8 +244,8 @@ class Boundary:
     """One sweep: a face per direction of sweep_directions(n, grid), in that order.
 
     Each face is built from its own direction's record, solved at one
-    direction per orbit of the sign group and mapped exactly to the rest
-    (_swept_faces).
+    direction per orbit of the set's symmetry table and mapped exactly to
+    the rest (_swept_faces).
     """
 
     faces: list[SupportFace]
@@ -571,30 +587,31 @@ def faces(vec: ObservableVec, directions, deg_tol: float = DEG_TOL_DEFAULT) -> l
 
 
 def _swept_faces(vec: ObservableVec, grid, deg_tol: float) -> list[SupportFace]:
-    """faces over every direction of the sweep_directions grid, solving one direction per orbit of the sign group.
+    """faces over every direction of the sweep_directions grid, solving one direction per orbit of vec.symmetries.
 
-    _solve runs on the orbits' representatives (_grid_orbits). Every grid
-    direction k then takes its representative's record, mapped by the
-    element g of vec.symmetries that carries the representative onto k:
+    _solve runs on the orbits' representatives (_grid_orbits over the
+    table's signed permutations). Every grid direction k then takes its
+    representative's record, mapped by the element g of vec.symmetries
+    whose signed permutation carries the representative onto k:
     lambda_max, multiplicity and gap are copied bitwise, and the eigenbasis
-    is g applied to the representative's, a permutation with +-1 phases and
-    perhaps a conjugation, which rounds nothing. The mapped bases stack by
-    multiplicity as _solve's do, and each direction's face is built from its
-    own record (_built_faces), so a representative's face is bitwise its
-    face alone, and with the identity group the sweep is faces over the grid
-    bit for bit.
+    is g applied to the representative's, a permutation with phases +-1 or
+    +-i and perhaps a conjugation, which rounds nothing. The mapped bases
+    stack by multiplicity as _solve's do, and each direction's face is built
+    from its own record (_built_faces), so a representative's face is
+    bitwise its face alone, and a grid on which no direction shares a solve
+    sweeps as faces over the grid bit for bit.
 
-    An image's lambda_max is its own only up to the group's verified
-    residual: g maps each operator to +-itself within
-    spinops.SIGN_GROUP_TOL * s entrywise (s the operators' largest
-    |eigenvalue|), which moves lambda_max by at most d sqrt(n)
-    SIGN_GROUP_TOL * s per generator, and an element is a product of at
-    most three. Every image vertex is still the exact mean of a state of
+    An image's lambda_max is its own only up to g's residual r, measured
+    when the table is built: g maps each A_i to s_i A_order_i within r
+    entrywise, so g (eta.A) g^-1 differs from (P eta).A by at most
+    d sqrt(n) r in norm, and so do the two lambda_max. A generator's r is
+    at most spinops.SIGN_GROUP_TOL * s (s the operators' largest
+    |eigenvalue|). Every image vertex is still the exact mean of a state of
     the mapped basis, so the region's inner side stays sound.
     """
     directions = sweep_directions(vec.n, grid)
-    _, solved, solution, element = _grid_orbits(vec.n, _checked_grid(vec.n, grid), vec.sign_group)
-    if len(solved) == len(directions):  # no direction shares a solve: the group is the identity here
+    _, solved, solution, element = _table_orbits(vec, grid)
+    if len(solved) == len(directions):  # no direction shares a solve: no element but the identity maps this grid
         return faces(vec, directions, deg_tol)
     solved_records, solved_stacks = _solve(vec, [directions[k] for k in solved], deg_tol)
     records, stacks = [None] * len(directions), []

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import DimensionMismatch, GammaOutOfRange
 from .linalg import Block, HermObservable, make_hermitian, split_blocks
 
-# a symmetry generates ObservableVec.symmetries when it maps every operator
-# to +-itself within this fraction of the operators' largest |eigenvalue|
+# a symmetry generates ObservableVec.symmetries when it maps every operator to
+# + or - some operator within this fraction of the operators' largest |eigenvalue|
 SIGN_GROUP_TOL = 1e-12
 
 
@@ -64,36 +64,59 @@ class HalfInt:
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
 
 
+def _composed_key(outer, inner) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (order, signs) of g o h from g's and h's: h takes A_i to t_i A_k, and g takes A_k to s_k A_order_k."""
+    (order, signs), (inner_order, inner_signs) = outer, inner
+    return tuple(order[k] for k in inner_order), tuple(t * signs[k] for t, k in zip(inner_signs, inner_order))
+
+
 @dataclass(frozen=True, eq=False)
 class Symmetry:
-    """A unitary or antiunitary g of C^d with g A_i g^-1 = signs_i A_i, as its exact action on states.
+    """A unitary or antiunitary g of C^d with g A_i g^-1 = signs_i A_order_i, as its exact action on states.
 
     (g v)_a = phases_a v_{perm_a}, with v conjugated first when conjugate is
-    set: a basis permutation, +-1 phases and complex conjugation, so applying
-    g rounds nothing.
+    set: a basis permutation, phases +-1 or +-i and complex conjugation, so
+    applying g rounds nothing. It maps the allowed region onto itself by the
+    signed permutation P, (P eta)_order_i = signs_i eta_i, so
+    lambda_max(P eta) = lambda_max(eta), and it takes the top eigenspace at
+    eta onto the one at P eta. residual is the largest entry of any
+    g A_i g^-1 - signs_i A_order_i, measured when the table is built.
     """
 
     signs: tuple[int, ...]
+    order: tuple[int, ...]
     perm: np.ndarray
     phases: np.ndarray
     conjugate: bool
+    residual: float = 0.0
+
+    @property
+    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, signs): the signed permutation g realizes, which names it in the table."""
+        return self.order, self.signs
 
     def apply(self, states: np.ndarray) -> np.ndarray:
         """g applied to each state of C^d along axis -2: a (d, m) basis or a (G, d, m) stack of them."""
         states = states.conj() if self.conjugate else states
         return self.phases[:, None] * states[..., self.perm, :]
 
-    def transform(self, mat: np.ndarray) -> np.ndarray:
-        """g mat g^-1 of a d x d matrix: entry (a, b) is phases_a phases_b mat_{perm_a perm_b}, conjugated when g is."""
-        mat = mat.conj() if self.conjugate else mat
-        return np.multiply.outer(self.phases, self.phases) * mat[np.ix_(self.perm, self.perm)]
+    def transform(self, mats: np.ndarray) -> np.ndarray:
+        """g mat g^-1 of each d x d matrix on the last two axes: entry (a, b) is phases_a conj(phases_b)
+        mat_{perm_a perm_b}, conjugated when g is."""
+        mats = mats.conj() if self.conjugate else mats
+        flat = (self.perm[:, None] * len(self.perm) + self.perm).ravel()  # one flat take: fancy 2D indexing is slower
+        images = np.take(mats.reshape(*mats.shape[:-2], -1), flat, axis=-1).reshape(mats.shape)
+        return np.multiply.outer(self.phases, self.phases.conj()) * images
 
     def after(self, other: "Symmetry") -> "Symmetry":
-        """The composition self o other, which realizes the product of the two sign tuples."""
+        """The composition self o other, whose signed permutation is self's after other's; its residual is left 0."""
+        inner = other.phases[self.perm]
+        order, signs = _composed_key(self.key, other.key)
         return Symmetry(
-            signs=tuple(a * b for a, b in zip(self.signs, other.signs)),
+            signs=signs,
+            order=order,
             perm=other.perm[self.perm],
-            phases=self.phases * other.phases[self.perm],
+            phases=self.phases * (inner.conj() if self.conjugate else inner),
             conjugate=self.conjugate != other.conjugate,
         )
 
@@ -138,91 +161,135 @@ class ObservableVec:
 
     @cached_property
     def generators(self) -> tuple[Symmetry | None, ...]:
-        """Each of four candidate symmetries g with its signs s, g A_i g^-1 = s_i A_i, or None where g is not one.
+        """Each of five candidate symmetries g with the signed permutation it realizes, or None where g is not one.
 
         The candidates, in the Jz basis and in this order: complex
         conjugation K, e^{-i pi Jz}, which takes A_ab to (-1)^(a+b) A_ab,
         e^{-i pi Jy}, which does the same at the reversed indices a -> d-1-a,
-        and Theta = e^{-i pi Jy} K, antiunitary like K, which may fix a set
-        that neither factor keeps. One is kept when it sends every operator to
-        +itself or -itself within SIGN_GROUP_TOL of the operators' largest
-        |eigenvalue| (a zero operator takes +1), since matmul-built powers
-        are not mapped bitwise.
+        the quarter turn Q = diag(i^a), which is e^{-i pi Jz/2} up to a
+        global phase and maps Jx to Jy and Jy to -Jx, and Theta =
+        e^{-i pi Jy} K, antiunitary like K, which may fix a set that neither
+        factor keeps. Q's phases are divided on each block by the phase at
+        the block's first index: a phase constant on a block commutes with
+        every operator, since none couples two blocks, so a real block (the
+        parity blocks of jsq2d) gets +-1 phases and its states stay real.
+        One is kept when it sends every operator A_i to +A_k or -A_k within
+        SIGN_GROUP_TOL of the operators' largest |eigenvalue| (A_i itself
+        tried first, + before -; a zero operator takes +itself), and the k
+        form a permutation; matmul-built powers are not mapped bitwise. Its
+        residual is the largest such difference.
         """
         self.blocks  # validates the operators, so an invalid one raises before any test
         d = self.dim
         index, alternating = np.arange(d), (-1.0) ** np.arange(d)
         reversed_index = index[::-1].copy()
+        turns = index.copy()
+        for block in self.blocks:
+            turns[block.index] -= block.index[0]
+        quarter = np.array([1, 1j, -1, -1j])[turns % 4]
+        quarter = quarter if quarter.imag.any() else quarter.real
         tol = SIGN_GROUP_TOL * float(np.abs(self.spectral_ends[0]).max())
+        stack = np.stack(self.mats)
+
+        def match(image, i):
+            """(k, sign, miss) of the first +-A_k within tol of image, A_i itself first, or None."""
+            for k in sorted(range(self.n), key=lambda k: k != i):
+                for sign in (1, -1):
+                    miss = float(np.max(np.abs(image - sign * stack[k])))
+                    if miss <= tol:
+                        return k, sign, miss
+            return None
+
         kept = []
         for perm, phases, conjugate in (
             (index, np.ones(d), True),
             (index, alternating, False),
             (reversed_index, alternating, False),
+            (index, quarter, False),
             (reversed_index, alternating, True),
         ):
-            turn = Symmetry((), perm, phases, conjugate)
-            signs = []
-            for mat in self.mats:
-                image = turn.transform(mat)
-                if np.max(np.abs(image - mat)) <= tol:
-                    signs.append(1)
-                elif np.max(np.abs(image + mat)) <= tol:
-                    signs.append(-1)
-                else:
-                    kept.append(None)
-                    break
-            else:
-                kept.append(dataclasses.replace(turn, signs=tuple(signs)))
+            turn = Symmetry((), (), perm, phases, conjugate)
+            matches = [match(image, i) for i, image in enumerate(turn.transform(stack))]
+            if None in matches or sorted(k for k, _, _ in matches) != list(range(self.n)):
+                kept.append(None)
+                continue
+            order, signs, misses = zip(*matches)
+            kept.append(dataclasses.replace(turn, signs=signs, order=order, residual=max(misses)))
         return tuple(kept)
 
     @property
     def generator_signs(self) -> tuple[tuple[int, ...] | None, ...]:
-        """The sign tuple of each of the four generators, or None where the candidate is not a symmetry."""
+        """The sign tuple of each of the five generators, or None where the candidate is not a symmetry."""
         return tuple(None if g is None else g.signs for g in self.generators)
+
+    def _closure(self, generators) -> tuple[Symmetry, ...]:
+        """The group the kept generators generate, one element per (order, signs), each with its measured residual.
+
+        Products are taken until nothing new appears (the group need not be
+        abelian), keeping the first element found for each key; two
+        elements with one key realize it alike. The identity comes first,
+        then the elements by operator order ascending and sign tuple
+        descending.
+        """
+        n, d = self.n, self.dim
+        stack = np.stack(self.mats)
+        identity = Symmetry((1,) * n, tuple(range(n)), np.arange(d), np.ones(d), False)
+        table = {identity.key: identity}
+        size = 0
+        while size < len(table):
+            size = len(table)
+            for g in filter(None, generators):
+                for h in list(table.values()):
+                    if _composed_key(g.key, h.key) in table:
+                        continue
+                    if h is identity:  # g o identity is g, whose residual the generator test measured
+                        table[g.key] = g
+                        continue
+                    gh = g.after(h)
+                    misses = gh.transform(stack) - np.array(gh.signs)[:, None, None] * stack[list(gh.order)]
+                    table[gh.key] = dataclasses.replace(gh, residual=float(np.max(np.abs(misses))))
+        return tuple(table[key] for key in sorted(table, key=lambda key: (key[0], [-s for s in key[1]])))
 
     @cached_property
     def symmetries(self) -> tuple[Symmetry, ...]:
-        """One symmetry per S = diag(+-1) with lambda_max(S eta) = lambda_max(eta) from three generators, identity first.
+        """The symmetry table the sweeps share over: the closure of K, e^{-i pi Jz}, e^{-i pi Jy} and Q, identity first.
 
-        A unitary or antiunitary g with g A_i g^-1 = s_i A_i for every
-        operator maps the allowed region onto itself by S = diag(s), and the
-        top eigenspace at eta onto the one at S eta. The table closes the
-        first three kept generators under composition, keeping the first
-        element found for each sign tuple (the identity for all +1, and two
-        elements with one tuple realize it alike), ordered by sign tuple
-        descending. Theta stays out of the closure; kramers_blocks alone
-        reads it.
+        A unitary or antiunitary g with g A_i g^-1 = s_i A_order_i for every
+        operator maps the allowed region onto itself by a signed permutation
+        P, and the top eigenspace at eta onto the one at P eta. Theta stays
+        out of the closure; kramers_blocks alone reads it. The spin families
+        get order 2 (jsq2d, jpow gamma = 2), 4 (ladder gamma = 2), 8
+        (anticomm and ladder gamma = 1) or 16 (J, jpow gamma = 3).
         """
-        identity = Symmetry((1,) * self.n, np.arange(self.dim), np.ones(self.dim), False)
-        table = {identity.signs: identity}
-        for g in filter(None, self.generators[:3]):  # sign tuples commute and square to all +1: the products close
-            for h in list(table.values()):
-                gh = g.after(h)
-                table.setdefault(gh.signs, gh)
-        return tuple(table[signs] for signs in sorted(table, reverse=True))
+        return self._closure(self.generators[:4])
 
-    @property
+    @cached_property
     def sign_group(self) -> tuple[tuple[int, ...], ...]:
-        """The sign tuples of self.symmetries, identity first: the group membership and the sweeps share over."""
-        return tuple(g.signs for g in self.symmetries)
+        """The sign tuples of the diagonals S = diag(+-1) that K, e^{-i pi Jz} and e^{-i pi Jy} generate, descending.
+
+        The group membership shares over; each S keeps lambda_max(S eta) =
+        lambda_max(eta), and the identity comes first. Q stays out, so
+        membership's orbits and margins are those of the sign group alone.
+        """
+        identity = tuple(range(self.n))
+        return tuple(g.signs for g in self._closure(self.generators[:3]) if g.order == identity)
 
     @cached_property
     def kramers_blocks(self) -> tuple[bool, ...]:
         """Per block of self.blocks, whether every level of the block is a Kramers pair.
 
-        It needs Theta = e^{-i pi Jy} K to fix every operator: its signs in
-        generator_signs are all +1. Theta maps basis index a to d-1-a, so it
-        maps a block onto itself when the block's positions are symmetric
-        under that reversal, and at even d,
+        It needs Theta = e^{-i pi Jy} K to fix every operator: it is kept
+        with each operator mapped to +itself. Theta maps basis index a to
+        d-1-a, so it maps a block onto itself when the block's positions are
+        symmetric under that reversal, and at even d,
         Theta^2 = -1. Then every real combination of the operators commutes
         with Theta on the block, and each of its levels is doubly degenerate.
         A set whose levels pair across blocks (jsq2d at half-integer j) has
         no closed block.
         """
-        theta = self.generator_signs[3]
+        theta = self.generators[4]
         d = self.dim
-        if theta is None or -1 in theta or d % 2:
+        if theta is None or theta.key != (tuple(range(self.n)), (1,) * self.n) or d % 2:
             return (False,) * len(self.blocks)
         return tuple(bool(np.array_equal(block.index, d - 1 - block.index[::-1])) for block in self.blocks)
 

@@ -22,6 +22,13 @@ def spectral_scale(vec) -> float:
     return max(1.0, float(np.abs(ends).max()))
 
 
+def signed_permutation(order, signs) -> np.ndarray:
+    """The matrix P of a signed permutation, (P eta)_order_i = signs_i eta_i."""
+    mat = np.zeros((len(signs), len(signs)))
+    mat[list(order), np.arange(len(signs))] = signs
+    return mat
+
+
 def anticomm_sum_pair(j):
     """(A1 + A2, A3) of anticomm gamma = 1: Theta = e^{-i pi Jy} K fixes both, yet
     neither K nor e^{-i pi Jy} maps A1 + A2 to +-itself."""

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from conftest import anticomm_sum_pair, direct_sum, spectral_scale
+from conftest import anticomm_sum_pair, direct_sum, signed_permutation, spectral_scale
 from oracles import NotCommuting, cluster_compressions, commuting_polytope, expectations, membership_reference
 from specrange import linalg, numrange
 from specrange.errors import DimensionMismatch, NoConvergence, NonFinite, NonHermitian
@@ -559,6 +560,49 @@ def test_reversal_image_2d(signs, parity, steps):
     check_image(2, steps, signs)
 
 
+def signed_permutation_key(mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, signs) read back from a signed permutation matrix."""
+    order = tuple(int(i) for i in np.argmax(np.abs(mat), axis=0))
+    return order, tuple(int(mat[o, i]) for i, o in enumerate(order))
+
+
+@pytest.mark.parametrize("residue", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+@given(st.integers(min_value=4, max_value=8), st.integers(min_value=2, max_value=8))
+@settings(max_examples=10, deadline=None)
+def test_signed_permutation_image_law(n, residue, theta_steps, quarters):
+    """sign_image of every element of D4 x {+-z} on rings and lat-long grids with phi_steps = 4 quarters + residue.
+
+    An element that maps the grid onto itself, found by a nearest-direction
+    search, has the image P eta_k within IMAGE_TOL; any other has exactly
+    the identity, as has an element that moves the polar axis; and the
+    aligned images compose as their elements do.
+    """
+    phi_steps = 4 * quarters + residue
+    grid = phi_steps if n == 2 else (theta_steps, phi_steps)
+    etas = np.array([d.eta for d in sweep_directions(n, grid)])
+    index = np.arange(len(etas))
+    aligned = {}
+    for order in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            image = sign_image(grid, signs, order)
+            if order[2:] not in ((), (2,)):
+                assert np.array_equal(image, index)
+                continue
+            mapped = etas @ signed_permutation(order, signs).T
+            distance = np.max(np.abs(mapped[:, None] - etas[None]), axis=2)
+            nearest = np.argmin(distance, axis=1)
+            if np.all(distance[index, nearest] <= IMAGE_TOL):
+                assert np.array_equal(image, nearest)
+                aligned[order, signs] = image
+            else:
+                assert np.array_equal(image, index)
+    assert len(aligned) == {0: 8, 1: 2, 2: 4, 3: 2}[residue] * (n - 1)
+    for (outer, outer_image), (inner, inner_image) in itertools.product(aligned.items(), repeat=2):
+        product = signed_permutation(*outer) @ signed_permutation(*inner)
+        assert np.array_equal(aligned[signed_permutation_key(product)], outer_image[inner_image])
+
+
 # (label, vector, grid, whether the group is trivial, so that no direction shares a value)
 MEMBERSHIP_SETS = [
     ("j 5/2", j_triple(HalfInt(5)), (12, 24), False),
@@ -908,36 +952,44 @@ def test_boundary_deterministic():
 
 
 @pytest.mark.parametrize(
-    "build, grid",
+    "build, grid, solves",
     [
-        (lambda: jsq_pair(HalfInt(100)), 360),
-        (lambda: anticomm_vec(HalfInt(3), 1), (12, 24)),
-        (lambda: anticomm_vec(HalfInt(20), 1), (12, 24)),
-        (lambda: scale_uniform(power_vec(HalfInt(40), 3), 1.0 / 20.0**3), (12, 24)),
+        (lambda: jsq_pair(HalfInt(100)), 360, 181),
+        (lambda: jsq_pair(HalfInt(21)), 360, 181),
+        # 4 does not divide 90, so the swap phi -> pi/2 - phi maps no grid direction onto another
+        (lambda: jsq_pair(HalfInt(100)), 90, 90),
+        (lambda: anticomm_vec(HalfInt(3), 1), (12, 24), 40),
+        (lambda: anticomm_vec(HalfInt(20), 1), (12, 24), 40),
+        (lambda: scale_uniform(power_vec(HalfInt(40), 3), 1.0 / 20.0**3), (12, 24), 25),
         # odd phi counts, where sign_image keeps every element that flips x at the identity
-        (lambda: ladder_combo(HalfInt(7), 1), 45),
-        (lambda: anticomm_vec(HalfInt(6), 1), (5, 9)),
+        (lambda: ladder_combo(HalfInt(7), 1), 45, 23),
+        (lambda: anticomm_vec(HalfInt(6), 1), (5, 9), 19),
     ],
-    ids=["jsq2d-j50", "anticomm-j3/2", "anticomm-j10", "jpow3-j20", "ladder1-j7/2-45", "anticomm-j3-5x9"],
+    ids=[
+        "jsq2d-j50", "jsq2d-j21/2", "jsq2d-j50-90", "anticomm-j3/2", "anticomm-j10", "jpow3-j20", "ladder1-j7/2-45",
+        "anticomm-j3-5x9",
+    ],
 )
-def test_sweep_faces_match_single_direction_faces(build, grid):
+def test_sweep_faces_match_single_direction_faces(build, grid, solves):
     """A sweep solves one direction per orbit and maps the rest exactly; each face matches its face alone.
 
     A representative's face is bitwise its face alone. An image copies its
     representative's lambda_max, multiplicity and gap bitwise, and its
     eigenbasis is bitwise g applied to the representative's, g the element
-    of vec.symmetries that carries one onto the other. Its vertices match the
-    face solved at its direction alone in count, and in coordinates within
-    1e-13 of the spectral scale plus that direct solve's own symmetry defect
-    |face(S eta) - S face(eta)|, as do S times the representative's where
-    the counts agree: the face layer builds a face's free plane from its own
-    direction, so even two direct solves are S-symmetric only to that defect.
+    of vec.symmetries whose signed permutation P carries one onto the other.
+    Its vertices match the face solved at its direction alone in count, and
+    in coordinates within 1e-13 of the spectral scale plus that direct
+    solve's own symmetry defect |face(P eta) - P face(eta)|, as do P times
+    the representative's where the counts agree: the face layer builds a
+    face's free plane from its own direction, so even two direct solves are
+    symmetric only to that defect. Where no direction shares a solve, every
+    face is a representative: the sweep is faces over the grid bitwise.
     """
     vec = build()
     boundary = boundary2d(vec, grid) if vec.n == 2 else boundary3d(vec, *grid)
-    _, solved, solution, element = numrange._grid_orbits(vec.n, grid, vec.sign_group)
+    _, solved, solution, element = numrange._table_orbits(vec, grid)
     tol = 1e-13 * spectral_scale(vec)
-    assert len(solved) < len(boundary.faces) or len(vec.sign_group) == 1
+    assert len(solved) == solves
     for k, swept in enumerate(boundary.faces):
         alone = face(vec, swept.direction)
         rep = boundary.faces[solved[solution[k]]]
@@ -953,7 +1005,8 @@ def test_sweep_faces_match_single_direction_faces(build, grid):
         assert (swept.lambda_max, swept.multiplicity, swept.gap) == (rep.lambda_max, rep.multiplicity, rep.gap)
         assert swept.eigenbasis.tobytes() == g.apply(rep.eigenbasis).tobytes()
         assert alone.vertices.shape == swept.vertices.shape
-        mapped = rep.vertices * np.array(g.signs)
+        mapped = np.empty_like(rep.vertices)
+        mapped[:, list(g.order)] = rep.vertices * np.array(g.signs)
         defect = np.max(np.abs(alone.vertices - mapped)) if alone.vertices.shape == mapped.shape else 0.0
         assert np.max(np.abs(swept.vertices - alone.vertices)) <= tol + defect
         if mapped.shape == swept.vertices.shape:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import CI_LONG, anticomm_sum_pair, spectral_scale
+from conftest import CI_LONG, anticomm_sum_pair, signed_permutation, spectral_scale
 from oracles import analytic_lambda_oracle
 from specrange.errors import DimensionMismatch, GammaOutOfRange, UnsupportedJ
 from specrange import spinops
@@ -507,30 +507,111 @@ def symmetry_sets():
 
 def test_every_symmetry_realizes_its_signs():
     """Each table element g, as the matrix U with U[a, perm_a] = phases_a (after conjugation when g is antiunitary),
-    maps every operator to s_i A_i within SIGN_GROUP_TOL of the set's scale, acts on states as U, and takes a top
-    eigenvector at eta to one at S eta. The table's sign tuples are sign_group, identity first."""
+    maps every operator A_i to s_i A_order_i within its recorded residual, which is at most SIGN_GROUP_TOL of the
+    set's scale per generator; it acts on states as U and takes a top eigenvector at eta to one at P eta. The table
+    holds one element per (order, signs), identity first, and sign_group is the sign tuples of some of its sign
+    diagonals, in table order."""
     rng = np.random.default_rng(31)
     for label, vec in symmetry_sets():
         d = vec.dim
         tol = spinops.SIGN_GROUP_TOL * float(np.abs(vec.spectral_ends[0]).max())
-        assert tuple(g.signs for g in vec.symmetries) == vec.sign_group, label
-        identity = vec.symmetries[0]
-        assert identity.signs == (1,) * vec.n and not identity.conjugate, label
+        table = vec.symmetries
+        assert len({g.key for g in table}) == len(table), label
+        diagonals = [g.signs for g in table if g.order == tuple(range(vec.n))]
+        assert [signs for signs in diagonals if signs in vec.sign_group] == list(vec.sign_group), label
+        identity = table[0]
+        assert identity.key == (tuple(range(vec.n)), (1,) * vec.n) and not identity.conjugate, label
         assert np.array_equal(identity.perm, np.arange(d)) and np.all(identity.phases == 1.0), label
         eta = rng.standard_normal(vec.n)
         eta /= np.linalg.norm(eta)
         values, vectors = np.linalg.eigh(sum(c * m for c, m in zip(eta, vec.mats)))
         top = vectors[:, -1:]
-        for g in vec.symmetries:
+        for g in table:
+            assert set(np.round(g.phases.astype(complex), 15)) <= {1, -1, 1j, -1j}, (label, g.key)
             turn = (lambda x: x.conj()) if g.conjugate else (lambda x: x)
-            unitary = np.zeros((d, d))
+            unitary = np.zeros((d, d), dtype=complex)
             unitary[np.arange(d), g.perm] = g.phases
-            for sign, mat in zip(g.signs, vec.mats):
-                assert np.max(np.abs(unitary @ turn(mat) @ unitary.T - sign * mat)) <= tol, (label, g.signs)
-            assert np.array_equal(g.apply(top), unitary @ turn(top)), (label, g.signs)
-            mapped = sum(c * s * m for c, s, m in zip(eta, g.signs, vec.mats))
+            misses = [
+                np.max(np.abs(unitary @ turn(mat) @ unitary.conj().T - sign * vec.mats[k]))
+                for mat, sign, k in zip(vec.mats, g.signs, g.order)
+            ]
+            assert max(misses) == g.residual <= 4 * tol, (label, g.key)
+            assert np.array_equal(g.apply(top), unitary @ turn(top)), (label, g.key)
+            mapped = sum(c * m for c, m in zip(signed_permutation(*g.key) @ eta, vec.mats))
             residual = mapped @ g.apply(top) - values[-1] * g.apply(top)
-            assert np.linalg.norm(residual) <= 1e-12 * spectral_scale(vec) * max(1, d), (label, g.signs)
+            assert np.linalg.norm(residual) <= 1e-12 * spectral_scale(vec) * max(1, d), (label, g.key)
+
+
+@pytest.mark.parametrize("family, twice, gamma", [("j", 5, 1), ("jpow", 6, 3), ("ladder", 5, 1), ("anticomm", 4, 1)])
+def test_composition_acts_as_the_product(family, twice, gamma):
+    """g.after(h), for every ordered pair of kept generators, acts on states as g after h, realizes P_g P_h, and
+    maps every operator within its measured residual; an antiunitary g conjugates h's complex phases."""
+    vec = FAMILIES[family](HalfInt(twice), gamma)
+    rng = np.random.default_rng(13)
+    states = rng.standard_normal((vec.dim, 2)) + 1j * rng.standard_normal((vec.dim, 2))
+    stack = np.stack(vec.mats)
+    kept = [g for g in vec.generators if g is not None]
+    assert any(np.iscomplexobj(g.phases) for g in kept) and any(g.conjugate for g in kept)
+    for g in kept:
+        for h in kept:
+            gh = g.after(h)
+            assert np.array_equal(gh.apply(states), g.apply(h.apply(states))), (g.key, h.key)
+            assert np.array_equal(signed_permutation(*gh.key), signed_permutation(*g.key) @ signed_permutation(*h.key))
+            misses = gh.transform(stack) - np.array(gh.signs)[:, None, None] * stack[list(gh.order)]
+            assert np.max(np.abs(misses)) <= g.residual + h.residual + 1e-15 * spectral_scale(vec)
+
+
+# (family, twice j, gamma, order of the symmetry table)
+TABLE_ORDERS = [
+    ("jsq2d", 6, 2, 2),
+    ("jsq2d", 21, 2, 2),
+    ("jpow", 7, 2, 2),
+    ("ladder", 5, 2, 4),
+    ("anticomm", 40, 1, 8),
+    ("anticomm", 3, 1, 8),
+    ("ladder", 5, 1, 8),
+    ("j", 5, 1, 16),
+    ("jpow", 40, 3, 16),
+]
+
+
+@pytest.mark.parametrize("family, twice, gamma, size", TABLE_ORDERS, ids=family_ids(TABLE_ORDERS))
+def test_symmetry_table_orders(family, twice, gamma, size):
+    """The quarter turn Q joins K and the pi rotations: jsq2d gains the swap of its two operators, J and jpow
+    gamma = 3 the dihedral group of the square times the z flip."""
+    vec = FAMILIES[family](HalfInt(twice), gamma)
+    assert len(vec.symmetries) == size
+
+
+def test_real_blocks_stay_real():
+    """Every table element of every family at 2j <= 10 has real phases on each real block, so a real block's
+    mapped states stay real (the face layer compresses such a block through its real part)."""
+    for label, vec in symmetry_sets():
+        for block in vec.blocks:
+            if block.bands.dtype.kind == "c":
+                continue
+            for g in vec.symmetries:
+                assert not np.any(np.imag(g.phases[block.index])), (label, g.key)
+
+
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_every_symmetry_keeps_lambda_max(family, twice, gamma, coeffs):
+    """Every element of the table keeps lambda_max(P eta) = lambda_max(eta) within d sqrt(n) times its residual,
+    plus 1e-12 of the spectral scale for rounding."""
+    vec = FAMILIES[family](HalfInt(twice), gamma)
+    eta = np.array(coeffs[: vec.n])
+    assume(np.linalg.norm(eta) > 1e-3)
+    eta /= np.linalg.norm(eta)
+    table = vec.symmetries
+    tops = block_top_eigenvalues(np.array([signed_permutation(*g.key) @ eta for g in table]), vec.blocks)
+    bounds = np.array([vec.dim * math.sqrt(vec.n) * g.residual for g in table])
+    assert np.all(np.abs(tops - tops[0]) <= bounds + 1e-12 * spectral_scale(vec))
 
 
 # --- Kramers blocks: Theta = e^{-i pi Jy} K fixes every operator and squares to -1 ---
@@ -559,7 +640,7 @@ def test_kramers_blocks_truth_table(label, build, fixed, closed):
     K and e^{-i pi Jy} kept with equal signs imply that; the converse fails for the anticomm pair.
     """
     vec = build()
-    conj, _, flip, theta = vec.generator_signs
+    conj, _, flip, _, theta = vec.generator_signs
     assert (theta is not None and -1 not in theta) == fixed
     if conj is not None and conj == flip:
         assert theta == (1,) * vec.n
@@ -575,7 +656,7 @@ def test_kramers_blocks_need_every_operator_fixed_to_the_sign_tolerance():
     perturbed = ObservableVec(ops=ops, gamma=vec.gamma)
     assert vec.kramers_blocks == (True,)
     assert perturbed.generator_signs[0] is None and perturbed.generator_signs[2] is None
-    assert perturbed.generator_signs[3] is None
+    assert perturbed.generator_signs[4] is None
     assert perturbed.kramers_blocks == (False,)
 
 
